@@ -3,8 +3,8 @@
 Library layout:
     core          domain types, frame sampling, model validation
     distributions frame-length distributions and simple samplers
-    controller    virtual queues and the per-frame ratio solvers
-    simulation    the slotted-time engine, policies, diagnostics
+    controller    the queue recursion and the per-frame ratio solvers
+    simulation    the slotted-time engine, its run trace and analyses of it
     simplex       dense two-phase LP solver
     benchmark     optimal-stationary LP and brute-force oracle
     scheduling    the multi-server energy-aware scheduling instance
@@ -23,7 +23,6 @@ from .config import ConfigError, ExperimentConfig, parse_config
 from .controller import (
     SubproblemSolution,
     TradeoffParameter,
-    VirtualQueueVector,
     queue_update,
     ratio_bound_holds,
     solve_bisection,
@@ -57,11 +56,14 @@ from .simulation import (
     ExternalProcess,
     FixedValue,
     RandomizedStationaryPolicy,
-    RunMetrics,
+    RunTrace,
     UniformIntRange,
-    collect_drift_diagnostic,
+    check_queue_bound,
+    drift_diagnostic,
+    frame_stats,
+    queue_trajectory,
     run,
-    run_stationary_sweep,
+    stationary_predictions,
     uniform_frame_drift_bound,
 )
 

@@ -37,6 +37,7 @@ from .simulation import (
     CheckViolation,
     DppRatioPolicy,
     RandomizedStationaryPolicy,
+    queue_trajectory,
     run,
 )
 
@@ -119,35 +120,29 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
             policy = RandomizedStationaryPolicy(weights)
         else:
             policy = DppRatioPolicy(v=TradeoffParameter(v), solver=cfg.solver)
-        metrics = run(
-            models,
-            external,
-            policy,
-            cfg.slots,
-            seed,
-            check=cfg.check,
-            record_trajectory=cfg.trajectories,
-        )
+        trace = run(models, external, policy, cfg.slots, seed, check=cfg.check)
         row = [
             cfg.policy,
             "" if v is None else _fmt(v),
             seed,
-            metrics.slots,
-            _fmt(metrics.avg_penalty),
+            trace.slots,
+            _fmt(trace.avg_penalty),
         ]
-        row += [_fmt(x) for x in metrics.avg_metrics]
-        row += [_fmt(x) for x in metrics.avg_queues]
-        row += [_fmt(x) for x in metrics.final_queues]
-        row.append(int(metrics.frames_per_system.sum()))
+        row += [_fmt(x) for x in trace.avg_metrics]
+        row += [_fmt(x) for x in trace.avg_queues]
+        row += [_fmt(x) for x in trace.final_queues]
+        row.append(int(trace.frames_per_system.sum()))
         if lp_sol.status == "optimal":
             row.append(_fmt(lp_sol.objective))
-            row.append(_fmt(metrics.avg_penalty - lp_sol.objective))
+            row.append(_fmt(trace.avg_penalty - lp_sol.objective))
         else:
             row += ["", ""]
         rows.append(row)
         if cfg.trajectories:
             tag = "stationary" if v is None else format(v, "g")
-            _write_trajectory(out / f"trajectory_{tag}_{seed}.csv", metrics.queue_trajectory)
+            _write_trajectory(out / f"trajectory_{tag}_{seed}.csv", queue_trajectory(trace))
+        # free this cell's series before the next cell allocates its own
+        del trace
 
     with open(out / "summary.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

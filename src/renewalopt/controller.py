@@ -1,4 +1,4 @@
-"""Virtual queues and the per-frame ratio subproblem solvers.
+"""Virtual queue recursion and the per-frame ratio subproblem solvers.
 
 One virtual queue per time-average constraint accumulates the per-slot
 constraint slack: Q_l[t+1] = max{Q_l[t] + sum_n z_l^n[t] - d_l[t], 0}.
@@ -25,7 +25,6 @@ import numpy as np
 from .core import ActionId, PerformanceTriple, RenewalSystemModel
 
 __all__ = [
-    "VirtualQueueVector",
     "TradeoffParameter",
     "SubproblemSolution",
     "queue_update",
@@ -34,30 +33,6 @@ __all__ = [
     "solve_hull_vertices",
     "ratio_bound_holds",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class VirtualQueueVector:
-    """Nonnegative multipliers, one per time-average constraint."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.array(self.values, dtype=float, copy=True).reshape(-1)
-        if np.any(values < 0):
-            raise ValueError("queue entries must be nonnegative")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def zeros(cls, n_metrics: int) -> "VirtualQueueVector":
-        return cls(np.zeros(n_metrics))
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-    def updated(self, z_slot_sum, d_slot) -> "VirtualQueueVector":
-        return queue_update(self, z_slot_sum, d_slot)
 
 
 @dataclass(frozen=True)
@@ -79,12 +54,6 @@ def _v_value(v: TradeoffParameter | float) -> float:
     return value
 
 
-def _queue_values(q) -> np.ndarray:
-    if isinstance(q, VirtualQueueVector):
-        return q.values
-    return np.asarray(q, dtype=float).reshape(-1)
-
-
 @dataclass(frozen=True)
 class SubproblemSolution:
     """Chosen action and its achieved ratio value."""
@@ -93,14 +62,14 @@ class SubproblemSolution:
     value: float
 
 
-def queue_update(q, z_slot_sum, d_slot) -> VirtualQueueVector:
+def queue_update(q, z_slot_sum, d_slot) -> np.ndarray:
     """One slot of the virtual queue recursion, clamped at zero.
 
     The arithmetic order (delta first, then add, then clamp) is fixed;
-    the simulation engine replays exactly the same operations, so recorded
-    trajectories can be compared bit-for-bit against this function.
+    the simulation engine replays exactly the same operations, so its queue
+    series can be compared bit-for-bit against this function.
     """
-    qv = _queue_values(q)
+    qv = np.asarray(q, dtype=float).reshape(-1)
     z = np.asarray(z_slot_sum, dtype=float).reshape(-1)
     d = np.asarray(d_slot, dtype=float).reshape(-1)
     if z.shape != qv.shape or d.shape != qv.shape:
@@ -108,15 +77,20 @@ def queue_update(q, z_slot_sum, d_slot) -> VirtualQueueVector:
             f"length mismatch: queue {qv.shape[0]}, z {z.shape[0]}, d {d.shape[0]}"
         )
     delta = z - d
-    return VirtualQueueVector(np.maximum(qv + delta, 0.0))
+    return np.maximum(qv + delta, 0.0)
 
 
-def _ratio_objectives(model: RenewalSystemModel, qv: np.ndarray, v: float) -> np.ndarray:
-    if qv.shape[0] != model.n_metrics:
-        raise ValueError(
-            f"queue length {qv.shape[0]} does not match model metrics {model.n_metrics}"
-        )
-    return (v * model.y_hats + model.z_hats @ qv) / model.t_hats
+def _ratio_objectives(y, z, t, q, v: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-action numerators V*y + <q, z> and ratio objectives numerator / t.
+
+    The one copy of the objective arithmetic: every solver and the
+    certificate call it, so their values compare exactly.
+    """
+    qv = np.asarray(q, dtype=float).reshape(-1)
+    if qv.shape[0] != z.shape[1]:
+        raise ValueError(f"queue length {qv.shape[0]} does not match metric count {z.shape[1]}")
+    num = v * y + z @ qv
+    return num, num / t
 
 
 def solve_enumerate(
@@ -130,7 +104,9 @@ def solve_enumerate(
 
     Ties break toward the lowest action index so runs are reproducible.
     """
-    objectives = _ratio_objectives(model, _queue_values(q), _v_value(v))
+    _, objectives = _ratio_objectives(
+        model.y_hats, model.z_hats, model.t_hats, q, _v_value(v)
+    )
     idx = int(np.argmin(objectives))
     return SubproblemSolution(ActionId(system_index, idx), float(objectives[idx]))
 
@@ -147,29 +123,29 @@ def solve_bisection(
 
     Repeatedly minimizes V*y_hat + <q, z_hat> - theta * t_hat over actions and
     moves theta to the minimizer's ratio; stops when the inner minimum is
-    within tol of zero.  Frame lengths are >= 1, so the returned value is
-    within tol of the true minimum; it is always the exact ratio of the
-    returned action.
+    within tol of zero.  Every action whose final cost is below tol is then a
+    candidate for the minimum, and the returned action is the one Dinkelbach
+    stopped on unless a candidate has a strictly smaller exact ratio (lowest
+    index among those).  The returned value is the exact ratio of the
+    returned action, so it passes ``ratio_bound_holds`` even on near ties.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    qv = _queue_values(q)
-    vv = _v_value(v)
-    if qv.shape[0] != model.n_metrics:
-        raise ValueError(
-            f"queue length {qv.shape[0]} does not match model metrics {model.n_metrics}"
-        )
-    num = vv * model.y_hats + model.z_hats @ qv
     den = model.t_hats
-    theta = num[0] / den[0]
+    num, ratios = _ratio_objectives(model.y_hats, model.z_hats, den, q, _v_value(v))
+    theta = ratios[0]
     # theta strictly decreases across iterations and only finitely many
     # ratios exist, so this terminates; the cap is a safety net only
     for _ in range(10 * model.n_actions + 10):
         costs = num - theta * den
         idx = int(np.argmin(costs))
         if costs[idx] >= -tol:
-            return SubproblemSolution(ActionId(system_index, idx), float(num[idx] / den[idx]))
-        theta = num[idx] / den[idx]
+            near = np.flatnonzero(costs < tol)
+            best = int(near[np.argmin(ratios[near])])
+            if ratios[best] < ratios[idx]:
+                idx = best
+            return SubproblemSolution(ActionId(system_index, idx), float(ratios[idx]))
+        theta = ratios[idx]
     raise RuntimeError("Dinkelbach iteration failed to terminate")
 
 
@@ -190,23 +166,14 @@ def solve_hull_vertices(
     """
     if len(vertices) == 0:
         raise ValueError("need at least one vertex")
-    ys, zs, ts = [], [], []
-    for vert in vertices:
-        if isinstance(vert, PerformanceTriple):
-            y, z, t = vert.y_hat, vert.z_hat, vert.t_hat
-        else:
-            y, z, t = vert
-        ys.append(float(y))
-        zs.append(np.asarray(z, dtype=float).reshape(-1))
-        ts.append(float(t))
-    t_arr = np.array(ts)
-    if np.any(t_arr < 1):
-        raise ValueError("vertex frame lengths must be >= 1")
-    qv = _queue_values(q)
-    z_arr = np.array(zs)
-    if z_arr.shape[1] != qv.shape[0]:
-        raise ValueError("queue length does not match vertex metric dimension")
-    objectives = (_v_value(v) * np.array(ys) + z_arr @ qv) / t_arr
+    triples = [p if isinstance(p, PerformanceTriple) else PerformanceTriple(*p) for p in vertices]
+    _, objectives = _ratio_objectives(
+        np.array([p.y_hat for p in triples]),
+        np.array([p.z_hat for p in triples]),
+        np.array([p.t_hat for p in triples]),
+        q,
+        _v_value(v),
+    )
     idx = int(np.argmin(objectives))
     return SubproblemSolution(ActionId(system_index, idx), float(objectives[idx]))
 
@@ -225,5 +192,7 @@ def ratio_bound_holds(
     The comparison is exact (no tolerance); solvers and this check share the
     same objective arithmetic.
     """
-    objectives = _ratio_objectives(model, _queue_values(q), _v_value(v))
+    _, objectives = _ratio_objectives(
+        model.y_hats, model.z_hats, model.t_hats, q, _v_value(v)
+    )
     return bool(np.all(solution.value <= objectives))

@@ -12,23 +12,31 @@ it covers.  Every slot the queue recursion
 is applied with exactly the arithmetic of ``controller.queue_update`` so
 trajectories replay bit-for-bit.
 
+``run`` does only that and returns a ``RunTrace`` (the per-slot series y, z
+and d, the queue series Q[0..slots], the seed and each system's frame log),
+which holds 8 * (1 + 3L) bytes per slot plus 24 bytes per frame per system.
+The averages, ``queue_trajectory``, ``check_queue_bound``, ``frame_stats``,
+``drift_diagnostic`` and ``stationary_predictions`` are functions of it.
+
 Seed derivation: system n draws from PCG64 seeded with
 SeedSequence(seed, spawn_key=(0, n)); the external process uses
 spawn_key=(1,).  Adding or removing systems therefore never perturbs the
 other streams.
 
-With ``check=True`` two exact invariants are asserted while running: the
+With ``check=True`` three exact invariants are asserted: while running, the
 minimality certificate of every frame decision (``ratio_bound_holds``) and
-the sample-path lower bound Q_l[t] >= sum_{s<t}(sum_n z_l^n[s] - d_l[s]),
-which holds exactly in floating point because both sides add the same
-per-slot deltas and the queue side only ever clamps upward.
+the declared per-slot bounds of every sampled frame; after the loop, the
+sample-path lower bound Q_l[t] >= sum_{s<t}(sum_n z_l^n[s] - d_l[s]), which
+holds exactly in floating point because both sides add the same per-slot
+deltas and the queue side only ever clamps upward.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -39,7 +47,7 @@ from .controller import (
     solve_bisection,
     solve_enumerate,
 )
-from .core import ActionId, PerformanceVector, RenewalSystemModel, sample_frame
+from .core import ActionId, FrameOutcome, PerformanceVector, RenewalSystemModel, sample_frame
 
 __all__ = [
     "FixedValue",
@@ -50,17 +58,18 @@ __all__ = [
     "DppRatioPolicy",
     "RandomizedStationaryPolicy",
     "CheckViolation",
-    "FrameStats",
+    "RunTrace",
+    "run",
     "QueueTrajectory",
-    "SlotSeries",
-    "RunMetrics",
+    "queue_trajectory",
+    "check_queue_bound",
+    "FrameStats",
+    "frame_stats",
     "DriftDiagnostic",
     "uniform_frame_drift_bound",
-    "run",
-    "StationarySweepReport",
+    "drift_diagnostic",
     "SystemSweepStats",
-    "run_stationary_sweep",
-    "collect_drift_diagnostic",
+    "stationary_predictions",
 ]
 
 
@@ -216,7 +225,237 @@ class CheckViolation(Exception):
 
 
 # ---------------------------------------------------------------------------
-# run outputs
+# the engine
+
+
+@dataclass(frozen=True, eq=False)
+class RunTrace:
+    """Everything one run laid down; every reported number is a function of it.
+
+    penalty[t] and metrics[t] are the slot-t sums over systems of y and z,
+    external[t] is d[t], and queues[t] is Q[t] for t = 0..slots, so the first
+    row is zero and the last is the final queue.  frames[n] is system n's
+    frame log, one (start, length, action) row per frame in order; the last
+    frame may extend past the horizon, which then cuts its y and z short.
+    """
+
+    seed: int
+    penalty: np.ndarray
+    metrics: np.ndarray
+    external: np.ndarray
+    queues: np.ndarray
+    frames: tuple[np.ndarray, ...]
+
+    @property
+    def slots(self) -> int:
+        return self.penalty.shape[0]
+
+    @property
+    def total_penalty(self) -> float:
+        return float(self.penalty.sum())
+
+    @property
+    def total_metrics(self) -> np.ndarray:
+        return self.metrics.sum(axis=0)
+
+    @property
+    def queue_slot_sum(self) -> np.ndarray:
+        """sum_{t<slots} Q[t], added in slot order."""
+        return np.cumsum(self.queues[:-1], axis=0)[-1]
+
+    @property
+    def final_queues(self) -> np.ndarray:
+        return self.queues[-1]
+
+    @property
+    def frames_per_system(self) -> np.ndarray:
+        return np.array([log.shape[0] for log in self.frames])
+
+    @property
+    def avg_penalty(self) -> float:
+        return self.total_penalty / self.slots
+
+    @property
+    def avg_metrics(self) -> np.ndarray:
+        return self.total_metrics / self.slots
+
+    @property
+    def avg_queues(self) -> np.ndarray:
+        return self.queue_slot_sum / self.slots
+
+
+def _system_rng(seed: int, n: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0, n))))
+
+
+def run(
+    models: Sequence[RenewalSystemModel],
+    external: ExternalProcess,
+    policy,
+    slots: int,
+    seed: int,
+    *,
+    check: bool = False,
+) -> RunTrace:
+    """Simulate all systems for the given number of slots.
+
+    Deterministic given (models, external, policy, slots, seed).  Frames that
+    extend past the horizon lay down only their in-horizon slots.
+    """
+    models = list(models)
+    n_sys = len(models)
+    if n_sys == 0:
+        raise ValueError("need at least one system")
+    n_metrics = external.n_metrics
+    if any(m.n_metrics != n_metrics for m in models):
+        raise ValueError("all systems must share the external process dimension")
+    if slots < 1:
+        raise ValueError("slots must be >= 1")
+
+    certify = check and isinstance(policy, DppRatioPolicy)
+    if isinstance(policy, DppRatioPolicy):
+        v = policy.v.v
+        if policy.solver == "enumerate":
+            def decide(n, q):
+                return solve_enumerate(models[n], q, v, system_index=n)
+        else:
+            def decide(n, q):
+                return solve_bisection(models[n], q, v, policy.tol, system_index=n)
+    elif isinstance(policy, RandomizedStationaryPolicy):
+        if len(policy.weights) != n_sys:
+            raise ValueError("one weight vector per system required")
+        for w, m in zip(policy.weights, models):
+            if w.shape[0] != m.n_actions:
+                raise ValueError("weight length must match the system's action count")
+        def decide(n, q):
+            idx = int(rngs[n].choice(models[n].n_actions, p=policy.weights[n]))
+            return SubproblemSolution(action=ActionId(n, idx), value=float("nan"))
+    else:
+        raise TypeError(f"unknown policy type {type(policy).__name__}")
+
+    rngs = [_system_rng(seed, n) for n in range(n_sys)]
+    ext_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(1,))))
+    d_arr = external.sample_matrix(ext_rng, slots)
+
+    y_arr = np.zeros(slots)
+    z_arr = np.zeros((slots, n_metrics))
+    queues = np.zeros((slots + 1, n_metrics))
+    logs = [array("q") for _ in range(n_sys)]
+    next_start = [0] * n_sys
+    next_event = 0
+
+    for t in range(slots):
+        q = queues[t]
+        if t == next_event:
+            for n in range(n_sys):
+                if next_start[n] != t:
+                    continue
+                solution = decide(n, q)
+                idx = solution.action.action_index
+                if certify and not ratio_bound_holds(models[n], solution, q, v):
+                    raise CheckViolation(
+                        f"frame decision at slot {t}, system {n}: ratio value "
+                        f"{solution.value} exceeds an action objective"
+                    )
+                outcome = sample_frame(models[n], idx, rngs[n])
+                length = outcome.length
+                end = t + length
+                lay_end = min(end, slots)
+                y_arr[t:lay_end] += outcome.per_slot_penalty[: lay_end - t]
+                z_arr[t:lay_end] += outcome.per_slot_metrics[: lay_end - t]
+                if check:
+                    if np.any(np.abs(outcome.per_slot_penalty) > models[n].y_max) or np.any(
+                        np.abs(outcome.per_slot_metrics) > models[n].z_max
+                    ):
+                        raise CheckViolation(
+                            f"sampled frame at slot {t}, system {n} exceeds declared bounds"
+                        )
+                logs[n].extend((t, length, idx))
+                next_start[n] = end
+            next_event = min(next_start)
+
+        # same arithmetic as controller.queue_update, written into Q[t+1]
+        q_next = queues[t + 1]
+        np.add(q, z_arr[t] - d_arr[t], out=q_next)
+        np.maximum(q_next, 0.0, out=q_next)
+
+    trace = RunTrace(
+        seed=seed,
+        penalty=y_arr,
+        metrics=z_arr,
+        external=d_arr,
+        queues=queues,
+        frames=tuple(np.frombuffer(log, dtype=np.int64).reshape(-1, 3) for log in logs),
+    )
+    if check:
+        check_queue_bound(trace)
+    return trace
+
+
+# ---------------------------------------------------------------------------
+# analyses of a trace
+
+
+@dataclass(frozen=True, eq=False)
+class QueueTrajectory:
+    """Downsampled queue series; the last row is the final queue Q[slots]."""
+
+    times: np.ndarray
+    queues: np.ndarray
+
+
+def queue_trajectory(trace: RunTrace, stride: int | None = None) -> QueueTrajectory:
+    """Q at every stride-th slot from 0, then Q[slots].
+
+    The default stride keeps the row count near ten thousand.
+    """
+    slots = trace.slots
+    stride = stride or max(1, -(-slots // 10_000))
+    times = np.append(np.arange(0, slots, stride), slots)
+    return QueueTrajectory(times, trace.queues[times])
+
+
+def check_queue_bound(trace: RunTrace) -> None:
+    """Raise CheckViolation at the first slot t where Q[t+1] < sum_{s<=t}(z[s] - d[s]).
+
+    Both sides add the same per-slot deltas in slot order, so the comparison
+    is exact.
+    """
+    net = np.cumsum(trace.metrics - trace.external, axis=0)
+    violated = ~(trace.queues[1:] >= net)
+    rows = np.flatnonzero(violated.any(axis=1))
+    if rows.size:
+        t = int(rows[0])
+        q, cum_net = trace.queues[t + 1], net[t]
+        bad = int(np.argmin(q - cum_net))
+        raise CheckViolation(
+            f"queue lower bound violated at slot {t}, constraint {bad}: "
+            f"Q={q[bad]!r} < cumulative net input {cum_net[bad]!r}"
+        )
+
+
+def _replayed_frames(
+    trace: RunTrace, models: Sequence[RenewalSystemModel], policy, n: int
+) -> Iterator[tuple[int, FrameOutcome]]:
+    """Re-draw system n's frames from its own stream as (start, outcome) pairs.
+
+    Raises ValueError where a re-drawn action (stationary policy) or length
+    differs from the log: the trace came from other models, policy or seed.
+    """
+    if len(models) != len(trace.frames):
+        raise ValueError("one model per system of the trace required")
+    model = models[n]
+    weights = policy.weights[n] if isinstance(policy, RandomizedStationaryPolicy) else None
+    rng = _system_rng(trace.seed, n)
+    for start, length, idx in trace.frames[n].tolist():
+        drawn = idx if weights is None else int(rng.choice(model.n_actions, p=weights))
+        outcome = sample_frame(model, idx, rng)
+        if drawn != idx or outcome.length != length:
+            raise ValueError(
+                f"system {n}, frame at slot {start}: re-drawn frame (action {drawn}, "
+                f"length {outcome.length}) differs from the log (action {idx}, length {length})"
+            )
+        yield start, outcome
 
 
 class FrameStats:
@@ -268,21 +507,18 @@ class FrameStats:
         return np.sqrt(resid) / self.sum_t
 
 
-@dataclass(frozen=True, eq=False)
-class QueueTrajectory:
-    """Downsampled queue series; the last row is the final queue Q[slots]."""
-
-    times: np.ndarray
-    queues: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class SlotSeries:
-    """Raw per-slot series (diagnostic opt-in; memory scales with slots)."""
-
-    penalty: np.ndarray
-    metrics: np.ndarray
-    external: np.ndarray
+def frame_stats(
+    trace: RunTrace, models: Sequence[RenewalSystemModel], policy
+) -> tuple[FrameStats, ...]:
+    """Per-system statistics of the frames completed within the horizon."""
+    stats = []
+    for n, model in enumerate(models):
+        st = FrameStats(model.n_metrics)
+        for start, outcome in _replayed_frames(trace, models, policy, n):
+            if start + outcome.length <= trace.slots:
+                st.add(outcome.total_penalty, outcome.total_metrics, float(outcome.length))
+        stats.append(st)
+    return tuple(stats)
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,35 +542,6 @@ class DriftDiagnostic:
 
     def within_bound(self, sigmas: float = 3.0) -> np.ndarray:
         return self.excess_mean <= sigmas * self.excess_se
-
-
-@dataclass(frozen=True, eq=False)
-class RunMetrics:
-    """Accumulated totals of one run; averages are derived views of them."""
-
-    slots: int
-    total_penalty: float
-    total_metrics: np.ndarray
-    queue_slot_sum: np.ndarray
-    final_queues: np.ndarray
-    frames_per_system: np.ndarray
-    frame_stats: tuple[FrameStats, ...]
-    queue_trajectory: QueueTrajectory | None = None
-    drift: DriftDiagnostic | None = None
-    slot_series: SlotSeries | None = None
-    frame_records: tuple[list, ...] | None = None
-
-    @property
-    def avg_penalty(self) -> float:
-        return self.total_penalty / self.slots
-
-    @property
-    def avg_metrics(self) -> np.ndarray:
-        return self.total_metrics / self.slots
-
-    @property
-    def avg_queues(self) -> np.ndarray:
-        return self.queue_slot_sum / self.slots
 
 
 def uniform_frame_drift_bound(
@@ -366,212 +573,55 @@ class _Welford:
         return math.sqrt(self.m2 / (self.count - 1) / self.count)
 
 
-def run(
+def drift_diagnostic(
+    trace: RunTrace,
     models: Sequence[RenewalSystemModel],
     external: ExternalProcess,
-    policy,
-    slots: int,
-    seed: int,
-    *,
-    check: bool = False,
-    drift_reference: Sequence[PerformanceVector] | None = None,
-    record_trajectory: bool = False,
-    trajectory_stride: int | None = None,
-    record_slot_series: bool = False,
-    record_frames: bool = False,
-) -> RunMetrics:
-    """Simulate all systems for the given number of slots.
-
-    Deterministic given (models, external, policy, slots, seed).  Frames that
-    extend past the horizon contribute only their in-horizon slots to the
-    averages; per-frame statistics (frame_stats, drift) use completed frames
-    only.
-    """
+    policy: DppRatioPolicy,
+    reference: Sequence[PerformanceVector],
+) -> DriftDiagnostic:
+    """Drift sums of the completed frames of a dpp_ratio run against c0."""
     models = list(models)
-    n_sys = len(models)
-    if n_sys == 0:
-        raise ValueError("need at least one system")
-    n_metrics = external.n_metrics
-    if any(m.n_metrics != n_metrics for m in models):
-        raise ValueError("all systems must share the external process dimension")
-    if slots < 1:
-        raise ValueError("slots must be >= 1")
+    reference = tuple(reference)
+    if not isinstance(policy, DppRatioPolicy):
+        raise ValueError("drift diagnostic applies to the dpp_ratio policy")
+    if len(reference) != len(models):
+        raise ValueError("one reference point per system required")
+    if any(r.g_hat.shape[0] != external.n_metrics for r in reference):
+        raise ValueError("reference metric dimension mismatch")
+    v = policy.v.v
+    c0 = uniform_frame_drift_bound(models, external)
+    ref_f = np.array([r.f_hat for r in reference])
+    ref_g = np.vstack([r.g_hat for r in reference])
+    queues = trace.queues
+    # prefix[t] = sum_{s<t} Q[s], added in slot order
+    prefix = np.zeros_like(queues)
+    np.cumsum(queues[:-1], axis=0, out=prefix[1:])
 
-    if isinstance(policy, DppRatioPolicy):
-        v = policy.v.v
-        if policy.solver == "enumerate":
-            def decide(n, q):
-                return solve_enumerate(models[n], q, v, system_index=n)
-        else:
-            def decide(n, q):
-                return solve_bisection(models[n], q, v, policy.tol, system_index=n)
-    elif isinstance(policy, RandomizedStationaryPolicy):
-        if len(policy.weights) != n_sys:
-            raise ValueError("one weight vector per system required")
-        for w, m in zip(policy.weights, models):
-            if w.shape[0] != m.n_actions:
-                raise ValueError("weight length must match the system's action count")
-        v = 0.0
-        def decide(n, q):
-            idx = int(rngs[n].choice(models[n].n_actions, p=policy.weights[n]))
-            return SubproblemSolution(action=ActionId(n, idx), value=float("nan"))
-    else:
-        raise TypeError(f"unknown policy type {type(policy).__name__}")
-
-    drift_on = drift_reference is not None
-    if drift_on:
-        reference = tuple(drift_reference)
-        if len(reference) != n_sys:
-            raise ValueError("one reference point per system required")
-        if any(r.g_hat.shape[0] != n_metrics for r in reference):
-            raise ValueError("reference metric dimension mismatch")
-        if not isinstance(policy, DppRatioPolicy):
-            raise ValueError("drift diagnostic applies to the dpp_ratio policy")
-        c0 = uniform_frame_drift_bound(models, external)
-        drift_acc = [_Welford() for _ in range(n_sys)]
-        ref_f = np.array([r.f_hat for r in reference])
-        ref_g = np.vstack([r.g_hat for r in reference])
-
-    rngs = [
-        np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0, n))))
-        for n in range(n_sys)
-    ]
-    ext_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(1,))))
-    d_arr = external.sample_matrix(ext_rng, slots)
-
-    y_arr = np.zeros(slots)
-    z_arr = np.zeros((slots, n_metrics))
-    q = np.zeros(n_metrics)
-    qsum = np.zeros(n_metrics)
-    cum_net = np.zeros(n_metrics) if check else None
-
-    stats = tuple(FrameStats(n_metrics) for _ in range(n_sys))
-    frames = np.zeros(n_sys, dtype=int)
-    next_start = [0] * n_sys
-    next_event = 0
-    records = tuple([] for _ in range(n_sys)) if record_frames else None
-
-    # per-system state of the frame in progress (for the drift diagnostic)
-    cur_z = [None] * n_sys
-    cur_y_total = [0.0] * n_sys
-    cur_len = [0] * n_sys
-    cur_xz = [0.0] * n_sys
-    cur_qsum_snap = [None] * n_sys
-
-    if record_trajectory:
-        stride = trajectory_stride or max(1, -(-slots // 10_000))
-        traj_times: list[int] = []
-        traj_rows: list[np.ndarray] = []
-
-    def finalize_frame(n: int) -> None:
-        excess = (
-            v * (cur_y_total[n] - cur_len[n] * ref_f[n])
-            + cur_xz[n]
-            - (qsum - cur_qsum_snap[n]) @ ref_g[n]
-            - c0
-        )
-        drift_acc[n].add(float(excess))
-
-    for t in range(slots):
-        if t == next_event:
-            for n in range(n_sys):
-                if next_start[n] != t:
-                    continue
-                if drift_on and cur_z[n] is not None:
-                    finalize_frame(n)
-                solution = decide(n, q)
-                idx = solution.action.action_index
-                if check and isinstance(policy, DppRatioPolicy):
-                    if not ratio_bound_holds(models[n], solution, q, v):
-                        raise CheckViolation(
-                            f"frame decision at slot {t}, system {n}: ratio value "
-                            f"{solution.value} exceeds an action objective"
-                        )
-                outcome = sample_frame(models[n], idx, rngs[n])
-                length = outcome.length
-                end = t + length
-                lay_end = min(end, slots)
-                y_arr[t:lay_end] += outcome.per_slot_penalty[: lay_end - t]
-                z_arr[t:lay_end] += outcome.per_slot_metrics[: lay_end - t]
-                if check:
-                    if np.any(np.abs(outcome.per_slot_penalty) > models[n].y_max) or np.any(
-                        np.abs(outcome.per_slot_metrics) > models[n].z_max
-                    ):
-                        raise CheckViolation(
-                            f"sampled frame at slot {t}, system {n} exceeds declared bounds"
-                        )
-                if end <= slots:
-                    stats[n].add(
-                        float(outcome.per_slot_penalty.sum()),
-                        outcome.per_slot_metrics.sum(axis=0),
-                        float(length),
-                    )
-                frames[n] += 1
-                if records is not None:
-                    records[n].append((t, length, idx))
-                if drift_on:
-                    cur_z[n] = outcome.per_slot_metrics
-                    cur_y_total[n] = float(outcome.per_slot_penalty.sum())
-                    cur_len[n] = length
-                    cur_xz[n] = 0.0
-                    cur_qsum_snap[n] = qsum.copy()
-                next_start[n] = end
-            next_event = min(next_start)
-
-        qsum += q
-        if record_trajectory and t % stride == 0:
-            traj_times.append(t)
-            traj_rows.append(q.copy())
-        if drift_on:
-            for n in range(n_sys):
-                cur_xz[n] += float(q @ cur_z[n][t - (next_start[n] - cur_len[n])])
-
-        # same arithmetic as controller.queue_update, in place
-        delta = z_arr[t] - d_arr[t]
-        np.add(q, delta, out=q)
-        np.maximum(q, 0.0, out=q)
-        if check:
-            cum_net += delta
-            if not np.all(q >= cum_net):
-                bad = int(np.argmin(q - cum_net))
-                raise CheckViolation(
-                    f"queue lower bound violated at slot {t}, constraint {bad}: "
-                    f"Q={q[bad]!r} < cumulative net input {cum_net[bad]!r}"
-                )
-
-    if drift_on:
-        for n in range(n_sys):
-            if next_start[n] == slots and cur_z[n] is not None:
-                finalize_frame(n)
-        drift = DriftDiagnostic(
-            reference=reference,
-            c0=c0,
-            frame_counts=np.array([acc.count for acc in drift_acc]),
-            excess_mean=np.array([acc.mean for acc in drift_acc]),
-            excess_se=np.array([acc.se() for acc in drift_acc]),
-        )
-    else:
-        drift = None
-
-    if record_trajectory:
-        traj_times.append(slots)
-        traj_rows.append(q.copy())
-        trajectory = QueueTrajectory(np.array(traj_times), np.array(traj_rows))
-    else:
-        trajectory = None
-
-    return RunMetrics(
-        slots=slots,
-        total_penalty=float(y_arr.sum()),
-        total_metrics=z_arr.sum(axis=0),
-        queue_slot_sum=qsum,
-        final_queues=q.copy(),
-        frames_per_system=frames,
-        frame_stats=stats,
-        queue_trajectory=trajectory,
-        drift=drift,
-        slot_series=SlotSeries(y_arr, z_arr, d_arr) if record_slot_series else None,
-        frame_records=records,
+    accs = []
+    for n in range(len(models)):
+        acc = _Welford()
+        for start, outcome in _replayed_frames(trace, models, policy, n):
+            end = start + outcome.length
+            if end > trace.slots:
+                continue
+            xz = 0.0
+            for s, z in enumerate(outcome.per_slot_metrics, start):
+                xz += float(queues[s] @ z)
+            excess = (
+                v * (outcome.total_penalty - outcome.length * ref_f[n])
+                + xz
+                - (prefix[end] - prefix[start]) @ ref_g[n]
+                - c0
+            )
+            acc.add(float(excess))
+        accs.append(acc)
+    return DriftDiagnostic(
+        reference=reference,
+        c0=c0,
+        frame_counts=np.array([acc.count for acc in accs]),
+        excess_mean=np.array([acc.mean for acc in accs]),
+        excess_se=np.array([acc.se() for acc in accs]),
     )
 
 
@@ -588,39 +638,26 @@ class SystemSweepStats:
     frames: int
 
 
-@dataclass(frozen=True, eq=False)
-class StationarySweepReport:
-    metrics: RunMetrics
-    systems: tuple[SystemSweepStats, ...]
-
-
-def run_stationary_sweep(
+def stationary_predictions(
+    trace: RunTrace,
     models: Sequence[RenewalSystemModel],
-    external: ExternalProcess,
-    weights: Sequence,
-    slots: int,
-    seed: int,
-    **run_kwargs,
-) -> StationarySweepReport:
-    """Run the stationary policy and compare against renewal-reward ratios.
+    policy: RandomizedStationaryPolicy,
+) -> tuple[SystemSweepStats, ...]:
+    """Compare a stationary run with its renewal-reward ratios, per system.
 
     The prediction for each system is sum_a p_a y_hat_a / sum_a p_a t_hat_a
     (and likewise per metric); the empirical value is the ratio of completed
     frame totals, with a delta-method standard error.
     """
-    policy = RandomizedStationaryPolicy(tuple(np.asarray(w, dtype=float) for w in weights))
-    metrics = run(models, external, policy, slots, seed, **run_kwargs)
     systems = []
-    for model, w, st in zip(models, policy.weights, metrics.frame_stats):
-        t_mix = float(w @ model.t_hats)
-        pred_f = float(w @ model.y_hats) / t_mix
-        pred_g = (model.z_hats.T @ w) / t_mix
+    for model, w, st in zip(models, policy.weights, frame_stats(trace, models, policy)):
         if st.count == 0:
             raise RuntimeError("no completed frames; increase slots")
+        t_mix = float(w @ model.t_hats)
         systems.append(
             SystemSweepStats(
-                predicted_f=pred_f,
-                predicted_g=pred_g,
+                predicted_f=float(w @ model.y_hats) / t_mix,
+                predicted_g=(model.z_hats.T @ w) / t_mix,
                 empirical_f=st.empirical_f,
                 empirical_g=st.empirical_g,
                 se_f=st.f_se(),
@@ -628,17 +665,4 @@ def run_stationary_sweep(
                 frames=st.count,
             )
         )
-    return StationarySweepReport(metrics=metrics, systems=tuple(systems))
-
-
-def collect_drift_diagnostic(
-    models: Sequence[RenewalSystemModel],
-    external: ExternalProcess,
-    policy: DppRatioPolicy,
-    slots: int,
-    seed: int,
-    reference: Sequence[PerformanceVector],
-) -> DriftDiagnostic:
-    """Run with drift collection enabled and return the diagnostic."""
-    metrics = run(models, external, policy, slots, seed, drift_reference=reference)
-    return metrics.drift
+    return tuple(systems)

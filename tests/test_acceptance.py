@@ -8,6 +8,7 @@ independently of the LP code.
 
 import csv
 import functools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,9 +25,10 @@ from renewalopt.controller import solve_bisection, solve_enumerate, solve_hull_v
 from renewalopt.distributions import GeometricLength, constant_rate_model
 from renewalopt.simulation import (
     DppRatioPolicy,
-    collect_drift_diagnostic,
+    RandomizedStationaryPolicy,
+    drift_diagnostic,
     run,
-    run_stationary_sweep,
+    stationary_predictions,
 )
 
 SWEEP_V = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
@@ -64,19 +66,22 @@ def env():
 
 @pytest.fixture(scope="module")
 def sweep(env):
-    """One simulation per (V, seed); criteria 1-3 share it."""
+    """One simulation per (V, seed); criteria 1-3 share it.
+
+    Only the averages the criteria read are kept, not the traces.
+    """
     out = {}
     for v in SWEEP_V:
-        out[v] = [
-            run(
-                env["models"],
-                env["external"],
-                DppRatioPolicy(v),
-                SWEEP_SLOTS,
-                seed,
+        out[v] = []
+        for seed in SWEEP_SEEDS:
+            trace = run(env["models"], env["external"], DppRatioPolicy(v), SWEEP_SLOTS, seed)
+            out[v].append(
+                SimpleNamespace(
+                    avg_penalty=trace.avg_penalty,
+                    avg_metrics=trace.avg_metrics,
+                    avg_queues=trace.avg_queues,
+                )
             )
-            for seed in SWEEP_SEEDS
-        ]
     return out
 
 
@@ -151,11 +156,11 @@ def test_criterion_04_epsilon_scaling(env):
         slots = int(np.ceil(10.0 / eps**2))
         gaps, viols = [], []
         for seed in seeds:
-            metrics = run(
+            trace = run(
                 env["models"], env["external"], DppRatioPolicy(v), slots, seed
             )
-            gaps.append(metrics.avg_penalty - env["estar"])
-            served = -metrics.avg_metrics
+            gaps.append(trace.avg_penalty - env["estar"])
+            served = -trace.avg_metrics
             viols.append(float(np.max(np.maximum(LAMBDA - served, 0.0))))
         stats[eps] = {
             "gap": float(np.mean(gaps)),
@@ -195,20 +200,9 @@ def test_criterion_05_checked_cli_run(tmp_path):
 
 @criterion(6, "exact queue lower bound")
 def test_criterion_06_queue_lower_bound_exact(env):
-    metrics = run(
-        env["models"],
-        env["external"],
-        DppRatioPolicy(20.0),
-        10_000,
-        seed=12,
-        record_slot_series=True,
-        record_trajectory=True,
-        trajectory_stride=1,
-        check=True,
-    )
-    series = metrics.slot_series
-    cum = np.cumsum(series.metrics - series.external, axis=0)
-    held = metrics.queue_trajectory.queues[1:] >= cum
+    trace = run(env["models"], env["external"], DppRatioPolicy(20.0), 10_000, seed=12, check=True)
+    cum = np.cumsum(trace.metrics - trace.external, axis=0)
+    held = trace.queues[1:] >= cum
     assert held.all()
     print(
         "[acceptance] criterion 6 (Q[t] >= cumulative net input at every "
@@ -277,11 +271,10 @@ def test_criterion_08_oracle_matches_simplex():
 
 @criterion(9, "stationary run matches predictions")
 def test_criterion_09_stationary_policy_matches_predictions(env):
-    weights = stationary_policy_weights(env["sol"])
-    report = run_stationary_sweep(
-        env["models"], env["external"], weights, SWEEP_SLOTS, seed=3
-    )
-    for n, s in enumerate(report.systems):
+    policy = RandomizedStationaryPolicy(stationary_policy_weights(env["sol"]))
+    trace = run(env["models"], env["external"], policy, SWEEP_SLOTS, seed=3)
+    systems = stationary_predictions(trace, env["models"], policy)
+    for n, s in enumerate(systems):
         if s.se_f == 0:
             assert s.empirical_f == s.predicted_f
         else:
@@ -293,14 +286,14 @@ def test_criterion_09_stationary_policy_matches_predictions(env):
             else:
                 assert abs(s.empirical_g[l] - s.predicted_g[l]) <= 4 * s.se_g[l]
     # summed across systems the predictions are the benchmark point itself
-    assert sum(s.predicted_f for s in report.systems) == pytest.approx(
+    assert sum(s.predicted_f for s in systems) == pytest.approx(
         env["sol"].objective, abs=1e-9
     )
-    agg_err_f = sum(s.empirical_f - s.predicted_f for s in report.systems)
-    agg_se_f = np.sqrt(sum(s.se_f**2 for s in report.systems))
+    agg_err_f = sum(s.empirical_f - s.predicted_f for s in systems)
+    agg_se_f = np.sqrt(sum(s.se_f**2 for s in systems))
     assert abs(agg_err_f) <= 4 * agg_se_f
-    agg_err_g = sum(s.empirical_g - s.predicted_g for s in report.systems)
-    agg_se_g = np.sqrt(sum(s.se_g**2 for s in report.systems))
+    agg_err_g = sum(s.empirical_g - s.predicted_g for s in systems)
+    agg_se_g = np.sqrt(sum(s.se_g**2 for s in systems))
     assert np.all(np.abs(agg_err_g) <= 4 * agg_se_g)
     print(
         "[acceptance] criterion 9 (stationary policy empirical rates within "
@@ -311,14 +304,9 @@ def test_criterion_09_stationary_policy_matches_predictions(env):
 @criterion(10, "drift bound holds")
 def test_criterion_10_drift_bound_holds(env):
     reference = extract_reference_point(env["sol"])
-    drift = collect_drift_diagnostic(
-        env["models"],
-        env["external"],
-        DppRatioPolicy(10.0),
-        100_000,
-        seed=5,
-        reference=reference,
-    )
+    policy = DppRatioPolicy(10.0)
+    trace = run(env["models"], env["external"], policy, 100_000, seed=5)
+    drift = drift_diagnostic(trace, env["models"], env["external"], policy, reference)
     assert drift.frame_counts.min() > 5000
     within = drift.within_bound(sigmas=3.0)
     assert within.all(), (drift.excess_mean, drift.excess_se)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from renewalopt.controller import (
     SubproblemSolution,
     TradeoffParameter,
-    VirtualQueueVector,
     queue_update,
     ratio_bound_holds,
     solve_bisection,
@@ -14,16 +13,18 @@ from renewalopt.controller import (
     solve_hull_vertices,
 )
 
+from renewalopt.core import PerformanceTriple, RenewalSystemModel
+
 from conftest import model_from_vectors
 
 
 def test_queue_update_examples():
     q = queue_update([0.0], [3.0], [1.0])
-    assert np.array_equal(q.values, [2.0])
+    assert np.array_equal(q, [2.0])
     q = queue_update(q, [0.0], [5.0])
-    assert np.array_equal(q.values, [0.0])  # clamped at zero
+    assert np.array_equal(q, [0.0])  # clamped at zero
     q = queue_update([1.0, 2.0], [0.5, -1.0], [1.0, -2.0])
-    assert np.array_equal(q.values, [0.5, 3.0])
+    assert np.array_equal(q, [0.5, 3.0])
 
 
 def test_queue_update_length_mismatch():
@@ -31,18 +32,6 @@ def test_queue_update_length_mismatch():
         queue_update([0.0, 0.0], [1.0], [0.0, 0.0])
     with pytest.raises(ValueError):
         queue_update([0.0], [1.0], [0.0, 0.0])
-
-
-def test_virtual_queue_vector_basics():
-    q = VirtualQueueVector.zeros(3)
-    assert len(q) == 3
-    assert np.array_equal(q.values, [0.0, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        VirtualQueueVector([-1.0])
-    with pytest.raises(ValueError):
-        q.values[0] = 1.0
-    q2 = q.updated([1.0, 0.0, 2.0], [0.0, 0.0, 5.0])
-    assert np.array_equal(q2.values, [1.0, 0.0, 0.0])
 
 
 def test_tradeoff_parameter_positive():
@@ -65,13 +54,13 @@ def test_tradeoff_parameter_positive():
 )
 @settings(max_examples=100, deadline=None)
 def test_queue_stays_nonnegative_and_matches_formula(steps):
-    q = VirtualQueueVector.zeros(2)
+    q = np.zeros(2)
     expected = np.zeros(2)
     for z, d in steps:
         q = queue_update(q, z, d)
         expected = np.maximum(expected + (np.asarray(z) - np.asarray(d)), 0.0)
-        assert np.all(q.values >= 0)
-        assert np.array_equal(q.values, expected)
+        assert np.all(q >= 0)
+        assert np.array_equal(q, expected)
 
 
 def test_solve_enumerate_two_action_example():
@@ -153,6 +142,37 @@ def test_solve_bisection_termination_certificate():
         costs = num - sol.value * model.t_hats
         # stopping rule: the inner minimum at the returned ratio is >= -tol
         assert costs.min() >= -1e-9
+
+
+def test_solve_bisection_exact_on_near_ties():
+    # objectives within 3e-10 of one ratio: Dinkelbach's stopping rule alone
+    # may stop on an action up to tol above the exact minimum, which the
+    # exact certificate rejects; the solver must return the exact minimum
+    rng = np.random.default_rng(0)
+    for _ in range(500):
+        n = int(rng.integers(2, 9))
+        q = rng.uniform(0, 10, 2)
+        v = float(rng.uniform(1, 100))
+        g = rng.uniform(-5, 5, (n, 2))
+        ratio = float(rng.uniform(-5, 5))
+        f = (ratio + rng.uniform(-3e-10, 3e-10, n) - g @ q) / v
+        model = model_from_vectors(f, g, rng.uniform(1, 10, n))
+        sol = solve_bisection(model, q, v)
+        assert ratio_bound_holds(model, sol, q, v)
+        assert sol.value == solve_enumerate(model, q, v).value
+
+
+def test_solve_bisection_keeps_its_action_on_exact_ties():
+    # 0.9/3 and 1.2/4 round to the same ratio, but at that theta the
+    # Dinkelbach cost of action 2 is 0 and that of action 1 is 1.1e-16, so
+    # the iteration stops on action 2; it is kept (switching on exact ties
+    # would change runs), at the same value enumeration reports for action 1.
+    # The solvers read only the declared triples, so no samplers are needed.
+    triples = [PerformanceTriple(y, [0.0], t) for y, t in ((1.3, 1.0), (0.9, 3.0), (1.2, 4.0))]
+    model = RenewalSystemModel(triples, [None] * 3, 2.0, 0.0, 1.0)
+    sol = solve_bisection(model, [0.0], 1.0)
+    assert sol.action.action_index == 2
+    assert sol.value == solve_enumerate(model, [0.0], 1.0).value
 
 
 def test_solve_hull_vertices_matches_enumeration():

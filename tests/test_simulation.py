@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from renewalopt.controller import TradeoffParameter, VirtualQueueVector, queue_update
+from renewalopt.controller import TradeoffParameter, queue_update
 from renewalopt.core import PerformanceTriple, PerformanceVector, RenewalSystemModel
 from renewalopt.distributions import (
     ConstantRateSampler,
@@ -15,14 +17,20 @@ from renewalopt.simulation import (
     ExternalProcess,
     FixedValue,
     RandomizedStationaryPolicy,
+    RunTrace,
     UniformIntRange,
-    collect_drift_diagnostic,
+    check_queue_bound,
     default_poisson_cap,
+    drift_diagnostic,
+    frame_stats,
+    queue_trajectory,
     run,
-    run_stationary_sweep,
+    stationary_predictions,
     uniform_frame_drift_bound,
 )
 from renewalopt.benchmark import extract_reference_point, stationary_policy_weights
+
+from conftest import model_from_vectors
 
 
 def single_action_setup(rate=3.0, z_rate=0.0, d_value=1.0, length=2):
@@ -98,16 +106,18 @@ def test_policy_validation():
 
 def test_run_single_action_exact_averages():
     models, external = single_action_setup(rate=3.0, z_rate=0.0, d_value=1.0)
-    metrics = run(models, external, DppRatioPolicy(1.0), slots=200, seed=0)
-    assert metrics.avg_penalty == 3.0
-    assert np.array_equal(metrics.avg_metrics, [0.0])
-    assert metrics.frames_per_system[0] == 100
+    policy = DppRatioPolicy(1.0)
+    trace = run(models, external, policy, slots=200, seed=0)
+    assert trace.avg_penalty == 3.0
+    assert np.array_equal(trace.avg_metrics, [0.0])
+    assert trace.frames_per_system[0] == 100
     # z - d = -1 every slot, so the queue never leaves zero
-    assert np.array_equal(metrics.final_queues, [0.0])
-    assert np.array_equal(metrics.queue_slot_sum, [0.0])
-    assert metrics.frame_stats[0].count == 100
-    assert metrics.frame_stats[0].empirical_f == 3.0
-    assert metrics.frame_stats[0].f_se() == 0.0
+    assert np.array_equal(trace.final_queues, [0.0])
+    assert np.array_equal(trace.queue_slot_sum, [0.0])
+    stats = frame_stats(trace, models, policy)[0]
+    assert stats.count == 100
+    assert stats.empirical_f == 3.0
+    assert stats.f_se() == 0.0
 
 
 def test_run_is_deterministic_per_seed(table1_env):
@@ -133,79 +143,66 @@ def test_solver_choice_does_not_change_the_run(table1_env):
 
 def test_trajectory_replays_queue_update_exactly(table1_env):
     models, external = table1_env["models"], table1_env["external"]
-    metrics = run(
-        models,
-        external,
-        DppRatioPolicy(20.0),
-        slots=1500,
-        seed=4,
-        record_slot_series=True,
-        record_trajectory=True,
-        trajectory_stride=1,
-    )
-    series = metrics.slot_series
-    traj = metrics.queue_trajectory
+    trace = run(models, external, DppRatioPolicy(20.0), slots=1500, seed=4)
+    traj = queue_trajectory(trace, stride=1)
     assert traj.queues.shape == (1501, 3)
     assert np.array_equal(traj.times, np.arange(1501))
-    q = VirtualQueueVector.zeros(3)
+    q = np.zeros(3)
     for t in range(1500):
-        assert np.array_equal(traj.queues[t], q.values)
-        q = queue_update(q, series.metrics[t], series.external[t])
-    assert np.array_equal(traj.queues[1500], q.values)
-    assert np.array_equal(metrics.final_queues, q.values)
+        assert np.array_equal(traj.queues[t], q)
+        q = queue_update(q, trace.metrics[t], trace.external[t])
+    assert np.array_equal(traj.queues[1500], q)
+    assert np.array_equal(trace.final_queues, q)
     # averages are consistent with the recorded series
-    assert metrics.total_penalty == pytest.approx(series.penalty.sum(), abs=1e-9)
-    assert np.allclose(metrics.total_metrics, series.metrics.sum(axis=0), atol=1e-9)
+    assert trace.total_penalty == pytest.approx(trace.penalty.sum(), abs=1e-9)
+    assert np.allclose(trace.total_metrics, trace.metrics.sum(axis=0), atol=1e-9)
 
 
 def test_queue_dominates_cumulative_net_input(table1_env):
     models, external = table1_env["models"], table1_env["external"]
-    metrics = run(
-        models,
-        external,
-        DppRatioPolicy(10.0),
-        slots=3000,
-        seed=6,
-        record_slot_series=True,
-        record_trajectory=True,
-        trajectory_stride=1,
-    )
-    series = metrics.slot_series
+    trace = run(models, external, DppRatioPolicy(10.0), slots=3000, seed=6)
     # same summation order as the engine, so the comparison is exact
-    cum = np.cumsum(series.metrics - series.external, axis=0)
-    assert np.all(metrics.queue_trajectory.queues[1:] >= cum)
+    cum = np.cumsum(trace.metrics - trace.external, axis=0)
+    assert np.all(trace.queues[1:] >= cum)
+    check_queue_bound(trace)
+
+
+def test_queue_bound_check_names_first_violation():
+    # hand-built trace: net input z - d accumulates to (2, 0) by slot 1, but
+    # Q[3] = (1.5, 0) dips below it at slot 2; slot 3 breaks constraint 1 too
+    metrics = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+    external = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    queues = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.5, 0.0], [3.0, -1.0]])
+    frames = (np.array([[0, 4, 0]]),)
+    trace = RunTrace(0, np.zeros(4), metrics, external, queues, frames)
+    with pytest.raises(CheckViolation, match=r"at slot 2, constraint 0: Q=.*1\.5.* < .*2\.0"):
+        check_queue_bound(trace)
+    # the recursion itself never breaks the bound
+    q = np.zeros(2)
+    for t in range(4):
+        q = queue_update(q, metrics[t], external[t])
+        queues[t + 1] = q
+    check_queue_bound(trace)
 
 
 def test_trajectory_stride_and_final_row(table1_env):
     models, external = table1_env["models"], table1_env["external"]
-    metrics = run(
-        models,
-        external,
-        DppRatioPolicy(1.0),
-        slots=2500,
-        seed=1,
-        record_trajectory=True,
-        trajectory_stride=500,
-    )
-    traj = metrics.queue_trajectory
+    trace = run(models, external, DppRatioPolicy(1.0), slots=2500, seed=1)
+    traj = queue_trajectory(trace, stride=500)
     assert np.array_equal(traj.times, [0, 500, 1000, 1500, 2000, 2500])
-    assert np.array_equal(traj.queues[-1], metrics.final_queues)
+    assert np.array_equal(traj.queues[-1], trace.final_queues)
     # default stride keeps the row count near ten thousand
-    big = run(
-        models, external, DppRatioPolicy(1.0), slots=25_000, seed=1, record_trajectory=True
-    )
-    assert big.queue_trajectory.times[0] == 0
-    assert big.queue_trajectory.times[-1] == 25_000
-    assert len(big.queue_trajectory.times) <= 10_002
+    big = queue_trajectory(run(models, external, DppRatioPolicy(1.0), slots=25_000, seed=1))
+    assert big.times[0] == 0
+    assert big.times[-1] == 25_000
+    assert len(big.times) <= 10_002
 
 
 def test_frame_records_tile_the_horizon(table1_env):
     models, external = table1_env["models"], table1_env["external"]
-    metrics = run(
-        models, external, DppRatioPolicy(10.0), slots=1000, seed=2, record_frames=True
-    )
-    for n, recs in enumerate(metrics.frame_records):
-        assert len(recs) == metrics.frames_per_system[n]
+    trace = run(models, external, DppRatioPolicy(10.0), slots=1000, seed=2)
+    for n, recs in enumerate(trace.frames):
+        assert len(recs) == trace.frames_per_system[n]
         assert recs[0][0] == 0
         for (t0, length, idx), (t1, _, _) in zip(recs, recs[1:]):
             assert t0 + length == t1  # frames are back to back
@@ -214,10 +211,23 @@ def test_frame_records_tile_the_horizon(table1_env):
         assert last_start < 1000 <= last_start + last_len
 
 
+def test_replay_rejects_a_foreign_trace(table1_env):
+    # the per-frame analyses re-draw frames from the trace's seed; a trace
+    # whose log came from another stream must not pass silently
+    models, external = table1_env["models"], table1_env["external"]
+    policy = DppRatioPolicy(10.0)
+    trace = run(models, external, policy, slots=500, seed=2)
+    assert sum(s.count for s in frame_stats(trace, models, policy)) > 0
+    with pytest.raises(ValueError, match="differs from the log"):
+        frame_stats(replace(trace, seed=3), models, policy)
+    with pytest.raises(ValueError):
+        frame_stats(trace, models[:1], policy)
+
+
 def test_checked_run_completes_clean(table1_env):
     models, external = table1_env["models"], table1_env["external"]
-    metrics = run(models, external, DppRatioPolicy(20.0), slots=2000, seed=8, check=True)
-    assert metrics.slots == 2000
+    trace = run(models, external, DppRatioPolicy(20.0), slots=2000, seed=8, check=True)
+    assert trace.slots == 2000
 
 
 def test_checked_run_catches_lying_bounds():
@@ -233,6 +243,19 @@ def test_checked_run_catches_lying_bounds():
         run([model], external, DppRatioPolicy(1.0), slots=50, seed=0, check=True)
 
 
+def test_checked_bisection_run_on_near_ties():
+    # action ratios within 3e-10 of each other: Dinkelbach's stopping rule
+    # alone can return a value up to tol above the exact minimum, which the
+    # exact certificate of a checked run rejects
+    rng = np.random.default_rng(0)
+    external = ExternalProcess((FixedValue(1.0),))
+    for _ in range(60):
+        model = model_from_vectors(
+            1.0 + rng.uniform(-3e-10, 3e-10, 4), np.zeros((4, 1)), rng.uniform(1, 10, 4)
+        )
+        run([model], external, DppRatioPolicy(1.0, solver="bisection"), 20, seed=0, check=True)
+
+
 def test_per_system_streams_are_isolated():
     # adding a second system must not disturb the first system's frames or
     # the external draws; streams are derived from disjoint spawn keys
@@ -244,18 +267,17 @@ def test_per_system_streams_are_isolated():
     external = ExternalProcess((FixedValue(0.5),))
     policy_one = RandomizedStationaryPolicy((np.array([0.5, 0.5]),))
     policy_two = RandomizedStationaryPolicy((np.array([0.5, 0.5]),) * 2)
-    a = run([model], external, policy_one, 400, seed=21,
-            record_frames=True, record_slot_series=True)
-    b = run([model, model], external, policy_two, 400, seed=21,
-            record_frames=True, record_slot_series=True)
-    assert a.frame_records[0] == b.frame_records[0]
-    assert np.array_equal(a.slot_series.external, b.slot_series.external)
+    a = run([model], external, policy_one, 400, seed=21)
+    b = run([model, model], external, policy_two, 400, seed=21)
+    assert np.array_equal(a.frames[0], b.frames[0])
+    assert np.array_equal(a.external, b.external)
 
 
 def test_stationary_sweep_single_action_exact():
     models, external = single_action_setup(rate=2.0, z_rate=0.5, d_value=5.0)
-    report = run_stationary_sweep(models, external, [np.array([1.0])], 100, seed=0)
-    sys = report.systems[0]
+    policy = RandomizedStationaryPolicy((np.array([1.0]),))
+    trace = run(models, external, policy, 100, seed=0)
+    sys = stationary_predictions(trace, models, policy)[0]
     assert sys.predicted_f == 2.0
     assert np.array_equal(sys.predicted_g, [0.5])
     assert sys.empirical_f == 2.0  # constant rates make the ratio exact
@@ -270,22 +292,21 @@ def test_stationary_sweep_mixture_within_noise():
         [DeterministicLength(2), DeterministicLength(2)],
     )
     external = ExternalProcess((FixedValue(1.0),))
-    report = run_stationary_sweep(
-        [model], external, [np.array([0.5, 0.5])], 30_000, seed=13
-    )
-    sys = report.systems[0]
+    policy = RandomizedStationaryPolicy((np.array([0.5, 0.5]),))
+    trace = run([model], external, policy, 30_000, seed=13)
+    sys = stationary_predictions(trace, [model], policy)[0]
     assert sys.predicted_f == 1.5
     assert sys.se_f > 0
     assert abs(sys.empirical_f - 1.5) <= 4 * sys.se_f
-    assert report.metrics.avg_penalty == pytest.approx(1.5, abs=0.05)
+    assert trace.avg_penalty == pytest.approx(1.5, abs=0.05)
 
 
 def test_stationary_sweep_weight_validation(table1_env):
     models, external = table1_env["models"], table1_env["external"]
     with pytest.raises(ValueError):
-        run_stationary_sweep(models, external, [np.array([1.0, 0.0, 0.0])], 100, 0)
+        run(models, external, RandomizedStationaryPolicy((np.array([1.0, 0.0, 0.0]),)), 100, 0)
     with pytest.raises(ValueError):
-        run_stationary_sweep(models, external, [np.array([0.5, 0.5])] * 5, 100, 0)
+        run(models, external, RandomizedStationaryPolicy((np.array([0.5, 0.5]),) * 5), 100, 0)
 
 
 def test_drift_bound_formula(table1_env):
@@ -305,9 +326,9 @@ def test_drift_single_action_exact():
     # and the recorded excess is exactly -c0
     models, external = single_action_setup(rate=3.0, z_rate=1.0, d_value=1.0)
     reference = [PerformanceVector(3.0, [1.0])]
-    drift = collect_drift_diagnostic(
-        models, external, DppRatioPolicy(7.0), slots=200, seed=0, reference=reference
-    )
+    policy = DppRatioPolicy(7.0)
+    trace = run(models, external, policy, slots=200, seed=0)
+    drift = drift_diagnostic(trace, models, external, policy, reference)
     c0 = uniform_frame_drift_bound(models, external)
     assert c0 == 1.0 * 1.0 * (1.0 * 1.0 + 1.0) * 4.0
     assert drift.frame_counts[0] == 100
@@ -319,9 +340,9 @@ def test_drift_single_action_exact():
 def test_drift_diagnostic_on_energy_instance(table1_env):
     models, external = table1_env["models"], table1_env["external"]
     reference = extract_reference_point(table1_env["sol"])
-    drift = collect_drift_diagnostic(
-        models, external, DppRatioPolicy(10.0), slots=20_000, seed=5, reference=reference
-    )
+    policy = DppRatioPolicy(10.0)
+    trace = run(models, external, policy, slots=20_000, seed=5)
+    drift = drift_diagnostic(trace, models, external, policy, reference)
     assert drift.frame_counts.min() > 1000
     assert drift.within_bound().all()
     # the bound is far from tight here: the mean excess is deeply negative
@@ -333,15 +354,10 @@ def test_drift_requires_dpp_policy(table1_env):
     sol = table1_env["sol"]
     weights = stationary_policy_weights(sol)
     reference = extract_reference_point(sol)
+    policy = RandomizedStationaryPolicy(weights)
+    trace = run(models, external, policy, 100, seed=0)
     with pytest.raises(ValueError):
-        run(
-            models,
-            external,
-            RandomizedStationaryPolicy(weights),
-            100,
-            seed=0,
-            drift_reference=reference,
-        )
+        drift_diagnostic(trace, models, external, policy, reference)
 
 
 def test_run_argument_validation(table1_env):
@@ -356,12 +372,8 @@ def test_run_argument_validation(table1_env):
     with pytest.raises(ValueError):
         run(models, bad_external, DppRatioPolicy(1.0), slots=10, seed=0)
     reference = extract_reference_point(table1_env["sol"])
+    policy = DppRatioPolicy(1.0)
+    trace = run(models[:1], external, policy, slots=10, seed=0)
     with pytest.raises(ValueError):
-        run(
-            models[:1],
-            external,
-            DppRatioPolicy(1.0),
-            slots=10,
-            seed=0,
-            drift_reference=reference,  # 5 reference points for 1 system
-        )
+        # 5 reference points for 1 system
+        drift_diagnostic(trace, models[:1], external, policy, reference)
