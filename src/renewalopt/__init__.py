@@ -2,7 +2,8 @@
 
 Library layout:
     core          domain types, frame sampling, model validation
-    distributions frame-length distributions and simple samplers
+    distributions frame-length distributions (the scheduling frame law) and
+                  constant-rate samplers
     controller    the queue recursion and the per-frame ratio solvers
     simulation    the slotted-time engine, its run trace and analyses of it
     simplex       dense two-phase LP solver
@@ -30,13 +31,11 @@ from .controller import (
     solve_hull_vertices,
 )
 from .core import (
-    ActionId,
     FrameOutcome,
     PerformanceTriple,
     PerformanceVector,
     RenewalSystemModel,
     ValidationReport,
-    performance_vector,
     sample_frame,
     validate_model,
 )
@@ -45,7 +44,6 @@ from .scheduling import (
     SchedulingInstance,
     ServerClassParams,
     build_instance,
-    scheduling_objective,
 )
 from .simplex import SimplexResult, simplex_solve
 from .simulation import (
@@ -57,7 +55,6 @@ from .simulation import (
     FixedValue,
     RandomizedStationaryPolicy,
     RunTrace,
-    UniformIntRange,
     check_queue_bound,
     drift_diagnostic,
     frame_stats,

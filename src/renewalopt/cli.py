@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -156,18 +157,12 @@ def _cmd_run(args) -> int:
     if args.slots is not None:
         if args.slots < 1:
             raise ConfigError([(0, "slots", "must be >= 1")])
-        cfg = _replace(cfg, slots=args.slots)
+        cfg = replace(cfg, slots=args.slots)
     if args.seed is not None:
-        cfg = _replace(cfg, seeds=(args.seed,))
+        cfg = replace(cfg, seeds=(args.seed,))
     if args.check:
-        cfg = _replace(cfg, check=True)
+        cfg = replace(cfg, check=True)
     return run_experiment(cfg, out_dir=args.out)
-
-
-def _replace(cfg: ExperimentConfig, **kwargs) -> ExperimentConfig:
-    from dataclasses import replace
-
-    return replace(cfg, **kwargs)
 
 
 def _cmd_lp(args) -> int:

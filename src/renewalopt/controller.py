@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ActionId, PerformanceTriple, RenewalSystemModel
+from .core import PerformanceTriple, RenewalSystemModel
 
 __all__ = [
     "TradeoffParameter",
@@ -56,9 +56,9 @@ def _v_value(v: TradeoffParameter | float) -> float:
 
 @dataclass(frozen=True)
 class SubproblemSolution:
-    """Chosen action and its achieved ratio value."""
+    """Chosen action index and its achieved ratio value."""
 
-    action: ActionId
+    action: int
     value: float
 
 
@@ -97,8 +97,6 @@ def solve_enumerate(
     model: RenewalSystemModel,
     q,
     v: TradeoffParameter | float,
-    *,
-    system_index: int = 0,
 ) -> SubproblemSolution:
     """Minimize the frame ratio by evaluating every action.
 
@@ -108,7 +106,7 @@ def solve_enumerate(
         model.y_hats, model.z_hats, model.t_hats, q, _v_value(v)
     )
     idx = int(np.argmin(objectives))
-    return SubproblemSolution(ActionId(system_index, idx), float(objectives[idx]))
+    return SubproblemSolution(idx, float(objectives[idx]))
 
 
 def solve_bisection(
@@ -116,8 +114,6 @@ def solve_bisection(
     q,
     v: TradeoffParameter | float,
     tol: float = 1e-9,
-    *,
-    system_index: int = 0,
 ) -> SubproblemSolution:
     """Minimize the frame ratio by Dinkelbach iteration on the ratio parameter.
 
@@ -144,7 +140,7 @@ def solve_bisection(
             best = int(near[np.argmin(ratios[near])])
             if ratios[best] < ratios[idx]:
                 idx = best
-            return SubproblemSolution(ActionId(system_index, idx), float(ratios[idx]))
+            return SubproblemSolution(idx, float(ratios[idx]))
         theta = ratios[idx]
     raise RuntimeError("Dinkelbach iteration failed to terminate")
 
@@ -153,8 +149,6 @@ def solve_hull_vertices(
     vertices: Sequence[PerformanceTriple | tuple],
     q,
     v: TradeoffParameter | float,
-    *,
-    system_index: int = 0,
 ) -> SubproblemSolution:
     """Minimize the ratio objective over explicit hull vertices.
 
@@ -175,7 +169,7 @@ def solve_hull_vertices(
         _v_value(v),
     )
     idx = int(np.argmin(objectives))
-    return SubproblemSolution(ActionId(system_index, idx), float(objectives[idx]))
+    return SubproblemSolution(idx, float(objectives[idx]))
 
 
 def ratio_bound_holds(

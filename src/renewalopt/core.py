@@ -19,35 +19,21 @@ all of its declarations empirically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Protocol
 
 import numpy as np
 
 __all__ = [
-    "ActionId",
     "PerformanceTriple",
     "PerformanceVector",
     "FrameOutcome",
     "FrameSampler",
     "RenewalSystemModel",
-    "performance_vector",
     "sample_frame",
     "validate_model",
     "ActionValidation",
     "ValidationReport",
 ]
-
-
-@dataclass(frozen=True)
-class ActionId:
-    """Identifies one action of one system: (system index, action index)."""
-
-    system_index: int
-    action_index: int
-
-    def __post_init__(self):
-        if self.system_index < 0 or self.action_index < 0:
-            raise ValueError("action indices must be nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,13 +71,6 @@ class PerformanceVector:
         g = np.array(self.g_hat, dtype=float, copy=True).reshape(-1)
         g.flags.writeable = False
         object.__setattr__(self, "g_hat", g)
-
-
-def performance_vector(triple: PerformanceTriple) -> PerformanceVector:
-    """Divide a triple's frame totals by its expected frame length."""
-    if not triple.t_hat >= 1.0:
-        raise ValueError(f"t_hat must be >= 1, got {triple.t_hat}")
-    return PerformanceVector(triple.y_hat / triple.t_hat, triple.z_hat / triple.t_hat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,22 +189,15 @@ class RenewalSystemModel:
         return self._t
 
     def performance_vectors(self) -> list[PerformanceVector]:
-        return [performance_vector(a) for a in self.actions]
+        """Each action's (f_hat, g_hat): its frame totals divided by t_hat."""
+        return [PerformanceVector(a.y_hat / a.t_hat, a.z_hat / a.t_hat) for a in self.actions]
 
 
-def _action_index(model: RenewalSystemModel, action: ActionId | int) -> int:
-    idx = action.action_index if isinstance(action, ActionId) else int(action)
-    if not 0 <= idx < model.n_actions:
-        raise IndexError(f"action index {idx} out of range for {model.n_actions} actions")
-    return idx
-
-
-def sample_frame(
-    model: RenewalSystemModel, action: ActionId | int, rng: np.random.Generator
-) -> FrameOutcome:
-    """Draw one frame for the given action from its configured sampler."""
-    idx = _action_index(model, action)
-    return model.samplers[idx].sample(rng)
+def sample_frame(model: RenewalSystemModel, action: int, rng: np.random.Generator) -> FrameOutcome:
+    """Draw one frame for the given action index from its configured sampler."""
+    if not 0 <= action < model.n_actions:
+        raise IndexError(f"action index {action} out of range for {model.n_actions} actions")
+    return model.samplers[action].sample(rng)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,7 +1,8 @@
 """Frame-length distributions and simple frame samplers.
 
 Length distributions produce integer frame lengths >= 1 and expose exact
-moments so models can declare matching triples and residual bounds.  The
+moments so models can declare matching triples and residual bounds; the
+scheduling instance builds each class's frame law from them.  The
 geometric distribution lives on support {1, 2, ...} and is parameterized by
 its mean m via success probability 1/m, so non-integer means are honored
 exactly.
@@ -14,7 +15,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .core import FrameOutcome, FrameSampler, PerformanceTriple, RenewalSystemModel
+from .core import FrameOutcome, PerformanceTriple, RenewalSystemModel
 
 __all__ = [
     "LengthDistribution",

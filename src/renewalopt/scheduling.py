@@ -17,17 +17,22 @@ queue of unserved work.
 Per-frame quantities of class c (frame length T = H + I):
     energy total   e_hat + p * I, spread uniformly over the frame's slots
     service total  -draw from Uniform{low..high} on the last service slot
-    triple         (e_hat + p * idle_mean, -jobs_mean * e_c, service_mean + idle_mean)
+    triple         (e_hat + p * idle_mean, -(low + high)/2 * e_c, E[T])
+
+The frame length is ``distributions.CompoundLength`` of two
+``GeometricLength`` phases: the sampler draws H and I through it, and the
+builder takes E[T] and the residual bound E[T^2] from its moments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .benchmark import StationaryLP
 from .core import FrameOutcome, PerformanceTriple, RenewalSystemModel
+from .distributions import CompoundLength, GeometricLength
 from .simulation import CappedPoisson, ExternalProcess, default_poisson_cap
 
 __all__ = [
@@ -36,7 +41,6 @@ __all__ = [
     "ServiceIdleSampler",
     "TABLE1",
     "build_instance",
-    "scheduling_objective",
 ]
 
 
@@ -67,18 +71,6 @@ class ServerClassParams:
             raise ValueError("job-count support must have an integer midpoint")
         if self.energy < 0 or self.idle_power < 0:
             raise ValueError("energy parameters must be nonnegative")
-
-    @property
-    def jobs_mean(self) -> float:
-        return (self.jobs_low + self.jobs_high) / 2
-
-    @property
-    def frame_mean(self) -> float:
-        return self.service_mean + self.idle_mean
-
-    @property
-    def energy_mean(self) -> float:
-        return self.energy + self.idle_power * self.idle_mean
 
 
 @dataclass(frozen=True)
@@ -117,11 +109,18 @@ class ServiceIdleSampler:
     params: ServerClassParams
     class_index: int
     n_classes: int
+    frame: CompoundLength = field(init=False, repr=False)
+
+    def __post_init__(self):
+        p = self.params
+        phases = (GeometricLength(p.service_mean), GeometricLength(p.idle_mean))
+        object.__setattr__(self, "frame", CompoundLength(phases))
 
     def sample(self, rng: np.random.Generator) -> FrameOutcome:
         p = self.params
-        service = int(rng.geometric(1.0 / p.service_mean))
-        idle = int(rng.geometric(1.0 / p.idle_mean))
+        service_phase, idle_phase = self.frame.phases
+        service = service_phase.sample(rng)
+        idle = idle_phase.sample(rng)
         jobs = int(rng.integers(p.jobs_low, p.jobs_high + 1))
         length = service + idle
         energy_total = p.energy + p.idle_power * idle
@@ -130,25 +129,11 @@ class ServiceIdleSampler:
         z[service - 1, self.class_index] = -jobs
         return FrameOutcome(length, y, z)
 
-
-def _class_triple(params: ServerClassParams, class_index: int, n_classes: int) -> PerformanceTriple:
-    z_hat = np.zeros(n_classes)
-    z_hat[class_index] = -params.jobs_mean
-    return PerformanceTriple(params.energy_mean, z_hat, params.frame_mean)
-
-
-def _geometric_second_moment(mean: float) -> float:
-    return 2 * mean * mean - mean
-
-
-def _frame_second_moment(params: ServerClassParams) -> float:
-    # independent phases: E[(H+I)^2] = E[H^2] + 2 E[H] E[I] + E[I^2]; by
-    # memorylessness this also bounds every residual E[(T-s)^2 | T >= s]
-    return (
-        _geometric_second_moment(params.service_mean)
-        + 2 * params.service_mean * params.idle_mean
-        + _geometric_second_moment(params.idle_mean)
-    )
+    def triple(self) -> PerformanceTriple:
+        p = self.params
+        z_hat = np.zeros(self.n_classes)
+        z_hat[self.class_index] = -(p.jobs_low + p.jobs_high) / 2
+        return PerformanceTriple(p.energy + p.idle_power * p.idle_mean, z_hat, self.frame.mean)
 
 
 def build_instance(
@@ -162,14 +147,16 @@ def build_instance(
     LP carries d = -lambda with "<=" rows, matching the internal convention.
     """
     n_classes = inst.n_classes
-    triples = tuple(_class_triple(c, i, n_classes) for i, c in enumerate(inst.classes))
     samplers = tuple(ServiceIdleSampler(c, i, n_classes) for i, c in enumerate(inst.classes))
+    triples = tuple(s.triple() for s in samplers)
 
     # per-slot extrema: energy peaks on an all-minimum frame (H = I = 1),
     # service impulses peak at the top of the job-count support
     y_max = max((c.energy + c.idle_power) / 2 for c in inst.classes)
     z_max = float(max(c.jobs_high for c in inst.classes))
-    residual_bound = max(_frame_second_moment(c) for c in inst.classes)
+    # independent phases and memorylessness: E[T^2] bounds every residual
+    # E[(T-s)^2 | T >= s]
+    residual_bound = max(s.frame.second_moment for s in samplers)
     model = RenewalSystemModel(triples, samplers, y_max, z_max, residual_bound)
     models = [model] * inst.n_servers
 
@@ -182,20 +169,3 @@ def build_instance(
     d = np.array([-c.arrival_rate for c in inst.classes])
     lp = StationaryLP.from_models(models, d)
     return models, external, lp
-
-
-def scheduling_objective(inst: SchedulingInstance, mode: int, q, v: float) -> float:
-    """The per-frame ratio of serving class `mode` (1-based) under queues q.
-
-    Computes (V*(e_hat + p*idle_mean) - q_mode * jobs_mean) / frame_mean,
-    which equals the generic ratio objective V*f_hat + <q, g_hat> of the
-    built instance's corresponding action.
-    """
-    if not 1 <= mode <= inst.n_classes:
-        raise ValueError(f"mode must be in 1..{inst.n_classes}, got {mode}")
-    params = inst.classes[mode - 1]
-    qv = np.asarray(q, dtype=float).reshape(-1)
-    if qv.shape[0] != inst.n_classes:
-        raise ValueError("queue length must equal the number of classes")
-    v = float(v)
-    return (v * params.energy_mean - qv[mode - 1] * params.jobs_mean) / params.frame_mean

@@ -47,11 +47,10 @@ from .controller import (
     solve_bisection,
     solve_enumerate,
 )
-from .core import ActionId, FrameOutcome, PerformanceVector, RenewalSystemModel, sample_frame
+from .core import FrameOutcome, PerformanceVector, RenewalSystemModel, sample_frame
 
 __all__ = [
     "FixedValue",
-    "UniformIntRange",
     "CappedPoisson",
     "ExternalProcess",
     "default_poisson_cap",
@@ -96,28 +95,6 @@ class FixedValue:
 
     def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.full(n, float(self.value))
-
-
-@dataclass(frozen=True)
-class UniformIntRange:
-    low: int
-    high: int
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if self.high < self.low:
-            raise ValueError("need low <= high")
-
-    @property
-    def mean(self) -> float:
-        return self.scale * (self.low + self.high) / 2
-
-    @property
-    def max_abs(self) -> float:
-        return max(abs(self.scale * self.low), abs(self.scale * self.high))
-
-    def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.scale * rng.integers(self.low, self.high + 1, size=n).astype(float)
 
 
 @dataclass(frozen=True)
@@ -189,7 +166,6 @@ class DppRatioPolicy:
 
     v: TradeoffParameter
     solver: str = "enumerate"
-    tol: float = 1e-9
 
     def __post_init__(self):
         if not isinstance(self.v, TradeoffParameter):
@@ -317,10 +293,10 @@ def run(
         v = policy.v.v
         if policy.solver == "enumerate":
             def decide(n, q):
-                return solve_enumerate(models[n], q, v, system_index=n)
+                return solve_enumerate(models[n], q, v)
         else:
             def decide(n, q):
-                return solve_bisection(models[n], q, v, policy.tol, system_index=n)
+                return solve_bisection(models[n], q, v)
     elif isinstance(policy, RandomizedStationaryPolicy):
         if len(policy.weights) != n_sys:
             raise ValueError("one weight vector per system required")
@@ -329,7 +305,7 @@ def run(
                 raise ValueError("weight length must match the system's action count")
         def decide(n, q):
             idx = int(rngs[n].choice(models[n].n_actions, p=policy.weights[n]))
-            return SubproblemSolution(action=ActionId(n, idx), value=float("nan"))
+            return SubproblemSolution(action=idx, value=float("nan"))
     else:
         raise TypeError(f"unknown policy type {type(policy).__name__}")
 
@@ -351,7 +327,7 @@ def run(
                 if next_start[n] != t:
                     continue
                 solution = decide(n, q)
-                idx = solution.action.action_index
+                idx = solution.action
                 if certify and not ratio_bound_holds(models[n], solution, q, v):
                     raise CheckViolation(
                         f"frame decision at slot {t}, system {n}: ratio value "

@@ -1,0 +1,39 @@
+"""The names the package promises and the ones the benchmark hooks rely on."""
+
+import importlib
+import importlib.util
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import renewalopt
+
+MODULES = sorted(f"renewalopt.{m.name}" for m in pkgutil.iter_modules(renewalopt.__path__))
+
+PERF_CHILD = Path(__file__).resolve().parents[1] / "perf" / "child.py"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_exists(name):
+    module = importlib.import_module(name)
+    missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+    assert not missing
+
+
+def test_perf_trace_hooks_install_and_restore():
+    # perf/child.py wraps each layer at the name its caller looks up, via
+    # vars(owner)[attr]; a deleted or moved name breaks traced benchmark runs
+    spec = importlib.util.spec_from_file_location("perf_child", PERF_CHILD)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+
+    spans = child.Spans()
+    try:
+        child.install_spans(spans)
+        wrapped = list(spans._restore)
+        assert wrapped
+        assert all(vars(owner)[attr] is not original for owner, attr, original in wrapped)
+    finally:
+        spans.restore()
+    assert all(vars(owner)[attr] is original for owner, attr, original in wrapped)

@@ -1,8 +1,10 @@
 import csv
+import hashlib
 
 import pytest
 
-from renewalopt.cli import main
+from renewalopt.cli import main, run_experiment
+from renewalopt.config import parse_config
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -166,3 +168,17 @@ def test_custom_instance_run(tmp_path):
     body = read_csv(out / "summary.csv")[1:]
     assert len(body) == 1
     assert float(body[0][4]) > 0  # energy rate is positive
+
+
+# SHA-256 of summary.csv for FINGERPRINT_CONFIG; any change to the engine, a
+# solver, the sampler or the number formatting that moves a single byte of
+# the output changes it, so an edit meant to keep outputs fixed must keep it
+SUMMARY_FINGERPRINT = "df29c21084c3ff9e266926104a009544a7f5c7a574e77cf6c187bb5662796f48"
+FINGERPRINT_CONFIG = "instance = table1\nv = 10 100\nseeds = 1\nslots = 2000\n"
+
+
+def test_summary_fingerprint(tmp_path):
+    cfg = parse_config(FINGERPRINT_CONFIG)
+    assert run_experiment(cfg, out_dir=str(tmp_path)) == 0
+    digest = hashlib.sha256((tmp_path / "summary.csv").read_bytes()).hexdigest()
+    assert digest == SUMMARY_FINGERPRINT

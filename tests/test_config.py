@@ -127,7 +127,7 @@ def test_custom_instance_roundtrip():
     assert (c0.jobs_low, c0.jobs_high) == (6, 10)
     assert c0.idle_power == 2.0  # inherits the top-level default
     assert c1.idle_power == 0.5  # per-class override
-    assert c1.frame_mean == 4.5
+    assert c1.service_mean + c1.idle_mean == 4.5
 
 
 def test_custom_requires_servers_power_and_classes():

@@ -70,14 +70,14 @@ def test_solve_enumerate_two_action_example():
     assert np.array_equal(model.y_hats, [2.0, 4.0])
     assert np.array_equal(model.z_hats, [[1.0], [0.0]])
     sol = solve_enumerate(model, [4.0], 1.0)
-    assert sol.action.action_index == 1
+    assert sol.action == 1
     assert sol.value == 2.0
 
 
 def test_solve_enumerate_tie_breaks_low_index():
     model = model_from_vectors([0.0, 0.0, 0.0], [[0.0]] * 3, [1.0, 2.0, 3.0])
     sol = solve_enumerate(model, [0.0], 5.0)
-    assert sol.action.action_index == 0
+    assert sol.action == 0
     assert sol.value == 0.0
 
 
@@ -86,15 +86,9 @@ def test_solve_enumerate_pure_queue_term(table1_env):
     # middle class moves -21 expected jobs over 8.9 expected slots
     model = table1_env["models"][0]
     sol = solve_enumerate(model, np.ones(3), 0.0)
-    assert sol.action.action_index == 1
+    assert sol.action == 1
     # frame mean is service mean + idle mean, accumulated in that order
     assert sol.value == -21.0 / (4.6 + 4.3)
-
-
-def test_solve_enumerate_system_index_passthrough():
-    model = model_from_vectors([1.0], [[0.0]], [1.0])
-    sol = solve_enumerate(model, [0.0], 1.0, system_index=4)
-    assert sol.action.system_index == 4
 
 
 def test_solver_dimension_checks():
@@ -124,7 +118,7 @@ def test_solve_bisection_matches_enumeration_exactly():
 def test_solve_bisection_single_action():
     model = model_from_vectors([3.0], [[1.0]], [2.0])
     sol = solve_bisection(model, [2.0], 1.0)
-    assert sol.action.action_index == 0
+    assert sol.action == 0
     assert sol.value == pytest.approx(3.0 + 2.0, abs=1e-12)
 
 
@@ -171,14 +165,14 @@ def test_solve_bisection_keeps_its_action_on_exact_ties():
     triples = [PerformanceTriple(y, [0.0], t) for y, t in ((1.3, 1.0), (0.9, 3.0), (1.2, 4.0))]
     model = RenewalSystemModel(triples, [None] * 3, 2.0, 0.0, 1.0)
     sol = solve_bisection(model, [0.0], 1.0)
-    assert sol.action.action_index == 2
+    assert sol.action == 2
     assert sol.value == solve_enumerate(model, [0.0], 1.0).value
 
 
 def test_solve_hull_vertices_matches_enumeration():
     model = model_from_vectors([1.0, 2.0], [[0.5], [0.0]], [2.0, 2.0])
     sol = solve_hull_vertices(list(model.actions), [4.0], 1.0)
-    assert sol.action.action_index == 1
+    assert sol.action == 1
     assert sol.value == 2.0
     # tuple form
     sol = solve_hull_vertices([(2.0, [1.0], 2.0), (4.0, [0.0], 2.0)], [4.0], 1.0)

@@ -4,11 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from renewalopt.core import (
-    ActionId,
     FrameOutcome,
     PerformanceTriple,
     RenewalSystemModel,
-    performance_vector,
     sample_frame,
     validate_model,
 )
@@ -20,15 +18,20 @@ from renewalopt.distributions import (
 )
 
 
+def one_action_vector(triple: PerformanceTriple):
+    """The performance vector of a one-action model declaring this triple."""
+    (vec,) = RenewalSystemModel((triple,), (None,), 1e6, 1e6, 1.0).performance_vectors()
+    return vec
+
+
 def test_performance_vector_divides_totals_by_length():
-    triple = PerformanceTriple(2.0, [4.0], 2.0)
-    vec = performance_vector(triple)
+    vec = one_action_vector(PerformanceTriple(2.0, [4.0], 2.0))
     assert vec.f_hat == 1.0
     assert np.array_equal(vec.g_hat, [2.0])
 
 
 def test_performance_vector_zero_totals():
-    vec = performance_vector(PerformanceTriple(0.0, [0.0, 0.0], 3.0))
+    vec = one_action_vector(PerformanceTriple(0.0, [0.0, 0.0], 3.0))
     assert vec.f_hat == 0.0
     assert np.array_equal(vec.g_hat, [0.0, 0.0])
 
@@ -36,8 +39,7 @@ def test_performance_vector_zero_totals():
 def test_performance_vector_energy_class_example():
     # server class with service mean 5.5, idle mean 2.5, energy 16, idle power 3:
     # frame energy 16 + 3 * 2.5 over mean length 8 slots
-    triple = PerformanceTriple(16.0 + 3 * 2.5, [-15.0], 5.5 + 2.5)
-    vec = performance_vector(triple)
+    vec = one_action_vector(PerformanceTriple(16.0 + 3 * 2.5, [-15.0], 5.5 + 2.5))
     assert vec.f_hat == pytest.approx(2.9375, abs=1e-12)
     assert vec.g_hat[0] == pytest.approx(-15.0 / 8.0, abs=1e-12)
 
@@ -118,12 +120,14 @@ def test_sample_frame_accepts_action_id_and_checks_range():
     model = constant_rate_model(
         [1.0, 2.0], [[0.0], [0.0]], [DeterministicLength(1), DeterministicLength(2)]
     )
-    out = sample_frame(model, ActionId(0, 1), np.random.default_rng(0))
+    out = sample_frame(model, 1, np.random.default_rng(0))
     assert out.length == 2
     with pytest.raises(IndexError):
         sample_frame(model, 2, np.random.default_rng(0))
     with pytest.raises(IndexError):
-        sample_frame(model, ActionId(0, 5), np.random.default_rng(0))
+        sample_frame(model, 5, np.random.default_rng(0))
+    with pytest.raises(IndexError):
+        sample_frame(model, -1, np.random.default_rng(0))
 
 
 def test_sample_frame_same_seed_same_outcome():

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from renewalopt.controller import solve_enumerate
 from renewalopt.core import validate_model
 from renewalopt.distributions import CompoundLength, GeometricLength
 from renewalopt.scheduling import (
@@ -9,17 +8,8 @@ from renewalopt.scheduling import (
     SchedulingInstance,
     ServerClassParams,
     ServiceIdleSampler,
-    build_instance,
-    scheduling_objective,
 )
 from renewalopt.simulation import default_poisson_cap
-
-
-def test_class_params_derived_quantities():
-    c = ServerClassParams(2.0, 5.5, 9, 21, 16.0, 2.5, 3.0)
-    assert c.jobs_mean == 15.0
-    assert c.frame_mean == 8.0
-    assert c.energy_mean == 16.0 + 3.0 * 2.5
 
 
 def test_class_params_validation():
@@ -121,27 +111,3 @@ def test_sampled_frames_match_declared_triples(table1_env):
     for act in report.actions:
         assert act.bound_violations == 0
 
-
-def test_scheduling_objective_examples(table1_env):
-    assert scheduling_objective(TABLE1, 2, np.ones(3), 0.0) == -21.0 / (4.6 + 4.3)
-    assert scheduling_objective(TABLE1, 1, np.zeros(3), 1.0) == 2.9375
-    # picking the best mode by this formula agrees with the generic solver
-    model = table1_env["models"][0]
-    rng = np.random.default_rng(19)
-    for _ in range(100):
-        q = rng.uniform(0, 50, 3)
-        v = float(rng.uniform(0, 100))
-        values = [scheduling_objective(TABLE1, m, q, v) for m in (1, 2, 3)]
-        sol = solve_enumerate(model, q, v)
-        assert np.allclose(values, v * model.y_hats / model.t_hats
-                           + (model.z_hats / model.t_hats[:, None]) @ q, atol=1e-12)
-        assert min(values) == pytest.approx(sol.value, abs=1e-12)
-
-
-def test_scheduling_objective_validation():
-    with pytest.raises(ValueError):
-        scheduling_objective(TABLE1, 0, np.zeros(3), 1.0)
-    with pytest.raises(ValueError):
-        scheduling_objective(TABLE1, 4, np.zeros(3), 1.0)
-    with pytest.raises(ValueError):
-        scheduling_objective(TABLE1, 1, np.zeros(2), 1.0)

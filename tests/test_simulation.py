@@ -18,7 +18,6 @@ from renewalopt.simulation import (
     FixedValue,
     RandomizedStationaryPolicy,
     RunTrace,
-    UniformIntRange,
     check_queue_bound,
     default_poisson_cap,
     drift_diagnostic,
@@ -45,16 +44,6 @@ def test_fixed_value_coordinate():
     assert f.mean == -2.5
     assert f.max_abs == 2.5
     assert np.array_equal(f.sample_array(np.random.default_rng(0), 3), [-2.5] * 3)
-
-
-def test_uniform_int_range_coordinate():
-    u = UniformIntRange(1, 3, scale=-2.0)
-    assert u.mean == -4.0
-    assert u.max_abs == 6.0
-    draws = u.sample_array(np.random.default_rng(0), 1000)
-    assert set(draws) == {-2.0, -4.0, -6.0}
-    with pytest.raises(ValueError):
-        UniformIntRange(3, 1)
 
 
 def test_capped_poisson_coordinate():
