@@ -23,7 +23,6 @@ from .benchmark import (
 from .config import ConfigError, ExperimentConfig, parse_config
 from .controller import (
     SubproblemSolution,
-    TradeoffParameter,
     queue_update,
     ratio_bound_holds,
     solve_bisection,

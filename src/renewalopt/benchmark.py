@@ -81,20 +81,14 @@ class StationaryLP:
                 raise ValueError("t_hats must align with f_hats per system")
 
     @classmethod
-    def from_models(
-        cls,
-        models: Sequence[RenewalSystemModel],
-        d,
-        directions: Sequence[str] | None = None,
-    ) -> "StationaryLP":
+    def from_models(cls, models: Sequence[RenewalSystemModel], d) -> "StationaryLP":
+        """The LP of the given systems with "<=" rows, the models' own convention."""
         d = np.asarray(d, dtype=float).reshape(-1)
-        if directions is None:
-            directions = ("<=",) * d.shape[0]
         return cls(
             f_hats=tuple(m.y_hats / m.t_hats for m in models),
             g_hats=tuple(m.z_hats / m.t_hats[:, None] for m in models),
             d=d,
-            directions=tuple(directions),
+            directions=("<=",) * d.shape[0],
             t_hats=tuple(m.t_hats for m in models),
         )
 

@@ -31,7 +31,6 @@ from .benchmark import (
     stationary_policy_weights,
 )
 from .config import ConfigError, ExperimentConfig, parse_config
-from .controller import TradeoffParameter
 from .core import RESIDUAL_MIN_FRAMES, validate_model
 from .scheduling import build_instance
 from .simulation import (
@@ -120,7 +119,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
         if v is None:
             policy = RandomizedStationaryPolicy(weights)
         else:
-            policy = DppRatioPolicy(v=TradeoffParameter(v), solver=cfg.solver)
+            policy = DppRatioPolicy(v, cfg.solver)
         trace = run(models, external, policy, cfg.slots, seed, check=cfg.check)
         row = [
             cfg.policy,
@@ -182,32 +181,24 @@ def _cmd_lp(args) -> int:
 def _cmd_validate(args) -> int:
     cfg = parse_config(Path(args.config).read_text())
     models, _, _ = build_instance(cfg.instance)
-    seen: set[int] = set()
-    exit_code = 0
-    for n, model in enumerate(models):
-        if id(model) in seen:
-            continue
-        seen.add(id(model))
-        label = "all servers" if len(set(map(id, models))) == 1 else f"system {n}"
-        report = validate_model(model, args.samples)
-        print(f"model ({label}): {'ok' if report.ok else 'FLAGGED'}")
-        for av in report.actions:
-            # show the largest residual estimate the check actually assessed
-            assessed = av.residual_estimates[av.residual_counts >= RESIDUAL_MIN_FRAMES]
-            max_residual = assessed.max() if assessed.size else av.residual_estimates[0]
-            print(
-                f"  action {av.action_index}: samples={av.samples} "
-                f"bound_violations={av.bound_violations} "
-                f"y_hat={_fmt(av.y_mean)} (declared {_fmt(av.declared.y_hat)}) "
-                f"t_hat={_fmt(av.t_mean)} (declared {_fmt(av.declared.t_hat)}) "
-                f"max_residual={_fmt(max_residual)} "
-                f"(bound {_fmt(model.residual_bound)})"
-            )
-        for flag in report.flags:
-            print(f"  flag: {flag}")
-        if not report.ok:
-            exit_code = 2
-    return exit_code
+    model = models[0]  # servers are homogeneous: one model object, repeated
+    report = validate_model(model, args.samples)
+    print(f"model (all servers): {'ok' if report.ok else 'FLAGGED'}")
+    for av in report.actions:
+        # show the largest residual estimate the check actually assessed
+        assessed = av.residual_estimates[av.residual_counts >= RESIDUAL_MIN_FRAMES]
+        max_residual = assessed.max() if assessed.size else av.residual_estimates[0]
+        print(
+            f"  action {av.action_index}: samples={av.samples} "
+            f"bound_violations={av.bound_violations} "
+            f"y_hat={_fmt(av.y_mean)} (declared {_fmt(av.declared.y_hat)}) "
+            f"t_hat={_fmt(av.t_mean)} (declared {_fmt(av.declared.t_hat)}) "
+            f"max_residual={_fmt(max_residual)} "
+            f"(bound {_fmt(model.residual_bound)})"
+        )
+    for flag in report.flags:
+        print(f"  flag: {flag}")
+    return 0 if report.ok else 2
 
 
 def main(argv=None) -> int:

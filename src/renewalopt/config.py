@@ -76,7 +76,6 @@ class ConfigError(Exception):
 @dataclass(frozen=True)
 class ExperimentConfig:
     instance: SchedulingInstance
-    instance_name: str
     policy: str
     solver: str
     v_list: tuple[float, ...]
@@ -186,7 +185,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError("must be on or off")
         return value == "on"
 
-    instance_name = take(top, "instance", parse_choice({"table1", "custom"}), required=True)
+    kind = take(top, "instance", parse_choice({"table1", "custom"}), required=True)
     servers = take(top, "servers", parse_int(1))
     idle_power = take(top, "idle_power", parse_float)
     policy = take(top, "policy", parse_choice({"dpp_ratio", "stationary"}), default="dpp_ratio")
@@ -216,7 +215,7 @@ def parse_config(text: str) -> ExperimentConfig:
             errors.append((ln, "v", "V must be positive"))
 
     instance = None
-    if instance_name == "table1":
+    if kind == "table1":
         if classes:
             errors.append((0, "instance", "table1 preset does not take [class] sections"))
         if idle_power is not None:
@@ -225,7 +224,7 @@ def parse_config(text: str) -> ExperimentConfig:
         instance = TABLE1
         if servers is not None:
             instance = SchedulingInstance(n_servers=servers, classes=TABLE1.classes)
-    elif instance_name == "custom":
+    elif kind == "custom":
         if servers is None:
             errors.append((0, "servers", "required for instance = custom"))
         if idle_power is None:
@@ -275,7 +274,6 @@ def parse_config(text: str) -> ExperimentConfig:
 
     return ExperimentConfig(
         instance=instance,
-        instance_name=instance_name,
         policy=policy,
         solver=solver,
         v_list=tuple(v_list),

@@ -25,7 +25,6 @@ import numpy as np
 from .core import PerformanceTriple, RenewalSystemModel
 
 __all__ = [
-    "TradeoffParameter",
     "SubproblemSolution",
     "queue_update",
     "solve_enumerate",
@@ -33,25 +32,6 @@ __all__ = [
     "solve_hull_vertices",
     "ratio_bound_holds",
 ]
-
-
-@dataclass(frozen=True)
-class TradeoffParameter:
-    """Positive weight V trading penalty against queue drift."""
-
-    v: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "v", float(self.v))
-        if not self.v > 0:
-            raise ValueError("V must be positive")
-
-
-def _v_value(v: TradeoffParameter | float) -> float:
-    value = v.v if isinstance(v, TradeoffParameter) else float(v)
-    if value < 0:
-        raise ValueError("V must be nonnegative")
-    return value
 
 
 @dataclass(frozen=True)
@@ -84,8 +64,11 @@ def _ratio_objectives(y, z, t, q, v: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-action numerators V*y + <q, z> and ratio objectives numerator / t.
 
     The one copy of the objective arithmetic: every solver and the
-    certificate call it, so their values compare exactly.
+    certificate call it, so their values compare exactly.  V = 0 is allowed:
+    the queue term alone then ranks the actions.
     """
+    if v < 0:
+        raise ValueError("V must be nonnegative")
     qv = np.asarray(q, dtype=float).reshape(-1)
     if qv.shape[0] != z.shape[1]:
         raise ValueError(f"queue length {qv.shape[0]} does not match metric count {z.shape[1]}")
@@ -96,15 +79,13 @@ def _ratio_objectives(y, z, t, q, v: float) -> tuple[np.ndarray, np.ndarray]:
 def solve_enumerate(
     model: RenewalSystemModel,
     q,
-    v: TradeoffParameter | float,
+    v: float,
 ) -> SubproblemSolution:
     """Minimize the frame ratio by evaluating every action.
 
     Ties break toward the lowest action index so runs are reproducible.
     """
-    _, objectives = _ratio_objectives(
-        model.y_hats, model.z_hats, model.t_hats, q, _v_value(v)
-    )
+    _, objectives = _ratio_objectives(model.y_hats, model.z_hats, model.t_hats, q, v)
     idx = int(np.argmin(objectives))
     return SubproblemSolution(idx, float(objectives[idx]))
 
@@ -112,7 +93,7 @@ def solve_enumerate(
 def solve_bisection(
     model: RenewalSystemModel,
     q,
-    v: TradeoffParameter | float,
+    v: float,
     tol: float = 1e-9,
 ) -> SubproblemSolution:
     """Minimize the frame ratio by Dinkelbach iteration on the ratio parameter.
@@ -128,7 +109,7 @@ def solve_bisection(
     if not tol > 0:
         raise ValueError("tol must be positive")
     den = model.t_hats
-    num, ratios = _ratio_objectives(model.y_hats, model.z_hats, den, q, _v_value(v))
+    num, ratios = _ratio_objectives(model.y_hats, model.z_hats, den, q, v)
     theta = ratios[0]
     # theta strictly decreases across iterations and only finitely many
     # ratios exist, so this terminates; the cap is a safety net only
@@ -148,7 +129,7 @@ def solve_bisection(
 def solve_hull_vertices(
     vertices: Sequence[PerformanceTriple | tuple],
     q,
-    v: TradeoffParameter | float,
+    v: float,
 ) -> SubproblemSolution:
     """Minimize the ratio objective over explicit hull vertices.
 
@@ -166,7 +147,7 @@ def solve_hull_vertices(
         np.array([p.z_hat for p in triples]),
         np.array([p.t_hat for p in triples]),
         q,
-        _v_value(v),
+        v,
     )
     idx = int(np.argmin(objectives))
     return SubproblemSolution(idx, float(objectives[idx]))
@@ -176,7 +157,7 @@ def ratio_bound_holds(
     model: RenewalSystemModel,
     solution: SubproblemSolution,
     q,
-    v: TradeoffParameter | float,
+    v: float,
 ) -> bool:
     """True iff solution.value lower-bounds the objective at every action.
 
@@ -186,7 +167,5 @@ def ratio_bound_holds(
     The comparison is exact (no tolerance); solvers and this check share the
     same objective arithmetic.
     """
-    _, objectives = _ratio_objectives(
-        model.y_hats, model.z_hats, model.t_hats, q, _v_value(v)
-    )
+    _, objectives = _ratio_objectives(model.y_hats, model.z_hats, model.t_hats, q, v)
     return bool(np.all(solution.value <= objectives))

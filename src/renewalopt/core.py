@@ -210,11 +210,7 @@ class ActionValidation:
     declared: PerformanceTriple
     y_mean: float
     y_se: float
-    z_mean: np.ndarray
-    z_se: np.ndarray
     t_mean: float
-    t_se: float
-    residual_offsets: np.ndarray
     residual_estimates: np.ndarray
     residual_ses: np.ndarray
     residual_counts: np.ndarray
@@ -277,8 +273,6 @@ def validate_model(
         violations = 0
         for i in range(n):
             out = sampler.sample(rng)
-            if out.length < 1:
-                violations += 1
             if np.any(np.abs(out.per_slot_penalty) > model.y_max):
                 violations += 1
             if np.any(np.abs(out.per_slot_metrics) > model.z_max):
@@ -349,11 +343,7 @@ def validate_model(
                 declared=declared,
                 y_mean=y_mean,
                 y_se=y_se,
-                z_mean=z_mean,
-                z_se=z_se,
                 t_mean=t_mean,
-                t_se=t_se,
-                residual_offsets=offsets,
                 residual_estimates=residual_est,
                 residual_ses=residual_se,
                 residual_counts=residual_count,

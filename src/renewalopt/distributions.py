@@ -20,7 +20,6 @@ from .core import FrameOutcome, PerformanceTriple, RenewalSystemModel
 __all__ = [
     "LengthDistribution",
     "DeterministicLength",
-    "UniformIntLength",
     "GeometricLength",
     "CompoundLength",
     "ConstantRateSampler",
@@ -60,35 +59,6 @@ class DeterministicLength:
 
 
 @dataclass(frozen=True)
-class UniformIntLength:
-    """Uniform on the integers {low, ..., high}, low >= 1."""
-
-    low: int
-    high: int
-
-    def __post_init__(self):
-        if int(self.low) != self.low or int(self.high) != self.high:
-            raise ValueError("endpoints must be integers")
-        object.__setattr__(self, "low", int(self.low))
-        object.__setattr__(self, "high", int(self.high))
-        if self.low < 1 or self.high < self.low:
-            raise ValueError("need 1 <= low <= high")
-
-    def sample(self, rng: np.random.Generator) -> int:
-        return int(rng.integers(self.low, self.high + 1))
-
-    @property
-    def mean(self) -> float:
-        return (self.low + self.high) / 2
-
-    @property
-    def second_moment(self) -> float:
-        n = self.high - self.low + 1
-        var = (n * n - 1) / 12
-        return var + self.mean**2
-
-
-@dataclass(frozen=True)
 class GeometricLength:
     """Geometric on {1, 2, ...} with the given mean (success prob 1/mean)."""
 
@@ -111,10 +81,6 @@ class GeometricLength:
         # E[T^2] = (2 - p) / p^2 with p = 1/mean
         m = self.mean_length
         return 2 * m * m - m
-
-    @property
-    def p(self) -> float:
-        return 1.0 / self.mean_length
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ import numpy as np
 from .benchmark import StationaryLP
 from .core import FrameOutcome, PerformanceTriple, RenewalSystemModel
 from .distributions import CompoundLength, GeometricLength
-from .simulation import CappedPoisson, ExternalProcess, default_poisson_cap
+from .simulation import CappedPoisson, ExternalProcess
 
 __all__ = [
     "ServerClassParams",
@@ -161,10 +161,7 @@ def build_instance(
     models = [model] * inst.n_servers
 
     external = ExternalProcess(
-        tuple(
-            CappedPoisson(rate=c.arrival_rate, cap=default_poisson_cap(c.arrival_rate), scale=-1.0)
-            for c in inst.classes
-        )
+        tuple(CappedPoisson(rate=c.arrival_rate, scale=-1.0) for c in inst.classes)
     )
     d = np.array([-c.arrival_rate for c in inst.classes])
     lp = StationaryLP.from_models(models, d)

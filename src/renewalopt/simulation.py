@@ -40,14 +40,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .controller import (
-    SubproblemSolution,
-    TradeoffParameter,
-    ratio_bound_holds,
-    solve_bisection,
-    solve_enumerate,
-)
-from .core import FrameOutcome, PerformanceVector, RenewalSystemModel, sample_frame
+from .controller import SubproblemSolution, ratio_bound_holds, solve_bisection, solve_enumerate
+from .core import FrameOutcome, PerformanceVector, RenewalSystemModel, _mean_se, sample_frame
 
 __all__ = [
     "FixedValue",
@@ -164,12 +158,13 @@ class ExternalProcess:
 class DppRatioPolicy:
     """Minimize (V*y_hat + <Q, z_hat>)/t_hat at every frame start."""
 
-    v: TradeoffParameter
+    v: float
     solver: str = "enumerate"
 
     def __post_init__(self):
-        if not isinstance(self.v, TradeoffParameter):
-            object.__setattr__(self, "v", TradeoffParameter(float(self.v)))
+        object.__setattr__(self, "v", float(self.v))
+        if not self.v > 0:
+            raise ValueError("V must be positive")
         if self.solver not in ("enumerate", "bisection"):
             raise ValueError('solver must be "enumerate" or "bisection"')
 
@@ -237,7 +232,9 @@ class RunTrace:
     @property
     def queue_slot_sum(self) -> np.ndarray:
         """sum_{t<slots} Q[t], added in slot order."""
-        return np.cumsum(self.queues[:-1], axis=0)[-1]
+        for _, sums in _running_sums(self.queues[:-1]):
+            pass
+        return sums[-1]
 
     @property
     def final_queues(self) -> np.ndarray:
@@ -258,6 +255,28 @@ class RunTrace:
     @property
     def avg_queues(self) -> np.ndarray:
         return self.queue_slot_sum / self.slots
+
+
+_CHUNK = 8192
+
+
+def _running_sums(
+    x: np.ndarray, minus: np.ndarray | None = None
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (start, S) per chunk of rows, S[i] = sum_{s<=start+i} (x[s] - minus[s]).
+
+    The rows are added in order, carrying the last sum into the next chunk,
+    so S has the bits of the full np.cumsum without its full-size temporary.
+    """
+    carry = None
+    for start in range(0, x.shape[0], _CHUNK):
+        stop = start + _CHUNK
+        block = np.array(x[start:stop]) if minus is None else x[start:stop] - minus[start:stop]
+        if carry is not None:
+            block[0] += carry
+        np.cumsum(block, axis=0, out=block)
+        carry = block[-1]
+        yield start, block
 
 
 def _system_rng(seed: int, n: int) -> np.random.Generator:
@@ -290,7 +309,7 @@ def run(
 
     certify = check and isinstance(policy, DppRatioPolicy)
     if isinstance(policy, DppRatioPolicy):
-        v = policy.v.v
+        v = policy.v
         if policy.solver == "enumerate":
             def decide(n, q):
                 return solve_enumerate(models[n], q, v)
@@ -397,26 +416,27 @@ def check_queue_bound(trace: RunTrace) -> None:
     Both sides add the same per-slot deltas in slot order, so the comparison
     is exact.
     """
-    net = np.cumsum(trace.metrics - trace.external, axis=0)
-    violated = ~(trace.queues[1:] >= net)
-    rows = np.flatnonzero(violated.any(axis=1))
-    if rows.size:
-        t = int(rows[0])
-        q, cum_net = trace.queues[t + 1], net[t]
-        bad = int(np.argmin(q - cum_net))
-        raise CheckViolation(
-            f"queue lower bound violated at slot {t}, constraint {bad}: "
-            f"Q={q[bad]!r} < cumulative net input {cum_net[bad]!r}"
-        )
+    for start, net in _running_sums(trace.metrics, trace.external):
+        queues = trace.queues[start + 1 : start + 1 + net.shape[0]]
+        rows = np.flatnonzero(~(queues >= net).all(axis=1))
+        if rows.size:
+            q, cum_net = queues[rows[0]], net[rows[0]]
+            bad = int(np.argmin(q - cum_net))
+            raise CheckViolation(
+                f"queue lower bound violated at slot {start + int(rows[0])}, constraint {bad}: "
+                f"Q={q[bad]!r} < cumulative net input {cum_net[bad]!r}"
+            )
 
 
 def _replayed_frames(
     trace: RunTrace, models: Sequence[RenewalSystemModel], policy, n: int
 ) -> Iterator[tuple[int, FrameOutcome]]:
-    """Re-draw system n's frames from its own stream as (start, outcome) pairs.
+    """(start, outcome) of system n's frames that end inside the horizon.
 
-    Raises ValueError where a re-drawn action (stationary policy) or length
-    differs from the log: the trace came from other models, policy or seed.
+    Every logged frame, the cut-off last one included, is re-drawn from the
+    system's own stream; raises ValueError where a re-drawn action
+    (stationary policy) or length differs from the log: the trace came from
+    other models, policy or seed.
     """
     if len(models) != len(trace.frames):
         raise ValueError("one model per system of the trace required")
@@ -431,7 +451,8 @@ def _replayed_frames(
                 f"system {n}, frame at slot {start}: re-drawn frame (action {drawn}, "
                 f"length {outcome.length}) differs from the log (action {idx}, length {length})"
             )
-        yield start, outcome
+        if start + length <= trace.slots:
+            yield start, outcome
 
 
 class FrameStats:
@@ -490,9 +511,8 @@ def frame_stats(
     stats = []
     for n, model in enumerate(models):
         st = FrameStats(model.n_metrics)
-        for start, outcome in _replayed_frames(trace, models, policy, n):
-            if start + outcome.length <= trace.slots:
-                st.add(outcome.total_penalty, outcome.total_metrics, float(outcome.length))
+        for _, outcome in _replayed_frames(trace, models, policy, n):
+            st.add(outcome.total_penalty, outcome.total_metrics, float(outcome.length))
         stats.append(st)
     return tuple(stats)
 
@@ -505,12 +525,11 @@ class DriftDiagnostic:
     contributes sum over its slots of X[t] = V*(y[t] - f_bar) +
     <Q[t], z[t] - g_bar>, and the analysis guarantees the conditional mean of
     that sum never exceeds c0 = L * z_max * (N * z_max + d_max) * B.  The
-    diagnostic tracks the running mean of (frame sum - c0) per system, which
+    diagnostic reports the mean of (frame sum - c0) per system, which
     must stay <= 0 within noise whenever the reference point is feasible for
     the system.
     """
 
-    reference: tuple[PerformanceVector, ...]
     c0: float
     frame_counts: np.ndarray
     excess_mean: np.ndarray
@@ -531,24 +550,6 @@ def uniform_frame_drift_bound(
     return n_metrics * z_max * (n * z_max + external.max_abs()) * b
 
 
-class _Welford:
-    def __init__(self):
-        self.count = 0
-        self.mean = 0.0
-        self.m2 = 0.0
-
-    def add(self, x: float) -> None:
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (x - self.mean)
-
-    def se(self) -> float:
-        if self.count < 2:
-            return 0.0
-        return math.sqrt(self.m2 / (self.count - 1) / self.count)
-
-
 def drift_diagnostic(
     trace: RunTrace,
     models: Sequence[RenewalSystemModel],
@@ -565,39 +566,22 @@ def drift_diagnostic(
         raise ValueError("one reference point per system required")
     if any(r.g_hat.shape[0] != external.n_metrics for r in reference):
         raise ValueError("reference metric dimension mismatch")
-    v = policy.v.v
     c0 = uniform_frame_drift_bound(models, external)
-    ref_f = np.array([r.f_hat for r in reference])
-    ref_g = np.vstack([r.g_hat for r in reference])
-    queues = trace.queues
-    # prefix[t] = sum_{s<t} Q[s], added in slot order
-    prefix = np.zeros_like(queues)
-    np.cumsum(queues[:-1], axis=0, out=prefix[1:])
-
-    accs = []
-    for n in range(len(models)):
-        acc = _Welford()
-        for start, outcome in _replayed_frames(trace, models, policy, n):
-            end = start + outcome.length
-            if end > trace.slots:
-                continue
-            xz = 0.0
-            for s, z in enumerate(outcome.per_slot_metrics, start):
-                xz += float(queues[s] @ z)
-            excess = (
-                v * (outcome.total_penalty - outcome.length * ref_f[n])
-                + xz
-                - (prefix[end] - prefix[start]) @ ref_g[n]
-                - c0
-            )
-            acc.add(float(excess))
-        accs.append(acc)
+    excesses = [
+        np.array([
+            policy.v * (out.total_penalty - out.length * ref.f_hat)
+            + np.sum(trace.queues[start : start + out.length] * (out.per_slot_metrics - ref.g_hat))
+            - c0
+            for start, out in _replayed_frames(trace, models, policy, n)
+        ])
+        for n, ref in enumerate(reference)
+    ]
+    means, ses = zip(*map(_mean_se, excesses))
     return DriftDiagnostic(
-        reference=reference,
         c0=c0,
-        frame_counts=np.array([acc.count for acc in accs]),
-        excess_mean=np.array([acc.mean for acc in accs]),
-        excess_se=np.array([acc.se() for acc in accs]),
+        frame_counts=np.array([x.shape[0] for x in excesses]),
+        excess_mean=np.array(means),
+        excess_se=np.array(ses),
     )
 
 

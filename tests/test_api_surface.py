@@ -1,5 +1,6 @@
 """The names the package promises and the ones the benchmark hooks rely on."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -19,6 +20,20 @@ def test_every_exported_name_exists(name):
     module = importlib.import_module(name)
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert not missing
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_import_is_used(name):
+    tree = ast.parse(Path(importlib.import_module(name).__file__).read_text())
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert imported <= used, sorted(imported - used)
 
 
 def test_perf_trace_hooks_install_and_restore():

@@ -182,3 +182,15 @@ def test_summary_fingerprint(tmp_path):
     assert run_experiment(cfg, out_dir=str(tmp_path)) == 0
     digest = hashlib.sha256((tmp_path / "summary.csv").read_bytes()).hexdigest()
     assert digest == SUMMARY_FINGERPRINT
+
+
+# SHA-256 of the stdout of `validate --samples 4000` on Table 1; pins every
+# printed estimate and declaration, and the single "model (all servers)" block
+VALIDATE_FINGERPRINT = "2107e4481917405595620af0ab938db12225efb16dc35630182c80d2827ee049"
+
+
+def test_validate_fingerprint(tmp_path, capsys):
+    cfg = write_config(tmp_path, "instance = table1\nslots = 10\n")
+    assert main(["validate", cfg, "--samples", "4000"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == VALIDATE_FINGERPRINT

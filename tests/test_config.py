@@ -14,7 +14,6 @@ def errors_of(text):
 
 def test_minimal_table1_config():
     cfg = parse_config(MINIMAL)
-    assert cfg.instance_name == "table1"
     assert cfg.instance.n_servers == 5
     assert cfg.instance.n_classes == 3
     assert cfg.slots == 1000
@@ -119,7 +118,6 @@ idle_power = 0.5
 def test_custom_instance_roundtrip():
     cfg = parse_config(CUSTOM)
     inst = cfg.instance
-    assert cfg.instance_name == "custom"
     assert inst.n_servers == 3
     assert inst.n_classes == 2
     c0, c1 = inst.classes

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from renewalopt.controller import (
     SubproblemSolution,
-    TradeoffParameter,
     queue_update,
     ratio_bound_holds,
     solve_bisection,
@@ -32,14 +31,6 @@ def test_queue_update_length_mismatch():
         queue_update([0.0, 0.0], [1.0], [0.0, 0.0])
     with pytest.raises(ValueError):
         queue_update([0.0], [1.0], [0.0, 0.0])
-
-
-def test_tradeoff_parameter_positive():
-    assert TradeoffParameter(3).v == 3.0
-    with pytest.raises(ValueError):
-        TradeoffParameter(0)
-    with pytest.raises(ValueError):
-        TradeoffParameter(-1)
 
 
 @given(

@@ -6,7 +6,6 @@ from renewalopt.distributions import (
     ConstantRateSampler,
     DeterministicLength,
     GeometricLength,
-    UniformIntLength,
     constant_rate_model,
 )
 
@@ -18,20 +17,6 @@ def test_deterministic_moments_and_samples():
     assert d.sample(np.random.default_rng(0)) == 4
     with pytest.raises(ValueError):
         DeterministicLength(0)
-
-
-def test_uniform_moments_match_enumeration():
-    u = UniformIntLength(3, 7)
-    support = np.arange(3, 8)
-    assert u.mean == support.mean()
-    assert u.second_moment == pytest.approx((support**2).mean(), abs=1e-12)
-    rng = np.random.default_rng(1)
-    draws = [u.sample(rng) for _ in range(2000)]
-    assert set(draws) == set(range(3, 8))
-    with pytest.raises(ValueError):
-        UniformIntLength(2, 1)
-    with pytest.raises(ValueError):
-        UniformIntLength(0, 3)
 
 
 def test_geometric_moments_match_series():

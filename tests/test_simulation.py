@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from renewalopt.controller import TradeoffParameter, queue_update
+from renewalopt.controller import queue_update
 from renewalopt.core import PerformanceTriple, PerformanceVector, RenewalSystemModel
 from renewalopt.distributions import (
     ConstantRateSampler,
@@ -81,8 +81,11 @@ def test_external_process_matrix():
 
 def test_policy_validation():
     p = DppRatioPolicy(5)
-    assert isinstance(p.v, TradeoffParameter) and p.v.v == 5.0
-    assert DppRatioPolicy(TradeoffParameter(2.0)).v.v == 2.0
+    assert p.v == 5.0
+    with pytest.raises(ValueError):
+        DppRatioPolicy(0)
+    with pytest.raises(ValueError):
+        DppRatioPolicy(-1)
     with pytest.raises(ValueError):
         DppRatioPolicy(1.0, solver="newton")
     with pytest.raises(ValueError):
@@ -324,6 +327,22 @@ def test_drift_single_action_exact():
     assert np.array_equal(drift.excess_mean, [-c0])
     assert np.array_equal(drift.excess_se, [0.0])
     assert drift.within_bound().all()
+
+
+def test_drift_with_nonzero_queue():
+    # z - d = 1 every slot, so Q[t] = t and frame k (slots 2k, 2k + 1) adds
+    # V * 0 + (2k + 2k + 1) * (2 - 1.5) = 2k + 0.5 to its drift sum
+    models, external = single_action_setup(rate=3.0, z_rate=2.0, d_value=1.0)
+    reference = [PerformanceVector(3.0, [1.5])]
+    policy = DppRatioPolicy(7.0)
+    trace = run(models, external, policy, slots=200, seed=0)
+    assert np.array_equal(trace.queues[:, 0], np.arange(201))
+    drift = drift_diagnostic(trace, models, external, policy, reference)
+    assert drift.c0 == 24.0
+    sums = 2 * np.arange(100) + 0.5
+    assert drift.frame_counts[0] == 100
+    assert drift.excess_mean[0] == pytest.approx(sums.mean() - 24.0, abs=1e-9)
+    assert drift.excess_se[0] == pytest.approx(sums.std(ddof=1) / 10, abs=1e-9)
 
 
 def test_drift_diagnostic_on_energy_instance(table1_env):
