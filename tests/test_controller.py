@@ -13,6 +13,7 @@ from renewalopt.controller import (
 )
 
 from renewalopt.core import PerformanceTriple, RenewalSystemModel
+from renewalopt.simulation import DppRatioPolicy
 
 from conftest import model_from_vectors
 
@@ -31,6 +32,23 @@ def test_queue_update_length_mismatch():
         queue_update([0.0, 0.0], [1.0], [0.0, 0.0])
     with pytest.raises(ValueError):
         queue_update([0.0], [1.0], [0.0, 0.0])
+
+
+def test_tradeoff_parameter_positive():
+    assert DppRatioPolicy(3).v == 3.0
+    assert type(DppRatioPolicy(3).v) is float
+    with pytest.raises(ValueError):
+        DppRatioPolicy(0)
+    with pytest.raises(ValueError):
+        DppRatioPolicy(-1)
+    # The solvers accept V = 0 (queue term alone) but not V < 0.
+    model = model_from_vectors([1.0, 2.0], [[0.0], [1.0]], [1.0, 2.0])
+    assert solve_enumerate(model, [0.0], 0.0).action in (0, 1)
+    for solve in (solve_enumerate, solve_bisection):
+        with pytest.raises(ValueError):
+            solve(model, [0.0], -1.0)
+    with pytest.raises(ValueError):
+        solve_hull_vertices(list(model.actions), [0.0], -1.0)
 
 
 @given(

@@ -83,10 +83,6 @@ def test_policy_validation():
     p = DppRatioPolicy(5)
     assert p.v == 5.0
     with pytest.raises(ValueError):
-        DppRatioPolicy(0)
-    with pytest.raises(ValueError):
-        DppRatioPolicy(-1)
-    with pytest.raises(ValueError):
         DppRatioPolicy(1.0, solver="newton")
     with pytest.raises(ValueError):
         RandomizedStationaryPolicy((np.array([0.5, 0.4]),))  # sums to 0.9
