@@ -158,6 +158,8 @@ def _cmd_run(args) -> int:
             raise ConfigError([(0, "slots", "must be >= 1")])
         cfg = replace(cfg, slots=args.slots)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError([(0, "seed", "must be >= 0")])
         cfg = replace(cfg, seeds=(args.seed,))
     if args.check:
         cfg = replace(cfg, check=True)
@@ -179,6 +181,8 @@ def _cmd_lp(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    if args.samples < 1:
+        raise ConfigError([(0, "samples", "must be >= 1")])
     cfg = parse_config(Path(args.config).read_text())
     models, _, _ = build_instance(cfg.instance)
     model = models[0]  # servers are homogeneous: one model object, repeated

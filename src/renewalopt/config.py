@@ -13,7 +13,7 @@ Top-level keys:
     solver       enumerate | bisection                 (default enumerate)
     v            positive floats                       (default 1 2 5 10 20 50 100 200)
     slots        integer >= 1                          (required)
-    seeds        integers                              (default 1)
+    seeds        integers >= 0                         (default 1)
     out          output directory                      (default results)
     trajectories on | off                              (default off)
     check        on | off                              (default off)
@@ -213,6 +213,8 @@ def parse_config(text: str) -> ExperimentConfig:
         if bad:
             ln = top["v"][0] if "v" in top else 0
             errors.append((ln, "v", "V must be positive"))
+    if seeds is not None and any(seed < 0 for seed in seeds):
+        errors.append((top["seeds"][0], "seeds", "seeds must be >= 0"))
 
     instance = None
     if kind == "table1":

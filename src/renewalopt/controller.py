@@ -18,6 +18,7 @@ every point of the performance region).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -27,6 +28,7 @@ from .core import PerformanceTriple, RenewalSystemModel
 __all__ = [
     "SubproblemSolution",
     "queue_update",
+    "queue_step",
     "solve_enumerate",
     "solve_bisection",
     "solve_hull_vertices",
@@ -60,19 +62,50 @@ def queue_update(q, z_slot_sum, d_slot) -> np.ndarray:
     return np.maximum(qv + delta, 0.0)
 
 
-def _ratio_objectives(y, z, t, q, v: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-action numerators V*y + <q, z> and ratio objectives numerator / t.
+def queue_step(q: list[float], z_slot_sum, d_slot) -> list[float]:
+    """``queue_update`` on Python floats, one slot of the simulation engine.
 
-    The one copy of the objective arithmetic: every solver and the
-    certificate call it, so their values compare exactly.  V = 0 is allowed:
-    the queue term alone then ranks the actions.
+    Each coordinate takes the same IEEE double operations in the same order
+    (z - d, then q + delta, then the clamp), so the results are identical
+    bit for bit.  The clamp is written as np.maximum(x, 0.0) resolves it:
+    -0.0 becomes 0.0 and NaN stays NaN.
+    """
+    return [0.0 if (x := a + (b - c)) <= 0.0 else x for a, b, c in zip(q, z_slot_sum, d_slot)]
+
+
+def _penalty_terms(y: np.ndarray, v: float) -> np.ndarray:
+    """The read-only per-action penalty terms V*y.
+
+    V = 0 is allowed: the queue term alone then ranks the actions.
     """
     if v < 0:
         raise ValueError("V must be nonnegative")
+    vy = v * y
+    vy.flags.writeable = False
+    return vy
+
+
+@lru_cache(maxsize=256)
+def _model_penalty_terms(model: RenewalSystemModel, v: float) -> np.ndarray:
+    """``_penalty_terms`` of a model's actions, computed once per (model, V).
+
+    A run decides every frame of a system with the same model and V, so it
+    validates V and forms V*y once, not once per frame.
+    """
+    return _penalty_terms(model.y_hats, v)
+
+
+def _ratio_objectives(vy, z, t, q) -> tuple[np.ndarray, np.ndarray]:
+    """Per-action numerators V*y + <q, z> and ratio objectives numerator / t.
+
+    The one copy of the objective arithmetic: every solver and the
+    certificate call it, so their values compare exactly.  vy holds the
+    penalty terms V*y from ``_penalty_terms``.
+    """
     qv = np.asarray(q, dtype=float).reshape(-1)
     if qv.shape[0] != z.shape[1]:
         raise ValueError(f"queue length {qv.shape[0]} does not match metric count {z.shape[1]}")
-    num = v * y + z @ qv
+    num = vy + z @ qv
     return num, num / t
 
 
@@ -85,8 +118,10 @@ def solve_enumerate(
 
     Ties break toward the lowest action index so runs are reproducible.
     """
-    _, objectives = _ratio_objectives(model.y_hats, model.z_hats, model.t_hats, q, v)
-    idx = int(np.argmin(objectives))
+    _, objectives = _ratio_objectives(
+        _model_penalty_terms(model, v), model.z_hats, model.t_hats, q
+    )
+    idx = int(objectives.argmin())
     return SubproblemSolution(idx, float(objectives[idx]))
 
 
@@ -109,16 +144,16 @@ def solve_bisection(
     if not tol > 0:
         raise ValueError("tol must be positive")
     den = model.t_hats
-    num, ratios = _ratio_objectives(model.y_hats, model.z_hats, den, q, v)
+    num, ratios = _ratio_objectives(_model_penalty_terms(model, v), model.z_hats, den, q)
     theta = ratios[0]
     # theta strictly decreases across iterations and only finitely many
     # ratios exist, so this terminates; the cap is a safety net only
     for _ in range(10 * model.n_actions + 10):
         costs = num - theta * den
-        idx = int(np.argmin(costs))
+        idx = int(costs.argmin())
         if costs[idx] >= -tol:
             near = np.flatnonzero(costs < tol)
-            best = int(near[np.argmin(ratios[near])])
+            best = int(near[ratios[near].argmin()])
             if ratios[best] < ratios[idx]:
                 idx = best
             return SubproblemSolution(idx, float(ratios[idx]))
@@ -143,13 +178,12 @@ def solve_hull_vertices(
         raise ValueError("need at least one vertex")
     triples = [p if isinstance(p, PerformanceTriple) else PerformanceTriple(*p) for p in vertices]
     _, objectives = _ratio_objectives(
-        np.array([p.y_hat for p in triples]),
+        _penalty_terms(np.array([p.y_hat for p in triples]), v),
         np.array([p.z_hat for p in triples]),
         np.array([p.t_hat for p in triples]),
         q,
-        v,
     )
-    idx = int(np.argmin(objectives))
+    idx = int(objectives.argmin())
     return SubproblemSolution(idx, float(objectives[idx]))
 
 
@@ -167,5 +201,7 @@ def ratio_bound_holds(
     The comparison is exact (no tolerance); solvers and this check share the
     same objective arithmetic.
     """
-    _, objectives = _ratio_objectives(model.y_hats, model.z_hats, model.t_hats, q, v)
+    _, objectives = _ratio_objectives(
+        _model_penalty_terms(model, v), model.z_hats, model.t_hats, q
+    )
     return bool(np.all(solution.value <= objectives))

@@ -14,12 +14,17 @@ Each action is summarized by a ``PerformanceTriple`` of expected frame totals
 declare per-slot bounds (y_max, z_max) and a residual second-moment bound B
 on frame overshoot, and ``validate_model`` checks a model's samplers against
 all of its declarations empirically.
+
+A sampler draws a frame in compact form, a ``FrameDraw`` (length, penalty
+rate, metric row and impulses), which the simulation engine lays down
+directly; ``FrameDraw.outcome`` spells it out as the per-slot arrays of a
+``FrameOutcome`` for the code that reads them slot by slot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 import numpy as np
 
@@ -27,8 +32,10 @@ __all__ = [
     "PerformanceTriple",
     "PerformanceVector",
     "FrameOutcome",
+    "FrameDraw",
     "FrameSampler",
     "RenewalSystemModel",
+    "draw_frame",
     "sample_frame",
     "validate_model",
     "ActionValidation",
@@ -104,12 +111,39 @@ class FrameOutcome:
         return self.per_slot_metrics.sum(axis=0)
 
 
+class FrameDraw(NamedTuple):
+    """One sampled frame in compact form.
+
+    Every slot of the frame carries penalty_rate and, unless it is None, the
+    metric row metric_rate; each impulse (slot offset, metric, value) adds
+    value to one metric on one slot.  ``outcome`` spells it out slot by slot.
+    """
+
+    length: int
+    penalty_rate: float
+    metric_rate: np.ndarray | None
+    impulses: tuple[tuple[int, int, float], ...] = ()
+
+    def outcome(self, n_metrics: int) -> FrameOutcome:
+        """The frame's per-slot arrays, with n_metrics metrics per slot."""
+        if self.metric_rate is None:
+            z = np.zeros((self.length, n_metrics))
+        else:
+            z = np.tile(self.metric_rate, (self.length, 1))
+        for s, l, value in self.impulses:
+            z[s, l] += value
+        return FrameOutcome(self.length, np.full(self.length, self.penalty_rate), z)
+
+
 class FrameSampler(Protocol):
     """Stochastic generator of frames for one action.
 
     Implementations must be stateless apart from the supplied random source,
-    so the same generator state always yields the same outcome.
+    so the same generator state always yields the same frame; ``sample``
+    is ``draw`` spelled out by ``FrameDraw.outcome``.
     """
+
+    def draw(self, rng: np.random.Generator) -> FrameDraw: ...
 
     def sample(self, rng: np.random.Generator) -> FrameOutcome: ...
 
@@ -193,11 +227,16 @@ class RenewalSystemModel:
         return [PerformanceVector(a.y_hat / a.t_hat, a.z_hat / a.t_hat) for a in self.actions]
 
 
-def sample_frame(model: RenewalSystemModel, action: int, rng: np.random.Generator) -> FrameOutcome:
-    """Draw one frame for the given action index from its configured sampler."""
+def draw_frame(model: RenewalSystemModel, action: int, rng: np.random.Generator) -> FrameDraw:
+    """Draw one frame, in compact form, for the given action index."""
     if not 0 <= action < model.n_actions:
         raise IndexError(f"action index {action} out of range for {model.n_actions} actions")
-    return model.samplers[action].sample(rng)
+    return model.samplers[action].draw(rng)
+
+
+def sample_frame(model: RenewalSystemModel, action: int, rng: np.random.Generator) -> FrameOutcome:
+    """``draw_frame`` spelled out slot by slot: the same draw as a FrameOutcome."""
+    return draw_frame(model, action, rng).outcome(model.n_metrics)
 
 
 @dataclass(frozen=True, eq=False)

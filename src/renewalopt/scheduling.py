@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .benchmark import StationaryLP
-from .core import FrameOutcome, PerformanceTriple, RenewalSystemModel
+from .core import FrameDraw, FrameOutcome, PerformanceTriple, RenewalSystemModel
 from .distributions import CompoundLength, GeometricLength
 from .simulation import CappedPoisson, ExternalProcess
 
@@ -116,7 +116,8 @@ class ServiceIdleSampler:
         phases = (GeometricLength(p.service_mean), GeometricLength(p.idle_mean))
         object.__setattr__(self, "frame", CompoundLength(phases))
 
-    def sample(self, rng: np.random.Generator) -> FrameOutcome:
+    def draw(self, rng: np.random.Generator) -> FrameDraw:
+        """Flat energy over the frame, -jobs on the last service slot."""
         p = self.params
         service_phase, idle_phase = self.frame.phases
         service = service_phase.sample(rng)
@@ -124,10 +125,12 @@ class ServiceIdleSampler:
         jobs = int(rng.integers(p.jobs_low, p.jobs_high + 1))
         length = service + idle
         energy_total = p.energy + p.idle_power * idle
-        y = np.full(length, energy_total / length)
-        z = np.zeros((length, self.n_classes))
-        z[service - 1, self.class_index] = -jobs
-        return FrameOutcome(length, y, z)
+        return FrameDraw(
+            length, energy_total / length, None, ((service - 1, self.class_index, -jobs),)
+        )
+
+    def sample(self, rng: np.random.Generator) -> FrameOutcome:
+        return self.draw(rng).outcome(self.n_classes)
 
     def triple(self) -> PerformanceTriple:
         p = self.params

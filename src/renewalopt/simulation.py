@@ -9,8 +9,19 @@ it covers.  Every slot the queue recursion
 
     Q[t+1] = max{Q[t] + sum_n z^n[t] - d[t], 0}
 
-is applied with exactly the arithmetic of ``controller.queue_update`` so
-trajectories replay bit-for-bit.
+is applied by ``controller.queue_step`` on Python floats, which takes exactly
+the IEEE operations of ``controller.queue_update``, so trajectories replay
+bit-for-bit.
+
+The engine samples each frame as a ``core.FrameDraw``: its length, one
+penalty rate for all its slots, and either a constant metric row (the
+constant-rate samplers) or impulses (the scheduling sampler's -jobs on the
+last service slot).  It adds the rate and the row to the frame's slices of
+y and z and each impulse to its one entry of z, with the same bits as adding
+the frame's per-slot arrays.  Those arrays (``FrameOutcome``) are built from
+the draw only where they are read: by ``check=True`` for the bound check, by
+the frame replays of ``frame_stats`` and ``drift_diagnostic``, and by
+``core.validate_model``.
 
 ``run`` does only that and returns a ``RunTrace`` (the per-slot series y, z
 and d, the queue series Q[0..slots], the seed and each system's frame log),
@@ -40,8 +51,21 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .controller import SubproblemSolution, ratio_bound_holds, solve_bisection, solve_enumerate
-from .core import FrameOutcome, PerformanceVector, RenewalSystemModel, _mean_se, sample_frame
+from .controller import (
+    SubproblemSolution,
+    queue_step,
+    ratio_bound_holds,
+    solve_bisection,
+    solve_enumerate,
+)
+from .core import (
+    FrameOutcome,
+    PerformanceVector,
+    RenewalSystemModel,
+    _mean_se,
+    draw_frame,
+    sample_frame,
+)
 
 __all__ = [
     "FixedValue",
@@ -310,12 +334,9 @@ def run(
     certify = check and isinstance(policy, DppRatioPolicy)
     if isinstance(policy, DppRatioPolicy):
         v = policy.v
-        if policy.solver == "enumerate":
-            def decide(n, q):
-                return solve_enumerate(models[n], q, v)
-        else:
-            def decide(n, q):
-                return solve_bisection(models[n], q, v)
+        solve = solve_enumerate if policy.solver == "enumerate" else solve_bisection
+        def decide(n, q):
+            return solve(models[n], q, v)
     elif isinstance(policy, RandomizedStationaryPolicy):
         if len(policy.weights) != n_sys:
             raise ValueError("one weight vector per system required")
@@ -338,29 +359,45 @@ def run(
     logs = [array("q") for _ in range(n_sys)]
     next_start = [0] * n_sys
     next_event = 0
+    q = queues[0].tolist()
 
-    for t in range(slots):
-        q = queues[t]
+    t = 0
+    while t < slots:
         if t == next_event:
+            q_arr = queues[t]
             for n in range(n_sys):
                 if next_start[n] != t:
                     continue
-                solution = decide(n, q)
+                model = models[n]
+                solution = decide(n, q_arr)
                 idx = solution.action
-                if certify and not ratio_bound_holds(models[n], solution, q, v):
+                if certify and not ratio_bound_holds(model, solution, q_arr, v):
                     raise CheckViolation(
                         f"frame decision at slot {t}, system {n}: ratio value "
                         f"{solution.value} exceeds an action objective"
                     )
-                outcome = sample_frame(models[n], idx, rngs[n])
-                length = outcome.length
+                draw = draw_frame(model, idx, rngs[n])
+                length, rate, row, impulses = draw
+                if length < 1:
+                    raise ValueError(f"system {n} drew a frame of length {length} at slot {t}")
                 end = t + length
-                lay_end = min(end, slots)
-                y_arr[t:lay_end] += outcome.per_slot_penalty[: lay_end - t]
-                z_arr[t:lay_end] += outcome.per_slot_metrics[: lay_end - t]
+                y_arr[t:end] += rate
+                if row is not None:
+                    z_arr[t:end] += row
+                for offset, l, value in impulses:
+                    # an offset outside the frame would rewrite slots the
+                    # queue has already stepped through, or another frame's
+                    if not 0 <= offset < length:
+                        raise ValueError(
+                            f"system {n} drew an impulse at offset {offset} of a frame of "
+                            f"length {length} at slot {t}"
+                        )
+                    if t + offset < slots:
+                        z_arr[t + offset, l] += value
                 if check:
-                    if np.any(np.abs(outcome.per_slot_penalty) > models[n].y_max) or np.any(
-                        np.abs(outcome.per_slot_metrics) > models[n].z_max
+                    outcome = draw.outcome(n_metrics)
+                    if np.any(np.abs(outcome.per_slot_penalty) > model.y_max) or np.any(
+                        np.abs(outcome.per_slot_metrics) > model.z_max
                     ):
                         raise CheckViolation(
                             f"sampled frame at slot {t}, system {n} exceeds declared bounds"
@@ -368,11 +405,16 @@ def run(
                 logs[n].extend((t, length, idx))
                 next_start[n] = end
             next_event = min(next_start)
-
-        # same arithmetic as controller.queue_update, written into Q[t+1]
-        q_next = queues[t + 1]
-        np.add(q, z_arr[t] - d_arr[t], out=q_next)
-        np.maximum(q_next, 0.0, out=q_next)
+        # no frame starts before next_event, so z is final up to there; the
+        # queue steps on Python floats through that segment, at most _CHUNK
+        # slots at a time
+        stop = min(next_event, t + _CHUNK, slots)
+        rows = []
+        for z_row, d_row in zip(z_arr[t:stop].tolist(), d_arr[t:stop].tolist()):
+            q = queue_step(q, z_row, d_row)
+            rows.append(q)
+        queues[t + 1 : stop + 1] = rows
+        t = stop
 
     trace = RunTrace(
         seed=seed,
@@ -405,7 +447,10 @@ def queue_trajectory(trace: RunTrace, stride: int | None = None) -> QueueTraject
     The default stride keeps the row count near ten thousand.
     """
     slots = trace.slots
-    stride = stride or max(1, -(-slots // 10_000))
+    if stride is None:
+        stride = max(1, -(-slots // 10_000))
+    elif stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
     times = np.append(np.arange(0, slots, stride), slots)
     return QueueTrajectory(times, trace.queues[times])
 

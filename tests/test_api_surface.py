@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import renewalopt
+from renewalopt import TABLE1, build_instance, core, scheduling, simulation
 
 MODULES = sorted(f"renewalopt.{m.name}" for m in pkgutil.iter_modules(renewalopt.__path__))
 
@@ -52,3 +53,39 @@ def test_perf_trace_hooks_install_and_restore():
     finally:
         spans.restore()
     assert all(vars(owner)[attr] is original for owner, attr, original in wrapped)
+
+
+def test_trace_hooks_see_every_frame_decision(monkeypatch):
+    # perf/child.py times the decision and the certificate by wrapping these
+    # names in the simulation module; the engine must look them up there once
+    # per frame, or the benchmark's controller spans read 0
+    calls = {}
+
+    def counted(name):
+        original = getattr(simulation, name)
+        calls[name] = 0
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(simulation, name, wrapper)
+
+    for name in ("solve_enumerate", "solve_bisection", "ratio_bound_holds"):
+        counted(name)
+    models, external, _ = build_instance(TABLE1)
+    for solver, check in (("enumerate", False), ("bisection", True)):
+        before = dict(calls)
+        policy = simulation.DppRatioPolicy(10.0, solver)
+        trace = simulation.run(models, external, policy, 400, seed=3, check=check)
+        frames = int(trace.frames_per_system.sum())
+        assert calls[f"solve_{solver}"] - before[f"solve_{solver}"] == frames
+        assert calls["ratio_bound_holds"] - before["ratio_bound_holds"] == (frames if check else 0)
+    # the sampler-side names stay defined for the wrappers even where the
+    # engine no longer calls them
+    for owner, attr in (
+        (scheduling.ServiceIdleSampler, "sample"),
+        (core.FrameOutcome, "__post_init__"),
+        (simulation, "sample_frame"),
+    ):
+        assert callable(vars(owner)[attr])

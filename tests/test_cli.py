@@ -128,6 +128,19 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "line 3" in err and "speed" in err
 
 
+def test_negative_seeds_and_bad_overrides_exit_1(tmp_path, capsys):
+    cfg = write_config(tmp_path, "instance = table1\nslots = 10\nseeds = -3\n")
+    assert main(["run", cfg]) == 1
+    assert "line 3: seeds" in capsys.readouterr().err
+    cfg = write_config(tmp_path, BASE, name="base.cfg")
+    assert main(["run", cfg, "--seed", "-1"]) == 1
+    assert "seed: must be >= 0" in capsys.readouterr().err
+    assert main(["run", cfg, "--slots", "0"]) == 1
+    assert "slots: must be >= 1" in capsys.readouterr().err
+    assert main(["validate", cfg, "--samples", "0"]) == 1
+    assert "samples: must be >= 1" in capsys.readouterr().err
+
+
 def test_missing_config_exit_code(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.cfg")]) == 1
     assert "nope.cfg" in capsys.readouterr().err

@@ -59,6 +59,12 @@ def test_nonpositive_v_rejected():
     assert any(ln == 3 for ln, _, _ in errs)
 
 
+def test_negative_seed_rejected_with_line_number():
+    errs = errors_of("instance = table1\nslots = 10\nseeds = 1 -3\n")
+    assert (3, "seeds", "seeds must be >= 0") in errs
+    assert parse_config("instance = table1\nslots = 10\nseeds = 0\n").seeds == (0,)
+
+
 def test_unknown_and_duplicate_keys_carry_line_numbers():
     errs = errors_of("instance = table1\nslots = 10\nslots = 20\nspeed = 9\n")
     assert (3, "slots", "duplicate key") in errs

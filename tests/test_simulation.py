@@ -1,10 +1,13 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from renewalopt.controller import queue_update
-from renewalopt.core import PerformanceTriple, PerformanceVector, RenewalSystemModel
+from renewalopt.controller import queue_step, queue_update
+from renewalopt.core import FrameDraw, PerformanceTriple, PerformanceVector, RenewalSystemModel
 from renewalopt.distributions import (
     ConstantRateSampler,
     DeterministicLength,
@@ -28,6 +31,7 @@ from renewalopt.simulation import (
     uniform_frame_drift_bound,
 )
 from renewalopt.benchmark import extract_reference_point, stationary_policy_weights
+from renewalopt.scheduling import TABLE1, SchedulingInstance, ServerClassParams, build_instance
 
 from conftest import model_from_vectors
 
@@ -179,6 +183,9 @@ def test_trajectory_stride_and_final_row(table1_env):
     traj = queue_trajectory(trace, stride=500)
     assert np.array_equal(traj.times, [0, 500, 1000, 1500, 2000, 2500])
     assert np.array_equal(traj.queues[-1], trace.final_queues)
+    for bad in (0, -5):
+        with pytest.raises(ValueError, match="stride must be >= 1"):
+            queue_trajectory(trace, stride=bad)
     # default stride keeps the row count near ten thousand
     big = queue_trajectory(run(models, external, DppRatioPolicy(1.0), slots=25_000, seed=1))
     assert big.times[0] == 0
@@ -229,6 +236,43 @@ def test_checked_run_catches_lying_bounds():
     run([model], external, DppRatioPolicy(1.0), slots=50, seed=0)
     with pytest.raises(CheckViolation, match="exceeds declared bounds"):
         run([model], external, DppRatioPolicy(1.0), slots=50, seed=0, check=True)
+
+
+def test_checked_run_catches_lying_impulse_bounds(table1_env):
+    # the scheduling sampler lays its job count as one impulse; a model that
+    # declares z_max below jobs_high must fail the checked run there
+    model = table1_env["models"][0]
+    assert max(c.jobs_high for c in TABLE1.classes) > 20
+    lying = RenewalSystemModel(
+        model.actions, model.samplers, model.y_max, 20.0, model.residual_bound
+    )
+    external = table1_env["external"]
+    run([lying] * 5, external, DppRatioPolicy(10.0), slots=300, seed=0)
+    with pytest.raises(CheckViolation, match="exceeds declared bounds"):
+        run([lying] * 5, external, DppRatioPolicy(10.0), slots=300, seed=0, check=True)
+
+
+class _FixedDrawSampler:
+    """Sampler that always returns the same (possibly malformed) FrameDraw."""
+
+    def __init__(self, draw):
+        self.fixed = draw
+
+    def draw(self, rng):
+        return self.fixed
+
+
+def test_run_rejects_malformed_frame_draws():
+    external = ExternalProcess((FixedValue(0.0),))
+    triple = PerformanceTriple(1.0, [0.0], 2.0)
+    for draw, message in (
+        (FrameDraw(0, 1.0, None), "length 0"),
+        (FrameDraw(2, 1.0, None, ((2, 0, -1.0),)), "offset 2"),
+        (FrameDraw(2, 1.0, None, ((-1, 0, -1.0),)), "offset -1"),
+    ):
+        model = RenewalSystemModel((triple,), (_FixedDrawSampler(draw),), 1.0, 1.0, 4.0)
+        with pytest.raises(ValueError, match=message):
+            run([model], external, DppRatioPolicy(1.0), slots=10, seed=0)
 
 
 def test_checked_bisection_run_on_near_ties():
@@ -381,3 +425,84 @@ def test_run_argument_validation(table1_env):
     with pytest.raises(ValueError):
         # 5 reference points for 1 system
         drift_diagnostic(trace, models[:1], external, policy, reference)
+
+
+def trace_digest(trace):
+    """SHA-256 of the raw bytes of every series and frame log of a trace."""
+    h = hashlib.sha256()
+    for arr in (trace.penalty, trace.metrics, trace.external, trace.queues, *trace.frames):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+def fingerprint_runs(table1_env):
+    models, external = table1_env["models"], table1_env["external"]
+    custom_models, custom_external, _ = build_instance(
+        SchedulingInstance(
+            n_servers=4,
+            classes=(
+                ServerClassParams(1.5, 3.0, 2, 8, 10.0, 2.0, 1.0),
+                ServerClassParams(2.5, 2.2, 5, 11, 6.0, 3.1, 2.0),
+            ),
+        )
+    )
+    fixture = model_from_vectors(
+        [1.0, 2.5, 0.5], [[0.5, -1.0], [-0.5, 0.25], [1.0, 1.0]], [1.0, 3.5, 2.0]
+    )
+    fixture_external = ExternalProcess((FixedValue(0.0), CappedPoisson(0.3, scale=-1.0)))
+    weights = stationary_policy_weights(table1_env["sol"])
+    return {
+        "table1_enumerate": lambda: run(models, external, DppRatioPolicy(20.0), 3000, seed=4),
+        "custom_bisection_checked": lambda: run(
+            custom_models,
+            custom_external,
+            DppRatioPolicy(50.0, "bisection"),
+            3000,
+            seed=7,
+            check=True,
+        ),
+        "table1_stationary": lambda: run(
+            models, external, RandomizedStationaryPolicy(weights), 3000, seed=2
+        ),
+        "constant_rate_fixture": lambda: run(
+            [fixture, fixture], fixture_external, DppRatioPolicy(5.0), 2000, seed=11
+        ),
+    }
+
+
+# SHA-256 of the raw trace bytes (penalty, metrics, external, queues and the
+# frame logs) of four runs; summary.csv keeps only 9 significant digits, so
+# these pin the engine's arithmetic and draw order bit for bit
+TRACE_FINGERPRINTS = {
+    "table1_enumerate": "f4463617466f6b73b7652cb567d31599bfa74c92e0f992cd91dabec2403f0865",
+    "custom_bisection_checked": "f9ee22e1a5c5590bcaa15674b9d5110c9758cbd5f09b6a2340aab6dad7ee0948",
+    "table1_stationary": "af0107d5d1864c433665e50cb6d672cc384e5dee1d6f407b0065042e54f704af",
+    "constant_rate_fixture": "74529d7785f24987cc51007da154f7f426e2acece7548bc91dd5ed38c37cfc41",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_FINGERPRINTS))
+def test_trace_fingerprint(table1_env, name):
+    assert trace_digest(fingerprint_runs(table1_env)[name]()) == TRACE_FINGERPRINTS[name]
+
+
+# finite values, small enough that no sum overflows; ranges that span zero
+# include 0.0 and -0.0, and d draws them on purpose
+_finite = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+_d_entry = _finite | st.sampled_from([0.0, -0.0])
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(_finite, min_size=n, max_size=n),
+            st.lists(_finite, min_size=n, max_size=n),
+            st.lists(_d_entry, min_size=n, max_size=n),
+        )
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_queue_step_matches_queue_update_bitwise(qzd):
+    q, z, d = qzd
+    expected = queue_update(q, z, d)
+    assert np.array(queue_step(q, z, d)).tobytes() == expected.tobytes()
