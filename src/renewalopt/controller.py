@@ -152,7 +152,7 @@ def solve_bisection(
         costs = num - theta * den
         idx = int(costs.argmin())
         if costs[idx] >= -tol:
-            near = np.flatnonzero(costs < tol)
+            near = (costs < tol).nonzero()[0]
             best = int(near[ratios[near].argmin()])
             if ratios[best] < ratios[idx]:
                 idx = best
@@ -204,4 +204,4 @@ def ratio_bound_holds(
     _, objectives = _ratio_objectives(
         _model_penalty_terms(model, v), model.z_hats, model.t_hats, q
     )
-    return bool(np.all(solution.value <= objectives))
+    return bool((solution.value <= objectives).all())

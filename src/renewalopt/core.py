@@ -17,8 +17,11 @@ all of its declarations empirically.
 
 A sampler draws a frame in compact form, a ``FrameDraw`` (length, penalty
 rate, metric row and impulses), which the simulation engine lays down
-directly; ``FrameDraw.outcome`` spells it out as the per-slot arrays of a
-``FrameOutcome`` for the code that reads them slot by slot.
+directly.  ``FrameDraw.bound_violations`` checks a draw against the declared
+per-slot bounds and ``FrameDraw.totals`` sums it, each with the result the
+per-slot arrays would give, and ``validate_model`` reads only those;
+``FrameDraw.outcome`` spells a draw out as the per-slot arrays of a
+``FrameOutcome`` for the frame replays, which read them slot by slot.
 """
 
 from __future__ import annotations
@@ -116,7 +119,8 @@ class FrameDraw(NamedTuple):
 
     Every slot of the frame carries penalty_rate and, unless it is None, the
     metric row metric_rate; each impulse (slot offset, metric, value) adds
-    value to one metric on one slot.  ``outcome`` spells it out slot by slot.
+    value to one metric on one slot.  ``bound_violations`` and ``totals``
+    read it as it is; ``outcome`` spells it out slot by slot.
     """
 
     length: int
@@ -124,15 +128,67 @@ class FrameDraw(NamedTuple):
     metric_rate: np.ndarray | None
     impulses: tuple[tuple[int, int, float], ...] = ()
 
-    def outcome(self, n_metrics: int) -> FrameOutcome:
-        """The frame's per-slot arrays, with n_metrics metrics per slot."""
+    def _metric_array(self, n_metrics: int) -> np.ndarray:
         if self.metric_rate is None:
             z = np.zeros((self.length, n_metrics))
         else:
             z = np.tile(self.metric_rate, (self.length, 1))
         for s, l, value in self.impulses:
             z[s, l] += value
-        return FrameOutcome(self.length, np.full(self.length, self.penalty_rate), z)
+        return z
+
+    def outcome(self, n_metrics: int) -> FrameOutcome:
+        """The frame's per-slot arrays, with n_metrics metrics per slot."""
+        return FrameOutcome(
+            self.length, np.full(self.length, self.penalty_rate), self._metric_array(n_metrics)
+        )
+
+    def bound_violations(self, y_max: float, z_max: float, n_metrics: int) -> tuple[bool, bool]:
+        """(penalty_over, metric_over): does some slot have |y| > y_max, some |z_l| > z_max?
+
+        The same answers as comparing the arrays of ``outcome(n_metrics)``
+        with the bounds, without building them: every slot's penalty is the
+        rate; an entry (slot, metric) that carries impulses holds the row's
+        value (0.0 without a row) plus its impulses added in draw order; every
+        other entry holds the bare row's value.  Raises ValueError for a
+        length below 1 or an impulse outside the frame or its metrics.
+        """
+        length, rate, row, impulses = self
+        if length < 1:
+            raise ValueError(f"frame of length {length}")
+        entries: dict[tuple[int, int], float] = {}
+        for offset, l, value in impulses:
+            if not 0 <= offset < length:
+                raise ValueError(f"impulse at offset {offset} of a frame of length {length}")
+            if not 0 <= l < n_metrics:
+                raise ValueError(f"impulse on metric {l} of a frame with {n_metrics} metrics")
+            key = (offset, l)
+            entries[key] = entries.get(key, 0.0 if row is None else row[l]) + value
+        metric_over = any(abs(v) > z_max for v in entries.values())
+        if row is None:
+            bare_over = len(entries) < length * n_metrics and 0.0 > z_max
+        else:
+            # metric l keeps its bare row value unless all its slots are impulsed
+            impulsed = [l for _, l in entries]
+            bare_over = any(abs(r) > z_max for l, r in enumerate(row) if impulsed.count(l) < length)
+        return abs(rate) > y_max, metric_over or bare_over
+
+    def totals(self, n_metrics: int) -> tuple[float, np.ndarray]:
+        """The frame's penalty and metric totals, summed as ``outcome``'s arrays are.
+
+        The penalty total sums the np.full array, since rate * length can
+        differ from it in the last bit.  Without a row and with at most one impulse the metric total is that
+        impulse added to 0.0, which is the sum of its dense column in any
+        order; otherwise the dense metric array is built and summed.
+        """
+        y_total = np.full(self.length, self.penalty_rate).sum()
+        if self.metric_rate is None and len(self.impulses) <= 1:
+            z_total = np.zeros(n_metrics)
+            for _, l, value in self.impulses:
+                z_total[l] += value
+        else:
+            z_total = self._metric_array(n_metrics).sum(axis=0)
+        return y_total, z_total
 
 
 class FrameSampler(Protocol):
@@ -288,9 +344,10 @@ def validate_model(
 ) -> ValidationReport:
     """Sample each action and report violations of the model's declarations.
 
-    Checks three things per action: (a) per-slot bound violations, which must
-    be zero; (b) estimates of E[(T - s)^2 | T >= s] for every offset s up to
-    the longest observed frame, flagged when an estimate backed by at least
+    Checks three things per action: (a) per-slot bound violations, found on
+    each compact draw by ``FrameDraw.bound_violations``, which must be zero;
+    (b) estimates of E[(T - s)^2 | T >= s] for every offset s up to the
+    longest observed frame, flagged when an estimate backed by at least
     RESIDUAL_MIN_FRAMES surviving frames exceeds the declared residual_bound
     by more than 3 standard errors; (c) empirical frame-total means against
     the declared triple, flagged beyond 4 standard errors.
@@ -311,14 +368,10 @@ def validate_model(
         z_totals = np.empty((n, model.n_metrics))
         violations = 0
         for i in range(n):
-            out = sampler.sample(rng)
-            if np.any(np.abs(out.per_slot_penalty) > model.y_max):
-                violations += 1
-            if np.any(np.abs(out.per_slot_metrics) > model.z_max):
-                violations += 1
-            lengths[i] = out.length
-            y_totals[i] = out.per_slot_penalty.sum()
-            z_totals[i] = out.per_slot_metrics.sum(axis=0)
+            draw = sampler.draw(rng)
+            violations += sum(draw.bound_violations(model.y_max, model.z_max, model.n_metrics))
+            lengths[i] = draw.length
+            y_totals[i], z_totals[i] = draw.totals(model.n_metrics)
 
         y_mean, y_se = _mean_se(y_totals)
         t_mean, t_se = _mean_se(lengths)

@@ -18,10 +18,10 @@ penalty rate for all its slots, and either a constant metric row (the
 constant-rate samplers) or impulses (the scheduling sampler's -jobs on the
 last service slot).  It adds the rate and the row to the frame's slices of
 y and z and each impulse to its one entry of z, with the same bits as adding
-the frame's per-slot arrays.  Those arrays (``FrameOutcome``) are built from
-the draw only where they are read: by ``check=True`` for the bound check, by
-the frame replays of ``frame_stats`` and ``drift_diagnostic``, and by
-``core.validate_model``.
+the frame's per-slot arrays.  ``check=True`` compares the draw itself with
+the declared bounds (``FrameDraw.bound_violations``); the per-slot arrays
+(``FrameOutcome``) are built only by the frame replays of ``frame_stats``
+and ``drift_diagnostic``.
 
 ``run`` does only that and returns a ``RunTrace`` (the per-slot series y, z
 and d, the queue series Q[0..slots], the seed and each system's frame log),
@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -200,7 +201,7 @@ class RandomizedStationaryPolicy:
     weights: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        cleaned = []
+        cleaned, cdfs = [], []
         for w in self.weights:
             arr = np.array(w, dtype=float).reshape(-1)
             if np.any(arr < -1e-9):
@@ -212,7 +213,19 @@ class RandomizedStationaryPolicy:
             arr /= total
             arr.flags.writeable = False
             cleaned.append(arr)
+            # Generator.choice's table: the running sum over its last entry
+            cdf = arr.cumsum()
+            cdfs.append((cdf / cdf[-1]).tolist())
         object.__setattr__(self, "weights", tuple(cleaned))
+        object.__setattr__(self, "_cdfs", tuple(cdfs))
+
+    def draw_action(self, n: int, rng: np.random.Generator) -> int:
+        """System n's action, as rng.choice(actions, p=weights[n]) draws it.
+
+        The same random() double searched in the same table, so the index
+        and the generator's state match choice's, without its per-call checks.
+        """
+        return bisect_right(self._cdfs[n], rng.random())
 
 
 class CheckViolation(Exception):
@@ -344,8 +357,7 @@ def run(
             if w.shape[0] != m.n_actions:
                 raise ValueError("weight length must match the system's action count")
         def decide(n, q):
-            idx = int(rngs[n].choice(models[n].n_actions, p=policy.weights[n]))
-            return SubproblemSolution(action=idx, value=float("nan"))
+            return SubproblemSolution(action=policy.draw_action(n, rngs[n]), value=float("nan"))
     else:
         raise TypeError(f"unknown policy type {type(policy).__name__}")
 
@@ -394,14 +406,10 @@ def run(
                         )
                     if t + offset < slots:
                         z_arr[t + offset, l] += value
-                if check:
-                    outcome = draw.outcome(n_metrics)
-                    if np.any(np.abs(outcome.per_slot_penalty) > model.y_max) or np.any(
-                        np.abs(outcome.per_slot_metrics) > model.z_max
-                    ):
-                        raise CheckViolation(
-                            f"sampled frame at slot {t}, system {n} exceeds declared bounds"
-                        )
+                if check and any(draw.bound_violations(model.y_max, model.z_max, n_metrics)):
+                    raise CheckViolation(
+                        f"sampled frame at slot {t}, system {n} exceeds declared bounds"
+                    )
                 logs[n].extend((t, length, idx))
                 next_start[n] = end
             next_event = min(next_start)
@@ -486,10 +494,10 @@ def _replayed_frames(
     if len(models) != len(trace.frames):
         raise ValueError("one model per system of the trace required")
     model = models[n]
-    weights = policy.weights[n] if isinstance(policy, RandomizedStationaryPolicy) else None
+    stationary = isinstance(policy, RandomizedStationaryPolicy)
     rng = _system_rng(trace.seed, n)
     for start, length, idx in trace.frames[n].tolist():
-        drawn = idx if weights is None else int(rng.choice(model.n_actions, p=weights))
+        drawn = policy.draw_action(n, rng) if stationary else idx
         outcome = sample_frame(model, idx, rng)
         if drawn != idx or outcome.length != length:
             raise ValueError(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from renewalopt import TABLE1, build_instance, solve_lp
-from renewalopt.core import RenewalSystemModel
+from renewalopt.core import FrameDraw, FrameOutcome, RenewalSystemModel
 from renewalopt.distributions import GeometricLength, constant_rate_model
 
 
@@ -30,3 +30,24 @@ def model_from_vectors(f, g, t) -> RenewalSystemModel:
         metric_rates=g,
         lengths=[GeometricLength(x) for x in t],
     )
+
+
+class FixedDrawSampler:
+    """Sampler that always returns the same (possibly malformed) FrameDraw."""
+
+    def __init__(self, draw):
+        self.fixed = draw
+
+    def draw(self, rng):
+        return self.fixed
+
+
+@pytest.fixture
+def no_dense_frames(monkeypatch):
+    """Make spelling a frame out as per-slot arrays fail the test."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a frame was spelled out as per-slot arrays")
+
+    monkeypatch.setattr(FrameDraw, "outcome", refuse)
+    monkeypatch.setattr(FrameOutcome, "__post_init__", refuse)

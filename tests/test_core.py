@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from renewalopt.core import (
+    FrameDraw,
     FrameOutcome,
     PerformanceTriple,
     RenewalSystemModel,
@@ -16,6 +17,8 @@ from renewalopt.distributions import (
     GeometricLength,
     constant_rate_model,
 )
+
+from conftest import FixedDrawSampler
 
 
 def one_action_vector(triple: PerformanceTriple):
@@ -163,6 +166,7 @@ def test_constant_rate_frames_respect_declared_bounds(rate, mean_len, seed):
     assert np.all(np.abs(vec.g_hat) <= model.z_max + 1e-12)
 
 
+@pytest.mark.usefixtures("no_dense_frames")
 def test_validate_model_deterministic_unit_frames():
     model = constant_rate_model([3.0], [[1.0]], [DeterministicLength(1)])
     report = validate_model(model, 50)
@@ -176,6 +180,7 @@ def test_validate_model_deterministic_unit_frames():
     assert not act.residual_flags.any()
 
 
+@pytest.mark.usefixtures("no_dense_frames")
 def test_validate_model_catches_lying_declaration():
     # declared mean penalty 4 per unit frame, sampler actually emits 7 per slot
     triple = PerformanceTriple(4.0, [0.0], 1.0)
@@ -187,6 +192,81 @@ def test_validate_model_catches_lying_declaration():
     assert act.bound_violations == 200  # every frame breaks the per-slot bound
     assert any("y_hat" in f for f in report.flags)
     assert any("bound" in f for f in report.flags)
+
+
+@pytest.mark.usefixtures("no_dense_frames")
+def test_validate_model_reads_the_compact_draw(table1_env):
+    report = validate_model(table1_env["models"][0], 500)
+    assert report.ok, report.flags
+    assert all(act.bound_violations == 0 for act in report.actions)
+
+
+def test_validate_model_rejects_malformed_frame_draws():
+    triple = PerformanceTriple(1.0, [0.0], 2.0)
+    for draw, message in (
+        (FrameDraw(0, 1.0, None), "length 0"),
+        (FrameDraw(2, 1.0, None, ((2, 0, -1.0),)), "offset 2"),
+        (FrameDraw(2, 1.0, None, ((-1, 0, -1.0),)), "offset -1"),
+        (FrameDraw(2, 1.0, None, ((0, 1, -1.0),)), "metric 1"),
+    ):
+        model = RenewalSystemModel((triple,), (FixedDrawSampler(draw),), 1.0, 1.0, 4.0)
+        with pytest.raises(ValueError, match=message):
+            validate_model(model, 10)
+
+
+# per-slot values: small integers (so sums land exactly on a bound), any
+# double including NaN and +-inf, and both zeros
+_slot_values = st.one_of(
+    st.integers(-30, 30).map(float),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0]),
+)
+_bounds = st.one_of(st.integers(0, 30).map(float), st.floats(0.0, allow_infinity=True))
+
+
+@st.composite
+def _frame_draws(draw):
+    length = draw(st.integers(1, 20))
+    n_metrics = draw(st.integers(1, 4))
+    row = draw(st.none() | st.lists(_slot_values, min_size=n_metrics, max_size=n_metrics))
+    entry = st.tuples(st.integers(0, length - 1), st.integers(0, n_metrics - 1))
+    entries = draw(st.lists(entry, max_size=6))
+    cover = draw(st.sampled_from(["none", "one metric", "every entry"]))
+    if cover == "one metric":
+        l = draw(st.integers(0, n_metrics - 1))
+        entries += [(s, l) for s in range(length)]
+    elif cover == "every entry":
+        entries += [(s, l) for s in range(length) for l in range(n_metrics)]
+    # one to three impulses per entry, interleaved in draw order
+    impulses = [
+        (s, l, v) for s, l in entries for v in draw(st.lists(_slot_values, min_size=1, max_size=3))
+    ]
+    impulses = draw(st.permutations(impulses))
+    row = None if row is None else np.array(row)
+    return FrameDraw(length, draw(_slot_values), row, tuple(impulses)), n_metrics
+
+
+@given(frame=_frame_draws(), y_max=_bounds, z_max=_bounds)
+# every slot of metric 0 is impulsed, so its bare row value 31 appears nowhere
+@example(
+    frame=(FrameDraw(2, 0.0, np.array([31.0, 0.0]), ((0, 0, -10.0), (1, 0, -20.0))), 2),
+    y_max=1.0,
+    z_max=25.0,
+)
+@settings(max_examples=300, deadline=None)
+def test_compact_frame_checks_match_the_dense_arrays(frame, y_max, z_max):
+    draw, n_metrics = frame
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = draw.outcome(n_metrics)
+        dense = (
+            bool(np.any(np.abs(out.per_slot_penalty) > y_max)),
+            bool(np.any(np.abs(out.per_slot_metrics) > z_max)),
+        )
+        assert draw.bound_violations(y_max, z_max, n_metrics) == dense
+        y_total, z_total = draw.totals(n_metrics)
+        # bit for bit, the sign of zero and NaN included
+        assert np.float64(y_total).tobytes() == np.float64(out.total_penalty).tobytes()
+        assert z_total.tobytes() == out.total_metrics.tobytes()
 
 
 def test_validate_model_residual_flagging():

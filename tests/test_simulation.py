@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from renewalopt import simulation
 from renewalopt.controller import queue_step, queue_update
 from renewalopt.core import FrameDraw, PerformanceTriple, PerformanceVector, RenewalSystemModel
 from renewalopt.distributions import (
@@ -33,7 +34,7 @@ from renewalopt.simulation import (
 from renewalopt.benchmark import extract_reference_point, stationary_policy_weights
 from renewalopt.scheduling import TABLE1, SchedulingInstance, ServerClassParams, build_instance
 
-from conftest import model_from_vectors
+from conftest import FixedDrawSampler, model_from_vectors
 
 
 def single_action_setup(rate=3.0, z_rate=0.0, d_value=1.0, length=2):
@@ -225,6 +226,32 @@ def test_checked_run_completes_clean(table1_env):
     assert trace.slots == 2000
 
 
+@pytest.mark.usefixtures("no_dense_frames")
+def test_checked_run_checks_bounds_on_the_compact_draw(table1_env):
+    # the bound check reads each frame's FrameDraw; no per-slot arrays
+    models, external = table1_env["models"], table1_env["external"]
+    trace = run(models, external, DppRatioPolicy(100.0), slots=2000, seed=3, check=True)
+    assert trace.frames_per_system.sum() > 0
+
+
+def test_checked_run_catches_a_stale_queue_decision(table1_env, monkeypatch):
+    # the certificate recomputes the objectives at the engine's current Q, so
+    # a solver that decides on the previous frame start's Q must be caught
+    solve = simulation.solve_enumerate
+    seen = []
+
+    def stale(model, q, v):
+        seen.append(np.array(q))
+        return solve(model, seen[-2] if len(seen) > 1 else q, v)
+
+    monkeypatch.setattr(simulation, "solve_enumerate", stale)
+    models, external = table1_env["models"], table1_env["external"]
+    run(models, external, DppRatioPolicy(10.0), slots=2000, seed=0)
+    with pytest.raises(CheckViolation, match="frame decision"):
+        run(models, external, DppRatioPolicy(10.0), slots=2000, seed=0, check=True)
+
+
+@pytest.mark.usefixtures("no_dense_frames")
 def test_checked_run_catches_lying_bounds():
     # the declared triple is consistent with y_max = 5 but the sampler
     # actually emits 7 per slot; the unchecked run tolerates it, the
@@ -238,6 +265,7 @@ def test_checked_run_catches_lying_bounds():
         run([model], external, DppRatioPolicy(1.0), slots=50, seed=0, check=True)
 
 
+@pytest.mark.usefixtures("no_dense_frames")
 def test_checked_run_catches_lying_impulse_bounds(table1_env):
     # the scheduling sampler lays its job count as one impulse; a model that
     # declares z_max below jobs_high must fail the checked run there
@@ -252,16 +280,6 @@ def test_checked_run_catches_lying_impulse_bounds(table1_env):
         run([lying] * 5, external, DppRatioPolicy(10.0), slots=300, seed=0, check=True)
 
 
-class _FixedDrawSampler:
-    """Sampler that always returns the same (possibly malformed) FrameDraw."""
-
-    def __init__(self, draw):
-        self.fixed = draw
-
-    def draw(self, rng):
-        return self.fixed
-
-
 def test_run_rejects_malformed_frame_draws():
     external = ExternalProcess((FixedValue(0.0),))
     triple = PerformanceTriple(1.0, [0.0], 2.0)
@@ -270,7 +288,7 @@ def test_run_rejects_malformed_frame_draws():
         (FrameDraw(2, 1.0, None, ((2, 0, -1.0),)), "offset 2"),
         (FrameDraw(2, 1.0, None, ((-1, 0, -1.0),)), "offset -1"),
     ):
-        model = RenewalSystemModel((triple,), (_FixedDrawSampler(draw),), 1.0, 1.0, 4.0)
+        model = RenewalSystemModel((triple,), (FixedDrawSampler(draw),), 1.0, 1.0, 4.0)
         with pytest.raises(ValueError, match=message):
             run([model], external, DppRatioPolicy(1.0), slots=10, seed=0)
 
