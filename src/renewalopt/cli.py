@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -83,11 +84,25 @@ def _write_trajectory(path: Path, trajectory) -> None:
             writer.writerow([int(t)] + [_fmt(x) for x in row])
 
 
+def _memory_budget() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
     """Execute the configured grid and write CSVs; returns the exit code."""
     models, external, lp = build_instance(cfg.instance)
-    lp_sol = solve_lp(lp)
     n_metrics = external.n_metrics
+    # a cell's trace holds 8 * (1 + 3L) bytes per slot and is filled in
+    # lazily, so a horizon that cannot fit would fail mid-run
+    trace_mib = 8 * (1 + 3 * n_metrics) * cfg.slots / 2**20
+    budget_mib = _memory_budget() / 2**20
+    if trace_mib > budget_mib:
+        raise ConfigError([(0, "slots", (
+            f"{cfg.slots} slots need a {trace_mib:.1f} MiB trace per cell, more than "
+            f"the {budget_mib:.0f} MiB of physical memory"
+        ))])
+    lp_sol = solve_lp(lp)
 
     out = Path(out_dir if out_dir is not None else cfg.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -5,7 +5,11 @@ slot after its previous frame ends, so the systems drift out of phase with
 each other.  At a frame start the policy observes the current virtual queue
 vector Q[t] (already updated through slot t-1) and picks an action; the
 sampled frame then contributes its per-slot penalty and metrics on the slots
-it covers.  Every slot the queue recursion
+it covers.  A drift-plus-penalty decision depends only on (model, Q[t], V),
+so it is solved once per (model object, frame-start slot) and reused by every
+system that shares the model and starts a frame in that slot; the stationary
+policy draws each frame's action from the system's own stream.  Every slot
+the queue recursion
 
     Q[t+1] = max{Q[t] + sum_n z^n[t] - d[t], 0}
 
@@ -35,11 +39,12 @@ spawn_key=(1,).  Adding or removing systems therefore never perturbs the
 other streams.
 
 With ``check=True`` three exact invariants are asserted: while running, the
-minimality certificate of every frame decision (``ratio_bound_holds``) and
-the declared per-slot bounds of every sampled frame; after the loop, the
-sample-path lower bound Q_l[t] >= sum_{s<t}(sum_n z_l^n[s] - d_l[s]), which
-holds exactly in floating point because both sides add the same per-slot
-deltas and the queue side only ever clamps upward.
+minimality certificate of every frame decision (``ratio_bound_holds``, on
+every frame against Q[t], reused decisions included) and the declared
+per-slot bounds of every sampled frame; after the loop, the sample-path
+lower bound Q_l[t] >= sum_{s<t}(sum_n z_l^n[s] - d_l[s]), which holds
+exactly in floating point because both sides add the same per-slot deltas
+and the queue side only ever clamps upward.
 """
 
 from __future__ import annotations
@@ -345,11 +350,18 @@ def run(
         raise ValueError("slots must be >= 1")
 
     certify = check and isinstance(policy, DppRatioPolicy)
+    decided = {}  # the current event slot's decisions, keyed by model object
     if isinstance(policy, DppRatioPolicy):
         v = policy.v
         solve = solve_enumerate if policy.solver == "enumerate" else solve_bisection
         def decide(n, q):
-            return solve(models[n], q, v)
+            # the decision depends only on (model, Q[t], V): systems that
+            # share a model object and start a frame in this slot share it
+            model = models[n]
+            solution = decided.get(model)
+            if solution is None:
+                solution = decided[model] = solve(model, q, v)
+            return solution
     elif isinstance(policy, RandomizedStationaryPolicy):
         if len(policy.weights) != n_sys:
             raise ValueError("one weight vector per system required")
@@ -377,6 +389,7 @@ def run(
     while t < slots:
         if t == next_event:
             q_arr = queues[t]
+            decided.clear()
             for n in range(n_sys):
                 if next_start[n] != t:
                     continue
@@ -403,6 +416,11 @@ def run(
                         raise ValueError(
                             f"system {n} drew an impulse at offset {offset} of a frame of "
                             f"length {length} at slot {t}"
+                        )
+                    if not 0 <= l < n_metrics:
+                        raise ValueError(
+                            f"system {n} drew an impulse on metric {l} of a frame with "
+                            f"{n_metrics} metrics at slot {t}"
                         )
                     if t + offset < slots:
                         z_arr[t + offset, l] += value

@@ -58,7 +58,8 @@ def test_perf_trace_hooks_install_and_restore():
 def test_trace_hooks_see_every_frame_decision(monkeypatch):
     # perf/child.py times the decision and the certificate by wrapping these
     # names in the simulation module; the engine must look them up there once
-    # per frame, or the benchmark's controller spans read 0
+    # per (frame-start slot, model) and certify once per frame, or the
+    # benchmark's controller spans read 0
     calls = {}
 
     def counted(name):
@@ -79,7 +80,10 @@ def test_trace_hooks_see_every_frame_decision(monkeypatch):
         policy = simulation.DppRatioPolicy(10.0, solver)
         trace = simulation.run(models, external, policy, 400, seed=3, check=check)
         frames = int(trace.frames_per_system.sum())
-        assert calls[f"solve_{solver}"] - before[f"solve_{solver}"] == frames
+        decisions = len({(start, id(models[n])) for n, log in enumerate(trace.frames)
+                         for start in log[:, 0].tolist()})
+        assert decisions < frames
+        assert calls[f"solve_{solver}"] - before[f"solve_{solver}"] == decisions
         assert calls["ratio_bound_holds"] - before["ratio_bound_holds"] == (frames if check else 0)
     # the sampler-side names stay defined for the wrappers even where the
     # engine no longer calls them

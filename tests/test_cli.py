@@ -3,6 +3,7 @@ import hashlib
 
 import pytest
 
+from renewalopt import cli
 from renewalopt.cli import main, run_experiment
 from renewalopt.config import parse_config
 
@@ -139,6 +140,30 @@ def test_negative_seeds_and_bad_overrides_exit_1(tmp_path, capsys):
     assert "slots: must be >= 1" in capsys.readouterr().err
     assert main(["validate", cfg, "--samples", "0"]) == 1
     assert "samples: must be >= 1" in capsys.readouterr().err
+
+
+def test_oversized_horizon_exits_1_before_any_cell(tmp_path, capsys, monkeypatch):
+    # a Table-1 trace holds 8 * (1 + 3 * 3) bytes per slot; with the memory
+    # budget one byte short of that the run must stop before its first cell
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell started")
+
+    monkeypatch.setattr(cli, "_memory_budget", lambda: 80 * 200_000 - 1)
+    monkeypatch.setattr(cli, "run", no_cell)
+    cfg = write_config(tmp_path, BASE + f"out = {tmp_path / 'res'}\n")
+    assert main(["run", cfg, "--slots", "200000"]) == 1
+    err = capsys.readouterr().err
+    assert "slots: 200000 slots need a 15.3 MiB trace per cell" in err
+    assert not (tmp_path / "res").exists()
+    # at exactly the budget the grid runs
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "_memory_budget", lambda: 80 * 400)
+    assert main(["run", cfg]) == 0
+
+
+def test_memory_budget_is_physical_memory():
+    budget = cli._memory_budget()
+    assert isinstance(budget, int) and budget > 2**20
 
 
 def test_missing_config_exit_code(tmp_path, capsys):

@@ -293,6 +293,18 @@ def test_run_rejects_malformed_frame_draws():
             run([model], external, DppRatioPolicy(1.0), slots=10, seed=0)
 
 
+def test_run_rejects_impulses_on_a_missing_metric():
+    # the unchecked engine range-checks the metric index too: -1 would land
+    # on the last metric and n_metrics past the array
+    external = ExternalProcess((FixedValue(0.0), FixedValue(0.0)))
+    triple = PerformanceTriple(1.0, [0.0, 0.0], 2.0)
+    for l in (-1, 2):
+        draw = FrameDraw(2, 1.0, None, ((1, l, -5.0),))
+        model = RenewalSystemModel((triple,), (FixedDrawSampler(draw),), 1.0, 5.0, 4.0)
+        with pytest.raises(ValueError, match=f"impulse on metric {l} of a frame with 2 metrics"):
+            run([model], external, DppRatioPolicy(1.0), slots=10, seed=0)
+
+
 def test_checked_bisection_run_on_near_ties():
     # action ratios within 3e-10 of each other: Dinkelbach's stopping rule
     # alone can return a value up to tol above the exact minimum, which the
@@ -524,3 +536,47 @@ def test_queue_step_matches_queue_update_bitwise(qzd):
     q, z, d = qzd
     expected = queue_update(q, z, d)
     assert np.array(queue_step(q, z, d)).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("solver", ["enumerate", "bisection"])
+def test_shared_model_decisions_match_per_system_copies(table1_env, monkeypatch, solver):
+    # systems that share a model object and start a frame in the same slot
+    # share one solve; copies of the model share nothing, so each of their
+    # frames is solved on its own, and both runs must lay down the same bits
+    name = f"solve_{solver}"
+    solve = getattr(simulation, name)
+    calls = []
+
+    def counted(model, q, v):
+        calls.append(model)
+        return solve(model, q, v)
+
+    monkeypatch.setattr(simulation, name, counted)
+    models, external = table1_env["models"], table1_env["external"]
+    assert all(m is models[0] for m in models)
+    copies = [replace(m) for m in models]
+    policy = DppRatioPolicy(20.0, solver)
+    shared = run(models, external, policy, 3000, seed=4, check=True)
+    shared_calls = len(calls)
+    calls.clear()
+    separate = run(copies, external, policy, 3000, seed=4, check=True)
+    frames = int(separate.frames_per_system.sum())
+    assert len(calls) == frames
+    assert shared_calls < frames
+    assert trace_digest(shared) == trace_digest(separate)
+    if solver == "enumerate":
+        assert trace_digest(shared) == TRACE_FINGERPRINTS["table1_enumerate"]
+
+
+def test_stationary_runs_draw_one_action_per_frame(table1_env, monkeypatch):
+    draw_action = RandomizedStationaryPolicy.draw_action
+    draws = []
+
+    def counted(self, n, rng):
+        draws.append(n)
+        return draw_action(self, n, rng)
+
+    monkeypatch.setattr(RandomizedStationaryPolicy, "draw_action", counted)
+    trace = fingerprint_runs(table1_env)["table1_stationary"]()
+    assert np.array_equal(np.bincount(draws), trace.frames_per_system)
+    assert trace_digest(trace) == TRACE_FINGERPRINTS["table1_stationary"]
