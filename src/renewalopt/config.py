@@ -22,12 +22,14 @@ Top-level keys:
 [class] keys: arrival_rate, service_mean, jobs_support (two integers),
 energy, idle_mean, idle_power (optional, defaults to the top-level value).
 
-Unknown keys, duplicate keys, and malformed values are reported with their
-line numbers; all errors in a file are collected before giving up.
+Unknown keys, duplicate keys, and malformed values (inf and nan included)
+are reported with their line numbers; all errors in a file are collected
+before giving up.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .scheduling import TABLE1, SchedulingInstance, ServerClassParams
@@ -158,9 +160,12 @@ def parse_config(text: str) -> ExperimentConfig:
 
     def parse_float(value):
         try:
-            return float(value)
+            out = float(value)
         except ValueError:
             raise ValueError(f"not a number: {value!r}") from None
+        if not math.isfinite(out):
+            raise ValueError(f"not a finite number: {value!r}")
+        return out
 
     def parse_float_list(value):
         items = _split_list(value)

@@ -15,19 +15,18 @@ declare per-slot bounds (y_max, z_max) and a residual second-moment bound B
 on frame overshoot, and ``validate_model`` checks a model's samplers against
 all of its declarations empirically.
 
-A sampler draws a frame in compact form, a ``FrameDraw`` (length, penalty
-rate, metric row and impulses), which the simulation engine lays down
-directly.  ``FrameDraw.bound_violations`` checks a draw against the declared
-per-slot bounds and ``FrameDraw.totals`` sums it, each with the result the
-per-slot arrays would give, and ``validate_model`` reads only those;
-``FrameDraw.outcome`` spells a draw out as the per-slot arrays of a
-``FrameOutcome`` for the frame replays, which read them slot by slot.
+A sampler returns each frame in compact form, a ``FrameOutcome`` (length,
+penalty rate, metric row and impulses), which the simulation engine lays
+down directly.  ``FrameOutcome.bound_violations`` checks a frame against the
+declared per-slot bounds and ``FrameOutcome.totals`` sums it, each with the
+result its per-slot arrays would give; the engine, ``validate_model`` and
+the simulation's frame replays read frames only through these.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Protocol
+from typing import Protocol
 
 import numpy as np
 
@@ -35,10 +34,8 @@ __all__ = [
     "PerformanceTriple",
     "PerformanceVector",
     "FrameOutcome",
-    "FrameDraw",
     "FrameSampler",
     "RenewalSystemModel",
-    "draw_frame",
     "sample_frame",
     "validate_model",
     "ActionValidation",
@@ -83,44 +80,16 @@ class PerformanceVector:
         object.__setattr__(self, "g_hat", g)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False)
 class FrameOutcome:
-    """One sampled frame: its length and the realized per-slot sequences."""
-
-    length: int
-    per_slot_penalty: np.ndarray
-    per_slot_metrics: np.ndarray
-
-    def __post_init__(self):
-        length = int(self.length)
-        object.__setattr__(self, "length", length)
-        y = np.asarray(self.per_slot_penalty, dtype=float)
-        z = np.asarray(self.per_slot_metrics, dtype=float)
-        object.__setattr__(self, "per_slot_penalty", y)
-        object.__setattr__(self, "per_slot_metrics", z)
-        if length < 1:
-            raise ValueError(f"frame length must be >= 1, got {length}")
-        if y.shape != (length,):
-            raise ValueError(f"per_slot_penalty must have shape ({length},)")
-        if z.ndim != 2 or z.shape[0] != length:
-            raise ValueError(f"per_slot_metrics must have shape ({length}, L)")
-
-    @property
-    def total_penalty(self) -> float:
-        return float(self.per_slot_penalty.sum())
-
-    @property
-    def total_metrics(self) -> np.ndarray:
-        return self.per_slot_metrics.sum(axis=0)
-
-
-class FrameDraw(NamedTuple):
     """One sampled frame in compact form.
 
     Every slot of the frame carries penalty_rate and, unless it is None, the
     metric row metric_rate; each impulse (slot offset, metric, value) adds
-    value to one metric on one slot.  ``bound_violations`` and ``totals``
-    read it as it is; ``outcome`` spells it out slot by slot.
+    value to one metric on one slot.  Construction rejects a length below 1
+    and an impulse outside the frame's slots, which would land on slots the
+    queue has already stepped through or on another frame's; an impulse's
+    metric index is checked by the readers, which know the metric count.
     """
 
     length: int
@@ -128,38 +97,27 @@ class FrameDraw(NamedTuple):
     metric_rate: np.ndarray | None
     impulses: tuple[tuple[int, int, float], ...] = ()
 
-    def _metric_array(self, n_metrics: int) -> np.ndarray:
-        if self.metric_rate is None:
-            z = np.zeros((self.length, n_metrics))
-        else:
-            z = np.tile(self.metric_rate, (self.length, 1))
-        for s, l, value in self.impulses:
-            z[s, l] += value
-        return z
-
-    def outcome(self, n_metrics: int) -> FrameOutcome:
-        """The frame's per-slot arrays, with n_metrics metrics per slot."""
-        return FrameOutcome(
-            self.length, np.full(self.length, self.penalty_rate), self._metric_array(n_metrics)
-        )
+    def __post_init__(self):
+        length = self.length
+        if length < 1:
+            raise ValueError(f"frame of length {length}")
+        for offset, _, _ in self.impulses:
+            if not 0 <= offset < length:
+                raise ValueError(f"impulse at offset {offset} of a frame of length {length}")
 
     def bound_violations(self, y_max: float, z_max: float, n_metrics: int) -> tuple[bool, bool]:
         """(penalty_over, metric_over): does some slot have |y| > y_max, some |z_l| > z_max?
 
-        The same answers as comparing the arrays of ``outcome(n_metrics)``
-        with the bounds, without building them: every slot's penalty is the
-        rate; an entry (slot, metric) that carries impulses holds the row's
-        value (0.0 without a row) plus its impulses added in draw order; every
-        other entry holds the bare row's value.  Raises ValueError for a
-        length below 1 or an impulse outside the frame or its metrics.
+        The same answers as comparing the frame's per-slot arrays with the
+        bounds, without building them: every slot's penalty is the rate; an
+        entry (slot, metric) that carries impulses holds the row's value (0.0
+        without a row) plus its impulses added in draw order; every other
+        entry holds the bare row's value.  Raises ValueError for an impulse on
+        a metric outside [0, n_metrics).
         """
-        length, rate, row, impulses = self
-        if length < 1:
-            raise ValueError(f"frame of length {length}")
+        length, row = self.length, self.metric_rate
         entries: dict[tuple[int, int], float] = {}
-        for offset, l, value in impulses:
-            if not 0 <= offset < length:
-                raise ValueError(f"impulse at offset {offset} of a frame of length {length}")
+        for offset, l, value in self.impulses:
             if not 0 <= l < n_metrics:
                 raise ValueError(f"impulse on metric {l} of a frame with {n_metrics} metrics")
             key = (offset, l)
@@ -171,35 +129,38 @@ class FrameDraw(NamedTuple):
             # metric l keeps its bare row value unless all its slots are impulsed
             impulsed = [l for _, l in entries]
             bare_over = any(abs(r) > z_max for l, r in enumerate(row) if impulsed.count(l) < length)
-        return abs(rate) > y_max, metric_over or bare_over
+        return abs(self.penalty_rate) > y_max, metric_over or bare_over
 
     def totals(self, n_metrics: int) -> tuple[float, np.ndarray]:
-        """The frame's penalty and metric totals, summed as ``outcome``'s arrays are.
+        """The frame's penalty and metric totals, summed as its per-slot arrays are.
 
         The penalty total sums the np.full array, since rate * length can
-        differ from it in the last bit.  Without a row and with at most one impulse the metric total is that
-        impulse added to 0.0, which is the sum of its dense column in any
-        order; otherwise the dense metric array is built and summed.
+        differ from it in the last bit.  Without a row and with at most one
+        impulse the metric total is that impulse added to 0.0, which is the
+        sum of its dense column in any order; otherwise the dense metric
+        array is built and summed.
         """
-        y_total = np.full(self.length, self.penalty_rate).sum()
+        y_total = float(np.full(self.length, self.penalty_rate).sum())
         if self.metric_rate is None and len(self.impulses) <= 1:
             z_total = np.zeros(n_metrics)
             for _, l, value in self.impulses:
                 z_total[l] += value
+            return y_total, z_total
+        if self.metric_rate is None:
+            z = np.zeros((self.length, n_metrics))
         else:
-            z_total = self._metric_array(n_metrics).sum(axis=0)
-        return y_total, z_total
+            z = np.tile(self.metric_rate, (self.length, 1))
+        for s, l, value in self.impulses:
+            z[s, l] += value
+        return y_total, z.sum(axis=0)
 
 
 class FrameSampler(Protocol):
     """Stochastic generator of frames for one action.
 
     Implementations must be stateless apart from the supplied random source,
-    so the same generator state always yields the same frame; ``sample``
-    is ``draw`` spelled out by ``FrameDraw.outcome``.
+    so the same generator state always yields the same frame.
     """
-
-    def draw(self, rng: np.random.Generator) -> FrameDraw: ...
 
     def sample(self, rng: np.random.Generator) -> FrameOutcome: ...
 
@@ -278,21 +239,12 @@ class RenewalSystemModel:
         """Expected frame lengths, one entry per action."""
         return self._t
 
-    def performance_vectors(self) -> list[PerformanceVector]:
-        """Each action's (f_hat, g_hat): its frame totals divided by t_hat."""
-        return [PerformanceVector(a.y_hat / a.t_hat, a.z_hat / a.t_hat) for a in self.actions]
-
-
-def draw_frame(model: RenewalSystemModel, action: int, rng: np.random.Generator) -> FrameDraw:
-    """Draw one frame, in compact form, for the given action index."""
-    if not 0 <= action < model.n_actions:
-        raise IndexError(f"action index {action} out of range for {model.n_actions} actions")
-    return model.samplers[action].draw(rng)
-
 
 def sample_frame(model: RenewalSystemModel, action: int, rng: np.random.Generator) -> FrameOutcome:
-    """``draw_frame`` spelled out slot by slot: the same draw as a FrameOutcome."""
-    return draw_frame(model, action, rng).outcome(model.n_metrics)
+    """Sample one frame for the given action index."""
+    if not 0 <= action < model.n_actions:
+        raise IndexError(f"action index {action} out of range for {model.n_actions} actions")
+    return model.samplers[action].sample(rng)
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,7 +297,7 @@ def validate_model(
     """Sample each action and report violations of the model's declarations.
 
     Checks three things per action: (a) per-slot bound violations, found on
-    each compact draw by ``FrameDraw.bound_violations``, which must be zero;
+    each frame by ``FrameOutcome.bound_violations``, which must be zero;
     (b) estimates of E[(T - s)^2 | T >= s] for every offset s up to the
     longest observed frame, flagged when an estimate backed by at least
     RESIDUAL_MIN_FRAMES surviving frames exceeds the declared residual_bound
@@ -368,10 +320,10 @@ def validate_model(
         z_totals = np.empty((n, model.n_metrics))
         violations = 0
         for i in range(n):
-            draw = sampler.draw(rng)
-            violations += sum(draw.bound_violations(model.y_max, model.z_max, model.n_metrics))
-            lengths[i] = draw.length
-            y_totals[i], z_totals[i] = draw.totals(model.n_metrics)
+            frame = sampler.sample(rng)
+            violations += sum(frame.bound_violations(model.y_max, model.z_max, model.n_metrics))
+            lengths[i] = frame.length
+            y_totals[i], z_totals[i] = frame.totals(model.n_metrics)
 
         y_mean, y_se = _mean_se(y_totals)
         t_mean, t_se = _mean_se(lengths)

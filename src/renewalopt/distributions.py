@@ -15,7 +15,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .core import FrameDraw, FrameOutcome, PerformanceTriple, RenewalSystemModel
+from .core import FrameOutcome, PerformanceTriple, RenewalSystemModel
 
 __all__ = [
     "LengthDistribution",
@@ -122,11 +122,8 @@ class ConstantRateSampler:
         rates.flags.writeable = False
         object.__setattr__(self, "metric_rates", rates)
 
-    def draw(self, rng: np.random.Generator) -> FrameDraw:
-        return FrameDraw(self.length.sample(rng), self.penalty_rate, self.metric_rates)
-
     def sample(self, rng: np.random.Generator) -> FrameOutcome:
-        return self.draw(rng).outcome(self.metric_rates.shape[0])
+        return FrameOutcome(self.length.sample(rng), self.penalty_rate, self.metric_rates)
 
     def triple(self) -> PerformanceTriple:
         m = self.length.mean

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .benchmark import StationaryLP
-from .core import FrameDraw, FrameOutcome, PerformanceTriple, RenewalSystemModel
+from .core import FrameOutcome, PerformanceTriple, RenewalSystemModel
 from .distributions import CompoundLength, GeometricLength
 from .simulation import CappedPoisson, ExternalProcess
 
@@ -116,7 +116,7 @@ class ServiceIdleSampler:
         phases = (GeometricLength(p.service_mean), GeometricLength(p.idle_mean))
         object.__setattr__(self, "frame", CompoundLength(phases))
 
-    def draw(self, rng: np.random.Generator) -> FrameDraw:
+    def sample(self, rng: np.random.Generator) -> FrameOutcome:
         """Flat energy over the frame, -jobs on the last service slot."""
         p = self.params
         service_phase, idle_phase = self.frame.phases
@@ -125,12 +125,9 @@ class ServiceIdleSampler:
         jobs = int(rng.integers(p.jobs_low, p.jobs_high + 1))
         length = service + idle
         energy_total = p.energy + p.idle_power * idle
-        return FrameDraw(
+        return FrameOutcome(
             length, energy_total / length, None, ((service - 1, self.class_index, -jobs),)
         )
-
-    def sample(self, rng: np.random.Generator) -> FrameOutcome:
-        return self.draw(rng).outcome(self.n_classes)
 
     def triple(self) -> PerformanceTriple:
         p = self.params

@@ -17,15 +17,15 @@ is applied by ``controller.queue_step`` on Python floats, which takes exactly
 the IEEE operations of ``controller.queue_update``, so trajectories replay
 bit-for-bit.
 
-The engine samples each frame as a ``core.FrameDraw``: its length, one
+The engine samples each frame as a ``core.FrameOutcome``: its length, one
 penalty rate for all its slots, and either a constant metric row (the
 constant-rate samplers) or impulses (the scheduling sampler's -jobs on the
 last service slot).  It adds the rate and the row to the frame's slices of
 y and z and each impulse to its one entry of z, with the same bits as adding
-the frame's per-slot arrays.  ``check=True`` compares the draw itself with
-the declared bounds (``FrameDraw.bound_violations``); the per-slot arrays
-(``FrameOutcome``) are built only by the frame replays of ``frame_stats``
-and ``drift_diagnostic``.
+the frame's per-slot arrays.  ``check=True`` compares the frame itself with
+the declared bounds (``FrameOutcome.bound_violations``).  The frame replays
+of ``frame_stats`` and ``drift_diagnostic`` read the same compact frames:
+``FrameOutcome.totals`` and, against Q, the row and impulses.
 
 ``run`` does only that and returns a ``RunTrace`` (the per-slot series y, z
 and d, the queue series Q[0..slots], the seed and each system's frame log),
@@ -69,7 +69,6 @@ from .core import (
     PerformanceVector,
     RenewalSystemModel,
     _mean_se,
-    draw_frame,
     sample_frame,
 )
 
@@ -193,8 +192,8 @@ class DppRatioPolicy:
 
     def __post_init__(self):
         object.__setattr__(self, "v", float(self.v))
-        if not self.v > 0:
-            raise ValueError("V must be positive")
+        if not 0 < self.v < math.inf:
+            raise ValueError("V must be positive and finite")
         if self.solver not in ("enumerate", "bisection"):
             raise ValueError('solver must be "enumerate" or "bisection"')
 
@@ -401,22 +400,14 @@ def run(
                         f"frame decision at slot {t}, system {n}: ratio value "
                         f"{solution.value} exceeds an action objective"
                     )
-                draw = draw_frame(model, idx, rngs[n])
-                length, rate, row, impulses = draw
-                if length < 1:
-                    raise ValueError(f"system {n} drew a frame of length {length} at slot {t}")
+                frame = sample_frame(model, idx, rngs[n])
+                length = frame.length
                 end = t + length
-                y_arr[t:end] += rate
-                if row is not None:
-                    z_arr[t:end] += row
-                for offset, l, value in impulses:
-                    # an offset outside the frame would rewrite slots the
-                    # queue has already stepped through, or another frame's
-                    if not 0 <= offset < length:
-                        raise ValueError(
-                            f"system {n} drew an impulse at offset {offset} of a frame of "
-                            f"length {length} at slot {t}"
-                        )
+                y_arr[t:end] += frame.penalty_rate
+                if frame.metric_rate is not None:
+                    z_arr[t:end] += frame.metric_rate
+                # FrameOutcome keeps every impulse offset inside the frame
+                for offset, l, value in frame.impulses:
                     if not 0 <= l < n_metrics:
                         raise ValueError(
                             f"system {n} drew an impulse on metric {l} of a frame with "
@@ -424,7 +415,7 @@ def run(
                         )
                     if t + offset < slots:
                         z_arr[t + offset, l] += value
-                if check and any(draw.bound_violations(model.y_max, model.z_max, n_metrics)):
+                if check and any(frame.bound_violations(model.y_max, model.z_max, n_metrics)):
                     raise CheckViolation(
                         f"sampled frame at slot {t}, system {n} exceeds declared bounds"
                     )
@@ -502,7 +493,7 @@ def check_queue_bound(trace: RunTrace) -> None:
 def _replayed_frames(
     trace: RunTrace, models: Sequence[RenewalSystemModel], policy, n: int
 ) -> Iterator[tuple[int, FrameOutcome]]:
-    """(start, outcome) of system n's frames that end inside the horizon.
+    """(start, frame) of system n's frames that end inside the horizon.
 
     Every logged frame, the cut-off last one included, is re-drawn from the
     system's own stream; raises ValueError where a re-drawn action
@@ -516,14 +507,14 @@ def _replayed_frames(
     rng = _system_rng(trace.seed, n)
     for start, length, idx in trace.frames[n].tolist():
         drawn = policy.draw_action(n, rng) if stationary else idx
-        outcome = sample_frame(model, idx, rng)
-        if drawn != idx or outcome.length != length:
+        frame = sample_frame(model, idx, rng)
+        if drawn != idx or frame.length != length:
             raise ValueError(
                 f"system {n}, frame at slot {start}: re-drawn frame (action {drawn}, "
-                f"length {outcome.length}) differs from the log (action {idx}, length {length})"
+                f"length {frame.length}) differs from the log (action {idx}, length {length})"
             )
         if start + length <= trace.slots:
-            yield start, outcome
+            yield start, frame
 
 
 class FrameStats:
@@ -582,8 +573,8 @@ def frame_stats(
     stats = []
     for n, model in enumerate(models):
         st = FrameStats(model.n_metrics)
-        for _, outcome in _replayed_frames(trace, models, policy, n):
-            st.add(outcome.total_penalty, outcome.total_metrics, float(outcome.length))
+        for _, frame in _replayed_frames(trace, models, policy, n):
+            st.add(*frame.totals(model.n_metrics), float(frame.length))
         stats.append(st)
     return tuple(stats)
 
@@ -628,7 +619,11 @@ def drift_diagnostic(
     policy: DppRatioPolicy,
     reference: Sequence[PerformanceVector],
 ) -> DriftDiagnostic:
-    """Drift sums of the completed frames of a dpp_ratio run against c0."""
+    """Drift sums of the completed frames of a dpp_ratio run against c0.
+
+    A frame's queue term is (row - g_bar) . sum of Q over its slots, plus
+    value * Q[start + offset, l] for each impulse (row 0 without a metric row).
+    """
     models = list(models)
     reference = tuple(reference)
     if not isinstance(policy, DppRatioPolicy):
@@ -638,12 +633,19 @@ def drift_diagnostic(
     if any(r.g_hat.shape[0] != external.n_metrics for r in reference):
         raise ValueError("reference metric dimension mismatch")
     c0 = uniform_frame_drift_bound(models, external)
+    queues = trace.queues
+
+    def excess(start: int, frame: FrameOutcome, ref: PerformanceVector) -> float:
+        y_total, _ = frame.totals(external.n_metrics)
+        row = 0.0 if frame.metric_rate is None else frame.metric_rate
+        queue_term = (row - ref.g_hat) @ queues[start : start + frame.length].sum(axis=0)
+        queue_term += sum(value * queues[start + offset, l] for offset, l, value in frame.impulses)
+        return policy.v * (y_total - frame.length * ref.f_hat) + queue_term - c0
+
     excesses = [
         np.array([
-            policy.v * (out.total_penalty - out.length * ref.f_hat)
-            + np.sum(trace.queues[start : start + out.length] * (out.per_slot_metrics - ref.g_hat))
-            - c0
-            for start, out in _replayed_frames(trace, models, policy, n)
+            excess(start, frame, ref)
+            for start, frame in _replayed_frames(trace, models, policy, n)
         ])
         for n, ref in enumerate(reference)
     ]

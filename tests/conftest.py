@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from renewalopt import TABLE1, build_instance, solve_lp
-from renewalopt.core import FrameDraw, FrameOutcome, RenewalSystemModel
+from renewalopt.core import RenewalSystemModel
 from renewalopt.distributions import GeometricLength, constant_rate_model
 
 
@@ -33,21 +33,10 @@ def model_from_vectors(f, g, t) -> RenewalSystemModel:
 
 
 class FixedDrawSampler:
-    """Sampler that always returns the same (possibly malformed) FrameDraw."""
+    """Sampler that always returns the same FrameOutcome."""
 
-    def __init__(self, draw):
-        self.fixed = draw
+    def __init__(self, frame):
+        self.fixed = frame
 
-    def draw(self, rng):
+    def sample(self, rng):
         return self.fixed
-
-
-@pytest.fixture
-def no_dense_frames(monkeypatch):
-    """Make spelling a frame out as per-slot arrays fail the test."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a frame was spelled out as per-slot arrays")
-
-    monkeypatch.setattr(FrameDraw, "outcome", refuse)
-    monkeypatch.setattr(FrameOutcome, "__post_init__", refuse)

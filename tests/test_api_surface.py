@@ -56,40 +56,37 @@ def test_perf_trace_hooks_install_and_restore():
 
 
 def test_trace_hooks_see_every_frame_decision(monkeypatch):
-    # perf/child.py times the decision and the certificate by wrapping these
-    # names in the simulation module; the engine must look them up there once
-    # per (frame-start slot, model) and certify once per frame, or the
-    # benchmark's controller spans read 0
+    # perf/child.py times the decision, the certificate and the frame
+    # sampler by wrapping these names where the engine looks them up: the
+    # decision once per (frame-start slot, model), the certificate once per
+    # frame when checked, and the sampler and the frame type once per frame,
+    # or the benchmark's spans read 0
     calls = {}
 
-    def counted(name):
-        original = getattr(simulation, name)
-        calls[name] = 0
+    def counted(owner, attr):
+        original = vars(owner)[attr]
+        calls[attr] = 0
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[attr] += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(simulation, name, wrapper)
+        monkeypatch.setattr(owner, attr, wrapper)
 
-    for name in ("solve_enumerate", "solve_bisection", "ratio_bound_holds"):
-        counted(name)
+    for name in ("solve_enumerate", "solve_bisection", "ratio_bound_holds", "sample_frame"):
+        counted(simulation, name)
+    counted(scheduling.ServiceIdleSampler, "sample")
+    counted(core.FrameOutcome, "__post_init__")
     models, external, _ = build_instance(TABLE1)
     for solver, check in (("enumerate", False), ("bisection", True)):
         before = dict(calls)
         policy = simulation.DppRatioPolicy(10.0, solver)
         trace = simulation.run(models, external, policy, 400, seed=3, check=check)
+        made = {name: calls[name] - before[name] for name in calls}
         frames = int(trace.frames_per_system.sum())
         decisions = len({(start, id(models[n])) for n, log in enumerate(trace.frames)
                          for start in log[:, 0].tolist()})
         assert decisions < frames
-        assert calls[f"solve_{solver}"] - before[f"solve_{solver}"] == decisions
-        assert calls["ratio_bound_holds"] - before["ratio_bound_holds"] == (frames if check else 0)
-    # the sampler-side names stay defined for the wrappers even where the
-    # engine no longer calls them
-    for owner, attr in (
-        (scheduling.ServiceIdleSampler, "sample"),
-        (core.FrameOutcome, "__post_init__"),
-        (simulation, "sample_frame"),
-    ):
-        assert callable(vars(owner)[attr])
+        assert made[f"solve_{solver}"] == decisions
+        assert made["ratio_bound_holds"] == (frames if check else 0)
+        assert made["sample_frame"] == made["sample"] == made["__post_init__"] == frames

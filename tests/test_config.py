@@ -57,6 +57,9 @@ def test_nonpositive_v_rejected():
     errs = errors_of("instance = table1\nslots = 10\nv = 5 0 1\n")
     assert any(key == "v" and "positive" in reason for _, key, reason in errs)
     assert any(ln == 3 for ln, _, _ in errs)
+    for bad in ("inf", "nan", "-inf"):
+        errs = errors_of(f"instance = table1\nslots = 10\nv = 5 {bad} 1\n")
+        assert errs == [(3, "v", f"not a finite number: {bad!r}")]
 
 
 def test_negative_seed_rejected_with_line_number():
@@ -150,6 +153,16 @@ def test_custom_class_validation_propagates():
     bad = CUSTOM.replace("arrival_rate = 1.5\n", "")
     errs = errors_of(bad)
     assert any(key == "arrival_rate" and "required" in reason for _, key, reason in errs)
+    for line, key in (
+        ("energy = nan", "energy"),
+        ("arrival_rate = inf", "arrival_rate"),
+        ("service_mean = inf", "service_mean"),
+    ):
+        old = next(ln for ln in CUSTOM.splitlines() if ln.startswith(f"{key} = "))
+        errs = errors_of(CUSTOM.replace(old, line, 1))
+        assert [key_ for _, key_, _ in errs] == [key]
+        assert "not a finite number" in errs[0][2]
+        assert errs[0][0] == CUSTOM.splitlines().index(old) + 1
 
 
 def test_stationary_weights_parsing():

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from renewalopt.benchmark import StationaryLP
 from renewalopt.core import (
-    FrameDraw,
     FrameOutcome,
     PerformanceTriple,
+    PerformanceVector,
     RenewalSystemModel,
     sample_frame,
     validate_model,
@@ -21,9 +22,15 @@ from renewalopt.distributions import (
 from conftest import FixedDrawSampler
 
 
+def performance_vectors(model: RenewalSystemModel) -> list[PerformanceVector]:
+    """Each action's (f_hat, g_hat), as the stationary LP divides them."""
+    lp = StationaryLP.from_models([model], np.zeros(model.n_metrics))
+    return [PerformanceVector(f, g) for f, g in zip(lp.f_hats[0], lp.g_hats[0])]
+
+
 def one_action_vector(triple: PerformanceTriple):
     """The performance vector of a one-action model declaring this triple."""
-    (vec,) = RenewalSystemModel((triple,), (None,), 1e6, 1e6, 1.0).performance_vectors()
+    (vec,) = performance_vectors(RenewalSystemModel((triple,), (None,), 1e6, 1e6, 1.0))
     return vec
 
 
@@ -61,20 +68,23 @@ def test_triple_array_is_read_only():
 
 
 def test_frame_outcome_shape_checks():
-    with pytest.raises(ValueError):
-        FrameOutcome(0, np.zeros(0), np.zeros((0, 1)))
-    with pytest.raises(ValueError):
-        FrameOutcome(2, np.zeros(3), np.zeros((2, 1)))
-    with pytest.raises(ValueError):
-        FrameOutcome(2, np.zeros(2), np.zeros((3, 1)))
-    with pytest.raises(ValueError):
-        FrameOutcome(2, np.zeros(2), np.zeros(2))  # metrics must be 2-d
+    for args, message in (
+        ((0, 1.0, None), "frame of length 0"),
+        ((2, 1.0, None, ((2, 0, -1.0),)), "impulse at offset 2 of a frame of length 2"),
+        ((2, 1.0, None, ((-1, 0, -1.0),)), "impulse at offset -1 of a frame of length 2"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            FrameOutcome(*args)
+    # the first and last slot take impulses; the metric index is not checked here
+    frame = FrameOutcome(2, 1.0, None, ((0, 5, -1.0), (1, 0, -1.0)))
+    assert frame.length == 2
 
 
 def test_frame_outcome_totals():
-    out = FrameOutcome(3, np.array([1.0, 2.0, 3.0]), np.array([[1.0], [0.0], [-1.0]]))
-    assert out.total_penalty == 6.0
-    assert np.array_equal(out.total_metrics, [0.0])
+    out = FrameOutcome(3, 2.0, np.array([1.0]), ((2, 0, -1.0),))
+    y_total, z_total = out.totals(1)
+    assert y_total == 6.0
+    assert np.array_equal(z_total, [2.0])
 
 
 def test_model_rejects_inconsistent_declarations():
@@ -105,7 +115,7 @@ def test_model_caches_action_arrays():
     assert np.array_equal(model.y_hats, [2.0, 8.0])
     assert np.array_equal(model.z_hats, [[1.0], [-2.0]])
     assert np.array_equal(model.t_hats, [2.0, 4.0])
-    vecs = model.performance_vectors()
+    vecs = performance_vectors(model)
     assert vecs[0].f_hat == 1.0 and vecs[1].f_hat == 2.0
     with pytest.raises(ValueError):
         model.y_hats[0] = 99.0
@@ -115,8 +125,9 @@ def test_sample_frame_deterministic_action():
     model = constant_rate_model([3.0], [[0.0]], [DeterministicLength(1)])
     out = sample_frame(model, 0, np.random.default_rng(0))
     assert out.length == 1
-    assert np.array_equal(out.per_slot_penalty, [3.0])
-    assert np.array_equal(out.per_slot_metrics, [[0.0]])
+    assert out.penalty_rate == 3.0
+    assert np.array_equal(out.metric_rate, [0.0])
+    assert out.impulses == ()
 
 
 def test_sample_frame_accepts_action_id_and_checks_range():
@@ -138,8 +149,8 @@ def test_sample_frame_same_seed_same_outcome():
     a = sample_frame(model, 0, np.random.default_rng(42))
     b = sample_frame(model, 0, np.random.default_rng(42))
     assert a.length == b.length
-    assert np.array_equal(a.per_slot_penalty, b.per_slot_penalty)
-    assert np.array_equal(a.per_slot_metrics, b.per_slot_metrics)
+    assert a.penalty_rate == b.penalty_rate
+    assert np.array_equal(a.metric_rate, b.metric_rate)
 
 
 def test_sample_frame_geometric_mean():
@@ -159,14 +170,13 @@ def test_sample_frame_geometric_mean():
 def test_constant_rate_frames_respect_declared_bounds(rate, mean_len, seed):
     model = constant_rate_model([rate], [[rate / 2]], [GeometricLength(mean_len)])
     out = sample_frame(model, 0, np.random.default_rng(seed))
-    assert np.all(np.abs(out.per_slot_penalty) <= model.y_max)
-    assert np.all(np.abs(out.per_slot_metrics) <= model.z_max)
-    vec = model.performance_vectors()[0]
+    assert abs(out.penalty_rate) <= model.y_max
+    assert np.all(np.abs(out.metric_rate) <= model.z_max)
+    vec = performance_vectors(model)[0]
     assert abs(vec.f_hat) <= model.y_max + 1e-12
     assert np.all(np.abs(vec.g_hat) <= model.z_max + 1e-12)
 
 
-@pytest.mark.usefixtures("no_dense_frames")
 def test_validate_model_deterministic_unit_frames():
     model = constant_rate_model([3.0], [[1.0]], [DeterministicLength(1)])
     report = validate_model(model, 50)
@@ -180,7 +190,6 @@ def test_validate_model_deterministic_unit_frames():
     assert not act.residual_flags.any()
 
 
-@pytest.mark.usefixtures("no_dense_frames")
 def test_validate_model_catches_lying_declaration():
     # declared mean penalty 4 per unit frame, sampler actually emits 7 per slot
     triple = PerformanceTriple(4.0, [0.0], 1.0)
@@ -194,7 +203,6 @@ def test_validate_model_catches_lying_declaration():
     assert any("bound" in f for f in report.flags)
 
 
-@pytest.mark.usefixtures("no_dense_frames")
 def test_validate_model_reads_the_compact_draw(table1_env):
     report = validate_model(table1_env["models"][0], 500)
     assert report.ok, report.flags
@@ -202,16 +210,20 @@ def test_validate_model_reads_the_compact_draw(table1_env):
 
 
 def test_validate_model_rejects_malformed_frame_draws():
-    triple = PerformanceTriple(1.0, [0.0], 2.0)
-    for draw, message in (
-        (FrameDraw(0, 1.0, None), "length 0"),
-        (FrameDraw(2, 1.0, None, ((2, 0, -1.0),)), "offset 2"),
-        (FrameDraw(2, 1.0, None, ((-1, 0, -1.0),)), "offset -1"),
-        (FrameDraw(2, 1.0, None, ((0, 1, -1.0),)), "metric 1"),
+    # a frame cannot be built with a bad length or offset; the metric index
+    # is checked where the metric count is known
+    for args, message in (
+        ((0, 1.0, None), "length 0"),
+        ((2, 1.0, None, ((2, 0, -1.0),)), "offset 2"),
+        ((2, 1.0, None, ((-1, 0, -1.0),)), "offset -1"),
     ):
-        model = RenewalSystemModel((triple,), (FixedDrawSampler(draw),), 1.0, 1.0, 4.0)
         with pytest.raises(ValueError, match=message):
-            validate_model(model, 10)
+            FrameOutcome(*args)
+    triple = PerformanceTriple(1.0, [0.0], 2.0)
+    frame = FrameOutcome(2, 1.0, None, ((0, 1, -1.0),))
+    model = RenewalSystemModel((triple,), (FixedDrawSampler(frame),), 1.0, 1.0, 4.0)
+    with pytest.raises(ValueError, match="metric 1"):
+        validate_model(model, 10)
 
 
 # per-slot values: small integers (so sums land exactly on a bound), any
@@ -243,30 +255,37 @@ def _frame_draws(draw):
     ]
     impulses = draw(st.permutations(impulses))
     row = None if row is None else np.array(row)
-    return FrameDraw(length, draw(_slot_values), row, tuple(impulses)), n_metrics
+    return FrameOutcome(length, draw(_slot_values), row, tuple(impulses)), n_metrics
 
 
 @given(frame=_frame_draws(), y_max=_bounds, z_max=_bounds)
 # every slot of metric 0 is impulsed, so its bare row value 31 appears nowhere
 @example(
-    frame=(FrameDraw(2, 0.0, np.array([31.0, 0.0]), ((0, 0, -10.0), (1, 0, -20.0))), 2),
+    frame=(FrameOutcome(2, 0.0, np.array([31.0, 0.0]), ((0, 0, -10.0), (1, 0, -20.0))), 2),
     y_max=1.0,
     z_max=25.0,
 )
 @settings(max_examples=300, deadline=None)
 def test_compact_frame_checks_match_the_dense_arrays(frame, y_max, z_max):
-    draw, n_metrics = frame
+    frame, n_metrics = frame
     with np.errstate(invalid="ignore", over="ignore"):
-        out = draw.outcome(n_metrics)
+        # the frame's per-slot arrays, impulses added to their entry in order
+        penalty = np.full(frame.length, frame.penalty_rate)
+        if frame.metric_rate is None:
+            metrics = np.zeros((frame.length, n_metrics))
+        else:
+            metrics = np.tile(frame.metric_rate, (frame.length, 1))
+        for s, l, value in frame.impulses:
+            metrics[s, l] += value
         dense = (
-            bool(np.any(np.abs(out.per_slot_penalty) > y_max)),
-            bool(np.any(np.abs(out.per_slot_metrics) > z_max)),
+            bool(np.any(np.abs(penalty) > y_max)),
+            bool(np.any(np.abs(metrics) > z_max)),
         )
-        assert draw.bound_violations(y_max, z_max, n_metrics) == dense
-        y_total, z_total = draw.totals(n_metrics)
+        assert frame.bound_violations(y_max, z_max, n_metrics) == dense
+        y_total, z_total = frame.totals(n_metrics)
         # bit for bit, the sign of zero and NaN included
-        assert np.float64(y_total).tobytes() == np.float64(out.total_penalty).tobytes()
-        assert z_total.tobytes() == out.total_metrics.tobytes()
+        assert np.float64(y_total).tobytes() == penalty.sum().tobytes()
+        assert z_total.tobytes() == metrics.sum(axis=0).tobytes()
 
 
 def test_validate_model_residual_flagging():

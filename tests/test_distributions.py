@@ -66,8 +66,9 @@ def test_constant_rate_sampler_triple_and_frames():
     assert triple.t_hat == 3.0
     out = s.sample(np.random.default_rng(0))
     assert out.length == 3
-    assert np.array_equal(out.per_slot_penalty, [2.0, 2.0, 2.0])
-    assert np.array_equal(out.per_slot_metrics, [[1.0, -1.0]] * 3)
+    assert out.penalty_rate == 2.0
+    assert np.array_equal(out.metric_rate, [1.0, -1.0])
+    assert out.impulses == ()
 
 
 def test_constant_rate_model_defaults():

@@ -88,21 +88,19 @@ def test_sampler_emits_one_service_impulse():
     sampler = ServiceIdleSampler(params, 1, 3)
     for _ in range(500):
         out = sampler.sample(rng)
-        nz_rows, nz_cols = np.nonzero(out.per_slot_metrics)
-        assert len(nz_rows) == 1
-        assert nz_cols[0] == 1
-        jobs = -out.per_slot_metrics[nz_rows[0], 1]
+        assert out.metric_rate is None
+        ((offset, metric, value),) = out.impulses
+        assert metric == 1
+        jobs = -value
         assert jobs == int(jobs)
         assert params.jobs_low <= jobs <= params.jobs_high
         # at least one idle slot follows the service phase
-        assert nz_rows[0] <= out.length - 2
+        assert offset <= out.length - 2
         # energy is flat across the frame and sums to batch + idle draw
-        service = nz_rows[0] + 1
+        service = offset + 1
         idle = out.length - service
-        assert np.allclose(out.per_slot_penalty, out.per_slot_penalty[0])
-        assert out.total_penalty == pytest.approx(
-            params.energy + params.idle_power * idle, abs=1e-9
-        )
+        y_total, _ = out.totals(3)
+        assert y_total == pytest.approx(params.energy + params.idle_power * idle, abs=1e-9)
 
 
 def test_sampled_frames_match_declared_triples(table1_env):

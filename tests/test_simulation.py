@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from renewalopt import simulation
 from renewalopt.controller import queue_step, queue_update
-from renewalopt.core import FrameDraw, PerformanceTriple, PerformanceVector, RenewalSystemModel
+from renewalopt.core import FrameOutcome, PerformanceTriple, PerformanceVector, RenewalSystemModel
 from renewalopt.distributions import (
     ConstantRateSampler,
     DeterministicLength,
@@ -89,6 +89,9 @@ def test_policy_validation():
     assert p.v == 5.0
     with pytest.raises(ValueError):
         DppRatioPolicy(1.0, solver="newton")
+    for v in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            DppRatioPolicy(v)
     with pytest.raises(ValueError):
         RandomizedStationaryPolicy((np.array([0.5, 0.4]),))  # sums to 0.9
     with pytest.raises(ValueError):
@@ -226,9 +229,8 @@ def test_checked_run_completes_clean(table1_env):
     assert trace.slots == 2000
 
 
-@pytest.mark.usefixtures("no_dense_frames")
 def test_checked_run_checks_bounds_on_the_compact_draw(table1_env):
-    # the bound check reads each frame's FrameDraw; no per-slot arrays
+    # the bound check reads each compact FrameOutcome
     models, external = table1_env["models"], table1_env["external"]
     trace = run(models, external, DppRatioPolicy(100.0), slots=2000, seed=3, check=True)
     assert trace.frames_per_system.sum() > 0
@@ -251,7 +253,6 @@ def test_checked_run_catches_a_stale_queue_decision(table1_env, monkeypatch):
         run(models, external, DppRatioPolicy(10.0), slots=2000, seed=0, check=True)
 
 
-@pytest.mark.usefixtures("no_dense_frames")
 def test_checked_run_catches_lying_bounds():
     # the declared triple is consistent with y_max = 5 but the sampler
     # actually emits 7 per slot; the unchecked run tolerates it, the
@@ -265,7 +266,6 @@ def test_checked_run_catches_lying_bounds():
         run([model], external, DppRatioPolicy(1.0), slots=50, seed=0, check=True)
 
 
-@pytest.mark.usefixtures("no_dense_frames")
 def test_checked_run_catches_lying_impulse_bounds(table1_env):
     # the scheduling sampler lays its job count as one impulse; a model that
     # declares z_max below jobs_high must fail the checked run there
@@ -281,16 +281,15 @@ def test_checked_run_catches_lying_impulse_bounds(table1_env):
 
 
 def test_run_rejects_malformed_frame_draws():
-    external = ExternalProcess((FixedValue(0.0),))
-    triple = PerformanceTriple(1.0, [0.0], 2.0)
-    for draw, message in (
-        (FrameDraw(0, 1.0, None), "length 0"),
-        (FrameDraw(2, 1.0, None, ((2, 0, -1.0),)), "offset 2"),
-        (FrameDraw(2, 1.0, None, ((-1, 0, -1.0),)), "offset -1"),
+    # a frame the engine could not lay down (an empty frame, or an impulse
+    # outside its slots) cannot be built, so no sampler can hand one over
+    for args, message in (
+        ((0, 1.0, None), "length 0"),
+        ((2, 1.0, None, ((2, 0, -1.0),)), "offset 2"),
+        ((2, 1.0, None, ((-1, 0, -1.0),)), "offset -1"),
     ):
-        model = RenewalSystemModel((triple,), (FixedDrawSampler(draw),), 1.0, 1.0, 4.0)
         with pytest.raises(ValueError, match=message):
-            run([model], external, DppRatioPolicy(1.0), slots=10, seed=0)
+            FrameOutcome(*args)
 
 
 def test_run_rejects_impulses_on_a_missing_metric():
@@ -299,8 +298,8 @@ def test_run_rejects_impulses_on_a_missing_metric():
     external = ExternalProcess((FixedValue(0.0), FixedValue(0.0)))
     triple = PerformanceTriple(1.0, [0.0, 0.0], 2.0)
     for l in (-1, 2):
-        draw = FrameDraw(2, 1.0, None, ((1, l, -5.0),))
-        model = RenewalSystemModel((triple,), (FixedDrawSampler(draw),), 1.0, 5.0, 4.0)
+        frame = FrameOutcome(2, 1.0, None, ((1, l, -5.0),))
+        model = RenewalSystemModel((triple,), (FixedDrawSampler(frame),), 1.0, 5.0, 4.0)
         with pytest.raises(ValueError, match=f"impulse on metric {l} of a frame with 2 metrics"):
             run([model], external, DppRatioPolicy(1.0), slots=10, seed=0)
 
@@ -465,7 +464,8 @@ def trace_digest(trace):
     return h.hexdigest()
 
 
-def fingerprint_runs(table1_env):
+def fingerprint_cases(table1_env):
+    """(models, external, policy, slots, seed, check) of each fingerprinted run."""
     models, external = table1_env["models"], table1_env["external"]
     custom_models, custom_external, _ = build_instance(
         SchedulingInstance(
@@ -482,22 +482,22 @@ def fingerprint_runs(table1_env):
     fixture_external = ExternalProcess((FixedValue(0.0), CappedPoisson(0.3, scale=-1.0)))
     weights = stationary_policy_weights(table1_env["sol"])
     return {
-        "table1_enumerate": lambda: run(models, external, DppRatioPolicy(20.0), 3000, seed=4),
-        "custom_bisection_checked": lambda: run(
-            custom_models,
-            custom_external,
-            DppRatioPolicy(50.0, "bisection"),
-            3000,
-            seed=7,
-            check=True,
+        "table1_enumerate": (models, external, DppRatioPolicy(20.0), 3000, 4, False),
+        "custom_bisection_checked": (
+            custom_models, custom_external, DppRatioPolicy(50.0, "bisection"), 3000, 7, True
         ),
-        "table1_stationary": lambda: run(
-            models, external, RandomizedStationaryPolicy(weights), 3000, seed=2
+        "table1_stationary": (
+            models, external, RandomizedStationaryPolicy(weights), 3000, 2, False
         ),
-        "constant_rate_fixture": lambda: run(
-            [fixture, fixture], fixture_external, DppRatioPolicy(5.0), 2000, seed=11
+        "constant_rate_fixture": (
+            [fixture, fixture], fixture_external, DppRatioPolicy(5.0), 2000, 11, False
         ),
     }
+
+
+def fingerprint_run(table1_env, name):
+    models, external, policy, slots, seed, check = fingerprint_cases(table1_env)[name]
+    return run(models, external, policy, slots, seed=seed, check=check)
 
 
 # SHA-256 of the raw trace bytes (penalty, metrics, external, queues and the
@@ -513,7 +513,33 @@ TRACE_FINGERPRINTS = {
 
 @pytest.mark.parametrize("name", sorted(TRACE_FINGERPRINTS))
 def test_trace_fingerprint(table1_env, name):
-    assert trace_digest(fingerprint_runs(table1_env)[name]()) == TRACE_FINGERPRINTS[name]
+    assert trace_digest(fingerprint_run(table1_env, name)) == TRACE_FINGERPRINTS[name]
+
+
+def frame_stats_digest(stats):
+    """SHA-256 of every running sum of each system's FrameStats."""
+    h = hashlib.sha256()
+    for st in stats:
+        scalars = [st.count, st.sum_y, st.sum_t, st.sum_yy, st.sum_yt, st.sum_tt]
+        h.update(np.array(scalars).tobytes())
+        for arr in (st.sum_z, st.sum_zz, st.sum_zt):
+            h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+# SHA-256 of the FrameStats sums of two fingerprinted runs, which replay
+# every completed frame: they pin the frame totals the replay adds up
+FRAME_STATS_FINGERPRINTS = {
+    "custom_bisection_checked": "ac459bec556936f5fd0bf53a27cac2fbbcafb1927e65c9597cbf6ec773ae1718",
+    "table1_stationary": "143b904543b989d3725ace25112fa5998b80d9cd5dcd169a3e2127c8ad5bec23",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_STATS_FINGERPRINTS))
+def test_frame_stats_fingerprint(table1_env, name):
+    models, _, policy, _, _, _ = fingerprint_cases(table1_env)[name]
+    stats = frame_stats(fingerprint_run(table1_env, name), models, policy)
+    assert frame_stats_digest(stats) == FRAME_STATS_FINGERPRINTS[name]
 
 
 # finite values, small enough that no sum overflows; ranges that span zero
@@ -577,6 +603,6 @@ def test_stationary_runs_draw_one_action_per_frame(table1_env, monkeypatch):
         return draw_action(self, n, rng)
 
     monkeypatch.setattr(RandomizedStationaryPolicy, "draw_action", counted)
-    trace = fingerprint_runs(table1_env)["table1_stationary"]()
+    trace = fingerprint_run(table1_env, "table1_stationary")
     assert np.array_equal(np.bincount(draws), trace.frames_per_system)
     assert trace_digest(trace) == TRACE_FINGERPRINTS["table1_stationary"]
