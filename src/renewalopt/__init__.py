@@ -27,7 +27,6 @@ from .controller import (
     ratio_bound_holds,
     solve_bisection,
     solve_enumerate,
-    solve_hull_vertices,
 )
 from .core import (
     FrameOutcome,

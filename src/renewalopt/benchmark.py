@@ -3,7 +3,7 @@
 The best stationary randomized policy solves
 
     min   sum_n sum_a theta_n(a) * f_hat_n(a)
-    s.t.  sum_n sum_a theta_n(a) * g_hat_nl(a)  <=/>=  d_l      for each l
+    s.t.  sum_n sum_a theta_n(a) * g_hat_nl(a)  <=  d_l          for each l
           theta_n >= 0, sum_a theta_n(a) = 1                    for each n
 
 where theta_n are hull weights over system n's performance vectors; the
@@ -41,25 +41,23 @@ __all__ = [
 class StationaryLP:
     """Per-system performance vectors plus the coupled constraint bounds.
 
-    directions[l] is "<=" or ">="; t_hats are only needed when LP weights
-    will be mapped back to per-frame policy probabilities.
+    Every coupled row reads sum_n theta_n . g_hats[n][:, l] <= d[l]; t_hats
+    are only needed when LP weights will be mapped back to per-frame policy
+    probabilities.
     """
 
     f_hats: tuple[np.ndarray, ...]
     g_hats: tuple[np.ndarray, ...]
     d: np.ndarray
-    directions: tuple[str, ...]
     t_hats: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self):
         f_hats = tuple(np.asarray(f, dtype=float).reshape(-1) for f in self.f_hats)
         g_hats = tuple(np.asarray(g, dtype=float) for g in self.g_hats)
         d = np.asarray(self.d, dtype=float).reshape(-1)
-        directions = tuple(self.directions)
         object.__setattr__(self, "f_hats", f_hats)
         object.__setattr__(self, "g_hats", g_hats)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "directions", directions)
         if not f_hats:
             raise ValueError("need at least one system")
         if len(g_hats) != len(f_hats):
@@ -70,8 +68,6 @@ class StationaryLP:
                 raise ValueError("every system needs at least one action")
             if g.shape != (f.shape[0], n_metrics):
                 raise ValueError("g_hats rows must be (n_actions, n_metrics)")
-        if len(directions) != n_metrics or any(s not in ("<=", ">=") for s in directions):
-            raise ValueError('directions must be "<=" or ">=" per constraint')
         if self.t_hats is not None:
             t_hats = tuple(np.asarray(t, dtype=float).reshape(-1) for t in self.t_hats)
             object.__setattr__(self, "t_hats", t_hats)
@@ -82,13 +78,12 @@ class StationaryLP:
 
     @classmethod
     def from_models(cls, models: Sequence[RenewalSystemModel], d) -> "StationaryLP":
-        """The LP of the given systems with "<=" rows, the models' own convention."""
+        """The LP of the given systems, one performance vector per action."""
         d = np.asarray(d, dtype=float).reshape(-1)
         return cls(
             f_hats=tuple(m.y_hats / m.t_hats for m in models),
             g_hats=tuple(m.z_hats / m.t_hats[:, None] for m in models),
             d=d,
-            directions=("<=",) * d.shape[0],
             t_hats=tuple(m.t_hats for m in models),
         )
 
@@ -113,10 +108,6 @@ class LPSolution:
     duals: np.ndarray | None = None
 
 
-def _signs(lp: StationaryLP) -> np.ndarray:
-    return np.array([1.0 if s == "<=" else -1.0 for s in lp.directions])
-
-
 def _achieved(lp: StationaryLP, weights: Sequence[np.ndarray]) -> np.ndarray:
     return np.sum([g.T @ w for g, w in zip(lp.g_hats, weights)], axis=0)
 
@@ -124,21 +115,17 @@ def _achieved(lp: StationaryLP, weights: Sequence[np.ndarray]) -> np.ndarray:
 def solve_lp(lp: StationaryLP) -> LPSolution:
     """Solve the hull-weight LP with the dense simplex.
 
-    ">=" rows are negated so the core always minimizes subject to "<=" rows.
-    Reported duals are nonnegative sensitivities to relaxing each constraint
-    in its own direction; they are estimates only, nothing downstream relies
-    on them.
+    Reported duals are nonnegative sensitivities to relaxing each constraint;
+    they are estimates only, nothing downstream relies on them.
     """
-    signs = _signs(lp)
     blocks = [f.shape[0] for f in lp.f_hats]
     n = sum(blocks)
     c = np.concatenate(lp.f_hats)
     a_ub = np.zeros((lp.n_metrics, n))
     offset = 0
     for g, width in zip(lp.g_hats, blocks):
-        a_ub[:, offset : offset + width] = (signs[:, None] * g.T)
+        a_ub[:, offset : offset + width] = g.T
         offset += width
-    b_ub = signs * lp.d
     a_eq = np.zeros((lp.n_systems, n))
     offset = 0
     for i, width in enumerate(blocks):
@@ -146,7 +133,7 @@ def solve_lp(lp: StationaryLP) -> LPSolution:
         offset += width
     b_eq = np.ones(lp.n_systems)
 
-    res = simplex_solve(c, a_ub, b_ub, a_eq, b_eq)
+    res = simplex_solve(c, a_ub, lp.d, a_eq, b_eq)
     if res.status != "optimal":
         return LPSolution(lp=lp, status=res.status)
 
@@ -196,11 +183,9 @@ def brute_force_oracle(lp: StationaryLP, grid: int) -> LPSolution:
     free_dims = sum(f.shape[0] - 1 for f in lp.f_hats)
     if grid**max(free_dims, 1) > 10**7:
         raise ValueError("instance too large for the requested grid")
-    signs = _signs(lp)
-    d_solved = signs * lp.d
     grids = [_simplex_grid(f.shape[0], grid) for f in lp.f_hats]
     objs = [g @ f for g, f in zip(grids, lp.f_hats)]  # (P_n,)
-    cons = [w_grid @ (g * signs[None, :]) for w_grid, g in zip(grids, lp.g_hats)]
+    cons = [w_grid @ g for w_grid, g in zip(grids, lp.g_hats)]
 
     best_obj = np.inf
     best_weights = None
@@ -211,7 +196,7 @@ def brute_force_oracle(lp: StationaryLP, grid: int) -> LPSolution:
         if sys_idx == last:
             total_obj = obj_acc + objs[last]
             total_con = con_acc[None, :] + cons[last]
-            feasible = np.all(total_con <= d_solved[None, :] + 1e-9, axis=1)
+            feasible = np.all(total_con <= lp.d[None, :] + 1e-9, axis=1)
             if not feasible.any():
                 return
             idx = np.nonzero(feasible)[0]

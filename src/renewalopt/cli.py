@@ -32,7 +32,7 @@ from .benchmark import (
     stationary_policy_weights,
 )
 from .config import ConfigError, ExperimentConfig, parse_config
-from .core import RESIDUAL_MIN_FRAMES, validate_model
+from .core import validate_model
 from .scheduling import build_instance
 from .simulation import (
     CheckViolation,
@@ -204,15 +204,12 @@ def _cmd_validate(args) -> int:
     report = validate_model(model, args.samples)
     print(f"model (all servers): {'ok' if report.ok else 'FLAGGED'}")
     for av in report.actions:
-        # show the largest residual estimate the check actually assessed
-        assessed = av.residual_estimates[av.residual_counts >= RESIDUAL_MIN_FRAMES]
-        max_residual = assessed.max() if assessed.size else av.residual_estimates[0]
         print(
             f"  action {av.action_index}: samples={av.samples} "
             f"bound_violations={av.bound_violations} "
             f"y_hat={_fmt(av.y_mean)} (declared {_fmt(av.declared.y_hat)}) "
             f"t_hat={_fmt(av.t_mean)} (declared {_fmt(av.declared.t_hat)}) "
-            f"max_residual={_fmt(max_residual)} "
+            f"max_residual={_fmt(av.max_assessed_residual)} "
             f"(bound {_fmt(model.residual_bound)})"
         )
     for flag in report.flags:

@@ -19,12 +19,17 @@ Top-level keys:
     check        on | off                              (default off)
     weights      lp | per-class probabilities          (stationary policy; default lp)
 
-[class] keys: arrival_rate, service_mean, jobs_support (two integers),
-energy, idle_mean, idle_power (optional, defaults to the top-level value).
+[class] keys:
+    arrival_rate float > 0                             (required)
+    service_mean float >= 1                            (required)
+    jobs_support two integers 0 < low <= high          (required; integer midpoint)
+    energy       float >= 0                            (required)
+    idle_mean    float >= 1                            (required)
+    idle_power   float >= 0                            (default: the top-level value)
 
 Unknown keys, duplicate keys, and malformed values (inf and nan included)
-are reported with their line numbers; all errors in a file are collected
-before giving up.
+are reported with their line numbers, each malformed value once; all errors
+in a file are collected before giving up.
 """
 
 from __future__ import annotations
@@ -37,29 +42,6 @@ from .scheduling import TABLE1, SchedulingInstance, ServerClassParams
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "DEFAULT_V_SWEEP"]
 
 DEFAULT_V_SWEEP = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0)
-
-_TOP_KEYS = {
-    "instance",
-    "servers",
-    "idle_power",
-    "policy",
-    "solver",
-    "v",
-    "slots",
-    "seeds",
-    "out",
-    "trajectories",
-    "check",
-    "weights",
-}
-_CLASS_KEYS = {
-    "arrival_rate",
-    "service_mean",
-    "jobs_support",
-    "energy",
-    "idle_mean",
-    "idle_power",
-}
 
 
 class ConfigError(Exception):
@@ -89,8 +71,118 @@ class ExperimentConfig:
     weights: tuple[float, ...] | str
 
 
-def _split_list(value: str) -> list[str]:
-    return value.replace(",", " ").split()
+def _choice(*options):
+    def parser(value):
+        if value not in options:
+            raise ValueError(f"must be one of {', '.join(sorted(options))}")
+        return value
+    return parser
+
+
+def _checked(parse, holds, reason):
+    """parse, then reject a value for which holds(value) is false."""
+    def parser(value):
+        out = parse(value)
+        if not holds(out):
+            raise ValueError(reason)
+        return out
+    return parser
+
+
+def _int(value):
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"not an integer: {value!r}") from None
+
+
+def _float(value):
+    try:
+        out = float(value)
+    except ValueError:
+        raise ValueError(f"not a number: {value!r}") from None
+    if not math.isfinite(out):
+        raise ValueError(f"not a finite number: {value!r}")
+    return out
+
+
+def _list_of(parse_item):
+    def parser(value):
+        items = value.replace(",", " ").split()
+        if not items:
+            raise ValueError("empty list")
+        return tuple(parse_item(item) for item in items)
+    return parser
+
+
+def _onoff(value):
+    if value not in ("on", "off"):
+        raise ValueError("must be on or off")
+    return value == "on"
+
+
+_positive_int = _checked(_int, lambda x: x >= 1, "must be >= 1")
+_nonnegative_float = _checked(_float, lambda x: x >= 0, "must be >= 0")
+_probabilities = _checked(
+    _checked(_list_of(_float), lambda ws: min(ws) >= 0, "entries must be nonnegative"),
+    lambda ws: abs(sum(ws) - 1.0) <= 1e-6,
+    "entries must sum to 1",
+)
+
+# the default of a key that must be present
+_REQUIRED = object()
+
+# key -> (parser of its value, default when absent); the keys are the known keys
+_TOP_TABLE = {
+    "instance": (_choice("table1", "custom"), _REQUIRED),
+    "servers": (_positive_int, None),
+    "idle_power": (_nonnegative_float, None),
+    "policy": (_choice("dpp_ratio", "stationary"), "dpp_ratio"),
+    "solver": (_choice("enumerate", "bisection"), "enumerate"),
+    "v": (
+        _checked(_list_of(_float), lambda vs: all(v > 0 for v in vs), "V must be positive"),
+        DEFAULT_V_SWEEP,
+    ),
+    "slots": (_positive_int, _REQUIRED),
+    "seeds": (_checked(_list_of(_int), lambda xs: min(xs) >= 0, "seeds must be >= 0"), (1,)),
+    "out": (str, "results"),
+    "trajectories": (_onoff, False),
+    "check": (_onoff, False),
+    "weights": (lambda value: value if value == "lp" else _probabilities(value), "lp"),
+}
+# a class without its own idle_power takes the top-level value
+_CLASS_TABLE = {
+    "arrival_rate": (_float, _REQUIRED),
+    "service_mean": (_float, _REQUIRED),
+    "jobs_support": (
+        _checked(_list_of(_int), lambda xs: len(xs) == 2, "needs exactly two integers"),
+        _REQUIRED,
+    ),
+    "energy": (_float, _REQUIRED),
+    "idle_mean": (_float, _REQUIRED),
+    "idle_power": (_nonnegative_float, None),
+}
+
+
+def _parse_scope(scope, table, errors, where="") -> dict:
+    """Every key of table parsed from scope's (line, value) entries.
+
+    An absent key takes its default.  A malformed value is reported once,
+    on its line, and a missing required key at line 0; either parses to None.
+    """
+    values = {}
+    for key, (parser, default) in table.items():
+        values[key] = None if default is _REQUIRED else default
+        if key in scope:
+            ln, value = scope[key]
+            try:
+                values[key] = parser(value)
+            except ValueError as exc:
+                errors.append((ln, key, str(exc)))
+                values[key] = None
+        elif default is _REQUIRED:
+            errors.append((0, key, f"required key missing{where}"))
+    return values
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -118,8 +210,7 @@ def parse_config(text: str) -> ExperimentConfig:
         key = key.strip()
         value = value.strip()
         scope = top if current is None else current
-        known = _TOP_KEYS if current is None else _CLASS_KEYS
-        if key not in known:
+        if key not in (_TOP_TABLE if current is None else _CLASS_TABLE):
             where = "top level" if current is None else "[class] section"
             errors.append((ln, key, f"unknown key at {where}"))
             continue
@@ -128,98 +219,8 @@ def parse_config(text: str) -> ExperimentConfig:
             continue
         scope[key] = (ln, value)
 
-    def take(scope, key, parser, default=None, required=False, where=""):
-        if key not in scope:
-            if required:
-                errors.append((0, key, f"required key missing{where}"))
-            return default
-        ln, value = scope[key]
-        try:
-            return parser(value)
-        except ValueError as exc:
-            errors.append((ln, key, str(exc)))
-            return default
-
-    def parse_choice(options):
-        def parser(value):
-            if value not in options:
-                raise ValueError(f"must be one of {', '.join(sorted(options))}")
-            return value
-        return parser
-
-    def parse_int(minimum):
-        def parser(value):
-            try:
-                out = int(value)
-            except ValueError:
-                raise ValueError(f"not an integer: {value!r}") from None
-            if out < minimum:
-                raise ValueError(f"must be >= {minimum}")
-            return out
-        return parser
-
-    def parse_float(value):
-        try:
-            out = float(value)
-        except ValueError:
-            raise ValueError(f"not a number: {value!r}") from None
-        if not math.isfinite(out):
-            raise ValueError(f"not a finite number: {value!r}")
-        return out
-
-    def parse_float_list(value):
-        items = _split_list(value)
-        if not items:
-            raise ValueError("empty list")
-        return tuple(parse_float(item) for item in items)
-
-    def parse_int_list(value):
-        items = _split_list(value)
-        if not items:
-            raise ValueError("empty list")
-        out = []
-        for item in items:
-            try:
-                out.append(int(item))
-            except ValueError:
-                raise ValueError(f"not an integer: {item!r}") from None
-        return tuple(out)
-
-    def parse_onoff(value):
-        if value not in ("on", "off"):
-            raise ValueError("must be on or off")
-        return value == "on"
-
-    kind = take(top, "instance", parse_choice({"table1", "custom"}), required=True)
-    servers = take(top, "servers", parse_int(1))
-    idle_power = take(top, "idle_power", parse_float)
-    policy = take(top, "policy", parse_choice({"dpp_ratio", "stationary"}), default="dpp_ratio")
-    solver = take(top, "solver", parse_choice({"enumerate", "bisection"}), default="enumerate")
-    v_list = take(top, "v", parse_float_list, default=DEFAULT_V_SWEEP)
-    slots = take(top, "slots", parse_int(1), required=True)
-    seeds = take(top, "seeds", parse_int_list, default=(1,))
-    out = take(top, "out", str, default="results")
-    trajectories = take(top, "trajectories", parse_onoff, default=False)
-    check = take(top, "check", parse_onoff, default=False)
-
-    weights: tuple[float, ...] | str = "lp"
-    if "weights" in top:
-        ln, value = top["weights"]
-        if value == "lp":
-            weights = "lp"
-        else:
-            try:
-                weights = parse_float_list(value)
-            except ValueError as exc:
-                errors.append((ln, "weights", str(exc)))
-
-    if v_list is not None:
-        bad = [x for x in v_list if not x > 0]
-        if bad:
-            ln = top["v"][0] if "v" in top else 0
-            errors.append((ln, "v", "V must be positive"))
-    if seeds is not None and any(seed < 0 for seed in seeds):
-        errors.append((top["seeds"][0], "seeds", "seeds must be >= 0"))
+    cfg = _parse_scope(top, _TOP_TABLE, errors)
+    kind, servers, idle_power = cfg["instance"], cfg["servers"], cfg["idle_power"]
 
     instance = None
     if kind == "table1":
@@ -232,37 +233,28 @@ def parse_config(text: str) -> ExperimentConfig:
         if servers is not None:
             instance = SchedulingInstance(n_servers=servers, classes=TABLE1.classes)
     elif kind == "custom":
-        if servers is None:
-            errors.append((0, "servers", "required for instance = custom"))
-        if idle_power is None:
-            errors.append((0, "idle_power", "required for instance = custom"))
+        for key in ("servers", "idle_power"):
+            if key not in top:
+                errors.append((0, key, "required for instance = custom"))
         if not classes:
             errors.append((0, "instance", "custom instance needs at least one [class] section"))
         built = []
         for i, scope in enumerate(classes):
-            where = f" in [class] {i + 1}"
-            arrival = take(scope, "arrival_rate", parse_float, required=True, where=where)
-            service = take(scope, "service_mean", parse_float, required=True, where=where)
-            support = take(scope, "jobs_support", parse_int_list, required=True, where=where)
-            energy = take(scope, "energy", parse_float, required=True, where=where)
-            idle = take(scope, "idle_mean", parse_float, required=True, where=where)
-            power = take(scope, "idle_power", parse_float, default=idle_power)
-            if support is not None and len(support) != 2:
-                ln = scope["jobs_support"][0]
-                errors.append((ln, "jobs_support", "needs exactly two integers"))
-                support = None
-            if None in (arrival, service, support, energy, idle, power):
+            params = _parse_scope(scope, _CLASS_TABLE, errors, f" in [class] {i + 1}")
+            if "idle_power" not in scope:
+                params["idle_power"] = idle_power
+            if None in params.values():
                 continue
+            low, high = params.pop("jobs_support")
             try:
-                built.append(
-                    ServerClassParams(arrival, service, support[0], support[1], energy, idle, power)
-                )
+                built.append(ServerClassParams(jobs_low=low, jobs_high=high, **params))
             except ValueError as exc:
                 ln = min(entry[0] for entry in scope.values()) if scope else 0
                 errors.append((ln, f"class {i + 1}", str(exc)))
         if not errors and built:
             instance = SchedulingInstance(n_servers=servers, classes=tuple(built))
 
+    weights = cfg["weights"]
     if (
         isinstance(weights, tuple)
         and instance is not None
@@ -270,24 +262,19 @@ def parse_config(text: str) -> ExperimentConfig:
     ):
         ln = top["weights"][0]
         errors.append((ln, "weights", f"need {instance.n_classes} entries, one per class"))
-    if isinstance(weights, tuple):
-        if any(w < 0 for w in weights):
-            errors.append((top["weights"][0], "weights", "entries must be nonnegative"))
-        elif abs(sum(weights) - 1.0) > 1e-6:
-            errors.append((top["weights"][0], "weights", "entries must sum to 1"))
 
     if errors:
         raise ConfigError(sorted(errors))
 
     return ExperimentConfig(
         instance=instance,
-        policy=policy,
-        solver=solver,
-        v_list=tuple(v_list),
-        slots=slots,
-        seeds=seeds,
-        out=out,
-        trajectories=trajectories,
-        check=check,
+        policy=cfg["policy"],
+        solver=cfg["solver"],
+        v_list=cfg["v"],
+        slots=cfg["slots"],
+        seeds=cfg["seeds"],
+        out=cfg["out"],
+        trajectories=cfg["trajectories"],
+        check=cfg["check"],
         weights=weights,
     )

@@ -6,24 +6,21 @@ At each frame start the controller minimizes the linearized per-frame ratio
 
     (V * y_hat(a) + <q, z_hat(a)>) / t_hat(a)
 
-over the system's actions, which equals V * f_hat(a) + <q, g_hat(a)>.  Three
-solvers are provided: direct enumeration, a Dinkelbach iteration on the ratio
-parameter, and enumeration over explicit hull vertices.  All three use the
-same arithmetic for the objective so their values can be compared exactly,
-and ``ratio_bound_holds`` checks the minimality certificate that the returned
-value lower-bounds the objective at every action (hence, by convexity, at
-every point of the performance region).
+over the system's actions, which equals V * f_hat(a) + <q, g_hat(a)>.  Two
+solvers are provided: direct enumeration and a Dinkelbach iteration on the
+ratio parameter.  Both use the same arithmetic for the objective, so their
+values compare exactly, and ``ratio_bound_holds`` checks the minimality
+certificate that the returned value lower-bounds the objective at every
+action (hence, by convexity, at every point of the performance region).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
-
 import numpy as np
 
-from .core import PerformanceTriple, RenewalSystemModel
+from .core import RenewalSystemModel
 
 __all__ = [
     "SubproblemSolution",
@@ -31,7 +28,6 @@ __all__ = [
     "queue_step",
     "solve_enumerate",
     "solve_bisection",
-    "solve_hull_vertices",
     "ratio_bound_holds",
 ]
 
@@ -73,40 +69,34 @@ def queue_step(q: list[float], z_slot_sum, d_slot) -> list[float]:
     return [0.0 if (x := a + (b - c)) <= 0.0 else x for a, b, c in zip(q, z_slot_sum, d_slot)]
 
 
-def _penalty_terms(y: np.ndarray, v: float) -> np.ndarray:
-    """The read-only per-action penalty terms V*y.
+@lru_cache(maxsize=256)
+def _model_penalty_terms(model: RenewalSystemModel, v: float) -> np.ndarray:
+    """The read-only per-action penalty terms V*y, computed once per (model, V).
 
-    V = 0 is allowed: the queue term alone then ranks the actions.
+    A run decides every frame of a system with the same model and V, so it
+    validates V and forms V*y once, not once per frame.  V = 0 is allowed:
+    the queue term alone then ranks the actions.
     """
     if v < 0:
         raise ValueError("V must be nonnegative")
-    vy = v * y
+    vy = v * model.y_hats
     vy.flags.writeable = False
     return vy
 
 
-@lru_cache(maxsize=256)
-def _model_penalty_terms(model: RenewalSystemModel, v: float) -> np.ndarray:
-    """``_penalty_terms`` of a model's actions, computed once per (model, V).
-
-    A run decides every frame of a system with the same model and V, so it
-    validates V and forms V*y once, not once per frame.
-    """
-    return _penalty_terms(model.y_hats, v)
-
-
-def _ratio_objectives(vy, z, t, q) -> tuple[np.ndarray, np.ndarray]:
+def _ratio_objectives(model: RenewalSystemModel, q, v: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-action numerators V*y + <q, z> and ratio objectives numerator / t.
 
     The one copy of the objective arithmetic: every solver and the
-    certificate call it, so their values compare exactly.  vy holds the
-    penalty terms V*y from ``_penalty_terms``.
+    certificate call it, so their values compare exactly.
     """
+    vy = _model_penalty_terms(model, v)
+    z = model.z_hats
     qv = np.asarray(q, dtype=float).reshape(-1)
     if qv.shape[0] != z.shape[1]:
         raise ValueError(f"queue length {qv.shape[0]} does not match metric count {z.shape[1]}")
     num = vy + z @ qv
-    return num, num / t
+    return num, num / model.t_hats
 
 
 def solve_enumerate(
@@ -116,11 +106,14 @@ def solve_enumerate(
 ) -> SubproblemSolution:
     """Minimize the frame ratio by evaluating every action.
 
-    Ties break toward the lowest action index so runs are reproducible.
+    Enumeration is exact over the whole performance region, not only over
+    the actions: a mixture with weights p_a has ratio objective
+    (V * sum p_a y_a + <q, sum p_a z_a>) / sum p_a t_a, which is the average
+    of the per-action ratios weighted by p_a t_a, so the minimum over the
+    hull lies at a vertex.  Ties break toward the lowest action index so
+    runs are reproducible.
     """
-    _, objectives = _ratio_objectives(
-        _model_penalty_terms(model, v), model.z_hats, model.t_hats, q
-    )
+    _, objectives = _ratio_objectives(model, q, v)
     idx = int(objectives.argmin())
     return SubproblemSolution(idx, float(objectives[idx]))
 
@@ -144,7 +137,7 @@ def solve_bisection(
     if not tol > 0:
         raise ValueError("tol must be positive")
     den = model.t_hats
-    num, ratios = _ratio_objectives(_model_penalty_terms(model, v), model.z_hats, den, q)
+    num, ratios = _ratio_objectives(model, q, v)
     theta = ratios[0]
     # theta strictly decreases across iterations and only finitely many
     # ratios exist, so this terminates; the cap is a safety net only
@@ -161,32 +154,6 @@ def solve_bisection(
     raise RuntimeError("Dinkelbach iteration failed to terminate")
 
 
-def solve_hull_vertices(
-    vertices: Sequence[PerformanceTriple | tuple],
-    q,
-    v: float,
-) -> SubproblemSolution:
-    """Minimize the ratio objective over explicit hull vertices.
-
-    Any mixture over vertices has ratio objective
-    (V * sum p_j y_j + <q, sum p_j z_j>) / sum p_j T_j, and reweighting the
-    mixture by frame length shows this is a convex combination of the
-    per-vertex ratios; the minimum over the whole hull is therefore attained
-    at a vertex and plain enumeration is exact.
-    """
-    if len(vertices) == 0:
-        raise ValueError("need at least one vertex")
-    triples = [p if isinstance(p, PerformanceTriple) else PerformanceTriple(*p) for p in vertices]
-    _, objectives = _ratio_objectives(
-        _penalty_terms(np.array([p.y_hat for p in triples]), v),
-        np.array([p.z_hat for p in triples]),
-        np.array([p.t_hat for p in triples]),
-        q,
-    )
-    idx = int(objectives.argmin())
-    return SubproblemSolution(idx, float(objectives[idx]))
-
-
 def ratio_bound_holds(
     model: RenewalSystemModel,
     solution: SubproblemSolution,
@@ -201,7 +168,5 @@ def ratio_bound_holds(
     The comparison is exact (no tolerance); solvers and this check share the
     same objective arithmetic.
     """
-    _, objectives = _ratio_objectives(
-        _model_penalty_terms(model, v), model.z_hats, model.t_hats, q
-    )
+    _, objectives = _ratio_objectives(model, q, v)
     return bool((solution.value <= objectives).all())

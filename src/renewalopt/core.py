@@ -262,6 +262,8 @@ class ActionValidation:
     residual_ses: np.ndarray
     residual_counts: np.ndarray
     residual_flags: np.ndarray
+    # the largest residual estimate the flag rule assessed (offset 0 if none)
+    max_assessed_residual: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,7 +340,6 @@ def validate_model(
         residual_est = np.zeros(max_len + 1)
         residual_se = np.zeros(max_len + 1)
         residual_count = np.zeros(max_len + 1, dtype=np.int64)
-        residual_flag = np.zeros(max_len + 1, dtype=bool)
         for s in offsets:
             tail = lengths[lengths >= s]
             sq = (tail - s) ** 2
@@ -346,11 +347,10 @@ def validate_model(
             residual_est[s] = est
             residual_se[s] = se
             residual_count[s] = tail.shape[0]
-            # a lone long frame must not count as evidence against the bound
-            residual_flag[s] = (
-                tail.shape[0] >= RESIDUAL_MIN_FRAMES
-                and est > model.residual_bound + 3 * se
-            )
+        # a lone long frame must not count as evidence against the bound
+        assessed = residual_count >= RESIDUAL_MIN_FRAMES
+        residual_flag = assessed & (residual_est > model.residual_bound + 3 * residual_se)
+        max_residual = residual_est[assessed].max() if assessed.any() else residual_est[0]
 
         if violations:
             flags.append(f"action {idx}: {violations} per-slot bound violations")
@@ -392,6 +392,7 @@ def validate_model(
                 residual_ses=residual_se,
                 residual_counts=residual_count,
                 residual_flags=residual_flag,
+                max_assessed_residual=float(max_residual),
             )
         )
 

@@ -8,6 +8,7 @@ independently of the LP code.
 
 import csv
 import functools
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,7 +22,7 @@ from renewalopt.benchmark import (
     stationary_policy_weights,
 )
 from renewalopt.cli import main
-from renewalopt.controller import solve_bisection, solve_enumerate, solve_hull_vertices
+from renewalopt.controller import solve_bisection, solve_enumerate
 from renewalopt.distributions import GeometricLength, constant_rate_model
 from renewalopt.simulation import (
     DppRatioPolicy,
@@ -210,7 +211,17 @@ def test_criterion_06_queue_lower_bound_exact(env):
     )
 
 
-@criterion(7, "three solvers agree")
+def exact_ratio_minimum(model, q, v):
+    """min over actions of (V y_hat + <q, z_hat>) / t_hat in exact rationals."""
+    q = [Fraction(x) for x in q]
+    return min(
+        (Fraction(v) * Fraction(y) + sum(Fraction(z_l) * q_l for z_l, q_l in zip(z, q)))
+        / Fraction(t)
+        for y, z, t in zip(model.y_hats.tolist(), model.z_hats.tolist(), model.t_hats.tolist())
+    )
+
+
+@criterion(7, "solvers match the exact minimum")
 def test_criterion_07_solvers_agree():
     rng = np.random.default_rng(20260814)
     worst = 0.0
@@ -224,14 +235,14 @@ def test_criterion_07_solvers_agree():
         )
         q = rng.uniform(0, 10, n_metrics)
         v = float(rng.uniform(0, 100))
-        a = solve_enumerate(model, q, v)
-        b = solve_bisection(model, q, v)
-        c = solve_hull_vertices(list(model.actions), q, v)
-        worst = max(worst, abs(a.value - b.value), abs(a.value - c.value))
+        exact = exact_ratio_minimum(model, q, v)
+        for solve in (solve_enumerate, solve_bisection):
+            worst = max(worst, float(abs(Fraction(solve(model, q, v).value) - exact)))
         assert worst <= 1e-8, worst
     print(
-        f"[acceptance] criterion 7 (1000 random subproblems, three solvers "
-        f"within 1e-8, worst {worst:.2e}): PASS"
+        f"[acceptance] criterion 7 (1000 random subproblems, enumeration and "
+        f"Dinkelbach within 1e-8 of the exact rational minimum over actions, "
+        f"worst {worst:.2e}): PASS"
     )
 
 
@@ -251,7 +262,7 @@ def test_criterion_08_oracle_matches_simplex():
             d = g.T @ mix + rng.uniform(0.05, 0.3, n_met)
         else:
             d = g.min(axis=0) - rng.uniform(0.05, 0.2, n_met)
-        lp = StationaryLP((f,), (g,), d, ("<=",) * n_met)
+        lp = StationaryLP((f,), (g,), d)
         sol = solve_lp(lp)
         oracle = brute_force_oracle(lp, grid=grid)
         assert sol.status == oracle.status

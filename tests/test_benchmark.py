@@ -18,7 +18,6 @@ def two_action_lp():
         f_hats=(np.array([0.0, 1.0]),),
         g_hats=(np.array([[2.0], [0.0]]),),
         d=np.array([1.0]),
-        directions=("<=",),
         t_hats=(np.array([1.0, 1.0]),),
     )
 
@@ -38,7 +37,6 @@ def test_slack_constraints_pick_pointwise_minima():
         f_hats=(np.array([3.0, 1.0]), np.array([2.0, 5.0])),
         g_hats=(np.zeros((2, 1)), np.zeros((2, 1))),
         d=np.array([10.0]),
-        directions=("<=",),
     )
     sol = solve_lp(lp)
     assert sol.status == "optimal"
@@ -75,31 +73,12 @@ def test_energy_instance_matches_closed_form(table1_env):
     assert sol.duals[2] == pytest.approx((f[2] - f[0]) / g_service[2], abs=1e-9)
 
 
-def test_geq_orientation_matches_negated_form(table1_env):
-    # the service constraints stated naturally: sum of service rates >= lambda
-    lp = table1_env["lp"]
-    flipped = StationaryLP(
-        f_hats=lp.f_hats,
-        g_hats=tuple(-g for g in lp.g_hats),
-        d=-lp.d,
-        directions=(">=",) * lp.n_metrics,
-        t_hats=lp.t_hats,
-    )
-    a = solve_lp(lp)
-    b = solve_lp(flipped)
-    assert b.status == "optimal"
-    assert b.objective == pytest.approx(a.objective, abs=1e-9)
-    assert np.allclose(b.achieved, -a.achieved, atol=1e-9)
-    assert np.allclose(b.duals, a.duals, atol=1e-9)
-
-
 def test_infeasible_instance():
-    # a single action with g = 1 cannot reach g >= 2
+    # a single action with g = 1 cannot reach g >= 2, written -g <= -2
     lp = StationaryLP(
         f_hats=(np.array([1.0]),),
-        g_hats=(np.array([[1.0]]),),
-        d=np.array([2.0]),
-        directions=(">=",),
+        g_hats=(np.array([[-1.0]]),),
+        d=np.array([-2.0]),
     )
     sol = solve_lp(lp)
     assert sol.status == "infeasible"
@@ -124,7 +103,6 @@ def test_oracle_on_collapsed_energy_instance(table1_env):
         f_hats=(5.0 * lp.f_hats[0],),
         g_hats=(5.0 * lp.g_hats[0],),
         d=lp.d,
-        directions=lp.directions,
     )
     exact = solve_lp(collapsed)
     assert exact.objective == pytest.approx(table1_env["sol"].objective, abs=1e-9)
@@ -151,7 +129,7 @@ def test_oracle_weak_duality_on_random_instances():
         mix = [rng.dirichlet(np.ones(n_act)) for _ in range(n_sys)]
         base = np.sum([g.T @ w for g, w in zip(g_hats, mix)], axis=0)
         d = base + rng.uniform(0.0, 0.3, n_met)
-        lp = StationaryLP(f_hats, g_hats, d, ("<=",) * n_met)
+        lp = StationaryLP(f_hats, g_hats, d)
         sol = solve_lp(lp)
         oracle = brute_force_oracle(lp, grid=40)
         assert sol.status == oracle.status
@@ -170,7 +148,6 @@ def test_oracle_size_guard():
         f_hats=(np.zeros(9),) * 9,
         g_hats=(np.zeros((9, 1)),) * 9,
         d=np.array([1.0]),
-        directions=("<=",),
     )
     with pytest.raises(ValueError):
         brute_force_oracle(lp, grid=100)
@@ -190,7 +167,6 @@ def test_extract_reference_point():
         f_hats=(np.array([3.0, 1.0]),),
         g_hats=(np.array([[0.5], [0.25]]),),
         d=np.array([4.0]),
-        directions=("<=",),
     )
     ref = extract_reference_point(solve_lp(lp))
     assert ref[0].f_hat == pytest.approx(1.0, abs=1e-9)
@@ -201,9 +177,8 @@ def test_extract_reference_point():
             brute_force_oracle(
                 StationaryLP(
                     f_hats=(np.array([1.0]),),
-                    g_hats=(np.array([[1.0]]),),
-                    d=np.array([2.0]),
-                    directions=(">=",),
+                    g_hats=(np.array([[-1.0]]),),
+                    d=np.array([-2.0]),
                 ),
                 grid=10,
             )
@@ -235,7 +210,6 @@ def test_stationary_policy_weights_requires_t_hats():
             f_hats=(np.array([0.0, 1.0]),),
             g_hats=(np.array([[2.0], [0.0]]),),
             d=np.array([1.0]),
-            directions=("<=",),
         )
     )
     with pytest.raises(ValueError):
@@ -248,25 +222,17 @@ def test_from_models_uses_performance_vectors():
     assert np.allclose(lp.f_hats[0], [2.0, 3.0], atol=1e-12)
     assert np.allclose(lp.g_hats[0], [[1.0], [0.5]], atol=1e-12)
     assert np.array_equal(lp.t_hats[0], model.t_hats)
-    assert lp.directions == ("<=",)
 
 
 def test_lp_validation_errors():
     with pytest.raises(ValueError):
-        StationaryLP((), (), np.array([1.0]), ("<=",))
+        StationaryLP((), (), np.array([1.0]))
     with pytest.raises(ValueError):
-        StationaryLP(
-            (np.array([1.0]),), (np.array([[1.0, 2.0]]),), np.array([1.0]), ("<=",)
-        )
-    with pytest.raises(ValueError):
-        StationaryLP(
-            (np.array([1.0]),), (np.array([[1.0]]),), np.array([1.0]), ("==",)
-        )
+        StationaryLP((np.array([1.0]),), (np.array([[1.0, 2.0]]),), np.array([1.0]))
     with pytest.raises(ValueError):
         StationaryLP(
             (np.array([1.0]),),
             (np.array([[1.0]]),),
             np.array([1.0]),
-            ("<=",),
             t_hats=(np.array([1.0, 2.0]),),
         )

@@ -1,5 +1,8 @@
+import itertools
+
 import pytest
 
+from renewalopt import config
 from renewalopt.config import DEFAULT_V_SWEEP, ConfigError, parse_config
 
 
@@ -186,3 +189,35 @@ def test_error_message_is_readable():
         assert "speed" in str(exc)
     else:
         raise AssertionError("expected ConfigError")
+
+
+def test_malformed_custom_servers_or_idle_power_reported_once():
+    # "required for instance = custom" is for an absent key, not a bad value
+    for old, new in (
+        ("servers = 3", "servers = x"),
+        ("servers = 3", "servers = 0"),
+        ("idle_power = 2.0", "idle_power = -inf"),
+    ):
+        errs = errors_of(CUSTOM.replace(old, new, 1))
+        key = old.split()[0]
+        assert len(errs) == 1, errs
+        assert errs[0][:2] == (CUSTOM.splitlines().index(old) + 1, key)
+
+
+def test_negative_idle_power_reported_on_its_line():
+    text = CUSTOM.lstrip("\n").replace("idle_power = 0.5\n", "")
+    errs = errors_of(text.replace("idle_power = 2.0", "idle_power = -1.0"))
+    assert errs == [(3, "idle_power", "must be >= 0")]
+    errs = errors_of(CUSTOM.replace("idle_power = 0.5", "idle_power = -0.5"))
+    ln = CUSTOM.splitlines().index("idle_power = 0.5") + 1
+    assert errs == [(ln, "idle_power", "must be >= 0")]
+
+
+def documented_keys(heading):
+    lines = config.__doc__.split(heading, 1)[1].splitlines()[1:]
+    return [line.split()[0] for line in itertools.takewhile(str.strip, lines)]
+
+
+def test_docstring_lists_exactly_the_parsed_keys():
+    assert documented_keys("Top-level keys:") == list(config._TOP_TABLE)
+    assert documented_keys("[class] keys:") == list(config._CLASS_TABLE)

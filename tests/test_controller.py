@@ -9,7 +9,6 @@ from renewalopt.controller import (
     ratio_bound_holds,
     solve_bisection,
     solve_enumerate,
-    solve_hull_vertices,
 )
 
 from renewalopt.core import PerformanceTriple, RenewalSystemModel
@@ -47,8 +46,6 @@ def test_tradeoff_parameter_positive():
     for solve in (solve_enumerate, solve_bisection):
         with pytest.raises(ValueError):
             solve(model, [0.0], -1.0)
-    with pytest.raises(ValueError):
-        solve_hull_vertices(list(model.actions), [0.0], -1.0)
 
 
 @given(
@@ -178,37 +175,22 @@ def test_solve_bisection_keeps_its_action_on_exact_ties():
     assert sol.value == solve_enumerate(model, [0.0], 1.0).value
 
 
-def test_solve_hull_vertices_matches_enumeration():
-    model = model_from_vectors([1.0, 2.0], [[0.5], [0.0]], [2.0, 2.0])
-    sol = solve_hull_vertices(list(model.actions), [4.0], 1.0)
-    assert sol.action == 1
-    assert sol.value == 2.0
-    # tuple form
-    sol = solve_hull_vertices([(2.0, [1.0], 2.0), (4.0, [0.0], 2.0)], [4.0], 1.0)
-    assert sol.value == 2.0
-    with pytest.raises(ValueError):
-        solve_hull_vertices([], [0.0], 1.0)
-    with pytest.raises(ValueError):
-        solve_hull_vertices([(1.0, [1.0], 0.5)], [0.0], 1.0)
-
-
 def test_hull_minimum_lower_bounds_random_mixtures():
     # the ratio objective of any mixture is a length-weighted average of the
-    # per-vertex ratios, so no mixture can beat the best vertex
+    # per-action ratios, so no mixture can beat the enumerated minimum
     rng = np.random.default_rng(9)
     verts = [
         (float(rng.uniform(-5, 5)), rng.uniform(-5, 5, 2), float(rng.uniform(1, 9)))
         for _ in range(6)
     ]
+    ys, zs, ts = (np.array(column) for column in zip(*verts))
+    model = model_from_vectors(ys / ts, zs / ts[:, None], ts)
     q = np.array([2.0, 0.5])
     v = 3.0
-    sol = solve_hull_vertices(verts, q, v)
-    ys = np.array([w[0] for w in verts])
-    zs = np.array([w[1] for w in verts])
-    ts = np.array([w[2] for w in verts])
+    sol = solve_enumerate(model, q, v)
     for _ in range(100):
         p = rng.dirichlet(np.ones(6))
-        mix = (v * p @ ys + (p @ zs) @ q) / (p @ ts)
+        mix = (v * p @ model.y_hats + (p @ model.z_hats) @ q) / (p @ model.t_hats)
         assert mix >= sol.value - 1e-12
 
 
@@ -259,9 +241,7 @@ def test_solvers_agree_on_random_instances():
         v = float(rng.uniform(0, 100))
         a = solve_enumerate(model, q, v)
         b = solve_bisection(model, q, v)
-        c = solve_hull_vertices(list(model.actions), q, v)
         assert abs(a.value - b.value) <= 1e-8
-        assert abs(a.value - c.value) <= 1e-8
 
 
 def test_scaling_v_and_q_together_preserves_choice():

@@ -77,7 +77,6 @@ def test_built_external_process(table1_env):
 
 def test_built_lp_orientation(table1_env):
     lp = table1_env["lp"]
-    assert lp.directions == ("<=",) * 3
     assert np.array_equal(lp.d, [-2.0, -3.0, -4.0])
     assert np.allclose(lp.f_hats[0], [23.5 / 8.0, 32.9 / (4.6 + 4.3), 24.1 / 7.5])
 
