@@ -22,7 +22,6 @@ from .benchmark import (
 )
 from .config import ConfigError, ExperimentConfig, parse_config
 from .controller import (
-    SubproblemSolution,
     queue_update,
     ratio_bound_holds,
     solve_bisection,

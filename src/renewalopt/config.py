@@ -29,7 +29,8 @@ Top-level keys:
 
 Unknown keys, duplicate keys, and malformed values (inf and nan included)
 are reported with their line numbers, each malformed value once; all errors
-in a file are collected before giving up.
+in a file are collected before giving up, except that a [class] block is
+checked as a whole only once each of its values (idle_power included) parses.
 """
 
 from __future__ import annotations

@@ -8,36 +8,27 @@ At each frame start the controller minimizes the linearized per-frame ratio
 
 over the system's actions, which equals V * f_hat(a) + <q, g_hat(a)>.  Two
 solvers are provided: direct enumeration and a Dinkelbach iteration on the
-ratio parameter.  Both use the same arithmetic for the objective, so their
-values compare exactly, and ``ratio_bound_holds`` checks the minimality
-certificate that the returned value lower-bounds the objective at every
-action (hence, by convexity, at every point of the performance region).
+ratio parameter.  Each returns the chosen action's index, and
+``ratio_bound_holds`` checks the minimality certificate that this action's
+objective lower-bounds the objective at every action (hence, by convexity,
+at every point of the performance region).  Solvers and certificate share
+one objective kernel, so the comparison is exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 import numpy as np
 
 from .core import RenewalSystemModel
 
 __all__ = [
-    "SubproblemSolution",
     "queue_update",
     "queue_step",
     "solve_enumerate",
     "solve_bisection",
     "ratio_bound_holds",
 ]
-
-
-@dataclass(frozen=True)
-class SubproblemSolution:
-    """Chosen action index and its achieved ratio value."""
-
-    action: int
-    value: float
 
 
 def queue_update(q, z_slot_sum, d_slot) -> np.ndarray:
@@ -99,12 +90,8 @@ def _ratio_objectives(model: RenewalSystemModel, q, v: float) -> tuple[np.ndarra
     return num, num / model.t_hats
 
 
-def solve_enumerate(
-    model: RenewalSystemModel,
-    q,
-    v: float,
-) -> SubproblemSolution:
-    """Minimize the frame ratio by evaluating every action.
+def solve_enumerate(model: RenewalSystemModel, q, v: float) -> int:
+    """The index of the action minimizing the frame ratio, by evaluating every action.
 
     Enumeration is exact over the whole performance region, not only over
     the actions: a mixture with weights p_a has ratio objective
@@ -114,25 +101,19 @@ def solve_enumerate(
     runs are reproducible.
     """
     _, objectives = _ratio_objectives(model, q, v)
-    idx = int(objectives.argmin())
-    return SubproblemSolution(idx, float(objectives[idx]))
+    return int(objectives.argmin())
 
 
-def solve_bisection(
-    model: RenewalSystemModel,
-    q,
-    v: float,
-    tol: float = 1e-9,
-) -> SubproblemSolution:
-    """Minimize the frame ratio by Dinkelbach iteration on the ratio parameter.
+def solve_bisection(model: RenewalSystemModel, q, v: float, tol: float = 1e-9) -> int:
+    """The index of the action minimizing the frame ratio, by Dinkelbach iteration.
 
     Repeatedly minimizes V*y_hat + <q, z_hat> - theta * t_hat over actions and
     moves theta to the minimizer's ratio; stops when the inner minimum is
     within tol of zero.  Every action whose final cost is below tol is then a
     candidate for the minimum, and the returned action is the one Dinkelbach
     stopped on unless a candidate has a strictly smaller exact ratio (lowest
-    index among those).  The returned value is the exact ratio of the
-    returned action, so it passes ``ratio_bound_holds`` even on near ties.
+    index among those), so the returned action passes ``ratio_bound_holds``
+    even on near ties.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -147,26 +128,19 @@ def solve_bisection(
         if costs[idx] >= -tol:
             near = (costs < tol).nonzero()[0]
             best = int(near[ratios[near].argmin()])
-            if ratios[best] < ratios[idx]:
-                idx = best
-            return SubproblemSolution(idx, float(ratios[idx]))
+            return best if ratios[best] < ratios[idx] else idx
         theta = ratios[idx]
     raise RuntimeError("Dinkelbach iteration failed to terminate")
 
 
-def ratio_bound_holds(
-    model: RenewalSystemModel,
-    solution: SubproblemSolution,
-    q,
-    v: float,
-) -> bool:
-    """True iff solution.value lower-bounds the objective at every action.
+def ratio_bound_holds(model: RenewalSystemModel, action: int, q, v: float) -> bool:
+    """True iff the action's objective lower-bounds the objective at every action.
 
     This is the minimality certificate the optimality analysis rests on: the
-    value returned at a frame start must not exceed V*f_hat + <q, g_hat> for
-    any action, and by convexity for any point of the performance region.
-    The comparison is exact (no tolerance); solvers and this check share the
-    same objective arithmetic.
+    objective V*f_hat + <q, g_hat> of the action taken at a frame start must
+    not exceed that of any action, and by convexity that of any point of the
+    performance region.  The comparison is exact (no tolerance); solvers and
+    this check share the same objective arithmetic.
     """
     _, objectives = _ratio_objectives(model, q, v)
-    return bool((solution.value <= objectives).all())
+    return bool((objectives[action] <= objectives).all())

@@ -15,12 +15,13 @@ declare per-slot bounds (y_max, z_max) and a residual second-moment bound B
 on frame overshoot, and ``validate_model`` checks a model's samplers against
 all of its declarations empirically.
 
-A sampler returns each frame in compact form, a ``FrameOutcome`` (length,
-penalty rate, metric row and impulses), which the simulation engine lays
-down directly.  ``FrameOutcome.bound_violations`` checks a frame against the
-declared per-slot bounds and ``FrameOutcome.totals`` sums it, each with the
-result its per-slot arrays would give; the engine, ``validate_model`` and
-the simulation's frame replays read frames only through these.
+A sampler returns each frame in compact form, a ``FrameOutcome``: its
+length, one penalty rate for every slot, and either a constant metric row or
+one impulse (slot offset, metric, value), which the simulation engine lays
+down directly.  ``sample_frame`` draws a frame and checks its impulse's
+metric against the model.  ``FrameOutcome.bound_violations`` checks a frame
+against the declared per-slot bounds and ``FrameOutcome.totals`` sums it,
+each with the result its per-slot arrays would give.
 """
 
 from __future__ import annotations
@@ -82,84 +83,72 @@ class PerformanceVector:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class FrameOutcome:
-    """One sampled frame in compact form.
+    """One sampled frame in compact form: a metric row or one impulse.
 
-    Every slot of the frame carries penalty_rate and, unless it is None, the
-    metric row metric_rate; each impulse (slot offset, metric, value) adds
-    value to one metric on one slot.  Construction rejects a length below 1
-    and an impulse outside the frame's slots, which would land on slots the
-    queue has already stepped through or on another frame's; an impulse's
-    metric index is checked by the readers, which know the metric count.
+    Every slot carries penalty_rate, and the metrics are the row metric_rate
+    on every slot or zero but for one impulse (slot offset, metric, value);
+    with neither, zero.  Construction rejects a length below 1, a row with
+    an impulse, and an impulse outside the frame's slots, which would land
+    on slots the queue has already stepped through or on another frame's;
+    ``sample_frame`` checks the impulse's metric against the model.
     """
 
     length: int
     penalty_rate: float
     metric_rate: np.ndarray | None
-    impulses: tuple[tuple[int, int, float], ...] = ()
+    impulse: tuple[int, int, float] | None = None
 
     def __post_init__(self):
         length = self.length
         if length < 1:
             raise ValueError(f"frame of length {length}")
-        for offset, _, _ in self.impulses:
+        if self.impulse is not None:
+            if self.metric_rate is not None:
+                raise ValueError("frame with a metric row and an impulse")
+            offset = self.impulse[0]
             if not 0 <= offset < length:
                 raise ValueError(f"impulse at offset {offset} of a frame of length {length}")
 
-    def bound_violations(self, y_max: float, z_max: float, n_metrics: int) -> tuple[bool, bool]:
+    def bound_violations(self, y_max: float, z_max: float) -> tuple[bool, bool]:
         """(penalty_over, metric_over): does some slot have |y| > y_max, some |z_l| > z_max?
 
-        The same answers as comparing the frame's per-slot arrays with the
-        bounds, without building them: every slot's penalty is the rate; an
-        entry (slot, metric) that carries impulses holds the row's value (0.0
-        without a row) plus its impulses added in draw order; every other
-        entry holds the bare row's value.  Raises ValueError for an impulse on
-        a metric outside [0, n_metrics).
+        The same answers as comparing the frame's per-slot arrays with
+        bounds z_max >= 0, as a model declares, without building them: the
+        metric entries are the row or, but for the impulse, zeros.
         """
-        length, row = self.length, self.metric_rate
-        entries: dict[tuple[int, int], float] = {}
-        for offset, l, value in self.impulses:
-            if not 0 <= l < n_metrics:
-                raise ValueError(f"impulse on metric {l} of a frame with {n_metrics} metrics")
-            key = (offset, l)
-            entries[key] = entries.get(key, 0.0 if row is None else row[l]) + value
-        metric_over = any(abs(v) > z_max for v in entries.values())
-        if row is None:
-            bare_over = len(entries) < length * n_metrics and 0.0 > z_max
+        row, impulse = self.metric_rate, self.impulse
+        if row is not None:
+            metric_over = any(abs(r) > z_max for r in row)
         else:
-            # metric l keeps its bare row value unless all its slots are impulsed
-            impulsed = [l for _, l in entries]
-            bare_over = any(abs(r) > z_max for l, r in enumerate(row) if impulsed.count(l) < length)
-        return abs(self.penalty_rate) > y_max, metric_over or bare_over
+            metric_over = impulse is not None and abs(impulse[2]) > z_max
+        return abs(self.penalty_rate) > y_max, metric_over
 
     def totals(self, n_metrics: int) -> tuple[float, np.ndarray]:
         """The frame's penalty and metric totals, summed as its per-slot arrays are.
 
         The penalty total sums the np.full array, since rate * length can
-        differ from it in the last bit.  Without a row and with at most one
-        impulse the metric total is that impulse added to 0.0, which is the
-        sum of its dense column in any order; otherwise the dense metric
-        array is built and summed.
+        differ from it in the last bit; so does the metric total of a row.
+        An impulse's metric total is its value added to 0.0, which is the
+        sum of its dense column in any order.
         """
         y_total = float(np.full(self.length, self.penalty_rate).sum())
-        if self.metric_rate is None and len(self.impulses) <= 1:
-            z_total = np.zeros(n_metrics)
-            for _, l, value in self.impulses:
-                z_total[l] += value
-            return y_total, z_total
-        if self.metric_rate is None:
-            z = np.zeros((self.length, n_metrics))
-        else:
-            z = np.tile(self.metric_rate, (self.length, 1))
-        for s, l, value in self.impulses:
-            z[s, l] += value
-        return y_total, z.sum(axis=0)
+        if self.metric_rate is not None:
+            return y_total, np.tile(self.metric_rate, (self.length, 1)).sum(axis=0)
+        z_total = np.zeros(n_metrics)
+        if self.impulse is not None:
+            _, l, value = self.impulse
+            z_total[l] += value
+        return y_total, z_total
 
 
 class FrameSampler(Protocol):
     """Stochastic generator of frames for one action.
 
-    Implementations must be stateless apart from the supplied random source,
-    so the same generator state always yields the same frame.
+    Each frame is a ``FrameOutcome`` in one of its two forms: a constant
+    metric row on every slot (``ConstantRateSampler``), or one impulse on one
+    slot and no row (the scheduling sampler's job count).  Implementations
+    must be stateless apart from the supplied random source, so the same
+    generator state always yields the same frame.
     """
 
     def sample(self, rng: np.random.Generator) -> FrameOutcome: ...
@@ -241,10 +230,18 @@ class RenewalSystemModel:
 
 
 def sample_frame(model: RenewalSystemModel, action: int, rng: np.random.Generator) -> FrameOutcome:
-    """Sample one frame for the given action index."""
+    """Sample one frame for the given action index.
+
+    Raises ValueError for an impulse on a metric the model does not have.
+    """
     if not 0 <= action < model.n_actions:
         raise IndexError(f"action index {action} out of range for {model.n_actions} actions")
-    return model.samplers[action].sample(rng)
+    frame = model.samplers[action].sample(rng)
+    if frame.impulse is not None:
+        l, n_metrics = frame.impulse[1], model.n_metrics
+        if not 0 <= l < n_metrics:
+            raise ValueError(f"impulse on metric {l} of a frame with {n_metrics} metrics")
+    return frame
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,12 +280,12 @@ class ValidationReport:
 RESIDUAL_MIN_FRAMES = 30
 
 
-def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    mean = float(values.mean())
+def _mean_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error over axis 0; the SE is zero below 2 rows."""
+    mean = values.mean(axis=0)
     if values.shape[0] < 2:
-        return mean, 0.0
-    se = float(values.std(ddof=1) / np.sqrt(values.shape[0]))
-    return mean, se
+        return mean, np.zeros_like(mean)
+    return mean, values.std(axis=0, ddof=1) / np.sqrt(values.shape[0])
 
 
 def validate_model(
@@ -298,8 +295,9 @@ def validate_model(
 ) -> ValidationReport:
     """Sample each action and report violations of the model's declarations.
 
-    Checks three things per action: (a) per-slot bound violations, found on
-    each frame by ``FrameOutcome.bound_violations``, which must be zero;
+    Samples through ``sample_frame`` and checks three things per action:
+    (a) per-slot bound violations, found on each frame by
+    ``FrameOutcome.bound_violations``, which must be zero;
     (b) estimates of E[(T - s)^2 | T >= s] for every offset s up to the
     longest observed frame, flagged when an estimate backed by at least
     RESIDUAL_MIN_FRAMES surviving frames exceeds the declared residual_bound
@@ -314,7 +312,6 @@ def validate_model(
     reports = []
     flags: list[str] = []
     for idx in range(model.n_actions):
-        sampler = model.samplers[idx]
         declared = model.actions[idx]
         n = samples_per_action
         lengths = np.empty(n)
@@ -322,30 +319,22 @@ def validate_model(
         z_totals = np.empty((n, model.n_metrics))
         violations = 0
         for i in range(n):
-            frame = sampler.sample(rng)
-            violations += sum(frame.bound_violations(model.y_max, model.z_max, model.n_metrics))
+            frame = sample_frame(model, idx, rng)
+            violations += sum(frame.bound_violations(model.y_max, model.z_max))
             lengths[i] = frame.length
             y_totals[i], z_totals[i] = frame.totals(model.n_metrics)
 
         y_mean, y_se = _mean_se(y_totals)
         t_mean, t_se = _mean_se(lengths)
-        z_mean = z_totals.mean(axis=0)
-        if n >= 2:
-            z_se = z_totals.std(axis=0, ddof=1) / np.sqrt(n)
-        else:
-            z_se = np.zeros(model.n_metrics)
+        z_mean, z_se = _mean_se(z_totals)
 
         max_len = int(lengths.max())
-        offsets = np.arange(max_len + 1)
         residual_est = np.zeros(max_len + 1)
         residual_se = np.zeros(max_len + 1)
         residual_count = np.zeros(max_len + 1, dtype=np.int64)
-        for s in offsets:
+        for s in range(max_len + 1):
             tail = lengths[lengths >= s]
-            sq = (tail - s) ** 2
-            est, se = _mean_se(sq)
-            residual_est[s] = est
-            residual_se[s] = se
+            residual_est[s], residual_se[s] = _mean_se((tail - s) ** 2)
             residual_count[s] = tail.shape[0]
         # a lone long frame must not count as evidence against the bound
         assessed = residual_count >= RESIDUAL_MIN_FRAMES
@@ -362,22 +351,15 @@ def validate_model(
                 f"estimated {residual_est[worst]:.6g} exceeds declared bound "
                 f"{model.residual_bound:.6g}"
             )
-        for name, emp, se, decl in (
-            ("y_hat", y_mean, y_se, declared.y_hat),
-            ("t_hat", t_mean, t_se, declared.t_hat),
+        for name, emp, se, decl in zip(
+            ["y_hat", "t_hat"] + [f"z_hat[{l}]" for l in range(model.n_metrics)],
+            [y_mean, t_mean, *z_mean],
+            [y_se, t_se, *z_se],
+            [declared.y_hat, declared.t_hat, *declared.z_hat],
         ):
             tol = 4 * se if se > 0 else 1e-9
             if abs(emp - decl) > tol:
-                flags.append(
-                    f"action {idx}: empirical {name} {emp:.6g} vs declared {decl:.6g}"
-                )
-        for l in range(model.n_metrics):
-            tol = 4 * z_se[l] if z_se[l] > 0 else 1e-9
-            if abs(z_mean[l] - declared.z_hat[l]) > tol:
-                flags.append(
-                    f"action {idx}: empirical z_hat[{l}] {z_mean[l]:.6g} "
-                    f"vs declared {declared.z_hat[l]:.6g}"
-                )
+                flags.append(f"action {idx}: empirical {name} {emp:.6g} vs declared {decl:.6g}")
 
         reports.append(
             ActionValidation(
@@ -385,9 +367,9 @@ def validate_model(
                 samples=n,
                 bound_violations=violations,
                 declared=declared,
-                y_mean=y_mean,
-                y_se=y_se,
-                t_mean=t_mean,
+                y_mean=float(y_mean),
+                y_se=float(y_se),
+                t_mean=float(t_mean),
                 residual_estimates=residual_est,
                 residual_ses=residual_se,
                 residual_counts=residual_count,

@@ -28,6 +28,12 @@ __all__ = [
 
 
 class LengthDistribution(Protocol):
+    """Integer frame lengths >= 1 with exact first and second moments.
+
+    Every length here is log-concave, hence IFR (increasing failure rate),
+    so E[(T - s)^2 | T >= s] is largest at s = 0, where it is second_moment.
+    """
+
     def sample(self, rng: np.random.Generator) -> int: ...
 
     @property
@@ -143,6 +149,8 @@ def constant_rate_model(
     The per-slot rates are the performance vectors themselves, which makes
     these models convenient exact fixtures: f_hat = penalty rate and
     g_hat = metric rates for every action, for any length distribution.
+    The default residual bound, the largest second moment, is valid only for
+    IFR (increasing failure rate) lengths, as all of this module's are.
     """
     if not len(penalty_rates) == len(metric_rates) == len(lengths):
         raise ValueError("one penalty rate, metric row, and length per action")

@@ -125,9 +125,8 @@ class ServiceIdleSampler:
         jobs = int(rng.integers(p.jobs_low, p.jobs_high + 1))
         length = service + idle
         energy_total = p.energy + p.idle_power * idle
-        return FrameOutcome(
-            length, energy_total / length, None, ((service - 1, self.class_index, -jobs),)
-        )
+        impulse = (service - 1, self.class_index, -jobs)
+        return FrameOutcome(length, energy_total / length, None, impulse)
 
     def triple(self) -> PerformanceTriple:
         p = self.params

@@ -19,13 +19,13 @@ bit-for-bit.
 
 The engine samples each frame as a ``core.FrameOutcome``: its length, one
 penalty rate for all its slots, and either a constant metric row (the
-constant-rate samplers) or impulses (the scheduling sampler's -jobs on the
-last service slot).  It adds the rate and the row to the frame's slices of
-y and z and each impulse to its one entry of z, with the same bits as adding
-the frame's per-slot arrays.  ``check=True`` compares the frame itself with
-the declared bounds (``FrameOutcome.bound_violations``).  The frame replays
-of ``frame_stats`` and ``drift_diagnostic`` read the same compact frames:
-``FrameOutcome.totals`` and, against Q, the row and impulses.
+constant-rate samplers) or one impulse (the scheduling sampler's -jobs on
+the last service slot).  It adds the rate and the row to the frame's slices
+of y and z, or the impulse to its one entry of z, with the same bits as
+adding the frame's per-slot arrays.  ``check=True`` compares the frame
+itself with the declared bounds (``FrameOutcome.bound_violations``).  The
+frame replays of ``frame_stats`` and ``drift_diagnostic`` read the same
+compact frames: ``FrameOutcome.totals`` and, against Q, the row or impulse.
 
 ``run`` does only that and returns a ``RunTrace`` (the per-slot series y, z
 and d, the queue series Q[0..slots], the seed and each system's frame log),
@@ -39,8 +39,8 @@ spawn_key=(1,).  Adding or removing systems therefore never perturbs the
 other streams.
 
 With ``check=True`` three exact invariants are asserted: while running, the
-minimality certificate of every frame decision (``ratio_bound_holds``, on
-every frame against Q[t], reused decisions included) and the declared
+minimality certificate of every frame decision (``ratio_bound_holds`` on
+the action each frame lays down, against Q[t]) and the declared
 per-slot bounds of every sampled frame; after the loop, the sample-path
 lower bound Q_l[t] >= sum_{s<t}(sum_n z_l^n[s] - d_l[s]), which holds
 exactly in floating point because both sides add the same per-slot deltas
@@ -58,7 +58,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .controller import (
-    SubproblemSolution,
     queue_step,
     ratio_bound_holds,
     solve_bisection,
@@ -357,10 +356,10 @@ def run(
             # the decision depends only on (model, Q[t], V): systems that
             # share a model object and start a frame in this slot share it
             model = models[n]
-            solution = decided.get(model)
-            if solution is None:
-                solution = decided[model] = solve(model, q, v)
-            return solution
+            action = decided.get(model)
+            if action is None:
+                action = decided[model] = solve(model, q, v)
+            return action
     elif isinstance(policy, RandomizedStationaryPolicy):
         if len(policy.weights) != n_sys:
             raise ValueError("one weight vector per system required")
@@ -368,7 +367,7 @@ def run(
             if w.shape[0] != m.n_actions:
                 raise ValueError("weight length must match the system's action count")
         def decide(n, q):
-            return SubproblemSolution(action=policy.draw_action(n, rngs[n]), value=float("nan"))
+            return policy.draw_action(n, rngs[n])
     else:
         raise TypeError(f"unknown policy type {type(policy).__name__}")
 
@@ -393,29 +392,24 @@ def run(
                 if next_start[n] != t:
                     continue
                 model = models[n]
-                solution = decide(n, q_arr)
-                idx = solution.action
-                if certify and not ratio_bound_holds(model, solution, q_arr, v):
+                idx = decide(n, q_arr)
+                if certify and not ratio_bound_holds(model, idx, q_arr, v):
                     raise CheckViolation(
-                        f"frame decision at slot {t}, system {n}: ratio value "
-                        f"{solution.value} exceeds an action objective"
+                        f"frame decision at slot {t}, system {n}: the ratio objective "
+                        f"of action {idx} exceeds another action's"
                     )
                 frame = sample_frame(model, idx, rngs[n])
                 length = frame.length
                 end = t + length
                 y_arr[t:end] += frame.penalty_rate
-                if frame.metric_rate is not None:
-                    z_arr[t:end] += frame.metric_rate
-                # FrameOutcome keeps every impulse offset inside the frame
-                for offset, l, value in frame.impulses:
-                    if not 0 <= l < n_metrics:
-                        raise ValueError(
-                            f"system {n} drew an impulse on metric {l} of a frame with "
-                            f"{n_metrics} metrics at slot {t}"
-                        )
+                if frame.impulse is not None:
+                    # FrameOutcome keeps the offset and sample_frame the metric in range
+                    offset, l, value = frame.impulse
                     if t + offset < slots:
                         z_arr[t + offset, l] += value
-                if check and any(frame.bound_violations(model.y_max, model.z_max, n_metrics)):
+                elif frame.metric_rate is not None:
+                    z_arr[t:end] += frame.metric_rate
+                if check and any(frame.bound_violations(model.y_max, model.z_max)):
                     raise CheckViolation(
                         f"sampled frame at slot {t}, system {n} exceeds declared bounds"
                     )
@@ -622,7 +616,7 @@ def drift_diagnostic(
     """Drift sums of the completed frames of a dpp_ratio run against c0.
 
     A frame's queue term is (row - g_bar) . sum of Q over its slots, plus
-    value * Q[start + offset, l] for each impulse (row 0 without a metric row).
+    value * Q[start + offset, l] for its impulse (row 0 without a metric row).
     """
     models = list(models)
     reference = tuple(reference)
@@ -639,7 +633,9 @@ def drift_diagnostic(
         y_total, _ = frame.totals(external.n_metrics)
         row = 0.0 if frame.metric_rate is None else frame.metric_rate
         queue_term = (row - ref.g_hat) @ queues[start : start + frame.length].sum(axis=0)
-        queue_term += sum(value * queues[start + offset, l] for offset, l, value in frame.impulses)
+        if frame.impulse is not None:
+            offset, l, value = frame.impulse
+            queue_term += value * queues[start + offset, l]
         return policy.v * (y_total - frame.length * ref.f_hat) + queue_term - c0
 
     excesses = [

@@ -213,6 +213,18 @@ def test_negative_idle_power_reported_on_its_line():
     assert errs == [(ln, "idle_power", "must be >= 0")]
 
 
+def test_class_checked_as_a_whole_once_its_values_parse():
+    # class 1 inherits the bad top-level idle_power, so its phase-mean rule
+    # (ServerClassParams) is not applied until that value parses
+    bad_mean = CUSTOM.replace("service_mean = 4.0", "service_mean = 0")
+    lines = CUSTOM.splitlines()
+    errs = errors_of(bad_mean.replace("idle_power = 2.0", "idle_power = -1"))
+    assert errs == [(lines.index("idle_power = 2.0") + 1, "idle_power", "must be >= 0")]
+    errs = errors_of(bad_mean)
+    class_line = lines.index("arrival_rate = 1.5") + 1
+    assert errs == [(class_line, "class 1", "phase means must be >= 1 slot")]
+
+
 def documented_keys(heading):
     lines = config.__doc__.split(heading, 1)[1].splitlines()[1:]
     return [line.split()[0] for line in itertools.takewhile(str.strip, lines)]

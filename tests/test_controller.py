@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from renewalopt.controller import (
-    SubproblemSolution,
+    _ratio_objectives,
     queue_update,
     ratio_bound_holds,
     solve_bisection,
@@ -15,6 +15,11 @@ from renewalopt.core import PerformanceTriple, RenewalSystemModel
 from renewalopt.simulation import DppRatioPolicy
 
 from conftest import model_from_vectors
+
+
+def objective(model, q, v, action):
+    """The ratio objective of one action, as the solvers and certificate compute it."""
+    return _ratio_objectives(model, q, v)[1][action]
 
 
 def test_queue_update_examples():
@@ -42,7 +47,7 @@ def test_tradeoff_parameter_positive():
         DppRatioPolicy(-1)
     # The solvers accept V = 0 (queue term alone) but not V < 0.
     model = model_from_vectors([1.0, 2.0], [[0.0], [1.0]], [1.0, 2.0])
-    assert solve_enumerate(model, [0.0], 0.0).action in (0, 1)
+    assert solve_enumerate(model, [0.0], 0.0) in (0, 1)
     for solve in (solve_enumerate, solve_bisection):
         with pytest.raises(ValueError):
             solve(model, [0.0], -1.0)
@@ -75,26 +80,23 @@ def test_solve_enumerate_two_action_example():
     model = model_from_vectors([1.0, 2.0], [[0.5], [0.0]], [2.0, 2.0])
     assert np.array_equal(model.y_hats, [2.0, 4.0])
     assert np.array_equal(model.z_hats, [[1.0], [0.0]])
-    sol = solve_enumerate(model, [4.0], 1.0)
-    assert sol.action == 1
-    assert sol.value == 2.0
+    assert solve_enumerate(model, [4.0], 1.0) == 1
+    assert objective(model, [4.0], 1.0, 1) == 2.0
 
 
 def test_solve_enumerate_tie_breaks_low_index():
     model = model_from_vectors([0.0, 0.0, 0.0], [[0.0]] * 3, [1.0, 2.0, 3.0])
-    sol = solve_enumerate(model, [0.0], 5.0)
-    assert sol.action == 0
-    assert sol.value == 0.0
+    assert solve_enumerate(model, [0.0], 5.0) == 0
+    assert objective(model, [0.0], 5.0, 0) == 0.0
 
 
 def test_solve_enumerate_pure_queue_term(table1_env):
     # V = 0 with unit queues ranks actions by sum of metric rates; the
     # middle class moves -21 expected jobs over 8.9 expected slots
     model = table1_env["models"][0]
-    sol = solve_enumerate(model, np.ones(3), 0.0)
-    assert sol.action == 1
+    assert solve_enumerate(model, np.ones(3), 0.0) == 1
     # frame mean is service mean + idle mean, accumulated in that order
-    assert sol.value == -21.0 / (4.6 + 4.3)
+    assert objective(model, np.ones(3), 0.0, 1) == -21.0 / (4.6 + 4.3)
 
 
 def test_solver_dimension_checks():
@@ -115,17 +117,13 @@ def test_solve_bisection_matches_enumeration_exactly():
     )
     for q in ([0.0, 0.0], [4.0, 1.0], [0.1, 7.0]):
         for v in (0.0, 1.0, 25.0):
-            a = solve_enumerate(model, q, v)
-            b = solve_bisection(model, q, v)
-            assert b.action == a.action
-            assert b.value == a.value  # both return the exact action ratio
+            assert solve_bisection(model, q, v) == solve_enumerate(model, q, v)
 
 
 def test_solve_bisection_single_action():
     model = model_from_vectors([3.0], [[1.0]], [2.0])
-    sol = solve_bisection(model, [2.0], 1.0)
-    assert sol.action == 0
-    assert sol.value == pytest.approx(3.0 + 2.0, abs=1e-12)
+    assert solve_bisection(model, [2.0], 1.0) == 0
+    assert objective(model, [2.0], 1.0, 0) == pytest.approx(3.0 + 2.0, abs=1e-12)
 
 
 def test_solve_bisection_termination_certificate():
@@ -139,7 +137,7 @@ def test_solve_bisection_termination_certificate():
         v = float(rng.uniform(0, 100))
         sol = solve_bisection(model, q, v, tol=1e-9)
         num = v * model.y_hats + model.z_hats @ q
-        costs = num - sol.value * model.t_hats
+        costs = num - objective(model, q, v, sol) * model.t_hats
         # stopping rule: the inner minimum at the returned ratio is >= -tol
         assert costs.min() >= -1e-9
 
@@ -159,7 +157,7 @@ def test_solve_bisection_exact_on_near_ties():
         model = model_from_vectors(f, g, rng.uniform(1, 10, n))
         sol = solve_bisection(model, q, v)
         assert ratio_bound_holds(model, sol, q, v)
-        assert sol.value == solve_enumerate(model, q, v).value
+        assert objective(model, q, v, sol) == objective(model, q, v, solve_enumerate(model, q, v))
 
 
 def test_solve_bisection_keeps_its_action_on_exact_ties():
@@ -170,9 +168,9 @@ def test_solve_bisection_keeps_its_action_on_exact_ties():
     # The solvers read only the declared triples, so no samplers are needed.
     triples = [PerformanceTriple(y, [0.0], t) for y, t in ((1.3, 1.0), (0.9, 3.0), (1.2, 4.0))]
     model = RenewalSystemModel(triples, [None] * 3, 2.0, 0.0, 1.0)
-    sol = solve_bisection(model, [0.0], 1.0)
-    assert sol.action == 2
-    assert sol.value == solve_enumerate(model, [0.0], 1.0).value
+    assert solve_bisection(model, [0.0], 1.0) == 2
+    assert solve_enumerate(model, [0.0], 1.0) == 1
+    assert objective(model, [0.0], 1.0, 2) == objective(model, [0.0], 1.0, 1)
 
 
 def test_hull_minimum_lower_bounds_random_mixtures():
@@ -187,11 +185,11 @@ def test_hull_minimum_lower_bounds_random_mixtures():
     model = model_from_vectors(ys / ts, zs / ts[:, None], ts)
     q = np.array([2.0, 0.5])
     v = 3.0
-    sol = solve_enumerate(model, q, v)
+    best = objective(model, q, v, solve_enumerate(model, q, v))
     for _ in range(100):
         p = rng.dirichlet(np.ones(6))
         mix = (v * p @ model.y_hats + (p @ model.z_hats) @ q) / (p @ model.t_hats)
-        assert mix >= sol.value - 1e-12
+        assert mix >= best - 1e-12
 
 
 def test_ratio_bound_holds_on_solver_output():
@@ -209,12 +207,13 @@ def test_ratio_bound_holds_on_solver_output():
 
 
 def test_ratio_bound_rejects_inflated_value():
+    # the certificate reads the action itself: the other action's ratio
+    # objective (5 against 2) is an inflated value and must be rejected
     model = model_from_vectors([1.0, 2.0], [[1.0], [0.0]], [1.0, 1.0])
     q, v = [4.0], 1.0
     good = solve_enumerate(model, q, v)
     assert ratio_bound_holds(model, good, q, v)
-    bad = SubproblemSolution(good.action, good.value + 1.0)
-    assert not ratio_bound_holds(model, bad, q, v)
+    assert not ratio_bound_holds(model, 1 - good, q, v)
 
 
 def test_ratio_bound_holds_across_queue_space(table1_env):
@@ -239,9 +238,9 @@ def test_solvers_agree_on_random_instances():
         )
         q = rng.uniform(0, 10, n_metrics)
         v = float(rng.uniform(0, 100))
-        a = solve_enumerate(model, q, v)
-        b = solve_bisection(model, q, v)
-        assert abs(a.value - b.value) <= 1e-8
+        a = objective(model, q, v, solve_enumerate(model, q, v))
+        b = objective(model, q, v, solve_bisection(model, q, v))
+        assert abs(a - b) <= 1e-8
 
 
 def test_scaling_v_and_q_together_preserves_choice():
@@ -260,7 +259,7 @@ def test_scaling_v_and_q_together_preserves_choice():
             continue  # skip near-ties, where scaling may flip the argmin
         base = solve_enumerate(model, q, v)
         for c in (1e-3, 0.7, 13.0, 1e3):
-            scaled = solve_enumerate(model, c * q, c * v)
-            assert scaled.action == base.action
-            assert scaled.value == pytest.approx(c * base.value, rel=1e-12)
+            assert solve_enumerate(model, c * q, c * v) == base
+            scaled = objective(model, c * q, c * v, base)
+            assert scaled == pytest.approx(c * objective(model, q, v, base), rel=1e-12)
         checked += 1

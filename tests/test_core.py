@@ -70,21 +70,24 @@ def test_triple_array_is_read_only():
 def test_frame_outcome_shape_checks():
     for args, message in (
         ((0, 1.0, None), "frame of length 0"),
-        ((2, 1.0, None, ((2, 0, -1.0),)), "impulse at offset 2 of a frame of length 2"),
-        ((2, 1.0, None, ((-1, 0, -1.0),)), "impulse at offset -1 of a frame of length 2"),
+        ((2, 1.0, None, (2, 0, -1.0)), "impulse at offset 2 of a frame of length 2"),
+        ((2, 1.0, None, (-1, 0, -1.0)), "impulse at offset -1 of a frame of length 2"),
+        ((2, 1.0, np.array([1.0]), (0, 0, -1.0)), "a metric row and an impulse"),
     ):
         with pytest.raises(ValueError, match=message):
             FrameOutcome(*args)
-    # the first and last slot take impulses; the metric index is not checked here
-    frame = FrameOutcome(2, 1.0, None, ((0, 5, -1.0), (1, 0, -1.0)))
-    assert frame.length == 2
+    # the first and last slot take the impulse; the metric index is not checked here
+    for offset in (0, 1):
+        assert FrameOutcome(2, 1.0, None, (offset, 5, -1.0)).length == 2
 
 
 def test_frame_outcome_totals():
-    out = FrameOutcome(3, 2.0, np.array([1.0]), ((2, 0, -1.0),))
-    y_total, z_total = out.totals(1)
+    y_total, z_total = FrameOutcome(3, 2.0, np.array([1.0])).totals(1)
     assert y_total == 6.0
-    assert np.array_equal(z_total, [2.0])
+    assert np.array_equal(z_total, [3.0])
+    y_total, z_total = FrameOutcome(3, 2.0, None, (2, 1, -1.0)).totals(2)
+    assert y_total == 6.0
+    assert np.array_equal(z_total, [0.0, -1.0])
 
 
 def test_model_rejects_inconsistent_declarations():
@@ -127,7 +130,7 @@ def test_sample_frame_deterministic_action():
     assert out.length == 1
     assert out.penalty_rate == 3.0
     assert np.array_equal(out.metric_rate, [0.0])
-    assert out.impulses == ()
+    assert out.impulse is None
 
 
 def test_sample_frame_accepts_action_id_and_checks_range():
@@ -211,19 +214,21 @@ def test_validate_model_reads_the_compact_draw(table1_env):
 
 def test_validate_model_rejects_malformed_frame_draws():
     # a frame cannot be built with a bad length or offset; the metric index
-    # is checked where the metric count is known
+    # is checked by sample_frame, where the metric count is known
     for args, message in (
         ((0, 1.0, None), "length 0"),
-        ((2, 1.0, None, ((2, 0, -1.0),)), "offset 2"),
-        ((2, 1.0, None, ((-1, 0, -1.0),)), "offset -1"),
+        ((2, 1.0, None, (2, 0, -1.0)), "offset 2"),
+        ((2, 1.0, None, (-1, 0, -1.0)), "offset -1"),
     ):
         with pytest.raises(ValueError, match=message):
             FrameOutcome(*args)
     triple = PerformanceTriple(1.0, [0.0], 2.0)
-    frame = FrameOutcome(2, 1.0, None, ((0, 1, -1.0),))
+    frame = FrameOutcome(2, 1.0, None, (0, 1, -1.0))
     model = RenewalSystemModel((triple,), (FixedDrawSampler(frame),), 1.0, 1.0, 4.0)
-    with pytest.raises(ValueError, match="metric 1"):
+    with pytest.raises(ValueError, match="impulse on metric 1 of a frame with 1 metrics"):
         validate_model(model, 10)
+    with pytest.raises(ValueError, match="impulse on metric 1 of a frame with 1 metrics"):
+        sample_frame(model, 0, np.random.default_rng(0))
 
 
 # per-slot values: small integers (so sums land exactly on a bound), any
@@ -240,48 +245,40 @@ _bounds = st.one_of(st.integers(0, 30).map(float), st.floats(0.0, allow_infinity
 def _frame_draws(draw):
     length = draw(st.integers(1, 20))
     n_metrics = draw(st.integers(1, 4))
-    row = draw(st.none() | st.lists(_slot_values, min_size=n_metrics, max_size=n_metrics))
-    entry = st.tuples(st.integers(0, length - 1), st.integers(0, n_metrics - 1))
-    entries = draw(st.lists(entry, max_size=6))
-    cover = draw(st.sampled_from(["none", "one metric", "every entry"]))
-    if cover == "one metric":
-        l = draw(st.integers(0, n_metrics - 1))
-        entries += [(s, l) for s in range(length)]
-    elif cover == "every entry":
-        entries += [(s, l) for s in range(length) for l in range(n_metrics)]
-    # one to three impulses per entry, interleaved in draw order
-    impulses = [
-        (s, l, v) for s, l in entries for v in draw(st.lists(_slot_values, min_size=1, max_size=3))
-    ]
-    impulses = draw(st.permutations(impulses))
-    row = None if row is None else np.array(row)
-    return FrameOutcome(length, draw(_slot_values), row, tuple(impulses)), n_metrics
+    form = draw(st.sampled_from(["row", "impulse", "neither"]))
+    row = impulse = None
+    if form == "row":
+        row = np.array(draw(st.lists(_slot_values, min_size=n_metrics, max_size=n_metrics)))
+    elif form == "impulse":
+        impulse = (
+            draw(st.integers(0, length - 1)),
+            draw(st.integers(0, n_metrics - 1)),
+            draw(_slot_values),
+        )
+    return FrameOutcome(length, draw(_slot_values), row, impulse), n_metrics
 
 
 @given(frame=_frame_draws(), y_max=_bounds, z_max=_bounds)
-# every slot of metric 0 is impulsed, so its bare row value 31 appears nowhere
-@example(
-    frame=(FrameOutcome(2, 0.0, np.array([31.0, 0.0]), ((0, 0, -10.0), (1, 0, -20.0))), 2),
-    y_max=1.0,
-    z_max=25.0,
-)
+# a one-slot, one-metric frame: the impulse is the whole metric array
+@example(frame=(FrameOutcome(1, 0.0, None, (0, 0, -31.0)), 1), y_max=1.0, z_max=25.0)
 @settings(max_examples=300, deadline=None)
 def test_compact_frame_checks_match_the_dense_arrays(frame, y_max, z_max):
     frame, n_metrics = frame
     with np.errstate(invalid="ignore", over="ignore"):
-        # the frame's per-slot arrays, impulses added to their entry in order
+        # the frame's per-slot arrays, the impulse added to its entry
         penalty = np.full(frame.length, frame.penalty_rate)
         if frame.metric_rate is None:
             metrics = np.zeros((frame.length, n_metrics))
         else:
             metrics = np.tile(frame.metric_rate, (frame.length, 1))
-        for s, l, value in frame.impulses:
+        if frame.impulse is not None:
+            s, l, value = frame.impulse
             metrics[s, l] += value
         dense = (
             bool(np.any(np.abs(penalty) > y_max)),
             bool(np.any(np.abs(metrics) > z_max)),
         )
-        assert frame.bound_violations(y_max, z_max, n_metrics) == dense
+        assert frame.bound_violations(y_max, z_max) == dense
         y_total, z_total = frame.totals(n_metrics)
         # bit for bit, the sign of zero and NaN included
         assert np.float64(y_total).tobytes() == penalty.sum().tobytes()

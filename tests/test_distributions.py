@@ -68,7 +68,7 @@ def test_constant_rate_sampler_triple_and_frames():
     assert out.length == 3
     assert out.penalty_rate == 2.0
     assert np.array_equal(out.metric_rate, [1.0, -1.0])
-    assert out.impulses == ()
+    assert out.impulse is None
 
 
 def test_constant_rate_model_defaults():
@@ -82,3 +82,47 @@ def test_constant_rate_model_defaults():
     assert model.residual_bound == 25.0  # max second moment across lengths
     with pytest.raises(ValueError):
         constant_rate_model([1.0], [[0.0], [0.0]], [DeterministicLength(1)])
+
+
+def exact_pmf(length, cutoff=2000):
+    """P(T = k) for k = 0..cutoff, from the length's definition, not its sampler."""
+    pmf = np.zeros(cutoff + 1)
+    if isinstance(length, DeterministicLength):
+        pmf[length.value] = 1.0
+    elif isinstance(length, GeometricLength):
+        p = 1.0 / length.mean_length
+        k = np.arange(1, cutoff + 1)
+        pmf[1:] = p * (1 - p) ** (k - 1)
+    else:
+        pmf[0] = 1.0
+        for phase in length.phases:
+            pmf = np.convolve(pmf, exact_pmf(phase, cutoff))[: cutoff + 1]
+    return pmf
+
+
+@pytest.mark.parametrize(
+    "length",
+    [
+        DeterministicLength(1),
+        DeterministicLength(7),
+        GeometricLength(1.0),
+        GeometricLength(5.5),
+        CompoundLength((DeterministicLength(2), DeterministicLength(3))),
+        CompoundLength((GeometricLength(5.5), GeometricLength(2.5))),
+        CompoundLength((DeterministicLength(3), GeometricLength(4.3), GeometricLength(1.7))),
+    ],
+    ids=repr,
+)
+def test_residual_second_moment_peaks_at_offset_zero(length):
+    # every library length is log-concave, hence has an increasing failure
+    # rate, so E[(T - s)^2 | T >= s] is largest at s = 0, where it is E[T^2]:
+    # the second moment is a valid residual bound (constant_rate_model's default)
+    pmf = exact_pmf(length)
+    k = np.arange(pmf.shape[0])
+    residuals = [
+        ((k[s:] - s) ** 2 * pmf[s:]).sum() / pmf[s:].sum()
+        for s in range(pmf.shape[0])
+        if pmf[s:].sum() > 1e-12
+    ]
+    assert max(residuals) == pytest.approx(length.second_moment, abs=1e-9)
+    assert residuals[0] == max(residuals)

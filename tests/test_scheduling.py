@@ -88,7 +88,7 @@ def test_sampler_emits_one_service_impulse():
     for _ in range(500):
         out = sampler.sample(rng)
         assert out.metric_rate is None
-        ((offset, metric, value),) = out.impulses
+        offset, metric, value = out.impulse
         assert metric == 1
         jobs = -value
         assert jobs == int(jobs)

@@ -236,17 +236,30 @@ def test_checked_run_checks_bounds_on_the_compact_draw(table1_env):
     assert trace.frames_per_system.sum() > 0
 
 
-def test_checked_run_catches_a_stale_queue_decision(table1_env, monkeypatch):
-    # the certificate recomputes the objectives at the engine's current Q, so
-    # a solver that decides on the previous frame start's Q must be caught
-    solve = simulation.solve_enumerate
+def stale_queue_solver(solve):
+    """Decides on the previous frame start's Q."""
     seen = []
 
     def stale(model, q, v):
         seen.append(np.array(q))
         return solve(model, seen[-2] if len(seen) > 1 else q, v)
 
-    monkeypatch.setattr(simulation, "solve_enumerate", stale)
+    return stale
+
+
+def off_by_one_solver(solve):
+    """Returns the action after the minimizer."""
+    return lambda model, q, v: (solve(model, q, v) + 1) % model.n_actions
+
+
+@pytest.mark.parametrize(
+    "faulty", [stale_queue_solver, off_by_one_solver], ids=["stale_queue", "off_by_one"]
+)
+def test_checked_run_catches_a_stale_queue_decision(table1_env, monkeypatch, faulty):
+    # the certificate recomputes the objectives at the engine's current Q and
+    # reads the action the engine lays down, so a solver that decides on the
+    # previous frame start's Q, or returns another action, must be caught
+    monkeypatch.setattr(simulation, "solve_enumerate", faulty(simulation.solve_enumerate))
     models, external = table1_env["models"], table1_env["external"]
     run(models, external, DppRatioPolicy(10.0), slots=2000, seed=0)
     with pytest.raises(CheckViolation, match="frame decision"):
@@ -285,20 +298,20 @@ def test_run_rejects_malformed_frame_draws():
     # outside its slots) cannot be built, so no sampler can hand one over
     for args, message in (
         ((0, 1.0, None), "length 0"),
-        ((2, 1.0, None, ((2, 0, -1.0),)), "offset 2"),
-        ((2, 1.0, None, ((-1, 0, -1.0),)), "offset -1"),
+        ((2, 1.0, None, (2, 0, -1.0)), "offset 2"),
+        ((2, 1.0, None, (-1, 0, -1.0)), "offset -1"),
     ):
         with pytest.raises(ValueError, match=message):
             FrameOutcome(*args)
 
 
 def test_run_rejects_impulses_on_a_missing_metric():
-    # the unchecked engine range-checks the metric index too: -1 would land
-    # on the last metric and n_metrics past the array
+    # the unchecked engine samples through sample_frame, which range-checks
+    # the metric index: -1 would land on the last metric and 2 past the array
     external = ExternalProcess((FixedValue(0.0), FixedValue(0.0)))
     triple = PerformanceTriple(1.0, [0.0, 0.0], 2.0)
     for l in (-1, 2):
-        frame = FrameOutcome(2, 1.0, None, ((1, l, -5.0),))
+        frame = FrameOutcome(2, 1.0, None, (1, l, -5.0))
         model = RenewalSystemModel((triple,), (FixedDrawSampler(frame),), 1.0, 5.0, 4.0)
         with pytest.raises(ValueError, match=f"impulse on metric {l} of a frame with 2 metrics"):
             run([model], external, DppRatioPolicy(1.0), slots=10, seed=0)
