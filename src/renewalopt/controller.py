@@ -12,7 +12,9 @@ ratio parameter.  Each returns the chosen action's index, and
 ``ratio_bound_holds`` checks the minimality certificate that this action's
 objective lower-bounds the objective at every action (hence, by convexity,
 at every point of the performance region).  Solvers and certificate share
-one objective kernel, so the comparison is exact.
+one objective kernel, so the comparison is exact.  The kernel runs on
+Python floats and adds each <q, z_hat(a)> in metric order, so a decision
+does not depend on which BLAS kernel the machine dispatches to.
 """
 
 from __future__ import annotations
@@ -42,9 +44,7 @@ def queue_update(q, z_slot_sum, d_slot) -> np.ndarray:
     z = np.asarray(z_slot_sum, dtype=float).reshape(-1)
     d = np.asarray(d_slot, dtype=float).reshape(-1)
     if z.shape != qv.shape or d.shape != qv.shape:
-        raise ValueError(
-            f"length mismatch: queue {qv.shape[0]}, z {z.shape[0]}, d {d.shape[0]}"
-        )
+        raise ValueError(f"length mismatch: queue {qv.shape[0]}, z {z.shape[0]}, d {d.shape[0]}")
     delta = z - d
     return np.maximum(qv + delta, 0.0)
 
@@ -61,33 +61,37 @@ def queue_step(q: list[float], z_slot_sum, d_slot) -> list[float]:
 
 
 @lru_cache(maxsize=256)
-def _model_penalty_terms(model: RenewalSystemModel, v: float) -> np.ndarray:
-    """The read-only per-action penalty terms V*y, computed once per (model, V).
+def _model_penalty_terms(model: RenewalSystemModel, v: float) -> tuple[tuple, tuple, tuple]:
+    """Per action V*y, the nonzero (l, z_l) of z in metric order, and t, once per (model, V).
 
-    A run decides every frame of a system with the same model and V, so it
-    validates V and forms V*y once, not once per frame.  V = 0 is allowed:
-    the queue term alone then ranks the actions.
+    V = 0 is allowed: the queue term alone then ranks the actions.
     """
     if v < 0:
         raise ValueError("V must be nonnegative")
-    vy = v * model.y_hats
-    vy.flags.writeable = False
-    return vy
+    rows = tuple(
+        tuple((l, z_l) for l, z_l in enumerate(row) if z_l != 0.0) for row in model.z_hats.tolist()
+    )
+    return tuple((v * model.y_hats).tolist()), rows, tuple(model.t_hats.tolist())
 
 
-def _ratio_objectives(model: RenewalSystemModel, q, v: float) -> tuple[np.ndarray, np.ndarray]:
+def _ratio_objectives(model: RenewalSystemModel, q, v: float) -> tuple[list[float], list[float]]:
     """Per-action numerators V*y + <q, z> and ratio objectives numerator / t.
 
-    The one copy of the objective arithmetic: every solver and the
-    certificate call it, so their values compare exactly.
+    The one copy of the objective arithmetic, shared by the solvers and the certificate.
+    <q, z> adds the nonzero products to 0.0 in metric order: no BLAS, no sum().
     """
-    vy = _model_penalty_terms(model, v)
-    z = model.z_hats
-    qv = np.asarray(q, dtype=float).reshape(-1)
-    if qv.shape[0] != z.shape[1]:
-        raise ValueError(f"queue length {qv.shape[0]} does not match metric count {z.shape[1]}")
-    num = vy + z @ qv
-    return num, num / model.t_hats
+    vy, rows, t = _model_penalty_terms(model, v)
+    if type(q) is not list:
+        q = np.asarray(q, dtype=float).reshape(-1).tolist()
+    if len(q) != model.n_metrics:
+        raise ValueError(f"queue length {len(q)} does not match metric count {model.n_metrics}")
+    nums = []
+    for vy_a, pairs in zip(vy, rows):
+        s = 0.0
+        for l, z_l in pairs:
+            s += z_l * q[l]
+        nums.append(vy_a + s)
+    return nums, [num / t_a for num, t_a in zip(nums, t)]
 
 
 def solve_enumerate(model: RenewalSystemModel, q, v: float) -> int:
@@ -101,7 +105,7 @@ def solve_enumerate(model: RenewalSystemModel, q, v: float) -> int:
     runs are reproducible.
     """
     _, objectives = _ratio_objectives(model, q, v)
-    return int(objectives.argmin())
+    return objectives.index(min(objectives))  # min keeps the first of equal values
 
 
 def solve_bisection(model: RenewalSystemModel, q, v: float, tol: float = 1e-9) -> int:
@@ -117,17 +121,18 @@ def solve_bisection(model: RenewalSystemModel, q, v: float, tol: float = 1e-9) -
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    den = model.t_hats
     num, ratios = _ratio_objectives(model, q, v)
+    _, _, den = _model_penalty_terms(model, v)
     theta = ratios[0]
     # theta strictly decreases across iterations and only finitely many
     # ratios exist, so this terminates; the cap is a safety net only
-    for _ in range(10 * model.n_actions + 10):
-        costs = num - theta * den
-        idx = int(costs.argmin())
-        if costs[idx] >= -tol:
-            near = (costs < tol).nonzero()[0]
-            best = int(near[ratios[near].argmin()])
+    for _ in range(10 * len(den) + 10):
+        costs = [a - theta * b for a, b in zip(num, den)]
+        low = min(costs)
+        idx = costs.index(low)
+        if low >= -tol:
+            near = [i for i, c in enumerate(costs) if c < tol]
+            best = min(near, key=ratios.__getitem__)
             return best if ratios[best] < ratios[idx] else idx
         theta = ratios[idx]
     raise RuntimeError("Dinkelbach iteration failed to terminate")
@@ -140,7 +145,11 @@ def ratio_bound_holds(model: RenewalSystemModel, action: int, q, v: float) -> bo
     objective V*f_hat + <q, g_hat> of the action taken at a frame start must
     not exceed that of any action, and by convexity that of any point of the
     performance region.  The comparison is exact (no tolerance); solvers and
-    this check share the same objective arithmetic.
+    this check share the same objective arithmetic.  Raises IndexError for
+    an action outside the model's, as ``sample_frame`` does.
     """
     _, objectives = _ratio_objectives(model, q, v)
-    return bool((objectives[action] <= objectives).all())
+    if not 0 <= action < len(objectives):
+        raise IndexError(f"action index {action} out of range for {len(objectives)} actions")
+    mine = objectives[action]
+    return all(mine <= o for o in objectives)

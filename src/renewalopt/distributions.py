@@ -74,9 +74,10 @@ class GeometricLength:
         object.__setattr__(self, "mean_length", float(self.mean_length))
         if not self.mean_length >= 1.0:
             raise ValueError("geometric mean must be >= 1")
+        object.__setattr__(self, "_p", 1.0 / self.mean_length)
 
     def sample(self, rng: np.random.Generator) -> int:
-        return int(rng.geometric(1.0 / self.mean_length))
+        return int(rng.geometric(self._p))
 
     @property
     def mean(self) -> float:

@@ -115,18 +115,18 @@ class ServiceIdleSampler:
         p = self.params
         phases = (GeometricLength(p.service_mean), GeometricLength(p.idle_mean))
         object.__setattr__(self, "frame", CompoundLength(phases))
+        law = (phases[0].sample, phases[1].sample, p.jobs_low, p.jobs_high + 1)
+        object.__setattr__(self, "_law", law + (p.energy, p.idle_power))
 
     def sample(self, rng: np.random.Generator) -> FrameOutcome:
         """Flat energy over the frame, -jobs on the last service slot."""
-        p = self.params
-        service_phase, idle_phase = self.frame.phases
-        service = service_phase.sample(rng)
-        idle = idle_phase.sample(rng)
-        jobs = int(rng.integers(p.jobs_low, p.jobs_high + 1))
+        draw_service, draw_idle, jobs_low, jobs_stop, energy, idle_power = self._law
+        service = draw_service(rng)
+        idle = draw_idle(rng)
+        jobs = int(rng.integers(jobs_low, jobs_stop))
         length = service + idle
-        energy_total = p.energy + p.idle_power * idle
         impulse = (service - 1, self.class_index, -jobs)
-        return FrameOutcome(length, energy_total / length, None, impulse)
+        return FrameOutcome(length, (energy + idle_power * idle) / length, None, impulse)
 
     def triple(self) -> PerformanceTriple:
         p = self.params

@@ -386,14 +386,14 @@ def run(
     t = 0
     while t < slots:
         if t == next_event:
-            q_arr = queues[t]
             decided.clear()
             for n in range(n_sys):
                 if next_start[n] != t:
                     continue
                 model = models[n]
-                idx = decide(n, q_arr)
-                if certify and not ratio_bound_holds(model, idx, q_arr, v):
+                # q is Q[t] as a list, the form the ratio kernel reads
+                idx = decide(n, q)
+                if certify and not ratio_bound_holds(model, idx, q, v):
                     raise CheckViolation(
                         f"frame decision at slot {t}, system {n}: the ratio objective "
                         f"of action {idx} exceeds another action's"

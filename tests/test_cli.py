@@ -232,3 +232,38 @@ def test_validate_fingerprint(tmp_path, capsys):
     assert main(["validate", cfg, "--samples", "4000"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == VALIDATE_FINGERPRINT
+
+
+# the wider instance with Dinkelbach and the per-frame certificate on: 12
+# servers, 6 classes, so 6 actions over 6 metrics; the only fingerprint of
+# solve_bisection and ratio_bound_holds beyond Table 1's 3 x 3
+CHECKED_CONFIG = (
+    "instance = custom\nservers = 12\nidle_power = 2.0\npolicy = dpp_ratio\n"
+    "solver = bisection\nv = 100\nslots = 8000\nseeds = 1\n"
+    "trajectories = on\ncheck = on\n"
+    + "".join(
+        f"[class]\narrival_rate = {a}\nservice_mean = {s}\njobs_support = {lo} {hi}\n"
+        f"energy = {e}\nidle_mean = {i}\n"
+        for a, s, lo, hi, e, i in (
+            (3.0, 2.0, 4, 10, 9, 1.5),
+            (2.5, 2.5, 6, 12, 11, 2.0),
+            (2.0, 1.8, 3, 9, 7, 1.4),
+            (3.5, 3.0, 8, 16, 14, 1.6),
+            (1.5, 2.2, 5, 11, 8, 1.8),
+            (2.5, 1.6, 2, 8, 6, 1.3),
+        )
+    )
+)
+CHECKED_SUMMARY_FINGERPRINT = "608ce2feec641b743bbc4b572d1e46cab4670b594442b78386d30d855362b27f"
+CHECKED_TRAJECTORY_FINGERPRINT = "f964537970e78dae44266165fd41d87ac826904869f5410d921aacb0f0f6a882"
+
+
+def test_checked_bisection_fingerprint(tmp_path):
+    cfg = write_config(tmp_path, CHECKED_CONFIG)
+    assert main(["run", cfg, "--out", str(tmp_path / "res")]) == 0
+    for name, expected in (
+        ("summary.csv", CHECKED_SUMMARY_FINGERPRINT),
+        ("trajectory_100_1.csv", CHECKED_TRAJECTORY_FINGERPRINT),
+    ):
+        digest = hashlib.sha256((tmp_path / "res" / name).read_bytes()).hexdigest()
+        assert digest == expected, name

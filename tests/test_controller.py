@@ -263,3 +263,33 @@ def test_scaling_v_and_q_together_preserves_choice():
             scaled = objective(model, c * q, c * v, base)
             assert scaled == pytest.approx(c * objective(model, q, v, base), rel=1e-12)
         checked += 1
+
+
+def test_ratio_bound_holds_rejects_an_action_out_of_range(table1_env):
+    # a negative index must not certify the last action, and an index past
+    # the end must not fail with a bare numpy error: both are IndexError,
+    # as sample_frame raises for the same index
+    model = table1_env["models"][0]
+    q, v = [0.0, 0.0, 80.0], 10.0
+    assert ratio_bound_holds(model, model.n_actions - 1, q, v)
+    for action in (-1, model.n_actions):
+        with pytest.raises(IndexError, match=f"action index {action} out of range for 3"):
+            ratio_bound_holds(model, action, q, v)
+
+
+def test_ratio_kernel_adds_the_queue_term_in_metric_order():
+    # <q, z> is 0.0 plus z_l * q_l for l = 0, 1, 2 in that order: a BLAS
+    # dot product may add the same products in another order (1.41 here),
+    # and a compensated sum (Python 3.12's float sum()) gives 1.0, not 0.0,
+    # for the cancelling second row
+    dense = model_from_vectors([1.0], [[0.1, 0.1, 0.1]], [1.0])
+    q = [0.1, 0.7, 3.3]
+    assert _ratio_objectives(dense, q, 1.0) == ([1.4100000000000001], [1.4100000000000001])
+    cancelling = model_from_vectors([0.0], [[1.0, 1.0, -1.0]], [1.0])
+    assert _ratio_objectives(cancelling, [1e16, 1.0, 1e16], 1.0)[1] == [0.0]
+    # a list and an array of the same queue give the same values
+    for model, q in ((dense, q), (cancelling, [1e16, 1.0, 1e16])):
+        from_list = _ratio_objectives(model, q, 1.0)
+        from_array = _ratio_objectives(model, np.array(q), 1.0)
+        assert repr(from_array) == repr(from_list)  # the sign of zero included
+        assert all(type(x) is float for values in from_array for x in values)

@@ -90,6 +90,18 @@ def test_frame_outcome_totals():
     assert np.array_equal(z_total, [0.0, -1.0])
 
 
+def test_frame_penalty_total_is_numpys_pairwise_sum():
+    # totals replays np.full(n, rate).sum() without the array: eight lanes,
+    # blocks of up to 128, longer runs halved at a multiple of 8, all added
+    # to 0.0 (so a -0.0 rate sums to +0.0 at every length)
+    rng = np.random.default_rng(11)
+    rates = [0.0, -0.0, 1 / 3, 1e-300, *rng.uniform(-100, 100, 3).tolist()]
+    for n in [*range(1, 301), 8191, 8192, 8193, 40000]:
+        for rate in rates:
+            y_total, _ = FrameOutcome(n, rate, None).totals(1)
+            assert np.float64(y_total).tobytes() == np.full(n, rate).sum().tobytes(), (n, rate)
+
+
 def test_model_rejects_inconsistent_declarations():
     triple = PerformanceTriple(4.0, [0.0], 1.0)
     sampler = ConstantRateSampler(DeterministicLength(1), 4.0, np.array([0.0]))
