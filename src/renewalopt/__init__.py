@@ -2,12 +2,12 @@
 
 Library layout:
     core          domain types, frame sampling, model validation
-    distributions frame-length distributions (the scheduling frame law) and
-                  constant-rate samplers
-    controller    the queue recursion and the per-frame ratio solvers
+    distributions geometric and phase-sum frame lengths (the scheduling frame
+                  law) and constant-rate samplers
+    controller    the queue step and the per-frame ratio solvers
     simulation    the slotted-time engine, its run trace and analyses of it
     simplex       dense two-phase LP solver
-    benchmark     optimal-stationary LP and brute-force oracle
+    benchmark     optimal-stationary LP, its reference point and policy
     scheduling    the multi-server energy-aware scheduling instance
     config, cli   experiment front end
 """
@@ -15,14 +15,12 @@ Library layout:
 from .benchmark import (
     LPSolution,
     StationaryLP,
-    brute_force_oracle,
     extract_reference_point,
     solve_lp,
     stationary_policy_weights,
 )
 from .config import ConfigError, ExperimentConfig, parse_config
 from .controller import (
-    queue_update,
     ratio_bound_holds,
     solve_bisection,
     solve_enumerate,
@@ -49,7 +47,6 @@ from .simulation import (
     DppRatioPolicy,
     DriftDiagnostic,
     ExternalProcess,
-    FixedValue,
     RandomizedStationaryPolicy,
     RunTrace,
     check_queue_bound,

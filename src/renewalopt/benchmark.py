@@ -1,4 +1,4 @@
-"""Optimal-stationary benchmark: the hull-weight LP and a brute-force oracle.
+"""Optimal-stationary benchmark: the hull-weight LP.
 
 The best stationary randomized policy solves
 
@@ -13,8 +13,8 @@ per-action vectors.  The LP weights are time fractions; the per-frame
 selection probabilities of the policy that realizes them follow from the
 renewal-reward ratio as p_a proportional to theta_a / t_hat_a.
 
-``solve_lp`` uses the in-repo dense simplex; ``brute_force_oracle`` searches
-a simplex grid exhaustively and exists purely to cross-check the solver.
+``solve_lp`` uses the in-repo dense simplex; the tests cross-check it
+against an exhaustive search over a grid of weights.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "StationaryLP",
     "LPSolution",
     "solve_lp",
-    "brute_force_oracle",
     "extract_reference_point",
     "stationary_policy_weights",
 ]
@@ -119,31 +118,18 @@ def solve_lp(lp: StationaryLP) -> LPSolution:
     they are estimates only, nothing downstream relies on them.
     """
     blocks = [f.shape[0] for f in lp.f_hats]
-    n = sum(blocks)
     c = np.concatenate(lp.f_hats)
-    a_ub = np.zeros((lp.n_metrics, n))
-    offset = 0
-    for g, width in zip(lp.g_hats, blocks):
-        a_ub[:, offset : offset + width] = g.T
-        offset += width
-    a_eq = np.zeros((lp.n_systems, n))
-    offset = 0
-    for i, width in enumerate(blocks):
-        a_eq[i, offset : offset + width] = 1.0
-        offset += width
+    a_ub = np.concatenate(lp.g_hats).T
+    # one row per system, with ones over that system's block of weights
+    a_eq = np.repeat(np.eye(lp.n_systems), blocks, axis=1)
     b_eq = np.ones(lp.n_systems)
 
     res = simplex_solve(c, a_ub, lp.d, a_eq, b_eq)
     if res.status != "optimal":
         return LPSolution(lp=lp, status=res.status)
 
-    weights = []
-    offset = 0
-    for width in blocks:
-        w = np.maximum(res.x[offset : offset + width], 0.0)
-        weights.append(w / w.sum())
-        offset += width
-    weights = tuple(weights)
+    splits = np.split(np.maximum(res.x, 0.0), np.cumsum(blocks)[:-1])
+    weights = tuple(w / w.sum() for w in splits)
     duals = None if res.duals_ub is None else np.maximum(-res.duals_ub, 0.0)
     return LPSolution(
         lp=lp,
@@ -152,77 +138,6 @@ def solve_lp(lp: StationaryLP) -> LPSolution:
         weights=weights,
         achieved=_achieved(lp, weights),
         duals=duals,
-    )
-
-
-def _simplex_grid(n_actions: int, grid: int) -> np.ndarray:
-    """All weight vectors with entries k/grid summing to 1, shape (P, A)."""
-    if n_actions == 1:
-        return np.ones((1, 1))
-    points = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            points.append(prefix + [remaining])
-            return
-        for k in range(remaining + 1):
-            rec(prefix + [k], remaining - k, slots - 1)
-
-    rec([], grid, n_actions)
-    return np.array(points, dtype=float) / grid
-
-
-def brute_force_oracle(lp: StationaryLP, grid: int) -> LPSolution:
-    """Exhaustive search over a simplex grid of weights per system.
-
-    Independent of the simplex solver by construction; used to validate it.
-    The best feasible grid point is within O(1/grid) of the LP optimum.
-    """
-    if grid < 1:
-        raise ValueError("grid must be >= 1")
-    free_dims = sum(f.shape[0] - 1 for f in lp.f_hats)
-    if grid**max(free_dims, 1) > 10**7:
-        raise ValueError("instance too large for the requested grid")
-    grids = [_simplex_grid(f.shape[0], grid) for f in lp.f_hats]
-    objs = [g @ f for g, f in zip(grids, lp.f_hats)]  # (P_n,)
-    cons = [w_grid @ g for w_grid, g in zip(grids, lp.g_hats)]
-
-    best_obj = np.inf
-    best_weights = None
-    last = lp.n_systems - 1
-
-    def rec(sys_idx, obj_acc, con_acc, chosen):
-        nonlocal best_obj, best_weights
-        if sys_idx == last:
-            total_obj = obj_acc + objs[last]
-            total_con = con_acc[None, :] + cons[last]
-            feasible = np.all(total_con <= lp.d[None, :] + 1e-9, axis=1)
-            if not feasible.any():
-                return
-            idx = np.nonzero(feasible)[0]
-            k = idx[np.argmin(total_obj[idx])]
-            if total_obj[k] < best_obj:
-                best_obj = float(total_obj[k])
-                best_weights = chosen + [grids[last][k]]
-            return
-        for j in range(grids[sys_idx].shape[0]):
-            rec(
-                sys_idx + 1,
-                obj_acc + objs[sys_idx][j],
-                con_acc + cons[sys_idx][j],
-                chosen + [grids[sys_idx][j]],
-            )
-
-    rec(0, 0.0, np.zeros(lp.n_metrics), [])
-    if best_weights is None:
-        return LPSolution(lp=lp, status="infeasible")
-    weights = tuple(np.asarray(w) for w in best_weights)
-    return LPSolution(
-        lp=lp,
-        status="optimal",
-        objective=best_obj,
-        weights=weights,
-        achieved=_achieved(lp, weights),
     )
 
 

@@ -25,7 +25,6 @@ import numpy as np
 from .core import RenewalSystemModel
 
 __all__ = [
-    "queue_update",
     "queue_step",
     "solve_enumerate",
     "solve_bisection",
@@ -33,29 +32,14 @@ __all__ = [
 ]
 
 
-def queue_update(q, z_slot_sum, d_slot) -> np.ndarray:
-    """One slot of the virtual queue recursion, clamped at zero.
-
-    The arithmetic order (delta first, then add, then clamp) is fixed;
-    the simulation engine replays exactly the same operations, so its queue
-    series can be compared bit-for-bit against this function.
-    """
-    qv = np.asarray(q, dtype=float).reshape(-1)
-    z = np.asarray(z_slot_sum, dtype=float).reshape(-1)
-    d = np.asarray(d_slot, dtype=float).reshape(-1)
-    if z.shape != qv.shape or d.shape != qv.shape:
-        raise ValueError(f"length mismatch: queue {qv.shape[0]}, z {z.shape[0]}, d {d.shape[0]}")
-    delta = z - d
-    return np.maximum(qv + delta, 0.0)
-
-
 def queue_step(q: list[float], z_slot_sum, d_slot) -> list[float]:
-    """``queue_update`` on Python floats, one slot of the simulation engine.
+    """One slot of the virtual queue recursion on Python floats, clamped at zero.
 
-    Each coordinate takes the same IEEE double operations in the same order
-    (z - d, then q + delta, then the clamp), so the results are identical
-    bit for bit.  The clamp is written as np.maximum(x, 0.0) resolves it:
-    -0.0 becomes 0.0 and NaN stays NaN.
+    Each coordinate takes z - d, then q + delta, then the clamp, in that
+    order.  The clamp is written as np.maximum(x, 0.0) resolves it: -0.0
+    becomes 0.0 and NaN stays NaN.  The tests compare it bit for bit with
+    the numpy reference in ``tests/conftest.py``, which takes the same
+    operations on arrays.
     """
     return [0.0 if (x := a + (b - c)) <= 0.0 else x for a, b, c in zip(q, z_slot_sum, d_slot)]
 

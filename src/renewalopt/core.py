@@ -252,7 +252,8 @@ class RenewalSystemModel:
 def sample_frame(model: RenewalSystemModel, action: int, rng: np.random.Generator) -> FrameOutcome:
     """Sample one frame for the given action index.
 
-    Raises ValueError for an impulse on a metric the model does not have.
+    Raises ValueError for an impulse on a metric the model does not have,
+    and for a metric row whose length is not the model's metric count.
     """
     if not 0 <= action < len(model.samplers):
         raise IndexError(f"action index {action} out of range for {len(model.samplers)} actions")
@@ -261,6 +262,9 @@ def sample_frame(model: RenewalSystemModel, action: int, rng: np.random.Generato
         l, n_metrics = frame.impulse[1], model._n_metrics
         if not 0 <= l < n_metrics:
             raise ValueError(f"impulse on metric {l} of a frame with {n_metrics} metrics")
+    elif frame.metric_rate is not None and len(frame.metric_rate) != model._n_metrics:
+        n_row, n_metrics = len(frame.metric_rate), model._n_metrics
+        raise ValueError(f"metric row of length {n_row} of a frame with {n_metrics} metrics")
     return frame
 
 

@@ -19,7 +19,6 @@ from .core import FrameOutcome, PerformanceTriple, RenewalSystemModel
 
 __all__ = [
     "LengthDistribution",
-    "DeterministicLength",
     "GeometricLength",
     "CompoundLength",
     "ConstantRateSampler",
@@ -41,27 +40,6 @@ class LengthDistribution(Protocol):
 
     @property
     def second_moment(self) -> float: ...
-
-
-@dataclass(frozen=True)
-class DeterministicLength:
-    value: int
-
-    def __post_init__(self):
-        if int(self.value) != self.value or self.value < 1:
-            raise ValueError("length must be an integer >= 1")
-        object.__setattr__(self, "value", int(self.value))
-
-    def sample(self, rng: np.random.Generator) -> int:
-        return self.value
-
-    @property
-    def mean(self) -> float:
-        return float(self.value)
-
-    @property
-    def second_moment(self) -> float:
-        return float(self.value) ** 2
 
 
 @dataclass(frozen=True)

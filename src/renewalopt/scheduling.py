@@ -149,9 +149,10 @@ def build_instance(
     samplers = tuple(ServiceIdleSampler(c, i, n_classes) for i, c in enumerate(inst.classes))
     triples = tuple(s.triple() for s in samplers)
 
-    # per-slot extrema: energy peaks on an all-minimum frame (H = I = 1),
+    # per-slot extrema: the energy rate (e + p*I)/(H + I) peaks at H = 1 and
+    # moves monotonically in I, from (e + p)/2 at I = 1 toward p as I grows;
     # service impulses peak at the top of the job-count support
-    y_max = max((c.energy + c.idle_power) / 2 for c in inst.classes)
+    y_max = max(max((c.energy + c.idle_power) / 2, c.idle_power) for c in inst.classes)
     z_max = float(max(c.jobs_high for c in inst.classes))
     # independent phases and memorylessness: E[T^2] bounds every residual
     # E[(T-s)^2 | T >= s]

@@ -13,9 +13,9 @@ the queue recursion
 
     Q[t+1] = max{Q[t] + sum_n z^n[t] - d[t], 0}
 
-is applied by ``controller.queue_step`` on Python floats, which takes exactly
-the IEEE operations of ``controller.queue_update``, so trajectories replay
-bit-for-bit.
+is applied by ``controller.queue_step`` on Python floats in a fixed order
+(z - d, then q + delta, then the clamp), so trajectories replay bit-for-bit
+against the numpy reference of the recursion in ``tests/conftest.py``.
 
 The engine samples each frame as a ``core.FrameOutcome``: its length, one
 penalty rate for all its slots, and either a constant metric row (the
@@ -72,7 +72,6 @@ from .core import (
 )
 
 __all__ = [
-    "FixedValue",
     "CappedPoisson",
     "ExternalProcess",
     "default_poisson_cap",
@@ -101,22 +100,6 @@ __all__ = [
 def default_poisson_cap(rate: float) -> int:
     """Truncation point far enough out that the clipped mass is negligible."""
     return math.ceil(rate + 10.0 * math.sqrt(rate))
-
-
-@dataclass(frozen=True)
-class FixedValue:
-    value: float
-
-    @property
-    def mean(self) -> float:
-        return float(self.value)
-
-    @property
-    def max_abs(self) -> float:
-        return abs(float(self.value))
-
-    def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.full(n, float(self.value))
 
 
 @dataclass(frozen=True)
@@ -167,9 +150,6 @@ class ExternalProcess:
     @property
     def n_metrics(self) -> int:
         return len(self.coords)
-
-    def means(self) -> np.ndarray:
-        return np.array([c.mean for c in self.coords])
 
     def max_abs(self) -> float:
         return max(c.max_abs for c in self.coords)

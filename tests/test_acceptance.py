@@ -17,7 +17,6 @@ import pytest
 from renewalopt import TABLE1, build_instance, solve_lp
 from renewalopt.benchmark import (
     StationaryLP,
-    brute_force_oracle,
     extract_reference_point,
     stationary_policy_weights,
 )
@@ -31,6 +30,8 @@ from renewalopt.simulation import (
     run,
     stationary_predictions,
 )
+
+from conftest import brute_force_oracle
 
 SWEEP_V = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
 SWEEP_SEEDS = (1, 2, 3)

@@ -3,13 +3,12 @@ import pytest
 
 from renewalopt.benchmark import (
     StationaryLP,
-    brute_force_oracle,
     extract_reference_point,
     solve_lp,
     stationary_policy_weights,
 )
 
-from conftest import model_from_vectors
+from conftest import brute_force_oracle, model_from_vectors
 
 
 def two_action_lp():

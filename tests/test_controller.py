@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from renewalopt.controller import (
     _ratio_objectives,
-    queue_update,
     ratio_bound_holds,
     solve_bisection,
     solve_enumerate,
@@ -14,7 +13,7 @@ from renewalopt.controller import (
 from renewalopt.core import PerformanceTriple, RenewalSystemModel
 from renewalopt.simulation import DppRatioPolicy
 
-from conftest import model_from_vectors
+from conftest import model_from_vectors, queue_update
 
 
 def objective(model, q, v, action):

@@ -14,12 +14,11 @@ from renewalopt.core import (
 )
 from renewalopt.distributions import (
     ConstantRateSampler,
-    DeterministicLength,
     GeometricLength,
     constant_rate_model,
 )
 
-from conftest import FixedDrawSampler
+from conftest import DeterministicLength, FixedDrawSampler
 
 
 def performance_vectors(model: RenewalSystemModel) -> list[PerformanceVector]:
@@ -235,12 +234,15 @@ def test_validate_model_rejects_malformed_frame_draws():
         with pytest.raises(ValueError, match=message):
             FrameOutcome(*args)
     triple = PerformanceTriple(1.0, [0.0], 2.0)
-    frame = FrameOutcome(2, 1.0, None, (0, 1, -1.0))
-    model = RenewalSystemModel((triple,), (FixedDrawSampler(frame),), 1.0, 1.0, 4.0)
-    with pytest.raises(ValueError, match="impulse on metric 1 of a frame with 1 metrics"):
-        validate_model(model, 10)
-    with pytest.raises(ValueError, match="impulse on metric 1 of a frame with 1 metrics"):
-        sample_frame(model, 0, np.random.default_rng(0))
+    for frame, message in (
+        (FrameOutcome(2, 1.0, None, (0, 1, -1.0)), "impulse on metric 1"),
+        (FrameOutcome(2, 1.0, np.array([0.5, 0.5])), "metric row of length 2"),
+    ):
+        model = RenewalSystemModel((triple,), (FixedDrawSampler(frame),), 1.0, 1.0, 4.0)
+        with pytest.raises(ValueError, match=f"{message} of a frame with 1 metrics"):
+            validate_model(model, 10)
+        with pytest.raises(ValueError, match=f"{message} of a frame with 1 metrics"):
+            sample_frame(model, 0, np.random.default_rng(0))
 
 
 # per-slot values: small integers (so sums land exactly on a bound), any

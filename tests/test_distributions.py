@@ -4,10 +4,11 @@ import pytest
 from renewalopt.distributions import (
     CompoundLength,
     ConstantRateSampler,
-    DeterministicLength,
     GeometricLength,
     constant_rate_model,
 )
+
+from conftest import DeterministicLength
 
 
 def test_deterministic_moments_and_samples():

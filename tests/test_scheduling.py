@@ -8,8 +8,9 @@ from renewalopt.scheduling import (
     SchedulingInstance,
     ServerClassParams,
     ServiceIdleSampler,
+    build_instance,
 )
-from renewalopt.simulation import default_poisson_cap
+from renewalopt.simulation import DppRatioPolicy, default_poisson_cap, run
 
 
 def test_class_params_validation():
@@ -63,10 +64,21 @@ def test_built_bounds(table1_env):
     assert model.residual_bound == pytest.approx(109.96, abs=1e-9)
 
 
+def test_declared_y_max_covers_idle_power_above_energy():
+    # with idle power above the batch energy a frame's rate rises toward the
+    # idle power as the idle phase grows, past the all-minimum frame's
+    inst = SchedulingInstance(2, (ServerClassParams(0.5, 2.0, 2, 4, 4.0, 3.0, 12.0),))
+    models, external, _ = build_instance(inst)
+    assert models[0].y_max == 12.0
+    report = validate_model(models[0], 5000)
+    assert [act.bound_violations for act in report.actions] == [0]
+    run(models, external, DppRatioPolicy(10.0), 2000, seed=1, check=True)
+
+
 def test_built_external_process(table1_env):
     external = table1_env["external"]
     assert external.n_metrics == 3
-    assert np.array_equal(external.means(), [-2.0, -3.0, -4.0])
+    assert [c.mean for c in external.coords] == [-2.0, -3.0, -4.0]
     caps = [default_poisson_cap(c.arrival_rate) for c in TABLE1.classes]
     assert caps == [17, 21, 24]
     assert external.max_abs() == 24.0

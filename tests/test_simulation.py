@@ -7,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from renewalopt import simulation
-from renewalopt.controller import queue_step, queue_update
+from renewalopt.controller import queue_step
 from renewalopt.core import FrameOutcome, PerformanceTriple, PerformanceVector, RenewalSystemModel
 from renewalopt.distributions import (
     ConstantRateSampler,
-    DeterministicLength,
     constant_rate_model,
 )
 from renewalopt.simulation import (
@@ -19,7 +18,6 @@ from renewalopt.simulation import (
     CheckViolation,
     DppRatioPolicy,
     ExternalProcess,
-    FixedValue,
     RandomizedStationaryPolicy,
     RunTrace,
     check_queue_bound,
@@ -34,7 +32,13 @@ from renewalopt.simulation import (
 from renewalopt.benchmark import extract_reference_point, stationary_policy_weights
 from renewalopt.scheduling import TABLE1, SchedulingInstance, ServerClassParams, build_instance
 
-from conftest import FixedDrawSampler, model_from_vectors
+from conftest import (
+    DeterministicLength,
+    FixedDrawSampler,
+    FixedValue,
+    model_from_vectors,
+    queue_update,
+)
 
 
 def single_action_setup(rate=3.0, z_rate=0.0, d_value=1.0, length=2):
@@ -75,7 +79,6 @@ def test_capped_poisson_coordinate():
 def test_external_process_matrix():
     ext = ExternalProcess((FixedValue(1.0), FixedValue(-2.0)))
     assert ext.n_metrics == 2
-    assert np.array_equal(ext.means(), [1.0, -2.0])
     assert ext.max_abs() == 2.0
     mat = ext.sample_matrix(np.random.default_rng(0), 4)
     assert mat.shape == (4, 2)
@@ -306,14 +309,20 @@ def test_run_rejects_malformed_frame_draws():
 
 
 def test_run_rejects_impulses_on_a_missing_metric():
-    # the unchecked engine samples through sample_frame, which range-checks
-    # the metric index: -1 would land on the last metric and 2 past the array
+    # the unchecked engine samples through sample_frame, which checks the
+    # impulse's metric index (-1 would land on the last metric and 2 past the
+    # array) and a row's length (numpy would broadcast 1 entry onto both
+    # metrics and fail on 3)
     external = ExternalProcess((FixedValue(0.0), FixedValue(0.0)))
     triple = PerformanceTriple(1.0, [0.0, 0.0], 2.0)
-    for l in (-1, 2):
-        frame = FrameOutcome(2, 1.0, None, (1, l, -5.0))
+    for frame, message in (
+        (FrameOutcome(2, 1.0, None, (1, -1, -5.0)), "impulse on metric -1"),
+        (FrameOutcome(2, 1.0, None, (1, 2, -5.0)), "impulse on metric 2"),
+        (FrameOutcome(2, 1.0, np.array([0.5])), "metric row of length 1"),
+        (FrameOutcome(2, 1.0, np.array([0.5, 0.5, 0.5])), "metric row of length 3"),
+    ):
         model = RenewalSystemModel((triple,), (FixedDrawSampler(frame),), 1.0, 5.0, 4.0)
-        with pytest.raises(ValueError, match=f"impulse on metric {l} of a frame with 2 metrics"):
+        with pytest.raises(ValueError, match=f"{message} of a frame with 2 metrics"):
             run([model], external, DppRatioPolicy(1.0), slots=10, seed=0)
 
 
