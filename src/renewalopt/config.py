@@ -27,6 +27,8 @@ Top-level keys:
     idle_mean    float >= 1                            (required)
     idle_power   float >= 0                            (default: the top-level value)
 
+A v list may not hold two entries that print alike under format(v, "g"),
+nor a seeds list one seed twice: either would repeat a (v, seed) cell.
 Unknown keys, duplicate keys, and malformed values (inf and nan included)
 are reported with their line numbers, each malformed value once; all errors
 in a file are collected before giving up, except that a [class] block is
@@ -129,6 +131,17 @@ _probabilities = _checked(
     lambda ws: abs(sum(ws) - 1.0) <= 1e-6,
     "entries must sum to 1",
 )
+# each (v, seed) pair is one cell, written to trajectory_<format(v, "g")>_<seed>.csv
+_v_list = _checked(
+    _checked(_list_of(_float), lambda vs: all(v > 0 for v in vs), "V must be positive"),
+    lambda vs: len({format(v, "g") for v in vs}) == len(vs),
+    'two entries are one cell: format(v, "g") prints them alike',
+)
+_seed_list = _checked(
+    _checked(_list_of(_int), lambda xs: min(xs) >= 0, "seeds must be >= 0"),
+    lambda xs: len(set(xs)) == len(xs),
+    "a seed repeats",
+)
 
 # the default of a key that must be present
 _REQUIRED = object()
@@ -140,12 +153,9 @@ _TOP_TABLE = {
     "idle_power": (_nonnegative_float, None),
     "policy": (_choice("dpp_ratio", "stationary"), "dpp_ratio"),
     "solver": (_choice("enumerate", "bisection"), "enumerate"),
-    "v": (
-        _checked(_list_of(_float), lambda vs: all(v > 0 for v in vs), "V must be positive"),
-        DEFAULT_V_SWEEP,
-    ),
+    "v": (_v_list, DEFAULT_V_SWEEP),
     "slots": (_positive_int, _REQUIRED),
-    "seeds": (_checked(_list_of(_int), lambda xs: min(xs) >= 0, "seeds must be >= 0"), (1,)),
+    "seeds": (_seed_list, (1,)),
     "out": (str, "results"),
     "trajectories": (_onoff, False),
     "check": (_onoff, False),

@@ -31,6 +31,9 @@ __all__ = [
     "ratio_bound_holds",
 ]
 
+# Dinkelbach stops once the inner minimum is within this of zero
+_BISECTION_TOL = 1e-9
+
 
 def queue_step(q: list[float], z_slot_sum, d_slot) -> list[float]:
     """One slot of the virtual queue recursion on Python floats, clamped at zero.
@@ -92,19 +95,17 @@ def solve_enumerate(model: RenewalSystemModel, q, v: float) -> int:
     return objectives.index(min(objectives))  # min keeps the first of equal values
 
 
-def solve_bisection(model: RenewalSystemModel, q, v: float, tol: float = 1e-9) -> int:
+def solve_bisection(model: RenewalSystemModel, q, v: float) -> int:
     """The index of the action minimizing the frame ratio, by Dinkelbach iteration.
 
     Repeatedly minimizes V*y_hat + <q, z_hat> - theta * t_hat over actions and
     moves theta to the minimizer's ratio; stops when the inner minimum is
-    within tol of zero.  Every action whose final cost is below tol is then a
-    candidate for the minimum, and the returned action is the one Dinkelbach
-    stopped on unless a candidate has a strictly smaller exact ratio (lowest
-    index among those), so the returned action passes ``ratio_bound_holds``
-    even on near ties.
+    within _BISECTION_TOL of zero.  Every action whose final cost is below
+    _BISECTION_TOL is then a candidate for the minimum, and the returned
+    action is the one Dinkelbach stopped on unless a candidate has a
+    strictly smaller exact ratio (lowest index among those), so the returned
+    action passes ``ratio_bound_holds`` even on near ties.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     num, ratios = _ratio_objectives(model, q, v)
     _, _, den = _model_penalty_terms(model, v)
     theta = ratios[0]
@@ -114,8 +115,8 @@ def solve_bisection(model: RenewalSystemModel, q, v: float, tol: float = 1e-9) -
         costs = [a - theta * b for a, b in zip(num, den)]
         low = min(costs)
         idx = costs.index(low)
-        if low >= -tol:
-            near = [i for i, c in enumerate(costs) if c < tol]
+        if low >= -_BISECTION_TOL:
+            near = [i for i, c in enumerate(costs) if c < _BISECTION_TOL]
             best = min(near, key=ratios.__getitem__)
             return best if ratios[best] < ratios[idx] else idx
         theta = ratios[idx]

@@ -20,8 +20,8 @@ length, one penalty rate for every slot, and either a constant metric row or
 one impulse (slot offset, metric, value), which the simulation engine lays
 down directly.  ``sample_frame`` draws a frame and checks its impulse's
 metric against the model.  ``FrameOutcome.bound_violations`` checks a frame
-against the declared per-slot bounds and ``FrameOutcome.totals`` sums it,
-each with the result its per-slot arrays would give.
+against the declared per-slot bounds, with the result its per-slot arrays
+would give, and ``FrameOutcome.totals`` gives its frame totals.
 """
 
 from __future__ import annotations
@@ -85,13 +85,14 @@ class PerformanceVector:
 class FrameOutcome:
     """One sampled frame in compact form: a metric row or one impulse.
 
-    Every slot carries penalty_rate, and the metrics are the row metric_rate
-    on every slot or zero but for one impulse (slot offset, metric, value);
-    with neither, zero.  Construction rejects a length below 1, a row with
-    an impulse, and an impulse outside the frame's slots, which would land
-    on slots the queue has already stepped through or on another frame's;
-    ``sample_frame`` checks the impulse's metric against the model.  Not
-    frozen, which makes construction cheaper; nothing assigns to a frame.
+    Every slot carries penalty_rate, and the metrics are either the row
+    metric_rate on every slot or zero but for one impulse (slot offset,
+    metric, value).  Construction rejects a length below 1, a frame with
+    both a row and an impulse or with neither, and an impulse outside the
+    frame's slots, which would land on slots the queue has already stepped
+    through or on another frame's; ``sample_frame`` checks the impulse's
+    metric against the model.  Not frozen, which makes construction
+    cheaper; nothing assigns to a frame.
     """
 
     length: int
@@ -103,12 +104,11 @@ class FrameOutcome:
         length = self.length
         if length < 1:
             raise ValueError(f"frame of length {length}")
-        if self.impulse is not None:
-            if self.metric_rate is not None:
-                raise ValueError("frame with a metric row and an impulse")
-            offset = self.impulse[0]
-            if not 0 <= offset < length:
-                raise ValueError(f"impulse at offset {offset} of a frame of length {length}")
+        impulse = self.impulse
+        if (impulse is None) == (self.metric_rate is None):
+            raise ValueError("frame needs exactly one of a metric row and an impulse")
+        if impulse is not None and not 0 <= impulse[0] < length:
+            raise ValueError(f"impulse at offset {impulse[0]} of a frame of length {length}")
 
     def bound_violations(self, y_max: float, z_max: float) -> tuple[bool, bool]:
         """(penalty_over, metric_over): does some slot have |y| > y_max, some |z_l| > z_max?
@@ -117,47 +117,26 @@ class FrameOutcome:
         bounds z_max >= 0, as a model declares, without building them: the
         metric entries are the row or, but for the impulse, zeros.
         """
-        row, impulse = self.metric_rate, self.impulse
-        if row is not None:
-            metric_over = any(abs(r) > z_max for r in row)
+        if self.impulse is None:
+            metric_over = any(abs(r) > z_max for r in self.metric_rate)
         else:
-            metric_over = impulse is not None and abs(impulse[2]) > z_max
+            metric_over = abs(self.impulse[2]) > z_max
         return abs(self.penalty_rate) > y_max, metric_over
 
     def totals(self, n_metrics: int) -> tuple[float, np.ndarray]:
-        """The frame's penalty and metric totals, summed as its per-slot arrays are.
+        """The frame's penalty and metric totals (Y, Z).
 
-        The penalty total is the np.full array's sum, which rate * length can
-        miss in the last bit; a row's metric total sums the tiled rows.  An
-        impulse's metric total is its value added to 0.0, its column's sum.
+        Y is penalty_rate * length and a row's Z is metric_rate * length,
+        each entry one correctly rounded product; an impulse's Z is its
+        value on a zero vector.
         """
-        y_total = 0.0 + _constant_sum(self.penalty_rate, self.length)
-        if self.metric_rate is not None:
-            return y_total, np.tile(self.metric_rate, (self.length, 1)).sum(axis=0)
+        y_total = self.penalty_rate * self.length
+        if self.impulse is None:
+            return y_total, self.metric_rate * self.length
+        _, l, value = self.impulse
         z_total = np.zeros(n_metrics)
-        if self.impulse is not None:
-            _, l, value = self.impulse
-            z_total[l] += value
+        z_total[l] = value
         return y_total, z_total
-
-
-def _constant_sum(value: float, n: int) -> float:
-    """np.full(n, value).sum() less its 0.0 start, bit for bit, without the array.
-
-    numpy halves runs over 128 at a multiple of 8 and adds a block in 8 equal lanes.
-    """
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _constant_sum(value, half) + _constant_sum(value, n - half)
-    total = 0.0
-    if n >= 8:
-        lane = value
-        for _ in range(n // 8 - 1):
-            lane += value
-        total = 8.0 * lane  # the lanes added pairwise, exactly: x + x = 2x
-    for _ in range(n % 8):
-        total += value
-    return total
 
 
 class FrameSampler(Protocol):
@@ -262,7 +241,7 @@ def sample_frame(model: RenewalSystemModel, action: int, rng: np.random.Generato
         l, n_metrics = frame.impulse[1], model._n_metrics
         if not 0 <= l < n_metrics:
             raise ValueError(f"impulse on metric {l} of a frame with {n_metrics} metrics")
-    elif frame.metric_rate is not None and len(frame.metric_rate) != model._n_metrics:
+    elif len(frame.metric_rate) != model._n_metrics:
         n_row, n_metrics = len(frame.metric_rate), model._n_metrics
         raise ValueError(f"metric row of length {n_row} of a frame with {n_metrics} metrics")
     return frame

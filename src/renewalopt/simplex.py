@@ -20,6 +20,8 @@ import numpy as np
 __all__ = ["SimplexResult", "simplex_solve"]
 
 _FEAS_TOL = 1e-7
+# reduced costs and pivot entries within this of zero count as zero
+_PIVOT_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,16 +44,16 @@ def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
     basis[row] = col
 
 
-def _bland_iterate(tableau: np.ndarray, basis: list[int], tol: float) -> str:
+def _bland_iterate(tableau: np.ndarray, basis: list[int]) -> str:
     m = tableau.shape[0] - 1
     while True:
         reduced = tableau[-1, :-1]
-        eligible = np.nonzero(reduced < -tol)[0]
+        eligible = np.nonzero(reduced < -_PIVOT_TOL)[0]
         if eligible.size == 0:
             return "optimal"
         col = int(eligible[0])
         column = tableau[:m, col]
-        rows = np.nonzero(column > tol)[0]
+        rows = np.nonzero(column > _PIVOT_TOL)[0]
         if rows.size == 0:
             return "unbounded"
         ratios = tableau[rows, -1] / column[rows]
@@ -69,7 +71,6 @@ def simplex_solve(
     b_ub=None,
     a_eq=None,
     b_eq=None,
-    tol: float = 1e-9,
 ) -> SimplexResult:
     c = np.asarray(c, dtype=float).reshape(-1)
     n = c.shape[0]
@@ -120,7 +121,7 @@ def simplex_solve(
     tableau[-1] = phase1
     for i in needs_art:
         tableau[-1] -= tableau[i]
-    if _bland_iterate(tableau, basis, tol) != "optimal":
+    if _bland_iterate(tableau, basis) != "optimal":
         raise RuntimeError("phase 1 cannot be unbounded")
     scale = max(1.0, float(np.abs(b_full).max()) if m else 1.0)
     if -tableau[-1, -1] > _FEAS_TOL * scale:
@@ -133,7 +134,7 @@ def simplex_solve(
         if basis[i] < n_work:
             keep.append(i)
             continue
-        pivot_cols = np.nonzero(np.abs(tableau[i, :n_work]) > tol)[0]
+        pivot_cols = np.nonzero(np.abs(tableau[i, :n_work]) > _PIVOT_TOL)[0]
         if pivot_cols.size:
             _pivot(tableau, basis, i, int(pivot_cols[0]))
             keep.append(i)
@@ -150,7 +151,7 @@ def simplex_solve(
     for i, col in enumerate(basis):
         if tableau[-1, col] != 0.0:
             tableau[-1] -= tableau[-1, col] * tableau[i]
-    if _bland_iterate(tableau, basis, tol) == "unbounded":
+    if _bland_iterate(tableau, basis) == "unbounded":
         return SimplexResult(status="unbounded")
 
     x_work = np.zeros(n_work)

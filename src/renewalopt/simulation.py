@@ -25,7 +25,9 @@ of y and z, or the impulse to its one entry of z, with the same bits as
 adding the frame's per-slot arrays.  ``check=True`` compares the frame
 itself with the declared bounds (``FrameOutcome.bound_violations``).  The
 frame replays of ``frame_stats`` and ``drift_diagnostic`` read the same
-compact frames: ``FrameOutcome.totals`` and, against Q, the row or impulse.
+compact frames: ``frame_stats`` adds up each frame's totals (Y, Z, T) from
+``FrameOutcome.totals``, and ``drift_diagnostic`` takes Y as rate * length
+and weighs the row or the impulse against Q.
 
 ``run`` does only that and returns a ``RunTrace`` (the per-slot series y, z
 and d, the queue series Q[0..slots], the seed and each system's frame log),
@@ -382,13 +384,13 @@ def run(
                 length = frame.length
                 end = t + length
                 y_arr[t:end] += frame.penalty_rate
-                if frame.impulse is not None:
+                if frame.impulse is None:
+                    z_arr[t:end] += frame.metric_rate
+                else:
                     # FrameOutcome keeps the offset and sample_frame the metric in range
                     offset, l, value = frame.impulse
                     if t + offset < slots:
                         z_arr[t + offset, l] += value
-                elif frame.metric_rate is not None:
-                    z_arr[t:end] += frame.metric_rate
                 if check and any(frame.bound_violations(model.y_max, model.z_max)):
                     raise CheckViolation(
                         f"sampled frame at slot {t}, system {n} exceeds declared bounds"
@@ -460,7 +462,7 @@ def check_queue_bound(trace: RunTrace) -> None:
             bad = int(np.argmin(q - cum_net))
             raise CheckViolation(
                 f"queue lower bound violated at slot {start + int(rows[0])}, constraint {bad}: "
-                f"Q={q[bad]!r} < cumulative net input {cum_net[bad]!r}"
+                f"Q={float(q[bad])!r} < cumulative net input {float(cum_net[bad])!r}"
             )
 
 
@@ -595,8 +597,9 @@ def drift_diagnostic(
 ) -> DriftDiagnostic:
     """Drift sums of the completed frames of a dpp_ratio run against c0.
 
-    A frame's queue term is (row - g_bar) . sum of Q over its slots, plus
-    value * Q[start + offset, l] for its impulse (row 0 without a metric row).
+    A frame's penalty total is rate * length.  Its queue term is
+    (row - g_bar) . sum of Q over its slots for a metric row, and
+    -g_bar . that sum plus value * Q[start + offset, l] for an impulse.
     """
     models = list(models)
     reference = tuple(reference)
@@ -610,12 +613,13 @@ def drift_diagnostic(
     queues = trace.queues
 
     def excess(start: int, frame: FrameOutcome, ref: PerformanceVector) -> float:
-        y_total, _ = frame.totals(external.n_metrics)
-        row = 0.0 if frame.metric_rate is None else frame.metric_rate
-        queue_term = (row - ref.g_hat) @ queues[start : start + frame.length].sum(axis=0)
-        if frame.impulse is not None:
+        window = queues[start : start + frame.length].sum(axis=0)
+        if frame.impulse is None:
+            queue_term = (frame.metric_rate - ref.g_hat) @ window
+        else:
             offset, l, value = frame.impulse
-            queue_term += value * queues[start + offset, l]
+            queue_term = -ref.g_hat @ window + value * queues[start + offset, l]
+        y_total = frame.penalty_rate * frame.length
         return policy.v * (y_total - frame.length * ref.f_hat) + queue_term - c0
 
     excesses = [

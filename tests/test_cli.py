@@ -133,6 +133,9 @@ def test_negative_seeds_and_bad_overrides_exit_1(tmp_path, capsys):
     cfg = write_config(tmp_path, "instance = table1\nslots = 10\nseeds = -3\n")
     assert main(["run", cfg]) == 1
     assert "line 3: seeds" in capsys.readouterr().err
+    cfg = write_config(tmp_path, "instance = table1\nslots = 10\nseeds = 1 1\n", name="twice.cfg")
+    assert main(["run", cfg]) == 1
+    assert "line 3: seeds: a seed repeats" in capsys.readouterr().err
     cfg = write_config(tmp_path, BASE, name="base.cfg")
     assert main(["run", cfg, "--seed", "-1"]) == 1
     assert "seed: must be >= 0" in capsys.readouterr().err

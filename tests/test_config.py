@@ -71,6 +71,26 @@ def test_negative_seed_rejected_with_line_number():
     assert parse_config("instance = table1\nslots = 10\nseeds = 0\n").seeds == (0,)
 
 
+def test_repeated_cells_rejected_with_line_number():
+    # each (v, seed) cell writes trajectory_<format(v, "g")>_<seed>.csv: V
+    # entries that print alike, or a repeated seed, would overwrite a cell
+    errs = errors_of(
+        "instance = table1\nslots = 10\nv = 1.0000001 1.0000002\nseeds = 1 1\n"
+        "trajectories = on\n"
+    )
+    assert errs == [
+        (3, "v", 'two entries are one cell: format(v, "g") prints them alike'),
+        (4, "seeds", "a seed repeats"),
+    ]
+    assert errors_of("instance = table1\nslots = 10\nv = 5, 20, 5.0\n") == [
+        (3, "v", 'two entries are one cell: format(v, "g") prints them alike')
+    ]
+    # distinct values stay distinct cells, even seeds that format(seed, "g") prints alike
+    cfg = parse_config("instance = table1\nslots = 10\nv = 1.5 15\nseeds = 12345678 12345679\n")
+    assert cfg.v_list == (1.5, 15.0)
+    assert cfg.seeds == (12345678, 12345679)
+
+
 def test_unknown_and_duplicate_keys_carry_line_numbers():
     errs = errors_of("instance = table1\nslots = 10\nslots = 20\nspeed = 9\n")
     assert (3, "slots", "duplicate key") in errs

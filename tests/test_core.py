@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -71,7 +74,9 @@ def test_frame_outcome_shape_checks():
         ((0, 1.0, None), "frame of length 0"),
         ((2, 1.0, None, (2, 0, -1.0)), "impulse at offset 2 of a frame of length 2"),
         ((2, 1.0, None, (-1, 0, -1.0)), "impulse at offset -1 of a frame of length 2"),
-        ((2, 1.0, np.array([1.0]), (0, 0, -1.0)), "a metric row and an impulse"),
+        ((2, 1.0, np.array([1.0]), (0, 0, -1.0)), "exactly one of a metric row and an impulse"),
+        ((2, 1.0, None), "exactly one of a metric row and an impulse"),
+        ((2, 1.0, None, None), "exactly one of a metric row and an impulse"),
     ):
         with pytest.raises(ValueError, match=message):
             FrameOutcome(*args)
@@ -87,18 +92,6 @@ def test_frame_outcome_totals():
     y_total, z_total = FrameOutcome(3, 2.0, None, (2, 1, -1.0)).totals(2)
     assert y_total == 6.0
     assert np.array_equal(z_total, [0.0, -1.0])
-
-
-def test_frame_penalty_total_is_numpys_pairwise_sum():
-    # totals replays np.full(n, rate).sum() without the array: eight lanes,
-    # blocks of up to 128, longer runs halved at a multiple of 8, all added
-    # to 0.0 (so a -0.0 rate sums to +0.0 at every length)
-    rng = np.random.default_rng(11)
-    rates = [0.0, -0.0, 1 / 3, 1e-300, *rng.uniform(-100, 100, 3).tolist()]
-    for n in [*range(1, 301), 8191, 8192, 8193, 40000]:
-        for rate in rates:
-            y_total, _ = FrameOutcome(n, rate, None).totals(1)
-            assert np.float64(y_total).tobytes() == np.full(n, rate).sum().tobytes(), (n, rate)
 
 
 def test_model_rejects_inconsistent_declarations():
@@ -259,11 +252,10 @@ _bounds = st.one_of(st.integers(0, 30).map(float), st.floats(0.0, allow_infinity
 def _frame_draws(draw):
     length = draw(st.integers(1, 20))
     n_metrics = draw(st.integers(1, 4))
-    form = draw(st.sampled_from(["row", "impulse", "neither"]))
     row = impulse = None
-    if form == "row":
+    if draw(st.booleans()):
         row = np.array(draw(st.lists(_slot_values, min_size=n_metrics, max_size=n_metrics)))
-    elif form == "impulse":
+    else:
         impulse = (
             draw(st.integers(0, length - 1)),
             draw(st.integers(0, n_metrics - 1)),
@@ -283,20 +275,40 @@ def test_compact_frame_checks_match_the_dense_arrays(frame, y_max, z_max):
         penalty = np.full(frame.length, frame.penalty_rate)
         if frame.metric_rate is None:
             metrics = np.zeros((frame.length, n_metrics))
-        else:
-            metrics = np.tile(frame.metric_rate, (frame.length, 1))
-        if frame.impulse is not None:
             s, l, value = frame.impulse
             metrics[s, l] += value
+        else:
+            metrics = np.tile(frame.metric_rate, (frame.length, 1))
         dense = (
             bool(np.any(np.abs(penalty) > y_max)),
             bool(np.any(np.abs(metrics) > z_max)),
         )
         assert frame.bound_violations(y_max, z_max) == dense
         y_total, z_total = frame.totals(n_metrics)
-        # bit for bit, the sign of zero and NaN included
-        assert np.float64(y_total).tobytes() == penalty.sum().tobytes()
-        assert z_total.tobytes() == metrics.sum(axis=0).tobytes()
+    assert z_total.shape == (n_metrics,)
+    # each total is rate * length, correctly rounded
+    _assert_scaled(y_total, frame.penalty_rate, frame.length)
+    if frame.metric_rate is None:
+        _, l, value = frame.impulse
+        assert np.float64(z_total[l]).tobytes() == np.float64(value).tobytes()
+        assert not np.delete(z_total, l).any()
+    else:
+        for total, rate in zip(z_total.tolist(), frame.metric_rate.tolist()):
+            _assert_scaled(total, rate, frame.length)
+
+
+def _assert_scaled(total, rate, length):
+    """total is the double nearest rate * length: inf past the largest double, NaN for NaN."""
+    if math.isnan(rate):
+        assert math.isnan(total)
+    elif math.isinf(rate):
+        assert total == rate
+    else:
+        try:
+            exact = float(Fraction(rate) * length)
+        except OverflowError:
+            exact = math.copysign(math.inf, rate)
+        assert total == exact
 
 
 def test_validate_model_residual_flagging():

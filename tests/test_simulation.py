@@ -1,5 +1,7 @@
 import hashlib
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,7 +176,8 @@ def test_queue_bound_check_names_first_violation():
     queues = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.5, 0.0], [3.0, -1.0]])
     frames = (np.array([[0, 4, 0]]),)
     trace = RunTrace(0, np.zeros(4), metrics, external, queues, frames)
-    with pytest.raises(CheckViolation, match=r"at slot 2, constraint 0: Q=.*1\.5.* < .*2\.0"):
+    message = "queue lower bound violated at slot 2, constraint 0: Q=1.5 < cumulative net input 2.0"
+    with pytest.raises(CheckViolation, match=f"^{re.escape(message)}$"):
         check_queue_bound(trace)
     # the recursion itself never breaks the bound
     q = np.zeros(2)
@@ -628,3 +631,20 @@ def test_stationary_runs_draw_one_action_per_frame(table1_env, monkeypatch):
     trace = fingerprint_run(table1_env, "table1_stationary")
     assert np.array_equal(np.bincount(draws), trace.frames_per_system)
     assert trace_digest(trace) == TRACE_FINGERPRINTS["table1_stationary"]
+
+
+def test_readme_quickstart_runs(capsys):
+    # the README's library quickstart, on a 2,000-slot horizon: it reaches
+    # frame_stats and drift_diagnostic, which replay every completed frame
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code = readme.split("## Library quickstart")[1].split("```python")[1].split("```")[0]
+    assert code.count("slots=200_000") == 1
+    namespace = {}
+    exec(code.replace("slots=200_000", "slots=2_000"), namespace)
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 3
+    stats, drift = namespace["stats"], namespace["drift"]
+    assert namespace["trace"].slots == 2_000
+    assert len(stats) == len(namespace["models"]) and all(s.count > 0 for s in stats)
+    assert np.array_equal(drift.frame_counts, [s.count for s in stats])
+    assert np.isfinite(drift.excess_mean).all()
