@@ -80,8 +80,9 @@ def _write_trajectory(path: Path, trajectory) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t"] + [f"q_{l + 1}" for l in range(n_metrics)])
-        for t, row in zip(trajectory.times, trajectory.queues):
-            writer.writerow([int(t)] + [_fmt(x) for x in row])
+        # _fmt's format on Python floats, one row at a time
+        for t, row in zip(trajectory.times.tolist(), trajectory.queues):
+            writer.writerow([t] + [format(x, ".9g") for x in row.tolist()])
 
 
 def _memory_budget() -> int:
@@ -93,8 +94,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
     """Execute the configured grid and write CSVs; returns the exit code."""
     models, external, lp = build_instance(cfg.instance)
     n_metrics = external.n_metrics
-    # a cell's trace holds 8 * (1 + 3L) bytes per slot and is filled in
-    # lazily, so a horizon that cannot fit would fail mid-run
+    # a cell's trace holds 8 * (1 + 3L) bytes per slot and its queue series
+    # grows slot by slot, so a horizon that cannot fit would fail mid-run
     trace_mib = 8 * (1 + 3 * n_metrics) * cfg.slots / 2**20
     budget_mib = _memory_budget() / 2**20
     if trace_mib > budget_mib:
@@ -244,6 +245,8 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "out", None) == "":  # Path("") would be the working directory
+            raise ConfigError([(0, "out", "empty path")])
         return args.func(args)
     except ConfigError as exc:
         print(exc, file=sys.stderr)

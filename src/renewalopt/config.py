@@ -156,7 +156,7 @@ _TOP_TABLE = {
     "v": (_v_list, DEFAULT_V_SWEEP),
     "slots": (_positive_int, _REQUIRED),
     "seeds": (_seed_list, (1,)),
-    "out": (str, "results"),
+    "out": (_checked(str, len, "empty path"), "results"),
     "trajectories": (_onoff, False),
     "check": (_onoff, False),
     "weights": (lambda value: value if value == "lp" else _probabilities(value), "lp"),

@@ -8,8 +8,9 @@ sampled frame then contributes its per-slot penalty and metrics on the slots
 it covers.  A drift-plus-penalty decision depends only on (model, Q[t], V),
 so it is solved once per (model object, frame-start slot) and reused by every
 system that shares the model and starts a frame in that slot; the stationary
-policy draws each frame's action from the system's own stream.  Every slot
-the queue recursion
+policy draws each frame's action from the system's own stream.  Systems wait
+in buckets keyed by their next frame-start slot and are taken in index order
+within a slot.  Every slot the queue recursion
 
     Q[t+1] = max{Q[t] + sum_n z^n[t] - d[t], 0}
 
@@ -20,11 +21,13 @@ against the numpy reference of the recursion in ``tests/conftest.py``.
 The engine samples each frame as a ``core.FrameOutcome``: its length, one
 penalty rate for all its slots, and either a constant metric row (the
 constant-rate samplers) or one impulse (the scheduling sampler's -jobs on
-the last service slot).  It adds the rate and the row to the frame's slices
-of y and z, or the impulse to its one entry of z, with the same bits as
-adding the frame's per-slot arrays.  ``check=True`` compares the frame
-itself with the declared bounds (``FrameOutcome.bound_violations``).  The
-frame replays of ``frame_stats`` and ``drift_diagnostic`` read the same
+the last service slot).  It adds the rate to each of the frame's slots of y
+and the row to its slice of z, or the impulse to its one entry of z, with
+the same bits as adding the frame's per-slot arrays.  y, z and Q are laid
+down on ``array`` buffers, so no numpy call is made per frame but for a
+metric row; the trace's arrays are views of them.  ``check=True`` compares
+the frame itself with the declared bounds (``FrameOutcome.bound_violations``).
+The frame replays of ``frame_stats`` and ``drift_diagnostic`` read the same
 compact frames: ``frame_stats`` adds up each frame's totals (Y, Z, T) from
 ``FrameOutcome.totals``, and ``drift_diagnostic`` takes Y as rate * length
 and weighs the row or the impulse against Q.
@@ -41,9 +44,10 @@ spawn_key=(1,).  Adding or removing systems therefore never perturbs the
 other streams.
 
 With ``check=True`` three exact invariants are asserted: while running, the
-minimality certificate of every frame decision (``ratio_bound_holds`` on
-the action each frame lays down, against Q[t]) and the declared
-per-slot bounds of every sampled frame; after the loop, the sample-path
+minimality certificate of every decision (``ratio_bound_holds`` against
+Q[t], once per decision right after the solve, on the action that every
+frame sharing the decision lays down) and the declared per-slot bounds of
+every sampled frame; after the loop, the sample-path
 lower bound Q_l[t] >= sum_{s<t}(sum_n z_l^n[s] - d_l[s]), which holds
 exactly in floating point because both sides add the same per-slot deltas
 and the queue side only ever clamps upward.
@@ -55,6 +59,7 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -280,6 +285,7 @@ class RunTrace:
 
 
 _CHUNK = 8192
+_ROWS = 256
 
 
 def _running_sums(
@@ -336,11 +342,17 @@ def run(
         solve = solve_enumerate if policy.solver == "enumerate" else solve_bisection
         def decide(n, q):
             # the decision depends only on (model, Q[t], V): systems that
-            # share a model object and start a frame in this slot share it
+            # share a model object and start a frame in this slot share it,
+            # so its certificate covers every frame that lays it down
             model = models[n]
             action = decided.get(model)
             if action is None:
                 action = decided[model] = solve(model, q, v)
+                if certify and not ratio_bound_holds(model, action, q, v):
+                    raise CheckViolation(
+                        f"frame decision at slot {t}, system {n}: the ratio objective "
+                        f"of action {action} exceeds another action's"
+                    )
             return action
     elif isinstance(policy, RandomizedStationaryPolicy):
         if len(policy.weights) != n_sys:
@@ -357,64 +369,58 @@ def run(
     ext_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(1,))))
     d_arr = external.sample_matrix(ext_rng, slots)
 
-    y_arr = np.zeros(slots)
-    z_arr = np.zeros((slots, n_metrics))
-    queues = np.zeros((slots + 1, n_metrics))
+    # item assignment and fromlist reach the buffers without a numpy call
+    y_buf = array("d", [0.0]) * slots
+    z_buf = array("d", [0.0]) * (slots * n_metrics)
+    z_arr = np.frombuffer(z_buf).reshape(slots, n_metrics)
+    q_buf = array("d", [0.0]) * n_metrics  # Q[0], then one row per slot stepped
+    # d's rows as lists, converted _ROWS slots at a time
+    d_rows = chain.from_iterable(d_arr[i : i + _ROWS].tolist() for i in range(0, slots, _ROWS))
     logs = [array("q") for _ in range(n_sys)]
-    next_start = [0] * n_sys
-    next_event = 0
-    q = queues[0].tolist()
+    starting = {0: list(range(n_sys))}  # frame-start slot -> systems starting there
+    q = q_buf.tolist()
 
     t = 0
     while t < slots:
-        if t == next_event:
+        if t in starting:
             decided.clear()
-            for n in range(n_sys):
-                if next_start[n] != t:
-                    continue
+            for n in sorted(starting.pop(t)):
                 model = models[n]
                 # q is Q[t] as a list, the form the ratio kernel reads
                 idx = decide(n, q)
-                if certify and not ratio_bound_holds(model, idx, q, v):
-                    raise CheckViolation(
-                        f"frame decision at slot {t}, system {n}: the ratio objective "
-                        f"of action {idx} exceeds another action's"
-                    )
                 frame = sample_frame(model, idx, rngs[n])
                 length = frame.length
                 end = t + length
-                y_arr[t:end] += frame.penalty_rate
+                rate = frame.penalty_rate
+                for s in range(t, min(end, slots)):
+                    y_buf[s] += rate
                 if frame.impulse is None:
                     z_arr[t:end] += frame.metric_rate
                 else:
                     # FrameOutcome keeps the offset and sample_frame the metric in range
                     offset, l, value = frame.impulse
                     if t + offset < slots:
-                        z_arr[t + offset, l] += value
+                        z_buf[(t + offset) * n_metrics + l] += value
                 if check and any(frame.bound_violations(model.y_max, model.z_max)):
                     raise CheckViolation(
                         f"sampled frame at slot {t}, system {n} exceeds declared bounds"
                     )
                 logs[n].extend((t, length, idx))
-                next_start[n] = end
-            next_event = min(next_start)
-        # no frame starts before next_event, so z is final up to there; the
-        # queue steps on Python floats through that segment, at most _CHUNK
-        # slots at a time
-        stop = min(next_event, t + _CHUNK, slots)
-        rows = []
-        for z_row, d_row in zip(z_arr[t:stop].tolist(), d_arr[t:stop].tolist()):
-            q = queue_step(q, z_row, d_row)
-            rows.append(q)
-        queues[t + 1 : stop + 1] = rows
+                starting.setdefault(end, []).append(n)
+        # no frame starts before the next start slot, so z is final up to
+        # there; the queue steps on Python floats through that segment
+        stop = min(min(starting), slots)
+        for s, d_row in zip(range(t, stop), d_rows):
+            q = queue_step(q, z_buf[s * n_metrics : (s + 1) * n_metrics], d_row)
+            q_buf.fromlist(q)
         t = stop
 
     trace = RunTrace(
         seed=seed,
-        penalty=y_arr,
+        penalty=np.frombuffer(y_buf),
         metrics=z_arr,
         external=d_arr,
-        queues=queues,
+        queues=np.frombuffer(q_buf).reshape(slots + 1, n_metrics),
         frames=tuple(np.frombuffer(log, dtype=np.int64).reshape(-1, 3) for log in logs),
     )
     if check:

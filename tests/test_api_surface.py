@@ -95,8 +95,9 @@ def test_trace_hooks_see_every_frame_decision(monkeypatch):
     # perf/child.py times the decision, the certificate and the frame
     # sampler by wrapping these names where the engine looks them up: the
     # decision once per (frame-start slot, model), the certificate once per
-    # frame when checked, and the sampler and the frame type once per frame,
-    # or the benchmark's spans read 0
+    # decision when checked (the frames that share a decision share its
+    # certificate), and the sampler and the frame type once per frame, or
+    # the benchmark's spans read 0
     calls = {}
 
     def counted(owner, attr):
@@ -124,5 +125,5 @@ def test_trace_hooks_see_every_frame_decision(monkeypatch):
                          for start in log[:, 0].tolist()})
         assert decisions < frames
         assert made[f"solve_{solver}"] == decisions
-        assert made["ratio_bound_holds"] == (frames if check else 0)
+        assert made["ratio_bound_holds"] == (decisions if check else 0)
         assert made["sample_frame"] == made["sample"] == made["__post_init__"] == frames

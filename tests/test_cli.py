@@ -1,11 +1,13 @@
 import csv
 import hashlib
 
+import numpy as np
 import pytest
 
 from renewalopt import cli
 from renewalopt.cli import main, run_experiment
 from renewalopt.config import parse_config
+from renewalopt.simulation import QueueTrajectory
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -143,6 +145,36 @@ def test_negative_seeds_and_bad_overrides_exit_1(tmp_path, capsys):
     assert "slots: must be >= 1" in capsys.readouterr().err
     assert main(["validate", cfg, "--samples", "0"]) == 1
     assert "samples: must be >= 1" in capsys.readouterr().err
+
+
+def test_empty_out_exits_1_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    # an empty out = or --out would name the working directory
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    cfg = write_config(tmp_path, "instance = table1\nslots = 10\nout =\n")
+    assert main(["run", cfg]) == 1
+    assert "line 3: out: empty path" in capsys.readouterr().err
+    cfg = write_config(tmp_path, "instance = table1\nslots = 10\n", name="flag.cfg")
+    for command in ("run", "lp"):
+        assert main([command, cfg, "--out", ""]) == 1
+        assert "out: empty path" in capsys.readouterr().err
+    assert list(work.iterdir()) == []
+
+
+def test_trajectory_rows_are_fmt_of_each_value(tmp_path):
+    # one value per %g notation and sign case, written as _fmt writes a float
+    values = [0.0, 1e-5, 123456789012.0, 1.5, 1e300, -0.0, -1e-5, -1.5]
+    queues = np.array([values[:4], values[4:]])
+    trajectory = QueueTrajectory(np.array([0, 7]), queues)
+    path = tmp_path / "trajectory.csv"
+    cli._write_trajectory(path, trajectory)
+    expected = "t,q_1,q_2,q_3,q_4\r\n" + "".join(
+        ",".join([str(t)] + [format(float(x), ".9g") for x in row]) + "\r\n"
+        for t, row in ((0, values[:4]), (7, values[4:]))
+    )
+    assert path.read_bytes() == expected.encode()
+    assert "1.23456789e+11" in expected and "1e+300" in expected and "-0," in expected
 
 
 def test_oversized_horizon_exits_1_before_any_cell(tmp_path, capsys, monkeypatch):

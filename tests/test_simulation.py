@@ -32,6 +32,7 @@ from renewalopt.simulation import (
     uniform_frame_drift_bound,
 )
 from renewalopt.benchmark import extract_reference_point, stationary_policy_weights
+from renewalopt.config import parse_config
 from renewalopt.scheduling import TABLE1, SchedulingInstance, ServerClassParams, build_instance
 
 from conftest import (
@@ -41,6 +42,7 @@ from conftest import (
     model_from_vectors,
     queue_update,
 )
+from test_cli import CHECKED_CONFIG
 
 
 def single_action_setup(rate=3.0, z_rate=0.0, d_value=1.0, length=2):
@@ -270,6 +272,42 @@ def test_checked_run_catches_a_stale_queue_decision(table1_env, monkeypatch, fau
     run(models, external, DppRatioPolicy(10.0), slots=2000, seed=0)
     with pytest.raises(CheckViolation, match="frame decision"):
         run(models, external, DppRatioPolicy(10.0), slots=2000, seed=0, check=True)
+
+
+@pytest.mark.parametrize("instance", ["table1", "custom12"])
+def test_checked_run_certifies_each_shared_decision_once(monkeypatch, instance):
+    # the certificate runs once per (frame-start slot, model) decision, at
+    # that slot's Q and on the action every frame sharing the decision lays
+    # down; the slot is read from the queue steps the engine has taken
+    if instance == "table1":
+        models, external, _ = build_instance(TABLE1)
+        policy = DppRatioPolicy(10.0, "bisection")
+    else:
+        models, external, _ = build_instance(parse_config(CHECKED_CONFIG).instance)
+        policy = DppRatioPolicy(100.0, "bisection")
+    slot = 0
+    certified = {}
+    step, holds = simulation.queue_step, simulation.ratio_bound_holds
+
+    def counted_step(*args):
+        nonlocal slot
+        slot += 1
+        return step(*args)
+
+    def recorded(model, action, q, v):
+        key = (slot, id(model))
+        assert key not in certified, f"decision at {key} certified twice"
+        certified[key] = (action, list(q))
+        return holds(model, action, q, v)
+
+    monkeypatch.setattr(simulation, "queue_step", counted_step)
+    monkeypatch.setattr(simulation, "ratio_bound_holds", recorded)
+    trace = run(models, external, policy, slots=2000, seed=1, check=True)
+    for n, log in enumerate(trace.frames):
+        for start, _, action in log.tolist():
+            got = certified.get((start, id(models[n])))
+            assert got == (action, trace.queues[start].tolist()), (n, start)
+    assert len(certified) < trace.frames_per_system.sum()
 
 
 def test_checked_run_catches_lying_bounds():
