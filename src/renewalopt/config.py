@@ -17,7 +17,7 @@ Top-level keys:
     out          output directory                      (default results)
     trajectories on | off                              (default off)
     check        on | off                              (default off)
-    weights      lp | per-class probabilities          (stationary policy; default lp)
+    weights      lp | per-class probabilities          (stationary only; default lp)
 
 [class] keys:
     arrival_rate float > 0                             (required)
@@ -266,7 +266,9 @@ def parse_config(text: str) -> ExperimentConfig:
             instance = SchedulingInstance(n_servers=servers, classes=tuple(built))
 
     weights = cfg["weights"]
-    if (
+    if cfg["policy"] == "dpp_ratio" and weights is not None and "weights" in top:
+        errors.append((top["weights"][0], "weights", "only valid with policy = stationary"))
+    elif (
         isinstance(weights, tuple)
         and instance is not None
         and len(weights) != instance.n_classes

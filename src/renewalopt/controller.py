@@ -100,11 +100,10 @@ def solve_bisection(model: RenewalSystemModel, q, v: float) -> int:
 
     Repeatedly minimizes V*y_hat + <q, z_hat> - theta * t_hat over actions and
     moves theta to the minimizer's ratio; stops when the inner minimum is
-    within _BISECTION_TOL of zero.  Every action whose final cost is below
-    _BISECTION_TOL is then a candidate for the minimum, and the returned
-    action is the one Dinkelbach stopped on unless a candidate has a
-    strictly smaller exact ratio (lowest index among those), so the returned
-    action passes ``ratio_bound_holds`` even on near ties.
+    within _BISECTION_TOL of zero.  It returns the action it stopped on if
+    that action's exact ratio is the minimum, else the lowest-index exact
+    minimizer, so the returned action passes ``ratio_bound_holds`` even on
+    near ties.
     """
     num, ratios = _ratio_objectives(model, q, v)
     _, _, den = _model_penalty_terms(model, v)
@@ -116,9 +115,8 @@ def solve_bisection(model: RenewalSystemModel, q, v: float) -> int:
         low = min(costs)
         idx = costs.index(low)
         if low >= -_BISECTION_TOL:
-            near = [i for i, c in enumerate(costs) if c < _BISECTION_TOL]
-            best = min(near, key=ratios.__getitem__)
-            return best if ratios[best] < ratios[idx] else idx
+            best = min(ratios)
+            return idx if ratios[idx] == best else ratios.index(best)
         theta = ratios[idx]
     raise RuntimeError("Dinkelbach iteration failed to terminate")
 

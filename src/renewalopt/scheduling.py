@@ -19,9 +19,9 @@ Per-frame quantities of class c (frame length T = H + I):
     service total  -draw from Uniform{low..high} on the last service slot
     triple         (e_hat + p * idle_mean, -(low + high)/2 * e_c, E[T])
 
-The frame length is ``distributions.CompoundLength`` of two
-``GeometricLength`` phases: the sampler draws H and I through it, and the
-builder takes E[T] and the residual bound E[T^2] from its moments.
+H and I are two ``GeometricLength`` phases, which the sampler draws
+directly; their ``distributions.CompoundLength`` only supplies E[T] and the
+residual bound E[T^2] to the builder.
 """
 
 from __future__ import annotations

@@ -1,56 +1,46 @@
 """Slotted-time simulation of N asynchronous renewal systems.
 
-Every system starts its first frame at slot 0 and starts a new frame the
-slot after its previous frame ends, so the systems drift out of phase with
-each other.  At a frame start the policy observes the current virtual queue
-vector Q[t] (already updated through slot t-1) and picks an action; the
-sampled frame then contributes its per-slot penalty and metrics on the slots
-it covers.  A drift-plus-penalty decision depends only on (model, Q[t], V),
-so it is solved once per (model object, frame-start slot) and reused by every
-system that shares the model and starts a frame in that slot; the stationary
-policy draws each frame's action from the system's own stream.  Systems wait
-in buckets keyed by their next frame-start slot and are taken in index order
-within a slot.  Every slot the queue recursion
+Every system starts its first frame at slot 0 and a new frame the slot after
+its previous frame ends, so the systems drift out of phase with each other.
+``run`` takes the slots in order.  In slot t the systems that start a frame
+there, in index order, each pick an action against Q[t] (the queue updated
+through slot t-1), sample the frame as a ``core.FrameOutcome`` and lay it
+down: its penalty rate on each of its slots of y, and its metric row on its
+slice of z or its one impulse on one entry of z.  Every frame covering slot
+t is then laid down, and the queue takes one step
 
     Q[t+1] = max{Q[t] + sum_n z^n[t] - d[t], 0}
 
-is applied by ``controller.queue_step`` on Python floats in a fixed order
-(z - d, then q + delta, then the clamp), so trajectories replay bit-for-bit
-against the numpy reference of the recursion in ``tests/conftest.py``.
+through ``controller.queue_step`` on Python floats, in the order of the
+numpy reference in ``tests/conftest.py`` (z - d, then q + delta, then the
+clamp), so trajectories replay against it bit for bit.
 
-The engine samples each frame as a ``core.FrameOutcome``: its length, one
-penalty rate for all its slots, and either a constant metric row (the
-constant-rate samplers) or one impulse (the scheduling sampler's -jobs on
-the last service slot).  It adds the rate to each of the frame's slots of y
-and the row to its slice of z, or the impulse to its one entry of z, with
-the same bits as adding the frame's per-slot arrays.  y, z and Q are laid
-down on ``array`` buffers, so no numpy call is made per frame but for a
-metric row; the trace's arrays are views of them.  ``check=True`` compares
-the frame itself with the declared bounds (``FrameOutcome.bound_violations``).
-The frame replays of ``frame_stats`` and ``drift_diagnostic`` read the same
-compact frames: ``frame_stats`` adds up each frame's totals (Y, Z, T) from
-``FrameOutcome.totals``, and ``drift_diagnostic`` takes Y as rate * length
-and weighs the row or the impulse against Q.
+A drift-plus-penalty decision depends only on (model, Q[t], V), so it is
+solved once per (model object, slot) and reused by every system that shares
+the model and starts a frame in that slot; the stationary policy draws each
+frame's action from the system's own stream.  y, z and Q are laid down on
+``array`` buffers, so no numpy call is made per frame but for a metric row.
 
-``run`` does only that and returns a ``RunTrace`` (the per-slot series y, z
-and d, the queue series Q[0..slots], the seed and each system's frame log),
-which holds 8 * (1 + 3L) bytes per slot plus 24 bytes per frame per system.
-The averages, ``queue_trajectory``, ``check_queue_bound``, ``frame_stats``,
-``drift_diagnostic`` and ``stationary_predictions`` are functions of it.
+``run`` returns a ``RunTrace`` (the per-slot series y, z and d, the queue
+series Q[0..slots], the seed and each system's frame log), which holds
+8 * (1 + 3L) bytes per slot plus 24 bytes per frame per system.  The
+averages, ``queue_trajectory``, ``check_queue_bound``, ``frame_stats``,
+``drift_diagnostic`` and ``stationary_predictions`` are functions of it; the
+per-frame ones re-draw each system's frames from its seed stream and log.
 
 Seed derivation: system n draws from PCG64 seeded with
 SeedSequence(seed, spawn_key=(0, n)); the external process uses
 spawn_key=(1,).  Adding or removing systems therefore never perturbs the
 other streams.
 
-With ``check=True`` three exact invariants are asserted: while running, the
-minimality certificate of every decision (``ratio_bound_holds`` against
-Q[t], once per decision right after the solve, on the action that every
-frame sharing the decision lays down) and the declared per-slot bounds of
-every sampled frame; after the loop, the sample-path
-lower bound Q_l[t] >= sum_{s<t}(sum_n z_l^n[s] - d_l[s]), which holds
-exactly in floating point because both sides add the same per-slot deltas
-and the queue side only ever clamps upward.
+With ``check=True`` three exact invariants are asserted: the minimality
+certificate of each decision (``ratio_bound_holds`` against Q[t], right
+after the solve, so it covers every frame that lays the action down), the
+declared bounds of each sampled frame (``FrameOutcome.bound_violations``),
+and, after the loop, the sample-path lower bound
+Q_l[t] >= sum_{s<t}(sum_n z_l^n[s] - d_l[s]), which holds exactly in
+floating point because both sides add the same per-slot deltas and the
+queue side only ever clamps upward.
 """
 
 from __future__ import annotations
@@ -322,8 +312,9 @@ def run(
 ) -> RunTrace:
     """Simulate all systems for the given number of slots.
 
-    Deterministic given (models, external, policy, slots, seed).  Frames that
-    extend past the horizon lay down only their in-horizon slots.
+    Deterministic given (models, external, policy, slots, seed).  Each slot
+    decides and lays down the frames starting there, then steps Q once.
+    Frames that extend past the horizon lay down only their in-horizon slots.
     """
     models = list(models)
     n_sys = len(models)
@@ -335,33 +326,16 @@ def run(
     if slots < 1:
         raise ValueError("slots must be >= 1")
 
-    certify = check and isinstance(policy, DppRatioPolicy)
-    decided = {}  # the current event slot's decisions, keyed by model object
+    stationary = isinstance(policy, RandomizedStationaryPolicy)
     if isinstance(policy, DppRatioPolicy):
         v = policy.v
         solve = solve_enumerate if policy.solver == "enumerate" else solve_bisection
-        def decide(n, q):
-            # the decision depends only on (model, Q[t], V): systems that
-            # share a model object and start a frame in this slot share it,
-            # so its certificate covers every frame that lays it down
-            model = models[n]
-            action = decided.get(model)
-            if action is None:
-                action = decided[model] = solve(model, q, v)
-                if certify and not ratio_bound_holds(model, action, q, v):
-                    raise CheckViolation(
-                        f"frame decision at slot {t}, system {n}: the ratio objective "
-                        f"of action {action} exceeds another action's"
-                    )
-            return action
-    elif isinstance(policy, RandomizedStationaryPolicy):
+    elif stationary:
         if len(policy.weights) != n_sys:
             raise ValueError("one weight vector per system required")
         for w, m in zip(policy.weights, models):
             if w.shape[0] != m.n_actions:
                 raise ValueError("weight length must match the system's action count")
-        def decide(n, q):
-            return policy.draw_action(n, rngs[n])
     else:
         raise TypeError(f"unknown policy type {type(policy).__name__}")
 
@@ -378,16 +352,24 @@ def run(
     d_rows = chain.from_iterable(d_arr[i : i + _ROWS].tolist() for i in range(0, slots, _ROWS))
     logs = [array("q") for _ in range(n_sys)]
     starting = {0: list(range(n_sys))}  # frame-start slot -> systems starting there
-    q = q_buf.tolist()
+    q = q_buf.tolist()  # Q[t] as a list, the form the ratio kernel reads
 
-    t = 0
-    while t < slots:
+    for t, d_row in zip(range(slots), d_rows):
         if t in starting:
-            decided.clear()
+            decided = {}  # this slot's decisions, keyed by model object
             for n in sorted(starting.pop(t)):
                 model = models[n]
-                # q is Q[t] as a list, the form the ratio kernel reads
-                idx = decide(n, q)
+                if stationary:
+                    idx = policy.draw_action(n, rngs[n])
+                else:
+                    idx = decided.get(model)
+                    if idx is None:
+                        idx = decided[model] = solve(model, q, v)
+                        if check and not ratio_bound_holds(model, idx, q, v):
+                            raise CheckViolation(
+                                f"frame decision at slot {t}, system {n}: the ratio objective "
+                                f"of action {idx} exceeds another action's"
+                            )
                 frame = sample_frame(model, idx, rngs[n])
                 length = frame.length
                 end = t + length
@@ -407,13 +389,9 @@ def run(
                     )
                 logs[n].extend((t, length, idx))
                 starting.setdefault(end, []).append(n)
-        # no frame starts before the next start slot, so z is final up to
-        # there; the queue steps on Python floats through that segment
-        stop = min(min(starting), slots)
-        for s, d_row in zip(range(t, stop), d_rows):
-            q = queue_step(q, z_buf[s * n_metrics : (s + 1) * n_metrics], d_row)
-            q_buf.fromlist(q)
-        t = stop
+        # every frame covering slot t has started, so z[t] is final
+        q = queue_step(q, z_buf[t * n_metrics : (t + 1) * n_metrics], d_row)
+        q_buf.fromlist(q)
 
     trace = RunTrace(
         seed=seed,
@@ -635,6 +613,8 @@ def drift_diagnostic(
         ])
         for n, ref in enumerate(reference)
     ]
+    if any(x.shape[0] == 0 for x in excesses):
+        raise RuntimeError("no completed frames; increase slots")
     means, ses = zip(*map(_mean_se, excesses))
     return DriftDiagnostic(
         c0=c0,

@@ -127,3 +127,10 @@ def test_trace_hooks_see_every_frame_decision(monkeypatch):
         assert made[f"solve_{solver}"] == decisions
         assert made["ratio_bound_holds"] == (decisions if check else 0)
         assert made["sample_frame"] == made["sample"] == made["__post_init__"] == frames
+
+
+def test_src_stays_within_its_line_budget():
+    # the library's size budget: deleting code is how it makes room
+    files = sorted((ROOT / "src" / "renewalopt").glob("*.py"))
+    lines = sum(len(path.read_text().splitlines()) for path in files)
+    assert lines < 2500, f"src/renewalopt/*.py is {lines} lines, over the 2,500 budget"

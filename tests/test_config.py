@@ -201,6 +201,16 @@ def test_stationary_weights_parsing():
     assert any("sum to 1" in reason for _, _, reason in errs)
 
 
+def test_weights_rejected_under_dpp_ratio():
+    # the controller picks its own actions: a weights line would be dropped unread
+    for text in (
+        "instance = table1\nslots = 10\nseeds = 1\nweights = 0.2 0.3 0.5\n",
+        "instance = table1\npolicy = dpp_ratio\nslots = 10\nweights = lp\n",
+    ):
+        errs = errors_of(text)
+        assert errs == [(4, "weights", "only valid with policy = stationary")]
+
+
 def test_error_message_is_readable():
     try:
         parse_config("instance = table1\nslots = 10\nspeed = 9\n")

@@ -489,6 +489,16 @@ def test_drift_diagnostic_on_energy_instance(table1_env):
     assert drift.excess_mean.max() < 0
 
 
+def test_drift_without_completed_frames_raises(table1_env):
+    # two slots end no Table-1 frame: the mean over no frames is no number
+    models, external = table1_env["models"], table1_env["external"]
+    reference = extract_reference_point(table1_env["sol"])
+    policy = DppRatioPolicy(10.0)
+    trace = run(models, external, policy, slots=2, seed=1)
+    with pytest.raises(RuntimeError, match="no completed frames; increase slots"):
+        drift_diagnostic(trace, models, external, policy, reference)
+
+
 def test_drift_requires_dpp_policy(table1_env):
     models, external = table1_env["models"], table1_env["external"]
     sol = table1_env["sol"]
@@ -686,3 +696,33 @@ def test_readme_quickstart_runs(capsys):
     assert len(stats) == len(namespace["models"]) and all(s.count > 0 for s in stats)
     assert np.array_equal(drift.frame_counts, [s.count for s in stats])
     assert np.isfinite(drift.excess_mean).all()
+
+
+def test_unit_length_frames_start_every_slot(monkeypatch):
+    # every slot is a frame start of both systems, which share one model:
+    # one solve and one certificate per slot, and Q steps after both frames
+    model = constant_rate_model(
+        [1.0, 3.0], [[2.0], [0.0]], [DeterministicLength(1), DeterministicLength(1)]
+    )
+    external = ExternalProcess((FixedValue(2.0),))
+    calls = []
+
+    def counted(name):
+        f = getattr(simulation, name)
+        return lambda *args: calls.append(name) or f(*args)
+
+    for name in ("solve_enumerate", "ratio_bound_holds"):
+        monkeypatch.setattr(simulation, name, counted(name))
+    slots = 60
+    trace = run([model, model], external, DppRatioPolicy(5.0), slots, seed=2, check=True)
+    for log in trace.frames:
+        assert np.array_equal(log[:, 0], np.arange(slots))
+        assert np.array_equal(log[:, 1], np.ones(slots))
+    assert np.array_equal(trace.frames[0], trace.frames[1])
+    assert set(trace.frames[0][:, 2].tolist()) == {0, 1}
+    assert calls == ["solve_enumerate", "ratio_bound_holds"] * slots
+    q = np.zeros(1)
+    for t in range(slots):
+        assert trace.queues[t].tobytes() == q.tobytes()
+        q = queue_update(q, trace.metrics[t], trace.external[t])
+    assert trace.queues[slots].tobytes() == q.tobytes()
