@@ -22,7 +22,7 @@ Top-level keys:
 [class] keys:
     arrival_rate float > 0                             (required)
     service_mean float >= 1                            (required)
-    jobs_support two integers 0 < low <= high          (required; integer midpoint)
+    jobs_support two integers 0 < low <= high < low + 2**32 - 1 (required; integer midpoint)
     energy       float >= 0                            (required)
     idle_mean    float >= 1                            (required)
     idle_power   float >= 0                            (default: the top-level value)

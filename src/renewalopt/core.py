@@ -26,6 +26,7 @@ would give, and ``FrameOutcome.totals`` gives its frame totals.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -298,9 +299,12 @@ def validate_model(
 ) -> ValidationReport:
     """Sample each action and report violations of the model's declarations.
 
-    Samples through ``sample_frame`` and checks three things per action:
-    (a) per-slot bound violations, found on each frame by
-    ``FrameOutcome.bound_violations``, which must be zero;
+    Samples through ``sample_frame`` and records each frame's length, its
+    Y = rate * length and its Z (the row times length, or the impulse value
+    at its metric) in preallocated ``array`` columns that numpy reads in
+    place, so no numpy call is made per frame but for a metric row.  Checks
+    three things per action: (a) per-slot bound violations, found on each
+    frame by ``FrameOutcome.bound_violations``, which must be zero;
     (b) estimates of E[(T - s)^2 | T >= s] for every offset s up to the
     longest observed frame, flagged when an estimate backed by at least
     RESIDUAL_MIN_FRAMES surviving frames exceeds the declared residual_bound
@@ -316,16 +320,20 @@ def validate_model(
     flags: list[str] = []
     for idx in range(model.n_actions):
         declared = model.actions[idx]
-        n = samples_per_action
-        lengths = np.empty(n)
-        y_totals = np.empty(n)
-        z_totals = np.empty((n, model.n_metrics))
+        n, n_metrics = samples_per_action, model.n_metrics
+        t_buf, y_buf, z_buf = (array("d", [0.0]) * k for k in (n, n, n * n_metrics))
+        lengths, y_totals = np.frombuffer(t_buf), np.frombuffer(y_buf)
+        z_totals = np.frombuffer(z_buf).reshape(n, n_metrics)
         violations = 0
         for i in range(n):
             frame = sample_frame(model, idx, rng)
             violations += sum(frame.bound_violations(model.y_max, model.z_max))
-            lengths[i] = frame.length
-            y_totals[i], z_totals[i] = frame.totals(model.n_metrics)
+            length = t_buf[i] = frame.length
+            y_buf[i] = frame.penalty_rate * length
+            if frame.impulse is None:
+                z_totals[i] = frame.metric_rate * length
+            else:
+                z_buf[i * n_metrics + frame.impulse[1]] = frame.impulse[2]
 
         y_mean, y_se = _mean_se(y_totals)
         t_mean, t_se = _mean_se(lengths)
@@ -335,8 +343,9 @@ def validate_model(
         residual_est = np.zeros(max_len + 1)
         residual_se = np.zeros(max_len + 1)
         residual_count = np.zeros(max_len + 1, dtype=np.int64)
+        tail = lengths
         for s in range(max_len + 1):
-            tail = lengths[lengths >= s]
+            tail = tail[tail >= s]
             residual_est[s], residual_se[s] = _mean_se((tail - s) ** 2)
             residual_count[s] = tail.shape[0]
         # a lone long frame must not count as evidence against the bound

@@ -32,7 +32,7 @@ import numpy as np
 
 from .benchmark import StationaryLP
 from .core import FrameOutcome, PerformanceTriple, RenewalSystemModel
-from .distributions import CompoundLength, GeometricLength
+from .distributions import CompoundLength, GeometricLength, bounded_integer
 from .simulation import CappedPoisson, ExternalProcess
 
 __all__ = [
@@ -65,8 +65,8 @@ class ServerClassParams:
             raise ValueError("job-count support endpoints must be integers")
         object.__setattr__(self, "jobs_low", int(self.jobs_low))
         object.__setattr__(self, "jobs_high", int(self.jobs_high))
-        if not 0 < self.jobs_low <= self.jobs_high:
-            raise ValueError("need 0 < jobs_low <= jobs_high")
+        if not 0 < self.jobs_low <= self.jobs_high < self.jobs_low + 2**32 - 1:
+            raise ValueError("need 0 < jobs_low <= jobs_high < jobs_low + 2**32 - 1")
         if (self.jobs_low + self.jobs_high) % 2 != 0:
             raise ValueError("job-count support must have an integer midpoint")
         if self.energy < 0 or self.idle_power < 0:
@@ -123,9 +123,8 @@ class ServiceIdleSampler:
         draw_service, draw_idle, jobs_low, jobs_stop, energy, idle_power = self._law
         service = draw_service(rng)
         idle = draw_idle(rng)
-        jobs = int(rng.integers(jobs_low, jobs_stop))
+        impulse = (service - 1, self.class_index, -bounded_integer(rng, jobs_low, jobs_stop))
         length = service + idle
-        impulse = (service - 1, self.class_index, -jobs)
         return FrameOutcome(length, (energy + idle_power * idle) / length, None, impulse)
 
     def triple(self) -> PerformanceTriple:

@@ -54,19 +54,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .controller import (
-    queue_step,
-    ratio_bound_holds,
-    solve_bisection,
-    solve_enumerate,
-)
-from .core import (
-    FrameOutcome,
-    PerformanceVector,
-    RenewalSystemModel,
-    _mean_se,
-    sample_frame,
-)
+from .controller import queue_step, ratio_bound_holds, solve_bisection, solve_enumerate
+from .core import FrameOutcome, PerformanceVector, RenewalSystemModel, _mean_se, sample_frame
 
 __all__ = [
     "CappedPoisson",
@@ -457,14 +446,15 @@ def _replayed_frames(
 
     Every logged frame, the cut-off last one included, is re-drawn from the
     system's own stream; raises ValueError where a re-drawn action
-    (stationary policy) or length differs from the log: the trace came from
-    other models, policy or seed.
+    (stationary policy) or length differs from the log (the trace came from
+    other models, policy or seed), and RuntimeError if no frame ends inside.
     """
     if len(models) != len(trace.frames):
         raise ValueError("one model per system of the trace required")
     model = models[n]
     stationary = isinstance(policy, RandomizedStationaryPolicy)
     rng = _system_rng(trace.seed, n)
+    completed = 0
     for start, length, idx in trace.frames[n].tolist():
         drawn = policy.draw_action(n, rng) if stationary else idx
         frame = sample_frame(model, idx, rng)
@@ -474,7 +464,10 @@ def _replayed_frames(
                 f"length {frame.length}) differs from the log (action {idx}, length {length})"
             )
         if start + length <= trace.slots:
+            completed += 1
             yield start, frame
+    if not completed:
+        raise RuntimeError(f"system {n}: no completed frames; increase slots")
 
 
 class FrameStats:
@@ -613,8 +606,6 @@ def drift_diagnostic(
         ])
         for n, ref in enumerate(reference)
     ]
-    if any(x.shape[0] == 0 for x in excesses):
-        raise RuntimeError("no completed frames; increase slots")
     means, ses = zip(*map(_mean_se, excesses))
     return DriftDiagnostic(
         c0=c0,
@@ -650,8 +641,6 @@ def stationary_predictions(
     """
     systems = []
     for model, w, st in zip(models, policy.weights, frame_stats(trace, models, policy)):
-        if st.count == 0:
-            raise RuntimeError("no completed frames; increase slots")
         t_mix = float(w @ model.t_hats)
         systems.append(
             SystemSweepStats(

@@ -176,6 +176,12 @@ def test_custom_class_validation_propagates():
     bad = CUSTOM.replace("arrival_rate = 1.5\n", "")
     errs = errors_of(bad)
     assert any(key == "arrival_rate" and "required" in reason for _, key, reason in errs)
+    # 2**32 - 1 counts is the widest support the sampler's 32-bit draw covers
+    parse_config(CUSTOM.replace("jobs_support = 6 10", f"jobs_support = 6 {4 + 2**32}"))
+    errs = errors_of(CUSTOM.replace("jobs_support = 6 10", f"jobs_support = 6 {6 + 2**32}"))
+    class_line = CUSTOM.splitlines().index("arrival_rate = 1.5") + 1
+    reason = "need 0 < jobs_low <= jobs_high < jobs_low + 2**32 - 1"
+    assert errs == [(class_line, "class 1", reason)]
     for line, key in (
         ("energy = nan", "energy"),
         ("arrival_rate = inf", "arrival_rate"),

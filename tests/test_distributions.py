@@ -5,10 +5,41 @@ from renewalopt.distributions import (
     CompoundLength,
     ConstantRateSampler,
     GeometricLength,
+    bounded_integer,
     constant_rate_model,
 )
 
 from conftest import DeterministicLength
+
+
+# (low, stop): width 1 and 2, the Table-1 and the benchmark's six-class
+# supports, and a width of 3 * 2**30, which rejects a quarter of its draws
+BOUNDED_SUPPORTS = [
+    (7, 8), (0, 2),
+    (9, 22), (15, 28), (11, 24),
+    (4, 11), (6, 13), (3, 10), (8, 17), (5, 12), (2, 9),
+    (1, 1 + 3 * 2**30),
+]
+
+
+@pytest.mark.parametrize("low, stop", BOUNDED_SUPPORTS)
+def test_bounded_integer_is_generator_integers_bit_for_bit(low, stop):
+    # PCG64 serves next_uint32 from both halves of one 64-bit output: chunks
+    # of odd and even length, with a geometric draw (next_double) after each,
+    # leave that buffer full or empty across the other draw.  A size-k call
+    # of integers fills through the same bounded routine as k scalar calls.
+    ref, rng = np.random.default_rng(20), np.random.default_rng(20)
+    state = rng.bit_generator.state
+    assert bounded_integer(rng, low, stop) == int(ref.integers(low, stop))
+    # a support of one value draws nothing, as integers does
+    assert (rng.bit_generator.state == state) == (stop - low == 1)
+    sizes = np.random.default_rng(21).integers(1, 20, size=11_000)
+    assert sizes.sum() >= 100_000
+    for k in sizes.tolist():
+        drawn = [bounded_integer(rng, low, stop) for _ in range(k)]
+        assert drawn == ref.integers(low, stop, size=k).tolist()
+        assert rng.geometric(0.3) == ref.geometric(0.3)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_deterministic_moments_and_samples():

@@ -24,10 +24,22 @@ def test_class_params_validation():
         ServerClassParams(2.0, 5.5, 0, 20, 16.0, 2.5, 3.0)
     with pytest.raises(ValueError):
         ServerClassParams(2.0, 5.5, 21, 9, 16.0, 2.5, 3.0)
+    with pytest.raises(ValueError, match=r"jobs_high < jobs_low \+ 2\*\*32 - 1"):
+        ServerClassParams(2.0, 5.5, 1, 2**32 + 1, 16.0, 2.5, 3.0)  # too wide for one draw
     with pytest.raises(ValueError):
         SchedulingInstance(0, TABLE1.classes)
     with pytest.raises(ValueError):
         SchedulingInstance(5, ())
+
+
+def test_sampler_draws_the_widest_job_count_support():
+    # 2**32 - 1 counts, the most one 32-bit bounded draw covers
+    sampler = ServiceIdleSampler(ServerClassParams(2.0, 5.5, 1, 2**32 - 1, 16.0, 2.5, 3.0), 0, 1)
+    ref, rng = np.random.default_rng(4), np.random.default_rng(4)
+    for _ in range(200):
+        _, _, value = sampler.sample(rng).impulse
+        ref.geometric(1 / 5.5), ref.geometric(1 / 2.5)
+        assert -value == int(ref.integers(1, 2**32))
 
 
 def test_preset_shape():

@@ -489,14 +489,26 @@ def test_drift_diagnostic_on_energy_instance(table1_env):
     assert drift.excess_mean.max() < 0
 
 
-def test_drift_without_completed_frames_raises(table1_env):
-    # two slots end no Table-1 frame: the mean over no frames is no number
-    models, external = table1_env["models"], table1_env["external"]
-    reference = extract_reference_point(table1_env["sol"])
-    policy = DppRatioPolicy(10.0)
-    trace = run(models, external, policy, slots=2, seed=1)
-    with pytest.raises(RuntimeError, match="no completed frames; increase slots"):
-        drift_diagnostic(trace, models, external, policy, reference)
+def test_analyses_name_a_system_without_completed_frames(table1_env):
+    # in two slots most Table-1 systems end no frame, and a mean over no
+    # frames is no number: each analysis raises one error naming the first
+    models, external, sol = table1_env["models"], table1_env["external"], table1_env["sol"]
+    dpp = DppRatioPolicy(10.0)
+    stationary = RandomizedStationaryPolicy(stationary_policy_weights(sol))
+    reference = extract_reference_point(sol)
+    cases = (
+        (dpp, 1, lambda trace: frame_stats(trace, models, dpp)),
+        (dpp, 1, lambda trace: drift_diagnostic(trace, models, external, dpp, reference)),
+        (stationary, 3, lambda trace: frame_stats(trace, models, stationary)),
+        (stationary, 3, lambda trace: stationary_predictions(trace, models, stationary)),
+    )
+    for policy, seed, analysis in cases:
+        trace = run(models, external, policy, slots=2, seed=seed)
+        first = min(n for n, log in enumerate(trace.frames) if log[0, 1] > 2)
+        with pytest.raises(RuntimeError, match=f"^system {first}: no completed frames"):
+            analysis(trace)
+    # system 0 of the stationary run at seed 3 ends its first frame in two slots
+    assert first == 1
 
 
 def test_drift_requires_dpp_policy(table1_env):
