@@ -76,13 +76,13 @@ def _write_lp_csv(path: Path, sol: LPSolution) -> None:
 
 
 def _write_trajectory(path: Path, trajectory) -> None:
-    n_metrics = trajectory.queues.shape[1]
+    times, queues = trajectory.times, trajectory.queues
+    line = "%d" + ",%.9g" * queues.shape[1] + "\r\n"  # _fmt's digits, csv.writer's line end
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"q_{l + 1}" for l in range(n_metrics)])
-        # _fmt's format on Python floats, one row at a time
-        for t, row in zip(trajectory.times.tolist(), trajectory.queues):
-            writer.writerow([t] + [format(x, ".9g") for x in row.tolist()])
+        fh.write(",".join(["t"] + [f"q_{l + 1}" for l in range(queues.shape[1])]) + "\r\n")
+        for i in range(0, times.shape[0], 256):  # as Python rows, a bounded batch at a time
+            rows = zip(times[i : i + 256].tolist(), queues[i : i + 256].tolist())
+            fh.writelines(line % (t, *row) for t, row in rows)
 
 
 def _memory_budget() -> int:

@@ -48,17 +48,17 @@ def queue_step(q: list[float], z_slot_sum, d_slot) -> list[float]:
 
 
 @lru_cache(maxsize=256)
-def _model_penalty_terms(model: RenewalSystemModel, v: float) -> tuple[tuple, tuple, tuple]:
-    """Per action V*y, the nonzero (l, z_l) of z in metric order, and t, once per (model, V).
+def _model_penalty_terms(model: RenewalSystemModel, v: float) -> tuple[int, tuple]:
+    """The metric count and per action (V*y, the nonzero (l, z_l) of z in metric order, t).
 
-    V = 0 is allowed: the queue term alone then ranks the actions.
+    Computed once per (model, V).  V = 0 is allowed: the queue term alone then ranks the actions.
     """
     if v < 0:
         raise ValueError("V must be nonnegative")
-    rows = tuple(
+    rows = (
         tuple((l, z_l) for l, z_l in enumerate(row) if z_l != 0.0) for row in model.z_hats.tolist()
     )
-    return tuple((v * model.y_hats).tolist()), rows, tuple(model.t_hats.tolist())
+    return model.n_metrics, tuple(zip((v * model.y_hats).tolist(), rows, model.t_hats.tolist()))
 
 
 def _ratio_objectives(model: RenewalSystemModel, q, v: float) -> tuple[list[float], list[float]]:
@@ -67,18 +67,19 @@ def _ratio_objectives(model: RenewalSystemModel, q, v: float) -> tuple[list[floa
     The one copy of the objective arithmetic, shared by the solvers and the certificate.
     <q, z> adds the nonzero products to 0.0 in metric order: no BLAS, no sum().
     """
-    vy, rows, t = _model_penalty_terms(model, v)
+    n_metrics, terms = _model_penalty_terms(model, v)
     if type(q) is not list:
         q = np.asarray(q, dtype=float).reshape(-1).tolist()
-    if len(q) != model.n_metrics:
-        raise ValueError(f"queue length {len(q)} does not match metric count {model.n_metrics}")
-    nums = []
-    for vy_a, pairs in zip(vy, rows):
+    if len(q) != n_metrics:
+        raise ValueError(f"queue length {len(q)} does not match metric count {n_metrics}")
+    nums, ratios = [], []
+    for vy_a, pairs, t_a in terms:
         s = 0.0
         for l, z_l in pairs:
             s += z_l * q[l]
-        nums.append(vy_a + s)
-    return nums, [num / t_a for num, t_a in zip(nums, t)]
+        nums.append(num := vy_a + s)
+        ratios.append(num / t_a)
+    return nums, ratios
 
 
 def solve_enumerate(model: RenewalSystemModel, q, v: float) -> int:
@@ -100,21 +101,22 @@ def solve_bisection(model: RenewalSystemModel, q, v: float) -> int:
 
     Repeatedly minimizes V*y_hat + <q, z_hat> - theta * t_hat over actions and
     moves theta to the minimizer's ratio; stops when the inner minimum is
-    within _BISECTION_TOL of zero.  It returns the action it stopped on if
+    within _BISECTION_TOL of zero or, as rounding of large terms allows, when
+    theta would not decrease.  It returns the action it stopped on if
     that action's exact ratio is the minimum, else the lowest-index exact
     minimizer, so the returned action passes ``ratio_bound_holds`` even on
     near ties.
     """
     num, ratios = _ratio_objectives(model, q, v)
-    _, _, den = _model_penalty_terms(model, v)
+    den = [t_a for _, _, t_a in _model_penalty_terms(model, v)[1]]
     theta = ratios[0]
     # theta strictly decreases across iterations and only finitely many
-    # ratios exist, so this terminates; the cap is a safety net only
+    # ratios exist, so this terminates; the cap is a safety net (NaN) only
     for _ in range(10 * len(den) + 10):
         costs = [a - theta * b for a, b in zip(num, den)]
         low = min(costs)
         idx = costs.index(low)
-        if low >= -_BISECTION_TOL:
+        if low >= -_BISECTION_TOL or ratios[idx] >= theta:
             best = min(ratios)
             return idx if ratios[idx] == best else ratios.index(best)
         theta = ratios[idx]

@@ -5,9 +5,11 @@ its previous frame ends, so the systems drift out of phase with each other.
 ``run`` takes the slots in order.  In slot t the systems that start a frame
 there, in index order, each pick an action against Q[t] (the queue updated
 through slot t-1), sample the frame as a ``core.FrameOutcome`` and lay it
-down: its penalty rate on each of its slots of y, and its metric row on its
-slice of z or its one impulse on one entry of z.  Every frame covering slot
-t is then laid down, and the queue takes one step
+down: its metric row on its slice of z or its one impulse on one entry of
+z, and its penalty rate as the system's current rate; y[t] adds the current
+rates in frame-start order (ties by index), the adds of laying each rate on
+each of its slots.  Every frame covering slot t is then laid down, and the
+queue takes one step
 
     Q[t+1] = max{Q[t] + sum_n z^n[t] - d[t], 0}
 
@@ -302,8 +304,8 @@ def run(
     """Simulate all systems for the given number of slots.
 
     Deterministic given (models, external, policy, slots, seed).  Each slot
-    decides and lays down the frames starting there, then steps Q once.
-    Frames that extend past the horizon lay down only their in-horizon slots.
+    decides and lays down the frames starting there, adds up y[t], then steps
+    Q once.  Frames past the horizon lay down only their in-horizon slots.
     """
     models = list(models)
     n_sys = len(models)
@@ -342,6 +344,7 @@ def run(
     logs = [array("q") for _ in range(n_sys)]
     starting = {0: list(range(n_sys))}  # frame-start slot -> systems starting there
     q = q_buf.tolist()  # Q[t] as a list, the form the ratio kernel reads
+    rates = {}  # system -> current penalty rate, in frame-start order
 
     for t, d_row in zip(range(slots), d_rows):
         if t in starting:
@@ -360,11 +363,9 @@ def run(
                                 f"of action {idx} exceeds another action's"
                             )
                 frame = sample_frame(model, idx, rngs[n])
-                length = frame.length
-                end = t + length
-                rate = frame.penalty_rate
-                for s in range(t, min(end, slots)):
-                    y_buf[s] += rate
+                end = t + frame.length
+                rates.pop(n, None)
+                rates[n] = frame.penalty_rate
                 if frame.impulse is None:
                     z_arr[t:end] += frame.metric_rate
                 else:
@@ -376,8 +377,12 @@ def run(
                     raise CheckViolation(
                         f"sampled frame at slot {t}, system {n} exceeds declared bounds"
                     )
-                logs[n].extend((t, length, idx))
+                logs[n].extend((t, frame.length, idx))
                 starting.setdefault(end, []).append(n)
+            y_t = 0.0
+            for rate in rates.values():  # not sum(), which may compensate
+                y_t += rate
+        y_buf[t] = y_t
         # every frame covering slot t has started, so z[t] is final
         q = queue_step(q, z_buf[t * n_metrics : (t + 1) * n_metrics], d_row)
         q_buf.fromlist(q)

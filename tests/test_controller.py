@@ -118,6 +118,18 @@ def test_solve_bisection_matches_enumeration_exactly():
             assert solve_bisection(model, q, v) == solve_enumerate(model, q, v)
 
 
+def test_solve_bisection_stops_where_rounding_holds_theta():
+    # at theta = the minimum ratio the inner minimum should be 0, but with a
+    # queue in the hundreds of thousands it rounds to -1.9e-9, beyond the
+    # absolute tolerance; theta cannot decrease, so the iteration stops
+    # there instead of repeating the same step until its cap
+    model = model_from_vectors([2.0, 5.0], [[0.5], [-13.37]], [1.0, 4.3])
+    q, v = [249996.0], 10.0
+    num, ratios = _ratio_objectives(model, q, v)
+    assert num[1] - ratios[1] * model.t_hats[1] < -_BISECTION_TOL
+    assert solve_bisection(model, q, v) == solve_enumerate(model, q, v) == 1
+
+
 def test_solve_bisection_single_action():
     model = model_from_vectors([3.0], [[1.0]], [2.0])
     assert solve_bisection(model, [2.0], 1.0) == 0
@@ -291,3 +303,47 @@ def test_ratio_kernel_adds_the_queue_term_in_metric_order():
         from_array = _ratio_objectives(model, np.array(q), 1.0)
         assert repr(from_array) == repr(from_list)  # the sign of zero included
         assert all(type(x) is float for values in from_array for x in values)
+
+
+def reference_objectives(model, q, v):
+    """Per action (V*y_a + sum_l z_al*q_l added to 0.0 in metric order) / t_a.
+
+    The plain form of the kernel on Python floats: every metric, zeros included.
+    """
+    nums = []
+    for y_a, z_a in zip(model.y_hats.tolist(), model.z_hats.tolist()):
+        s = 0.0
+        for z_l, q_l in zip(z_a, q):
+            s += z_l * q_l
+        nums.append(v * y_a + s)
+    return nums, [num / t_a for num, t_a in zip(nums, model.t_hats.tolist())]
+
+
+@st.composite
+def kernel_cases(draw):
+    n_actions, n_metrics = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+
+    def vector(elements, size):
+        return st.lists(elements, min_size=size, max_size=size)
+
+    # zeros often, so rows carry zero entries the kernel skips, and values
+    # whose products round differently when added in another order
+    rate = st.sampled_from([0.0, -0.0, 0.1, 1 / 3, -0.7]) | st.floats(-100, 100)
+    f = draw(vector(st.floats(-100, 100), n_actions))
+    g = draw(vector(vector(rate, n_metrics), n_actions))
+    t = draw(vector(st.floats(1, 50), n_actions))
+    q = draw(vector(st.sampled_from([0.0, 0.1, 3.3, 1e6 / 3]) | st.floats(0, 1e6), n_metrics))
+    v = draw(st.just(0.0) | st.floats(0, 1e3))
+    return model_from_vectors(f, g, t), q, v
+
+
+@given(kernel_cases())
+@settings(max_examples=300, deadline=None)
+def test_ratio_kernel_and_solvers_match_a_plain_reference(case):
+    model, q, v = case
+    nums, ratios = reference_objectives(model, q, v)
+    best = min(ratios)
+    for queue in (q, np.array(q)):
+        assert repr(_ratio_objectives(model, queue, v)) == repr((nums, ratios))
+        assert solve_enumerate(model, queue, v) == ratios.index(best)
+        assert ratios[solve_bisection(model, queue, v)] == best

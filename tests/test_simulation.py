@@ -13,6 +13,7 @@ from renewalopt.controller import queue_step
 from renewalopt.core import FrameOutcome, PerformanceTriple, PerformanceVector, RenewalSystemModel
 from renewalopt.distributions import (
     ConstantRateSampler,
+    GeometricLength,
     constant_rate_model,
 )
 from renewalopt.simulation import (
@@ -142,6 +143,44 @@ def test_solver_choice_does_not_change_the_run(table1_env):
     b = run(models, external, DppRatioPolicy(20.0, solver="bisection"), 2000, seed=3)
     assert a.total_penalty == b.total_penalty
     assert np.array_equal(a.final_queues, b.final_queues)
+
+
+def test_penalty_series_is_laid_down_in_frame_start_order():
+    # y[t] must be 0.0 plus each covering frame's rate in the order the
+    # frames started, ties by system index, as laying each frame's rate on
+    # its slots one frame at a time adds them: these rates round differently
+    # in another order, and long frames keep old starts covering new ones;
+    # the stationary policy mixes the actions, whatever their rates
+    big = 1e16 / 3
+    long, geo, short = DeterministicLength(36), GeometricLength(20), DeterministicLength(3)
+    specs = [  # per system: each action's penalty rate and length
+        ([0.1, big], [long, geo]),
+        ([0.2, 0.7], [geo, short]),
+        ([0.7, 0.1], [short, long]),
+        ([big, 0.2], [GeometricLength(2.5), geo]),
+    ]
+    models = [constant_rate_model(rates, [[1.0], [0.0]], lens) for rates, lens in specs]
+    policy = RandomizedStationaryPolicy(([0.5, 0.5],) * len(models))
+    slots = 1500
+    trace = run(models, ExternalProcess((FixedValue(1.5),)), policy, slots, seed=3)
+
+    starts = sorted(
+        (start, n, length, action)
+        for n, log in enumerate(trace.frames)
+        for start, length, action in log.tolist()
+    )
+    expected = np.zeros(slots)
+    for start, n, length, action in starts:
+        expected[start : start + length] += specs[n][0][action]
+    assert trace.penalty.tobytes() == expected.tobytes()
+
+    # the fixture tells the orders apart: every action is taken, and adding
+    # the covering rates in system-index order gives other bits
+    assert all(set(log[:, 2].tolist()) == {0, 1} for log in trace.frames)
+    by_index = np.zeros(slots)
+    for start, n, length, action in sorted(starts, key=lambda row: row[1]):
+        by_index[start : start + length] += specs[n][0][action]
+    assert by_index.tobytes() != expected.tobytes()
 
 
 def test_trajectory_replays_queue_update_exactly(table1_env):
