@@ -10,8 +10,8 @@ Top-level keys:
     servers      integer >= 1                          (custom; optional override for table1)
     idle_power   float >= 0                            (custom; default for all classes)
     policy       dpp_ratio | stationary                (default dpp_ratio)
-    solver       enumerate | bisection                 (default enumerate)
-    v            positive floats                       (default 1 2 5 10 20 50 100 200)
+    solver       enumerate | bisection                 (dpp_ratio only; default enumerate)
+    v            positive floats, dpp_ratio only       (default 1 2 5 10 20 50 100 200)
     slots        integer >= 1                          (required)
     seeds        integers >= 0                         (default 1)
     out          output directory                      (default results)
@@ -265,11 +265,14 @@ def parse_config(text: str) -> ExperimentConfig:
         if not errors and built:
             instance = SchedulingInstance(n_servers=servers, classes=tuple(built))
 
+    # a key of the other policy would be dropped unread
+    for key, owner in (("weights", "stationary"), ("v", "dpp_ratio"), ("solver", "dpp_ratio")):
+        if key in top and cfg[key] is not None and cfg["policy"] not in (owner, None):
+            errors.append((top[key][0], key, f"only valid with policy = {owner}"))
     weights = cfg["weights"]
-    if cfg["policy"] == "dpp_ratio" and weights is not None and "weights" in top:
-        errors.append((top["weights"][0], "weights", "only valid with policy = stationary"))
-    elif (
-        isinstance(weights, tuple)
+    if (
+        cfg["policy"] != "dpp_ratio"
+        and isinstance(weights, tuple)
         and instance is not None
         and len(weights) != instance.n_classes
     ):

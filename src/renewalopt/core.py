@@ -21,7 +21,9 @@ one impulse (slot offset, metric, value), which the simulation engine lays
 down directly.  ``sample_frame`` draws a frame and checks its impulse's
 metric against the model.  ``FrameOutcome.bound_violations`` checks a frame
 against the declared per-slot bounds, with the result its per-slot arrays
-would give, and ``FrameOutcome.totals`` gives its frame totals.
+would give.  A frame's totals are Y = rate * length and Z = the row times
+length or the impulse value at its metric; ``validate_model`` and the
+simulation's frame table write them into their per-frame columns.
 """
 
 from __future__ import annotations
@@ -123,21 +125,6 @@ class FrameOutcome:
         else:
             metric_over = abs(self.impulse[2]) > z_max
         return abs(self.penalty_rate) > y_max, metric_over
-
-    def totals(self, n_metrics: int) -> tuple[float, np.ndarray]:
-        """The frame's penalty and metric totals (Y, Z).
-
-        Y is penalty_rate * length and a row's Z is metric_rate * length,
-        each entry one correctly rounded product; an impulse's Z is its
-        value on a zero vector.
-        """
-        y_total = self.penalty_rate * self.length
-        if self.impulse is None:
-            return y_total, self.metric_rate * self.length
-        _, l, value = self.impulse
-        z_total = np.zeros(n_metrics)
-        z_total[l] = value
-        return y_total, z_total
 
 
 class FrameSampler(Protocol):

@@ -28,7 +28,8 @@ series Q[0..slots], the seed and each system's frame log), which holds
 8 * (1 + 3L) bytes per slot plus 24 bytes per frame per system.  The
 averages, ``queue_trajectory``, ``check_queue_bound``, ``frame_stats``,
 ``drift_diagnostic`` and ``stationary_predictions`` are functions of it; the
-per-frame ones re-draw each system's frames from its seed stream and log.
+per-frame ones read one table of each system's completed frames, re-drawn
+once from its seed stream and log.
 
 Seed derivation: system n draws from PCG64 seeded with
 SeedSequence(seed, spawn_key=(0, n)); the external process uses
@@ -50,6 +51,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, Sequence
@@ -57,7 +59,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .controller import queue_step, ratio_bound_holds, solve_bisection, solve_enumerate
-from .core import FrameOutcome, PerformanceVector, RenewalSystemModel, _mean_se, sample_frame
+from .core import PerformanceVector, RenewalSystemModel, _mean_se, sample_frame
 
 __all__ = [
     "CappedPoisson",
@@ -444,35 +446,59 @@ def check_queue_bound(trace: RunTrace) -> None:
             )
 
 
-def _replayed_frames(
-    trace: RunTrace, models: Sequence[RenewalSystemModel], policy, n: int
-) -> Iterator[tuple[int, FrameOutcome]]:
-    """(start, frame) of system n's frames that end inside the horizon.
+# one system's frames that end inside the horizon, one entry per frame: y is
+# rate * length, z the row times length or the impulse value at its metric,
+# w the sum of Q over the frame's slots and qz that of <Q[t], z[t]>
+_Frames = namedtuple("_Frames", "start length y z w qz")
 
-    Every logged frame, the cut-off last one included, is re-drawn from the
-    system's own stream; raises ValueError where a re-drawn action
-    (stationary policy) or length differs from the log (the trace came from
-    other models, policy or seed), and RuntimeError if no frame ends inside.
+
+def _frame_table(
+    trace: RunTrace, models: Sequence[RenewalSystemModel], policy
+) -> tuple[_Frames, ...]:
+    """Each system's completed frames, re-drawn once from its stream and log.
+
+    Every logged frame, the cut-off last one included, is re-drawn; raises
+    ValueError where a re-drawn action (stationary policy) or length differs
+    from the log (the trace came from other models, policy or seed), and
+    RuntimeError naming a system with no frame that ends inside the horizon.
     """
     if len(models) != len(trace.frames):
         raise ValueError("one model per system of the trace required")
-    model = models[n]
     stationary = isinstance(policy, RandomizedStationaryPolicy)
-    rng = _system_rng(trace.seed, n)
-    completed = 0
-    for start, length, idx in trace.frames[n].tolist():
-        drawn = policy.draw_action(n, rng) if stationary else idx
-        frame = sample_frame(model, idx, rng)
-        if drawn != idx or frame.length != length:
-            raise ValueError(
-                f"system {n}, frame at slot {start}: re-drawn frame (action {drawn}, "
-                f"length {frame.length}) differs from the log (action {idx}, length {length})"
-            )
-        if start + length <= trace.slots:
-            completed += 1
-            yield start, frame
-    if not completed:
-        raise RuntimeError(f"system {n}: no completed frames; increase slots")
+    prefix = np.zeros_like(trace.queues)  # prefix[t] = sum_{s<t} Q[s]
+    np.cumsum(trace.queues[:-1], axis=0, out=prefix[1:])
+    table = []
+    for n, (model, log) in enumerate(zip(models, trace.frames)):
+        rng = _system_rng(trace.seed, n)
+        done = int(np.count_nonzero(log[:, 0] + log[:, 1] <= trace.slots))
+        rate, at = np.zeros(done), np.full(done, -1)  # at: an impulse's slot, -1 for a row
+        z = np.zeros((done, model.n_metrics))  # the row, or the impulse value
+        for k, (start, length, idx) in enumerate(log.tolist()):
+            drawn = policy.draw_action(n, rng) if stationary else idx
+            frame = sample_frame(model, idx, rng)
+            if drawn != idx or frame.length != length:
+                raise ValueError(
+                    f"system {n}, frame at slot {start}: re-drawn frame (action {drawn}, "
+                    f"length {frame.length}) differs from the log (action {idx}, length {length})"
+                )
+            if k == done:  # the cut-off last frame, re-drawn only to check it
+                break
+            rate[k] = frame.penalty_rate
+            if frame.impulse is None:
+                z[k] = frame.metric_rate
+            else:
+                offset, l, value = frame.impulse
+                z[k, l] = value
+                at[k] = start + offset
+        if not done:
+            raise RuntimeError(f"system {n}: no completed frames; increase slots")
+        start, length = log[:done, 0], log[:done, 1]
+        row = at < 0
+        w = prefix[start + length] - prefix[start]
+        qz = (z * np.where(row[:, None], w, trace.queues[at])).sum(axis=1)
+        z[row] *= length[row, None]
+        table.append(_Frames(start, length, rate * length, z, w, qz))
+    return tuple(table)
 
 
 class FrameStats:
@@ -529,10 +555,10 @@ def frame_stats(
 ) -> tuple[FrameStats, ...]:
     """Per-system statistics of the frames completed within the horizon."""
     stats = []
-    for n, model in enumerate(models):
+    for model, frames in zip(models, _frame_table(trace, models, policy)):
         st = FrameStats(model.n_metrics)
-        for _, frame in _replayed_frames(trace, models, policy, n):
-            st.add(*frame.totals(model.n_metrics), float(frame.length))
+        for y_total, z_total, length in zip(frames.y.tolist(), frames.z, frames.length.tolist()):
+            st.add(y_total, z_total, float(length))
         stats.append(st)
     return tuple(stats)
 
@@ -563,11 +589,9 @@ def uniform_frame_drift_bound(
     models: Sequence[RenewalSystemModel], external: ExternalProcess
 ) -> float:
     """c0 = L * z_max * (N * z_max + d_max) * B over the given systems."""
-    n = len(models)
-    n_metrics = external.n_metrics
     z_max = max(m.z_max for m in models)
     b = max(m.residual_bound for m in models)
-    return n_metrics * z_max * (n * z_max + external.max_abs()) * b
+    return external.n_metrics * z_max * (len(models) * z_max + external.max_abs()) * b
 
 
 def drift_diagnostic(
@@ -579,9 +603,9 @@ def drift_diagnostic(
 ) -> DriftDiagnostic:
     """Drift sums of the completed frames of a dpp_ratio run against c0.
 
-    A frame's penalty total is rate * length.  Its queue term is
-    (row - g_bar) . sum of Q over its slots for a metric row, and
-    -g_bar . that sum plus value * Q[start + offset, l] for an impulse.
+    Each frame's sum is V * (Y - T * f_bar) + QZ - W . g_bar, read off the
+    frame table: QZ is row . W for a metric row and value * Q[start +
+    offset, l] for an impulse, and W is a difference of one prefix sum of Q.
     """
     models = list(models)
     reference = tuple(reference)
@@ -592,24 +616,9 @@ def drift_diagnostic(
     if any(r.g_hat.shape[0] != external.n_metrics for r in reference):
         raise ValueError("reference metric dimension mismatch")
     c0 = uniform_frame_drift_bound(models, external)
-    queues = trace.queues
-
-    def excess(start: int, frame: FrameOutcome, ref: PerformanceVector) -> float:
-        window = queues[start : start + frame.length].sum(axis=0)
-        if frame.impulse is None:
-            queue_term = (frame.metric_rate - ref.g_hat) @ window
-        else:
-            offset, l, value = frame.impulse
-            queue_term = -ref.g_hat @ window + value * queues[start + offset, l]
-        y_total = frame.penalty_rate * frame.length
-        return policy.v * (y_total - frame.length * ref.f_hat) + queue_term - c0
-
     excesses = [
-        np.array([
-            excess(start, frame, ref)
-            for start, frame in _replayed_frames(trace, models, policy, n)
-        ])
-        for n, ref in enumerate(reference)
+        policy.v * (f.y - f.length * ref.f_hat) + f.qz - f.w @ ref.g_hat - c0
+        for f, ref in zip(_frame_table(trace, models, policy), reference)
     ]
     means, ses = zip(*map(_mean_se, excesses))
     return DriftDiagnostic(

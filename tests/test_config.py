@@ -217,6 +217,19 @@ def test_weights_rejected_under_dpp_ratio():
         assert errs == [(4, "weights", "only valid with policy = stationary")]
 
 
+def test_dpp_ratio_keys_rejected_under_stationary():
+    # the stationary policy draws from its weights: v and solver lines would
+    # be dropped unread, and the summary would show an empty v column
+    text = "instance = table1\npolicy = stationary\nslots = 10\nv = 10 20\nsolver = bisection\n"
+    reason = "only valid with policy = dpp_ratio"
+    assert errors_of(text) == [(4, "v", reason), (5, "solver", reason)]
+    # a malformed value is reported once, as itself
+    assert errors_of(text.replace("v = 10 20", "v = -1")) == [
+        (4, "v", "V must be positive"),
+        (5, "solver", reason),
+    ]
+
+
 def test_error_message_is_readable():
     try:
         parse_config("instance = table1\nslots = 10\nspeed = 9\n")

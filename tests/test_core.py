@@ -1,6 +1,3 @@
-import math
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -83,15 +80,6 @@ def test_frame_outcome_shape_checks():
     # the first and last slot take the impulse; the metric index is not checked here
     for offset in (0, 1):
         assert FrameOutcome(2, 1.0, None, (offset, 5, -1.0)).length == 2
-
-
-def test_frame_outcome_totals():
-    y_total, z_total = FrameOutcome(3, 2.0, np.array([1.0])).totals(1)
-    assert y_total == 6.0
-    assert np.array_equal(z_total, [3.0])
-    y_total, z_total = FrameOutcome(3, 2.0, None, (2, 1, -1.0)).totals(2)
-    assert y_total == 6.0
-    assert np.array_equal(z_total, [0.0, -1.0])
 
 
 def test_model_rejects_inconsistent_declarations():
@@ -284,31 +272,6 @@ def test_compact_frame_checks_match_the_dense_arrays(frame, y_max, z_max):
             bool(np.any(np.abs(metrics) > z_max)),
         )
         assert frame.bound_violations(y_max, z_max) == dense
-        y_total, z_total = frame.totals(n_metrics)
-    assert z_total.shape == (n_metrics,)
-    # each total is rate * length, correctly rounded
-    _assert_scaled(y_total, frame.penalty_rate, frame.length)
-    if frame.metric_rate is None:
-        _, l, value = frame.impulse
-        assert np.float64(z_total[l]).tobytes() == np.float64(value).tobytes()
-        assert not np.delete(z_total, l).any()
-    else:
-        for total, rate in zip(z_total.tolist(), frame.metric_rate.tolist()):
-            _assert_scaled(total, rate, frame.length)
-
-
-def _assert_scaled(total, rate, length):
-    """total is the double nearest rate * length: inf past the largest double, NaN for NaN."""
-    if math.isnan(rate):
-        assert math.isnan(total)
-    elif math.isinf(rate):
-        assert total == rate
-    else:
-        try:
-            exact = float(Fraction(rate) * length)
-        except OverflowError:
-            exact = math.copysign(math.inf, rate)
-        assert total == exact
 
 
 def test_validate_model_residual_flagging():

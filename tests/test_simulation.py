@@ -1,6 +1,7 @@
 import hashlib
 import re
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,13 @@ from hypothesis import strategies as st
 
 from renewalopt import simulation
 from renewalopt.controller import queue_step
-from renewalopt.core import FrameOutcome, PerformanceTriple, PerformanceVector, RenewalSystemModel
+from renewalopt.core import (
+    FrameOutcome,
+    PerformanceTriple,
+    PerformanceVector,
+    RenewalSystemModel,
+    sample_frame,
+)
 from renewalopt.distributions import (
     ConstantRateSampler,
     GeometricLength,
@@ -260,14 +267,22 @@ def test_frame_records_tile_the_horizon(table1_env):
 def test_replay_rejects_a_foreign_trace(table1_env):
     # the per-frame analyses re-draw frames from the trace's seed; a trace
     # whose log came from another stream must not pass silently
-    models, external = table1_env["models"], table1_env["external"]
-    policy = DppRatioPolicy(10.0)
-    trace = run(models, external, policy, slots=500, seed=2)
-    assert sum(s.count for s in frame_stats(trace, models, policy)) > 0
-    with pytest.raises(ValueError, match="differs from the log"):
-        frame_stats(replace(trace, seed=3), models, policy)
-    with pytest.raises(ValueError):
-        frame_stats(trace, models[:1], policy)
+    models, external, sol = table1_env["models"], table1_env["external"], table1_env["sol"]
+    dpp = DppRatioPolicy(10.0)
+    stationary = RandomizedStationaryPolicy(stationary_policy_weights(sol))
+    reference = extract_reference_point(sol)
+    cases = (
+        (dpp, lambda trace, ms: frame_stats(trace, ms, dpp)),
+        (dpp, lambda trace, ms: drift_diagnostic(trace, ms, external, dpp, reference[: len(ms)])),
+        (stationary, lambda trace, ms: stationary_predictions(trace, ms, stationary)),
+    )
+    for policy, analysis in cases:
+        trace = run(models, external, policy, slots=500, seed=2)
+        analysis(trace, models)  # the trace's own models replay it
+        with pytest.raises(ValueError, match="differs from the log"):
+            analysis(replace(trace, seed=3), models)
+        with pytest.raises(ValueError, match="one model per system"):
+            analysis(trace, models[:1])
 
 
 def test_checked_run_completes_clean(table1_env):
@@ -526,6 +541,78 @@ def test_drift_diagnostic_on_energy_instance(table1_env):
     assert drift.within_bound().all()
     # the bound is far from tight here: the mean excess is deeply negative
     assert drift.excess_mean.max() < 0
+
+
+def dense_replay(trace, models):
+    """Each system's per-slot y^n and z^n, its frames re-drawn and laid slot by slot."""
+    series = []
+    for n, model in enumerate(models):
+        rng = simulation._system_rng(trace.seed, n)
+        horizon = int(trace.frames[n][-1, :2].sum())  # the end of the last frame
+        y, z = np.zeros(horizon), np.zeros((horizon, model.n_metrics))
+        for start, length, idx in trace.frames[n].tolist():
+            frame = sample_frame(model, idx, rng)
+            y[start : start + length] = frame.penalty_rate
+            if frame.impulse is None:
+                z[start : start + length] = frame.metric_rate
+            else:
+                offset, l, value = frame.impulse
+                z[start + offset, l] = value
+        series.append((y, z))
+    return series
+
+
+def exact_sum(values):
+    """The double nearest the exact sum of the given doubles."""
+    return float(sum(map(Fraction, values)))
+
+
+def test_frame_table_matches_the_dense_per_slot_series(table1_env):
+    # the table's totals are the frames' per-slot values added exactly and
+    # rounded once (so rate * length), and the drift diagnostic's per-frame
+    # sums are those of the per-slot terms V(y - f_bar) + <Q[t], z - g_bar>
+    rate_model = constant_rate_model(
+        [0.1, 1 / 3], [[0.4, 0.1], [0.1, 0.4]], [GeometricLength(3.0), GeometricLength(5.0)]
+    )
+    rate_external = ExternalProcess((CappedPoisson(0.6), CappedPoisson(0.6)))
+    rate_reference = [PerformanceVector(0.2, [0.3, 0.1]), PerformanceVector(1 / 3, [0.1, 0.7])]
+    cases = (
+        ([rate_model] * 2, rate_external, DppRatioPolicy(3.0), rate_reference, 2_000, 4),
+        (
+            table1_env["models"],
+            table1_env["external"],
+            DppRatioPolicy(10.0),
+            extract_reference_point(table1_env["sol"]),
+            3_000,
+            5,
+        ),
+    )
+    for models, external, policy, reference, slots, seed in cases:
+        trace = run(models, external, policy, slots, seed)
+        queues, v = trace.queues, policy.v
+        c0 = uniform_frame_drift_bound(models, external)
+        drift = drift_diagnostic(trace, models, external, policy, reference)
+        table = simulation._frame_table(trace, models, policy)
+        dense = dense_replay(trace, models)
+        for n, (log, (y, z), frames, ref) in enumerate(zip(trace.frames, dense, table, reference)):
+            # the table holds the logged frames that end inside the horizon
+            completed = log[log[:, 0] + log[:, 1] <= slots]
+            assert np.array_equal(frames.start, completed[:, 0])
+            assert np.array_equal(frames.length, completed[:, 1])
+            assert frames.length.shape[0] == drift.frame_counts[n] > 100
+            sums = []
+            for start, length, y_total, z_total in zip(
+                frames.start.tolist(), frames.length.tolist(), frames.y.tolist(), frames.z
+            ):
+                window = slice(start, start + length)
+                assert y_total == exact_sum(y[window].tolist())
+                assert z_total.tolist() == [exact_sum(col) for col in z[window].T.tolist()]
+                queue_terms = ((z[window] - ref.g_hat) * queues[window]).sum(axis=1)
+                sums.append((v * (y[window] - ref.f_hat) + queue_terms).sum() - c0)
+            sums = np.array(sums)
+            assert drift.excess_mean[n] == pytest.approx(sums.mean(), rel=1e-12, abs=0)
+            se = sums.std(ddof=1) / np.sqrt(sums.shape[0])
+            assert drift.excess_se[n] == pytest.approx(se, rel=1e-12, abs=0)
 
 
 def test_analyses_name_a_system_without_completed_frames(table1_env):
