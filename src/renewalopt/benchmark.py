@@ -14,7 +14,8 @@ selection probabilities of the policy that realizes them follow from the
 renewal-reward ratio as p_a proportional to theta_a / t_hat_a.
 
 ``solve_lp`` uses the in-repo dense simplex; the tests cross-check it
-against an exhaustive search over a grid of weights.
+against an exhaustive search over a grid of weights.  Its duals are the
+constraint shadow prices, read off the simplex's final tableau.
 """
 
 from __future__ import annotations
@@ -41,22 +42,23 @@ class StationaryLP:
     """Per-system performance vectors plus the coupled constraint bounds.
 
     Every coupled row reads sum_n theta_n . g_hats[n][:, l] <= d[l]; t_hats
-    are only needed when LP weights will be mapped back to per-frame policy
-    probabilities.
+    map the LP weights back to per-frame policy probabilities.
     """
 
     f_hats: tuple[np.ndarray, ...]
     g_hats: tuple[np.ndarray, ...]
     d: np.ndarray
-    t_hats: tuple[np.ndarray, ...] | None = None
+    t_hats: tuple[np.ndarray, ...]
 
     def __post_init__(self):
         f_hats = tuple(np.asarray(f, dtype=float).reshape(-1) for f in self.f_hats)
         g_hats = tuple(np.asarray(g, dtype=float) for g in self.g_hats)
         d = np.asarray(self.d, dtype=float).reshape(-1)
+        t_hats = tuple(np.asarray(t, dtype=float).reshape(-1) for t in self.t_hats)
         object.__setattr__(self, "f_hats", f_hats)
         object.__setattr__(self, "g_hats", g_hats)
         object.__setattr__(self, "d", d)
+        object.__setattr__(self, "t_hats", t_hats)
         if not f_hats:
             raise ValueError("need at least one system")
         if len(g_hats) != len(f_hats):
@@ -67,13 +69,8 @@ class StationaryLP:
                 raise ValueError("every system needs at least one action")
             if g.shape != (f.shape[0], n_metrics):
                 raise ValueError("g_hats rows must be (n_actions, n_metrics)")
-        if self.t_hats is not None:
-            t_hats = tuple(np.asarray(t, dtype=float).reshape(-1) for t in self.t_hats)
-            object.__setattr__(self, "t_hats", t_hats)
-            if len(t_hats) != len(f_hats) or any(
-                t.shape != f.shape for t, f in zip(t_hats, f_hats)
-            ):
-                raise ValueError("t_hats must align with f_hats per system")
+        if len(t_hats) != len(f_hats) or any(t.shape != f.shape for t, f in zip(t_hats, f_hats)):
+            raise ValueError("t_hats must align with f_hats per system")
 
     @classmethod
     def from_models(cls, models: Sequence[RenewalSystemModel], d) -> "StationaryLP":
@@ -97,7 +94,7 @@ class StationaryLP:
 
 @dataclass(frozen=True, eq=False)
 class LPSolution:
-    """Solver output; weights and achieved values only when optimal."""
+    """Solver output; every field but lp and status is set only when optimal."""
 
     lp: StationaryLP
     status: str  # "optimal" | "infeasible" | "unbounded"
@@ -114,8 +111,9 @@ def _achieved(lp: StationaryLP, weights: Sequence[np.ndarray]) -> np.ndarray:
 def solve_lp(lp: StationaryLP) -> LPSolution:
     """Solve the hull-weight LP with the dense simplex.
 
-    Reported duals are nonnegative sensitivities to relaxing each constraint;
-    they are estimates only, nothing downstream relies on them.
+    duals[l] >= 0 is the rate at which the optimum falls as d[l] is raised,
+    zero where row l is slack: the simplex's dual of row l with its sign
+    flipped, read off the final tableau.
     """
     blocks = [f.shape[0] for f in lp.f_hats]
     c = np.concatenate(lp.f_hats)
@@ -128,16 +126,15 @@ def solve_lp(lp: StationaryLP) -> LPSolution:
     if res.status != "optimal":
         return LPSolution(lp=lp, status=res.status)
 
-    splits = np.split(np.maximum(res.x, 0.0), np.cumsum(blocks)[:-1])
+    splits = np.split(res.x, np.cumsum(blocks)[:-1])
     weights = tuple(w / w.sum() for w in splits)
-    duals = None if res.duals_ub is None else np.maximum(-res.duals_ub, 0.0)
     return LPSolution(
         lp=lp,
         status="optimal",
         objective=float(sum(f @ w for f, w in zip(lp.f_hats, weights))),
         weights=weights,
         achieved=_achieved(lp, weights),
-        duals=duals,
+        duals=np.maximum(-res.duals_ub, 0.0),
     )
 
 
@@ -160,8 +157,6 @@ def stationary_policy_weights(sol: LPSolution) -> tuple[np.ndarray, ...]:
     """
     if sol.status != "optimal":
         raise ValueError(f"policy weights need an optimal solution, got {sol.status}")
-    if sol.lp.t_hats is None:
-        raise ValueError("StationaryLP lacks t_hats; build it from models")
     probs = []
     for theta, t in zip(sol.weights, sol.lp.t_hats):
         p = theta / t

@@ -62,9 +62,8 @@ def _write_lp_csv(path: Path, sol: LPSolution) -> None:
                 writer.writerow(["weight", n, a, _fmt(value)])
         for l, value in enumerate(sol.achieved):
             writer.writerow(["achieved", "", l, _fmt(value)])
-        if sol.duals is not None:
-            for l, value in enumerate(sol.duals):
-                writer.writerow(["dual", "", l, _fmt(value)])
+        for l, value in enumerate(sol.duals):
+            writer.writerow(["dual", "", l, _fmt(value)])
         reference = extract_reference_point(sol)
         for n, point in enumerate(reference):
             writer.writerow(["reference_f", n, "", _fmt(point.f_hat)])
@@ -90,19 +89,23 @@ def _memory_budget() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def _check_memory(key: str, count: int, need_bytes: int, what: str) -> None:
+    """Raise a ConfigError on `key` when the `what` of `count` exceeds physical memory."""
+    need_mib, budget_mib = need_bytes / 2**20, _memory_budget() / 2**20
+    if need_mib > budget_mib:
+        raise ConfigError([(0, key, (
+            f"{count} {key} need a {need_mib:.1f} MiB {what}, more than "
+            f"the {budget_mib:.0f} MiB of physical memory"
+        ))])
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
     """Execute the configured grid and write CSVs; returns the exit code."""
     models, external, lp = build_instance(cfg.instance)
     n_metrics = external.n_metrics
     # a cell's trace holds 8 * (1 + 3L) bytes per slot and its queue series
     # grows slot by slot, so a horizon that cannot fit would fail mid-run
-    trace_mib = 8 * (1 + 3 * n_metrics) * cfg.slots / 2**20
-    budget_mib = _memory_budget() / 2**20
-    if trace_mib > budget_mib:
-        raise ConfigError([(0, "slots", (
-            f"{cfg.slots} slots need a {trace_mib:.1f} MiB trace per cell, more than "
-            f"the {budget_mib:.0f} MiB of physical memory"
-        ))])
+    _check_memory("slots", cfg.slots, 8 * (1 + 3 * n_metrics) * cfg.slots, "trace per cell")
     lp_sol = solve_lp(lp)
 
     out = Path(out_dir if out_dir is not None else cfg.out)
@@ -202,6 +205,9 @@ def _cmd_validate(args) -> int:
     cfg = parse_config(Path(args.config).read_text())
     models, _, _ = build_instance(cfg.instance)
     model = models[0]  # servers are homogeneous: one model object, repeated
+    # each action's length, Y and Z columns take 8 * (2 + L) bytes per sample
+    need = 8 * (2 + model.n_metrics) * args.samples
+    _check_memory("samples", args.samples, need, "sample table per action")
     report = validate_model(model, args.samples)
     print(f"model (all servers): {'ok' if report.ok else 'FLAGGED'}")
     for av in report.actions:

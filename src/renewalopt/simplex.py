@@ -6,9 +6,9 @@ uses Bland's rule (smallest eligible index for both the entering column and
 the leaving row), which rules out cycling; a dense tableau is adequate at the
 few-hundred-variable scale this package needs.
 
-Dual values are recovered from the final basis and reported per input row in
-the row's own orientation; rows the solver negated internally (negative right
-hand sides) are flipped back.  Callers interpret signs.
+The dual of each inequality row is read off the final tableau as minus the
+reduced cost of that row's slack, in the row's own orientation: y_i <= 0,
+and raising b_ub[i] by eps changes the optimum by about y_i * eps.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ class SimplexResult:
     x: np.ndarray | None = None
     objective: float | None = None
     duals_ub: np.ndarray | None = None
-    duals_eq: np.ndarray | None = None
 
 
 def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
@@ -92,16 +91,14 @@ def simplex_solve(
     a_full[m_ub:, :n] = a_eq
     b_full = np.concatenate([b_ub, b_eq])
 
-    # make every right hand side nonnegative; remember flips for dual signs
-    row_sign = np.ones(m)
+    # make every right hand side nonnegative
     negate = b_full < 0
     a_full[negate] *= -1
     b_full[negate] *= -1
-    row_sign[negate] = -1
 
     # a non-negated inequality row starts with its slack basic; every other
     # row gets an artificial variable
-    needs_art = [i for i in range(m) if i >= m_ub or row_sign[i] < 0]
+    needs_art = [i for i in range(m) if i >= m_ub or negate[i]]
     n_work = n + m_ub
     n_art = len(needs_art)
     tableau = np.zeros((m + 1, n_work + n_art + 1))
@@ -112,7 +109,7 @@ def simplex_solve(
         tableau[i, n_work + k] = 1.0
         basis[i] = n_work + k
     for i in range(m_ub):
-        if row_sign[i] > 0:
+        if not negate[i]:
             basis[i] = n + i
 
     # phase 1: minimize the artificial total
@@ -128,7 +125,6 @@ def simplex_solve(
         return SimplexResult(status="infeasible")
 
     # drive leftover artificials out of the basis, dropping redundant rows
-    active_rows = list(range(m))
     keep = []
     for i in range(m):
         if basis[i] < n_work:
@@ -141,7 +137,6 @@ def simplex_solve(
     if len(keep) < m:
         tableau = np.vstack([tableau[keep], tableau[-1:]])
         basis = [basis[i] for i in keep]
-        active_rows = [active_rows[i] for i in keep]
     tableau = np.delete(tableau, np.s_[n_work : n_work + n_art], axis=1)
 
     # phase 2: the real objective, with basic columns eliminated
@@ -160,23 +155,7 @@ def simplex_solve(
     x = np.maximum(x_work[:n], 0.0)
     objective = float(c @ x)
 
-    duals_ub = np.zeros(m_ub)
-    duals_eq = np.zeros(m_eq)
-    try:
-        b_mat = a_full[active_rows][:, basis]
-        y_active = np.linalg.solve(b_mat.T, cost[:-1][basis])
-        y = np.zeros(m)
-        y[active_rows] = y_active
-        y *= row_sign  # back to the caller's row orientation
-        duals_ub = y[:m_ub]
-        duals_eq = y[m_ub:]
-    except np.linalg.LinAlgError:
-        duals_ub = None
-        duals_eq = None
-    return SimplexResult(
-        status="optimal",
-        x=x,
-        objective=objective,
-        duals_ub=duals_ub,
-        duals_eq=duals_eq,
-    )
+    # slack i has cost 0 and column s * e_i (s = -1 if row i was negated), so
+    # its reduced cost is -s times the solved row's dual: minus the caller's
+    duals_ub = -tableau[-1, n : n + m_ub]
+    return SimplexResult(status="optimal", x=x, objective=objective, duals_ub=duals_ub)

@@ -271,7 +271,7 @@ def test_criterion_08_oracle_matches_simplex():
             d = g.T @ mix + rng.uniform(0.05, 0.3, n_met)
         else:
             d = g.min(axis=0) - rng.uniform(0.05, 0.2, n_met)
-        lp = StationaryLP((f,), (g,), d)
+        lp = StationaryLP((f,), (g,), d, (np.ones(n_act),))
         sol = solve_lp(lp)
         oracle = brute_force_oracle(lp, grid=grid)
         assert sol.status == oracle.status

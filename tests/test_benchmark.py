@@ -36,6 +36,7 @@ def test_slack_constraints_pick_pointwise_minima():
         f_hats=(np.array([3.0, 1.0]), np.array([2.0, 5.0])),
         g_hats=(np.zeros((2, 1)), np.zeros((2, 1))),
         d=np.array([10.0]),
+        t_hats=(np.ones(2), np.ones(2)),
     )
     sol = solve_lp(lp)
     assert sol.status == "optimal"
@@ -78,6 +79,7 @@ def test_infeasible_instance():
         f_hats=(np.array([1.0]),),
         g_hats=(np.array([[-1.0]]),),
         d=np.array([-2.0]),
+        t_hats=(np.array([1.0]),),
     )
     sol = solve_lp(lp)
     assert sol.status == "infeasible"
@@ -102,6 +104,7 @@ def test_oracle_on_collapsed_energy_instance(table1_env):
         f_hats=(5.0 * lp.f_hats[0],),
         g_hats=(5.0 * lp.g_hats[0],),
         d=lp.d,
+        t_hats=lp.t_hats[:1],
     )
     exact = solve_lp(collapsed)
     assert exact.objective == pytest.approx(table1_env["sol"].objective, abs=1e-9)
@@ -128,7 +131,7 @@ def test_oracle_weak_duality_on_random_instances():
         mix = [rng.dirichlet(np.ones(n_act)) for _ in range(n_sys)]
         base = np.sum([g.T @ w for g, w in zip(g_hats, mix)], axis=0)
         d = base + rng.uniform(0.0, 0.3, n_met)
-        lp = StationaryLP(f_hats, g_hats, d)
+        lp = StationaryLP(f_hats, g_hats, d, tuple(np.ones(n_act) for _ in range(n_sys)))
         sol = solve_lp(lp)
         oracle = brute_force_oracle(lp, grid=40)
         assert sol.status == oracle.status
@@ -147,6 +150,7 @@ def test_oracle_size_guard():
         f_hats=(np.zeros(9),) * 9,
         g_hats=(np.zeros((9, 1)),) * 9,
         d=np.array([1.0]),
+        t_hats=(np.ones(9),) * 9,
     )
     with pytest.raises(ValueError):
         brute_force_oracle(lp, grid=100)
@@ -166,6 +170,7 @@ def test_extract_reference_point():
         f_hats=(np.array([3.0, 1.0]),),
         g_hats=(np.array([[0.5], [0.25]]),),
         d=np.array([4.0]),
+        t_hats=(np.ones(2),),
     )
     ref = extract_reference_point(solve_lp(lp))
     assert ref[0].f_hat == pytest.approx(1.0, abs=1e-9)
@@ -178,6 +183,7 @@ def test_extract_reference_point():
                     f_hats=(np.array([1.0]),),
                     g_hats=(np.array([[-1.0]]),),
                     d=np.array([-2.0]),
+                    t_hats=(np.array([1.0]),),
                 ),
                 grid=10,
             )
@@ -203,18 +209,6 @@ def test_stationary_policy_weights_algebra():
     assert g_frame == pytest.approx(sol.achieved[0], abs=1e-9)
 
 
-def test_stationary_policy_weights_requires_t_hats():
-    sol = solve_lp(
-        StationaryLP(
-            f_hats=(np.array([0.0, 1.0]),),
-            g_hats=(np.array([[2.0], [0.0]]),),
-            d=np.array([1.0]),
-        )
-    )
-    with pytest.raises(ValueError):
-        stationary_policy_weights(sol)
-
-
 def test_from_models_uses_performance_vectors():
     model = model_from_vectors([2.0, 3.0], [[1.0], [0.5]], [4.0, 2.0])
     lp = StationaryLP.from_models([model], d=[0.75])
@@ -225,9 +219,11 @@ def test_from_models_uses_performance_vectors():
 
 def test_lp_validation_errors():
     with pytest.raises(ValueError):
-        StationaryLP((), (), np.array([1.0]))
+        StationaryLP((), (), np.array([1.0]), ())
     with pytest.raises(ValueError):
-        StationaryLP((np.array([1.0]),), (np.array([[1.0, 2.0]]),), np.array([1.0]))
+        StationaryLP(
+            (np.array([1.0]),), (np.array([[1.0, 2.0]]),), np.array([1.0]), (np.array([1.0]),)
+        )
     with pytest.raises(ValueError):
         StationaryLP(
             (np.array([1.0]),),

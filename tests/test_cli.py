@@ -196,6 +196,25 @@ def test_oversized_horizon_exits_1_before_any_cell(tmp_path, capsys, monkeypatch
     assert main(["run", cfg]) == 0
 
 
+def test_oversized_validate_exits_1_before_any_sample(tmp_path, capsys, monkeypatch):
+    # validate's columns take 8 * (2 + 3) bytes per Table-1 sample and action;
+    # with the budget one byte short of that it must stop before sampling
+    def no_sample(*args, **kwargs):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(cli, "_memory_budget", lambda: 40 * 100_000 - 1)
+    monkeypatch.setattr(cli, "validate_model", no_sample)
+    cfg = write_config(tmp_path, "instance = table1\nslots = 10\n")
+    assert main(["validate", cfg, "--samples", "100000"]) == 1
+    err = capsys.readouterr().err
+    assert "samples: 100000 samples need a 3.8 MiB sample table per action" in err
+    # at exactly the budget it samples
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "_memory_budget", lambda: 40 * 1000)
+    assert main(["validate", cfg, "--samples", "1000"]) == 0
+    assert "action 0: samples=1000 " in capsys.readouterr().out
+
+
 def test_memory_budget_is_physical_memory():
     budget = cli._memory_budget()
     assert isinstance(budget, int) and budget > 2**20
@@ -247,14 +266,17 @@ def test_custom_instance_run(tmp_path):
 # solver, the sampler or the number formatting that moves a single byte of
 # the output changes it, so an edit meant to keep outputs fixed must keep it
 SUMMARY_FINGERPRINT = "df29c21084c3ff9e266926104a009544a7f5c7a574e77cf6c187bb5662796f48"
+# and of its lp.csv, which pins the LP's weights and duals to 9 digits
+LP_FINGERPRINT = "af74782fcf99bf23b3c42b28e3237c9979938ff69b7e79a564a25d82f4d824a0"
 FINGERPRINT_CONFIG = "instance = table1\nv = 10 100\nseeds = 1\nslots = 2000\n"
 
 
 def test_summary_fingerprint(tmp_path):
     cfg = parse_config(FINGERPRINT_CONFIG)
     assert run_experiment(cfg, out_dir=str(tmp_path)) == 0
-    digest = hashlib.sha256((tmp_path / "summary.csv").read_bytes()).hexdigest()
-    assert digest == SUMMARY_FINGERPRINT
+    for name, expected in (("summary.csv", SUMMARY_FINGERPRINT), ("lp.csv", LP_FINGERPRINT)):
+        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest == expected, name
 
 
 # SHA-256 of the stdout of `validate --samples 4000` on Table 1; pins every
@@ -291,6 +313,7 @@ CHECKED_CONFIG = (
 )
 CHECKED_SUMMARY_FINGERPRINT = "608ce2feec641b743bbc4b572d1e46cab4670b594442b78386d30d855362b27f"
 CHECKED_TRAJECTORY_FINGERPRINT = "f964537970e78dae44266165fd41d87ac826904869f5410d921aacb0f0f6a882"
+CHECKED_LP_FINGERPRINT = "506c0549191fb8e12786784bbce82715a4282981e3105bec69e80545eaa87ed5"
 
 
 def test_checked_bisection_fingerprint(tmp_path):
@@ -299,6 +322,7 @@ def test_checked_bisection_fingerprint(tmp_path):
     for name, expected in (
         ("summary.csv", CHECKED_SUMMARY_FINGERPRINT),
         ("trajectory_100_1.csv", CHECKED_TRAJECTORY_FINGERPRINT),
+        ("lp.csv", CHECKED_LP_FINGERPRINT),
     ):
         digest = hashlib.sha256((tmp_path / "res" / name).read_bytes()).hexdigest()
         assert digest == expected, name
