@@ -103,9 +103,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
     """Execute the configured grid and write CSVs; returns the exit code."""
     models, external, lp = build_instance(cfg.instance)
     n_metrics = external.n_metrics
-    # a cell's trace holds 8 * (1 + 3L) bytes per slot and its queue series
+    # a cell's trace holds 8 * (1 + 3L) bytes per slot and 24 per frame per
+    # system, about one frame per t_hat slots (so count the shortest), and it
     # grows slot by slot, so a horizon that cannot fit would fail mid-run
-    _check_memory("slots", cfg.slots, 8 * (1 + 3 * n_metrics) * cfg.slots, "trace per cell")
+    frames = -(-cfg.slots // min(float(m.t_hats.min()) for m in models))  # ceil
+    need = 8 * (1 + 3 * n_metrics) * cfg.slots + 24 * len(models) * frames
+    _check_memory("slots", cfg.slots, need, "trace per cell")
     lp_sol = solve_lp(lp)
 
     out = Path(out_dir if out_dir is not None else cfg.out)

@@ -23,13 +23,14 @@ the model and starts a frame in that slot; the stationary policy draws each
 frame's action from the system's own stream.  y, z and Q are laid down on
 ``array`` buffers, so no numpy call is made per frame but for a metric row.
 
-``run`` returns a ``RunTrace`` (the per-slot series y, z and d, the queue
-series Q[0..slots], the seed and each system's frame log), which holds
-8 * (1 + 3L) bytes per slot plus 24 bytes per frame per system.  The
-averages, ``queue_trajectory``, ``check_queue_bound``, ``frame_stats``,
-``drift_diagnostic`` and ``stationary_predictions`` are functions of it; the
-per-frame ones read one table of each system's completed frames, re-drawn
-once from its seed stream and log.
+``run`` returns a ``RunTrace``, the whole record of the run: its models,
+external process, policy and seed, the per-slot series y, z and d, the queue
+series Q[0..slots] and each system's frame log, 8 * (1 + 3L) bytes per slot
+plus 24 bytes per frame per system.  The averages, ``queue_trajectory``,
+``check_queue_bound``, ``frame_stats``, ``drift_diagnostic`` (given a
+reference point) and ``stationary_predictions`` are functions of it alone;
+the per-frame ones read one table of each system's completed frames,
+re-drawn once from its seed stream and log.
 
 Seed derivation: system n draws from PCG64 seeded with
 SeedSequence(seed, spawn_key=(0, n)); the external process uses
@@ -211,15 +212,19 @@ class CheckViolation(Exception):
 
 @dataclass(frozen=True, eq=False)
 class RunTrace:
-    """Everything one run laid down; every reported number is a function of it.
+    """The whole record of one run; every reported number is a function of it.
 
-    penalty[t] and metrics[t] are the slot-t sums over systems of y and z,
-    external[t] is d[t], and queues[t] is Q[t] for t = 0..slots, so the first
-    row is zero and the last is the final queue.  frames[n] is system n's
-    frame log, one (start, length, action) row per frame in order; the last
-    frame may extend past the horizon, which then cuts its y and z short.
+    models, process, policy and seed are what ``run`` was given.  penalty[t]
+    and metrics[t] are the slot-t sums over systems of y and z, external[t]
+    is d[t], and queues[t] is Q[t] for t = 0..slots, zero first and the final
+    queue last.  frames[n] is system n's frame log, one (start, length,
+    action) row per frame in order; the last may extend past the horizon,
+    which then cuts its y and z short.
     """
 
+    models: tuple[RenewalSystemModel, ...]
+    process: ExternalProcess
+    policy: DppRatioPolicy | RandomizedStationaryPolicy
     seed: int
     penalty: np.ndarray
     metrics: np.ndarray
@@ -309,7 +314,7 @@ def run(
     decides and lays down the frames starting there, adds up y[t], then steps
     Q once.  Frames past the horizon lay down only their in-horizon slots.
     """
-    models = list(models)
+    models = tuple(models)
     n_sys = len(models)
     if n_sys == 0:
         raise ValueError("need at least one system")
@@ -390,6 +395,9 @@ def run(
         q_buf.fromlist(q)
 
     trace = RunTrace(
+        models=models,
+        process=external,
+        policy=policy,
         seed=seed,
         penalty=np.frombuffer(y_buf),
         metrics=z_arr,
@@ -452,29 +460,26 @@ def check_queue_bound(trace: RunTrace) -> None:
 _Frames = namedtuple("_Frames", "start length y z w qz")
 
 
-def _frame_table(
-    trace: RunTrace, models: Sequence[RenewalSystemModel], policy
-) -> tuple[_Frames, ...]:
+def _frame_table(trace: RunTrace) -> tuple[_Frames, ...]:
     """Each system's completed frames, re-drawn once from its stream and log.
 
-    Every logged frame, the cut-off last one included, is re-drawn; raises
-    ValueError where a re-drawn action (stationary policy) or length differs
-    from the log (the trace came from other models, policy or seed), and
-    RuntimeError naming a system with no frame that ends inside the horizon.
+    Every logged frame, the cut-off last one included, is re-drawn with the
+    trace's own models and policy; raises ValueError where a re-drawn action
+    (stationary policy) or length differs from the log (the seed was changed
+    or a sampler is not a function of its stream), and RuntimeError naming a
+    system with no frame that ends inside the horizon.
     """
-    if len(models) != len(trace.frames):
-        raise ValueError("one model per system of the trace required")
-    stationary = isinstance(policy, RandomizedStationaryPolicy)
+    stationary = isinstance(trace.policy, RandomizedStationaryPolicy)
     prefix = np.zeros_like(trace.queues)  # prefix[t] = sum_{s<t} Q[s]
     np.cumsum(trace.queues[:-1], axis=0, out=prefix[1:])
     table = []
-    for n, (model, log) in enumerate(zip(models, trace.frames)):
+    for n, (model, log) in enumerate(zip(trace.models, trace.frames)):
         rng = _system_rng(trace.seed, n)
         done = int(np.count_nonzero(log[:, 0] + log[:, 1] <= trace.slots))
         rate, at = np.zeros(done), np.full(done, -1)  # at: an impulse's slot, -1 for a row
         z = np.zeros((done, model.n_metrics))  # the row, or the impulse value
         for k, (start, length, idx) in enumerate(log.tolist()):
-            drawn = policy.draw_action(n, rng) if stationary else idx
+            drawn = trace.policy.draw_action(n, rng) if stationary else idx
             frame = sample_frame(model, idx, rng)
             if drawn != idx or frame.length != length:
                 raise ValueError(
@@ -550,12 +555,10 @@ class FrameStats:
         return np.sqrt(resid) / self.sum_t
 
 
-def frame_stats(
-    trace: RunTrace, models: Sequence[RenewalSystemModel], policy
-) -> tuple[FrameStats, ...]:
+def frame_stats(trace: RunTrace) -> tuple[FrameStats, ...]:
     """Per-system statistics of the frames completed within the horizon."""
     stats = []
-    for model, frames in zip(models, _frame_table(trace, models, policy)):
+    for model, frames in zip(trace.models, _frame_table(trace)):
         st = FrameStats(model.n_metrics)
         for y_total, z_total, length in zip(frames.y.tolist(), frames.z, frames.length.tolist()):
             st.add(y_total, z_total, float(length))
@@ -585,40 +588,32 @@ class DriftDiagnostic:
         return self.excess_mean <= sigmas * self.excess_se
 
 
-def uniform_frame_drift_bound(
-    models: Sequence[RenewalSystemModel], external: ExternalProcess
-) -> float:
-    """c0 = L * z_max * (N * z_max + d_max) * B over the given systems."""
+def uniform_frame_drift_bound(trace: RunTrace) -> float:
+    """c0 = L * z_max * (N * z_max + d_max) * B over the trace's systems."""
+    models, process = trace.models, trace.process
     z_max = max(m.z_max for m in models)
     b = max(m.residual_bound for m in models)
-    return external.n_metrics * z_max * (len(models) * z_max + external.max_abs()) * b
+    return process.n_metrics * z_max * (len(models) * z_max + process.max_abs()) * b
 
 
-def drift_diagnostic(
-    trace: RunTrace,
-    models: Sequence[RenewalSystemModel],
-    external: ExternalProcess,
-    policy: DppRatioPolicy,
-    reference: Sequence[PerformanceVector],
-) -> DriftDiagnostic:
+def drift_diagnostic(trace: RunTrace, reference: Sequence[PerformanceVector]) -> DriftDiagnostic:
     """Drift sums of the completed frames of a dpp_ratio run against c0.
 
     Each frame's sum is V * (Y - T * f_bar) + QZ - W . g_bar, read off the
     frame table: QZ is row . W for a metric row and value * Q[start +
     offset, l] for an impulse, and W is a difference of one prefix sum of Q.
     """
-    models = list(models)
     reference = tuple(reference)
-    if not isinstance(policy, DppRatioPolicy):
+    if not isinstance(trace.policy, DppRatioPolicy):
         raise ValueError("drift diagnostic applies to the dpp_ratio policy")
-    if len(reference) != len(models):
+    if len(reference) != len(trace.models):
         raise ValueError("one reference point per system required")
-    if any(r.g_hat.shape[0] != external.n_metrics for r in reference):
+    if any(r.g_hat.shape[0] != trace.process.n_metrics for r in reference):
         raise ValueError("reference metric dimension mismatch")
-    c0 = uniform_frame_drift_bound(models, external)
+    c0 = uniform_frame_drift_bound(trace)
     excesses = [
-        policy.v * (f.y - f.length * ref.f_hat) + f.qz - f.w @ ref.g_hat - c0
-        for f, ref in zip(_frame_table(trace, models, policy), reference)
+        trace.policy.v * (f.y - f.length * ref.f_hat) + f.qz - f.w @ ref.g_hat - c0
+        for f, ref in zip(_frame_table(trace), reference)
     ]
     means, ses = zip(*map(_mean_se, excesses))
     return DriftDiagnostic(
@@ -642,19 +637,17 @@ class SystemSweepStats:
     frames: int
 
 
-def stationary_predictions(
-    trace: RunTrace,
-    models: Sequence[RenewalSystemModel],
-    policy: RandomizedStationaryPolicy,
-) -> tuple[SystemSweepStats, ...]:
+def stationary_predictions(trace: RunTrace) -> tuple[SystemSweepStats, ...]:
     """Compare a stationary run with its renewal-reward ratios, per system.
 
     The prediction for each system is sum_a p_a y_hat_a / sum_a p_a t_hat_a
     (and likewise per metric); the empirical value is the ratio of completed
     frame totals, with a delta-method standard error.
     """
+    if not isinstance(trace.policy, RandomizedStationaryPolicy):
+        raise ValueError("stationary predictions apply to the stationary policy")
     systems = []
-    for model, w, st in zip(models, policy.weights, frame_stats(trace, models, policy)):
+    for model, w, st in zip(trace.models, trace.policy.weights, frame_stats(trace)):
         t_mix = float(w @ model.t_hats)
         systems.append(
             SystemSweepStats(

@@ -293,7 +293,7 @@ def test_criterion_08_oracle_matches_simplex():
 def test_criterion_09_stationary_policy_matches_predictions(env):
     policy = RandomizedStationaryPolicy(stationary_policy_weights(env["sol"]))
     trace = run(env["models"], env["external"], policy, SWEEP_SLOTS, seed=3)
-    systems = stationary_predictions(trace, env["models"], policy)
+    systems = stationary_predictions(trace)
     for n, s in enumerate(systems):
         if s.se_f == 0:
             assert s.empirical_f == s.predicted_f
@@ -326,7 +326,7 @@ def test_criterion_10_drift_bound_holds(env):
     reference = extract_reference_point(env["sol"])
     policy = DppRatioPolicy(10.0)
     trace = run(env["models"], env["external"], policy, 100_000, seed=5)
-    drift = drift_diagnostic(trace, env["models"], env["external"], policy, reference)
+    drift = drift_diagnostic(trace, reference)
     assert drift.frame_counts.min() > 5000
     within = drift.within_bound(sigmas=3.0)
     assert within.all(), (drift.excess_mean, drift.excess_se)

@@ -178,21 +178,35 @@ def test_trajectory_rows_are_fmt_of_each_value(tmp_path):
 
 
 def test_oversized_horizon_exits_1_before_any_cell(tmp_path, capsys, monkeypatch):
-    # a Table-1 trace holds 8 * (1 + 3 * 3) bytes per slot; with the memory
-    # budget one byte short of that the run must stop before its first cell
+    # a Table-1 trace holds 8 * (1 + 3 * 3) bytes per slot plus 24 per frame
+    # for each of 5 systems, estimated at ceil(slots / 7.5) frames (7.5 is
+    # the shortest class's t_hat); with the memory budget one byte short of
+    # that the run must stop before its first cell
     def no_cell(*args, **kwargs):
         raise AssertionError("a cell started")
 
-    monkeypatch.setattr(cli, "_memory_budget", lambda: 80 * 200_000 - 1)
+    need = 80 * 200_000 + 24 * 5 * 26_667
+    monkeypatch.setattr(cli, "_memory_budget", lambda: need - 1)
     monkeypatch.setattr(cli, "run", no_cell)
     cfg = write_config(tmp_path, BASE + f"out = {tmp_path / 'res'}\n")
     assert main(["run", cfg, "--slots", "200000"]) == 1
     err = capsys.readouterr().err
-    assert "slots: 200000 slots need a 15.3 MiB trace per cell" in err
+    assert "slots: 200000 slots need a 18.3 MiB trace per cell" in err
+    assert not (tmp_path / "res").exists()
+    # with 200 servers the frame logs outweigh the series: a budget that
+    # holds the series alone must stop the run too
+    many = write_config(
+        tmp_path,
+        f"instance = table1\nservers = 200\nslots = 200000\nout = {tmp_path / 'res'}\n",
+        name="many.cfg",
+    )
+    monkeypatch.setattr(cli, "_memory_budget", lambda: 80 * 200_000)
+    assert main(["run", many]) == 1
+    assert "slots: 200000 slots need a 137.3 MiB trace per cell" in capsys.readouterr().err
     assert not (tmp_path / "res").exists()
     # at exactly the budget the grid runs
     monkeypatch.undo()
-    monkeypatch.setattr(cli, "_memory_budget", lambda: 80 * 400)
+    monkeypatch.setattr(cli, "_memory_budget", lambda: 80 * 400 + 24 * 5 * 54)
     assert main(["run", cfg]) == 0
 
 

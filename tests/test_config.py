@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -282,3 +283,16 @@ def documented_keys(heading):
 def test_docstring_lists_exactly_the_parsed_keys():
     assert documented_keys("Top-level keys:") == list(config._TOP_TABLE)
     assert documented_keys("[class] keys:") == list(config._CLASS_TABLE)
+
+
+def test_readme_example_configs_parse():
+    # the config blocks under the README's "## CLI", cut out as the API
+    # surface test cuts out the quickstart: a key renamed or removed in the
+    # parser but not in the README fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("## CLI")[1].split("### Outputs")[0].split("```")[1::2]
+    usage, *examples = blocks
+    assert usage.strip().startswith("renewalopt run") and len(examples) == 2
+    table1, custom = (parse_config(text) for text in examples)
+    assert table1.instance.n_servers == 5 and table1.slots == 200_000
+    assert custom.instance.n_servers == 3 and custom.instance.n_classes == 1

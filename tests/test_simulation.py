@@ -125,10 +125,19 @@ def test_run_single_action_exact_averages():
     # z - d = -1 every slot, so the queue never leaves zero
     assert np.array_equal(trace.final_queues, [0.0])
     assert np.array_equal(trace.queue_slot_sum, [0.0])
-    stats = frame_stats(trace, models, policy)[0]
+    stats = frame_stats(trace)[0]
     assert stats.count == 100
     assert stats.empirical_f == 3.0
     assert stats.f_se() == 0.0
+
+
+def test_trace_records_what_run_was_given(table1_env):
+    models, external = table1_env["models"], table1_env["external"]
+    policy = DppRatioPolicy(10.0)
+    trace = run(models, external, policy, slots=100, seed=4)
+    assert type(trace.models) is tuple and len(trace.models) == len(models)
+    assert all(a is b for a, b in zip(trace.models, models))
+    assert trace.process is external and trace.policy is policy and trace.seed == 4
 
 
 def test_run_is_deterministic_per_seed(table1_env):
@@ -223,7 +232,8 @@ def test_queue_bound_check_names_first_violation():
     external = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     queues = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.5, 0.0], [3.0, -1.0]])
     frames = (np.array([[0, 4, 0]]),)
-    trace = RunTrace(0, np.zeros(4), metrics, external, queues, frames)
+    # check_queue_bound reads only the series, so the run's inputs are left out
+    trace = RunTrace((), None, None, 0, np.zeros(4), metrics, external, queues, frames)
     message = "queue lower bound violated at slot 2, constraint 0: Q=1.5 < cumulative net input 2.0"
     with pytest.raises(CheckViolation, match=f"^{re.escape(message)}$"):
         check_queue_bound(trace)
@@ -272,17 +282,15 @@ def test_replay_rejects_a_foreign_trace(table1_env):
     stationary = RandomizedStationaryPolicy(stationary_policy_weights(sol))
     reference = extract_reference_point(sol)
     cases = (
-        (dpp, lambda trace, ms: frame_stats(trace, ms, dpp)),
-        (dpp, lambda trace, ms: drift_diagnostic(trace, ms, external, dpp, reference[: len(ms)])),
-        (stationary, lambda trace, ms: stationary_predictions(trace, ms, stationary)),
+        (dpp, frame_stats),
+        (dpp, lambda trace: drift_diagnostic(trace, reference)),
+        (stationary, stationary_predictions),
     )
     for policy, analysis in cases:
         trace = run(models, external, policy, slots=500, seed=2)
-        analysis(trace, models)  # the trace's own models replay it
+        analysis(trace)  # the trace's own stream replays it
         with pytest.raises(ValueError, match="differs from the log"):
-            analysis(replace(trace, seed=3), models)
-        with pytest.raises(ValueError, match="one model per system"):
-            analysis(trace, models[:1])
+            analysis(replace(trace, seed=3))
 
 
 def test_checked_run_completes_clean(table1_env):
@@ -455,7 +463,7 @@ def test_stationary_sweep_single_action_exact():
     models, external = single_action_setup(rate=2.0, z_rate=0.5, d_value=5.0)
     policy = RandomizedStationaryPolicy((np.array([1.0]),))
     trace = run(models, external, policy, 100, seed=0)
-    sys = stationary_predictions(trace, models, policy)[0]
+    sys = stationary_predictions(trace)[0]
     assert sys.predicted_f == 2.0
     assert np.array_equal(sys.predicted_g, [0.5])
     assert sys.empirical_f == 2.0  # constant rates make the ratio exact
@@ -472,7 +480,7 @@ def test_stationary_sweep_mixture_within_noise():
     external = ExternalProcess((FixedValue(1.0),))
     policy = RandomizedStationaryPolicy((np.array([0.5, 0.5]),))
     trace = run([model], external, policy, 30_000, seed=13)
-    sys = stationary_predictions(trace, [model], policy)[0]
+    sys = stationary_predictions(trace)[0]
     assert sys.predicted_f == 1.5
     assert sys.se_f > 0
     assert abs(sys.empirical_f - 1.5) <= 4 * sys.se_f
@@ -494,7 +502,8 @@ def test_drift_bound_formula(table1_env):
     d_max = external.max_abs()
     b = max(m.residual_bound for m in models)
     expected = 3 * z_max * (5 * z_max + d_max) * b
-    assert uniform_frame_drift_bound(models, external) == expected
+    trace = run(models, external, DppRatioPolicy(1.0), slots=1, seed=0)
+    assert uniform_frame_drift_bound(trace) == expected
     assert z_max == 27.0 and d_max == 24.0
     assert b == pytest.approx(109.96, abs=1e-9)
 
@@ -506,8 +515,8 @@ def test_drift_single_action_exact():
     reference = [PerformanceVector(3.0, [1.0])]
     policy = DppRatioPolicy(7.0)
     trace = run(models, external, policy, slots=200, seed=0)
-    drift = drift_diagnostic(trace, models, external, policy, reference)
-    c0 = uniform_frame_drift_bound(models, external)
+    drift = drift_diagnostic(trace, reference)
+    c0 = uniform_frame_drift_bound(trace)
     assert c0 == 1.0 * 1.0 * (1.0 * 1.0 + 1.0) * 4.0
     assert drift.frame_counts[0] == 100
     assert np.array_equal(drift.excess_mean, [-c0])
@@ -523,7 +532,7 @@ def test_drift_with_nonzero_queue():
     policy = DppRatioPolicy(7.0)
     trace = run(models, external, policy, slots=200, seed=0)
     assert np.array_equal(trace.queues[:, 0], np.arange(201))
-    drift = drift_diagnostic(trace, models, external, policy, reference)
+    drift = drift_diagnostic(trace, reference)
     assert drift.c0 == 24.0
     sums = 2 * np.arange(100) + 0.5
     assert drift.frame_counts[0] == 100
@@ -536,7 +545,7 @@ def test_drift_diagnostic_on_energy_instance(table1_env):
     reference = extract_reference_point(table1_env["sol"])
     policy = DppRatioPolicy(10.0)
     trace = run(models, external, policy, slots=20_000, seed=5)
-    drift = drift_diagnostic(trace, models, external, policy, reference)
+    drift = drift_diagnostic(trace, reference)
     assert drift.frame_counts.min() > 1000
     assert drift.within_bound().all()
     # the bound is far from tight here: the mean excess is deeply negative
@@ -590,9 +599,9 @@ def test_frame_table_matches_the_dense_per_slot_series(table1_env):
     for models, external, policy, reference, slots, seed in cases:
         trace = run(models, external, policy, slots, seed)
         queues, v = trace.queues, policy.v
-        c0 = uniform_frame_drift_bound(models, external)
-        drift = drift_diagnostic(trace, models, external, policy, reference)
-        table = simulation._frame_table(trace, models, policy)
+        c0 = uniform_frame_drift_bound(trace)
+        drift = drift_diagnostic(trace, reference)
+        table = simulation._frame_table(trace)
         dense = dense_replay(trace, models)
         for n, (log, (y, z), frames, ref) in enumerate(zip(trace.frames, dense, table, reference)):
             # the table holds the logged frames that end inside the horizon
@@ -623,10 +632,10 @@ def test_analyses_name_a_system_without_completed_frames(table1_env):
     stationary = RandomizedStationaryPolicy(stationary_policy_weights(sol))
     reference = extract_reference_point(sol)
     cases = (
-        (dpp, 1, lambda trace: frame_stats(trace, models, dpp)),
-        (dpp, 1, lambda trace: drift_diagnostic(trace, models, external, dpp, reference)),
-        (stationary, 3, lambda trace: frame_stats(trace, models, stationary)),
-        (stationary, 3, lambda trace: stationary_predictions(trace, models, stationary)),
+        (dpp, 1, frame_stats),
+        (dpp, 1, lambda trace: drift_diagnostic(trace, reference)),
+        (stationary, 3, frame_stats),
+        (stationary, 3, stationary_predictions),
     )
     for policy, seed, analysis in cases:
         trace = run(models, external, policy, slots=2, seed=seed)
@@ -644,8 +653,16 @@ def test_drift_requires_dpp_policy(table1_env):
     reference = extract_reference_point(sol)
     policy = RandomizedStationaryPolicy(weights)
     trace = run(models, external, policy, 100, seed=0)
-    with pytest.raises(ValueError):
-        drift_diagnostic(trace, models, external, policy, reference)
+    with pytest.raises(ValueError, match="dpp_ratio policy"):
+        drift_diagnostic(trace, reference)
+
+
+def test_stationary_predictions_require_the_stationary_policy(table1_env):
+    # a dpp_ratio trace has no weights to predict from
+    models, external = table1_env["models"], table1_env["external"]
+    trace = run(models, external, DppRatioPolicy(10.0), 2000, seed=1)
+    with pytest.raises(ValueError, match="^stationary predictions apply to the stationary policy$"):
+        stationary_predictions(trace)
 
 
 def test_run_argument_validation(table1_env):
@@ -664,7 +681,7 @@ def test_run_argument_validation(table1_env):
     trace = run(models[:1], external, policy, slots=10, seed=0)
     with pytest.raises(ValueError):
         # 5 reference points for 1 system
-        drift_diagnostic(trace, models[:1], external, policy, reference)
+        drift_diagnostic(trace, reference)
 
 
 def trace_digest(trace):
@@ -748,8 +765,7 @@ FRAME_STATS_FINGERPRINTS = {
 
 @pytest.mark.parametrize("name", sorted(FRAME_STATS_FINGERPRINTS))
 def test_frame_stats_fingerprint(table1_env, name):
-    models, _, policy, _, _, _ = fingerprint_cases(table1_env)[name]
-    stats = frame_stats(fingerprint_run(table1_env, name), models, policy)
+    stats = frame_stats(fingerprint_run(table1_env, name))
     assert frame_stats_digest(stats) == FRAME_STATS_FINGERPRINTS[name]
 
 
