@@ -33,7 +33,7 @@ from .benchmark import (
 )
 from .config import ConfigError, ExperimentConfig, parse_config
 from .core import validate_model
-from .scheduling import build_instance
+from .scheduling import SchedulingInstance, build_instance
 from .simulation import (
     CheckViolation,
     DppRatioPolicy,
@@ -99,28 +99,31 @@ def _check_memory(key: str, count: int, need_bytes: int, what: str) -> None:
         ))])
 
 
+def _build(inst: SchedulingInstance):
+    """build_instance, once the benchmark LP's dense simplex tableau fits in memory."""
+    n, l = inst.n_servers, inst.n_classes  # rows: servers, classes; columns: weights, slacks
+    _check_memory("servers", n, 8 * (n + l + 1) * ((l + 1) * n + 2 * l + 1), "LP tableau")
+    return build_instance(inst)
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
     """Execute the configured grid and write CSVs; returns the exit code."""
-    models, external, lp = build_instance(cfg.instance)
+    models, external, lp = _build(cfg.instance)
     n_metrics = external.n_metrics
-    # a cell's trace holds 8 * (1 + 3L) bytes per slot and 24 per frame per
-    # system, about one frame per t_hat slots (so count the shortest), and it
-    # grows slot by slot, so a horizon that cannot fit would fail mid-run
+    # a cell's trace holds 8 * (1 + 3L) bytes per slot and 8 * (5 + L) per frame per
+    # system, a frame per t_hat slots (count the shortest); it grows slot by slot,
+    # so a horizon that cannot fit would fail mid-run
     frames = -(-cfg.slots // min(float(m.t_hats.min()) for m in models))  # ceil
-    need = 8 * (1 + 3 * n_metrics) * cfg.slots + 24 * len(models) * frames
+    need = 8 * (1 + 3 * n_metrics) * cfg.slots + 8 * (5 + n_metrics) * len(models) * frames
     _check_memory("slots", cfg.slots, need, "trace per cell")
     lp_sol = solve_lp(lp)
-
-    out = Path(out_dir if out_dir is not None else cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_lp_csv(out / "lp.csv", lp_sol)
 
     if cfg.policy == "stationary":
         if cfg.weights == "lp":
             if lp_sol.status != "optimal":
-                raise RuntimeError(
-                    f"stationary weights need an optimal benchmark, got {lp_sol.status}"
-                )
+                raise ConfigError([(0, "weights", (
+                    f"lp needs an optimal benchmark, and this instance's is {lp_sol.status}"
+                ))])
             weights = stationary_policy_weights(lp_sol)
         else:
             per_class = np.asarray(cfg.weights, dtype=float)
@@ -128,6 +131,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
         grid = [(None, seed) for seed in cfg.seeds]
     else:
         grid = [(v, seed) for v in cfg.v_list for seed in cfg.seeds]
+
+    out = Path(out_dir if out_dir is not None else cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_lp_csv(out / "lp.csv", lp_sol)
 
     header = (
         ["policy", "v", "seed", "slots", "avg_penalty"]
@@ -190,7 +197,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_lp(args) -> int:
     cfg = parse_config(Path(args.config).read_text())
-    _, _, lp = build_instance(cfg.instance)
+    _, _, lp = _build(cfg.instance)
     sol = solve_lp(lp)
     out = Path(args.out if args.out is not None else cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -206,10 +213,9 @@ def _cmd_validate(args) -> int:
     if args.samples < 1:
         raise ConfigError([(0, "samples", "must be >= 1")])
     cfg = parse_config(Path(args.config).read_text())
-    models, _, _ = build_instance(cfg.instance)
-    model = models[0]  # servers are homogeneous: one model object, repeated
-    # each action's length, Y and Z columns take 8 * (2 + L) bytes per sample
-    need = 8 * (2 + model.n_metrics) * args.samples
+    # servers are homogeneous: one server's model is every server's
+    (model,), _, _ = build_instance(replace(cfg.instance, n_servers=1))
+    need = 8 * (3 + model.n_metrics) * args.samples  # length, rate, impulse, metric columns
     _check_memory("samples", args.samples, need, "sample table per action")
     report = validate_model(model, args.samples)
     print(f"model (all servers): {'ok' if report.ok else 'FLAGGED'}")
@@ -266,6 +272,9 @@ def main(argv=None) -> int:
     except CheckViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # numpy names the allocation; a list does not
+        print(f"error: out of memory {exc}".rstrip(), file=sys.stderr)
+        return 2
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, not raises
         print(f"error: {exc}", file=sys.stderr)
         return 2

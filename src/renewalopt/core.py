@@ -17,13 +17,13 @@ all of its declarations empirically.
 
 A sampler returns each frame in compact form, a ``FrameOutcome``: its
 length, one penalty rate for every slot, and either a constant metric row or
-one impulse (slot offset, metric, value), which the simulation engine lays
-down directly.  ``sample_frame`` draws a frame and checks its impulse's
-metric against the model.  ``FrameOutcome.bound_violations`` checks a frame
-against the declared per-slot bounds, with the result its per-slot arrays
-would give.  A frame's totals are Y = rate * length and Z = the row times
-length or the impulse value at its metric; ``validate_model`` and the
-simulation's frame table write them into their per-frame columns.
+one impulse (slot offset, metric, value).  ``sample_frame`` draws one and
+checks its impulse's metric against the model.  The engine and
+``validate_model`` record each frame once, as columns: length, penalty rate,
+impulse slot (-1 for a row) and L metric values (the row, or zeros but for
+the impulse value); ``exceeds_bounds`` checks them against the declared
+bounds, and the frame totals are Y = rate * length and Z = row * length or
+the impulse value.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ __all__ = [
     "FrameSampler",
     "RenewalSystemModel",
     "sample_frame",
+    "exceeds_bounds",
     "validate_model",
     "ActionValidation",
     "ValidationReport",
@@ -94,8 +95,7 @@ class FrameOutcome:
     both a row and an impulse or with neither, and an impulse outside the
     frame's slots, which would land on slots the queue has already stepped
     through or on another frame's; ``sample_frame`` checks the impulse's
-    metric against the model.  Not frozen, which makes construction
-    cheaper; nothing assigns to a frame.
+    metric.  Not frozen, for cheaper construction; nothing assigns to it.
     """
 
     length: int
@@ -112,19 +112,6 @@ class FrameOutcome:
             raise ValueError("frame needs exactly one of a metric row and an impulse")
         if impulse is not None and not 0 <= impulse[0] < length:
             raise ValueError(f"impulse at offset {impulse[0]} of a frame of length {length}")
-
-    def bound_violations(self, y_max: float, z_max: float) -> tuple[bool, bool]:
-        """(penalty_over, metric_over): does some slot have |y| > y_max, some |z_l| > z_max?
-
-        The same answers as comparing the frame's per-slot arrays with
-        bounds z_max >= 0, as a model declares, without building them: the
-        metric entries are the row or, but for the impulse, zeros.
-        """
-        if self.impulse is None:
-            metric_over = any(abs(r) > z_max for r in self.metric_rate)
-        else:
-            metric_over = abs(self.impulse[2]) > z_max
-        return abs(self.penalty_rate) > y_max, metric_over
 
 
 class FrameSampler(Protocol):
@@ -235,6 +222,15 @@ def sample_frame(model: RenewalSystemModel, action: int, rng: np.random.Generato
     return frame
 
 
+def exceeds_bounds(rates, metrics, y_max: float, z_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per recorded frame, (penalty_over, metric_over): |y| > y_max, some |z_l| > z_max?
+
+    Over the frames' rate and metric-value columns; with z_max >= 0, as a
+    model declares, these are the answers of their per-slot arrays.
+    """
+    return np.abs(rates) > y_max, (np.abs(metrics) > z_max).any(axis=1)
+
+
 @dataclass(frozen=True, eq=False)
 class ActionValidation:
     """Empirical evidence for one action's declarations."""
@@ -286,12 +282,10 @@ def validate_model(
 ) -> ValidationReport:
     """Sample each action and report violations of the model's declarations.
 
-    Samples through ``sample_frame`` and records each frame's length, its
-    Y = rate * length and its Z (the row times length, or the impulse value
-    at its metric) in preallocated ``array`` columns that numpy reads in
-    place, so no numpy call is made per frame but for a metric row.  Checks
-    three things per action: (a) per-slot bound violations, found on each
-    frame by ``FrameOutcome.bound_violations``, which must be zero;
+    Samples through ``sample_frame`` into ``array`` columns (length, rate,
+    impulse offset or -1, metric values) that numpy reads in place.  Checks
+    three things per action: (a) per-slot bound violations, one per frame
+    and bound crossed (``exceeds_bounds``), which must be zero;
     (b) estimates of E[(T - s)^2 | T >= s] for every offset s up to the
     longest observed frame, flagged when an estimate backed by at least
     RESIDUAL_MIN_FRAMES surviving frames exceeds the declared residual_bound
@@ -308,23 +302,27 @@ def validate_model(
     for idx in range(model.n_actions):
         declared = model.actions[idx]
         n, n_metrics = samples_per_action, model.n_metrics
-        t_buf, y_buf, z_buf = (array("d", [0.0]) * k for k in (n, n, n * n_metrics))
-        lengths, y_totals = np.frombuffer(t_buf), np.frombuffer(y_buf)
-        z_totals = np.frombuffer(z_buf).reshape(n, n_metrics)
-        violations = 0
+        t_buf, rate_buf, z_buf = (array("d", [0.0]) * k for k in (n, n, n * n_metrics))
+        at_buf = array("q", [-1]) * n
+        lengths, rates = np.frombuffer(t_buf), np.frombuffer(rate_buf)
+        metrics = np.frombuffer(z_buf).reshape(n, n_metrics)
         for i in range(n):
             frame = sample_frame(model, idx, rng)
-            violations += sum(frame.bound_violations(model.y_max, model.z_max))
-            length = t_buf[i] = frame.length
-            y_buf[i] = frame.penalty_rate * length
+            t_buf[i] = frame.length
+            rate_buf[i] = frame.penalty_rate
             if frame.impulse is None:
-                z_totals[i] = frame.metric_rate * length
+                metrics[i] = frame.metric_rate
             else:
-                z_buf[i * n_metrics + frame.impulse[1]] = frame.impulse[2]
+                at_buf[i], l, value = frame.impulse
+                z_buf[i * n_metrics + l] = value
+        over = exceeds_bounds(rates, metrics, model.y_max, model.z_max)
+        violations = int(np.count_nonzero(over[0]) + np.count_nonzero(over[1]))
+        row = np.frombuffer(at_buf, dtype=np.int64) < 0
+        metrics[row] *= lengths[row, None]  # now the frame totals Z
 
-        y_mean, y_se = _mean_se(y_totals)
+        y_mean, y_se = _mean_se(rates * lengths)
         t_mean, t_se = _mean_se(lengths)
-        z_mean, z_se = _mean_se(z_totals)
+        z_mean, z_se = _mean_se(metrics)
 
         max_len = int(lengths.max())
         residual_est = np.zeros(max_len + 1)

@@ -44,9 +44,13 @@ __all__ = [
 ]
 
 
+# numpy's Generator.poisson refuses a larger mean; at it, the cap overflows int64
+POISSON_RATE_LIMIT = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+
+
 @dataclass(frozen=True)
 class ServerClassParams:
-    """One job class: arrivals, service/idle phases, job counts, energy."""
+    """One job class: arrivals, service/idle phases, job counts (exact doubles), energy."""
 
     arrival_rate: float
     service_mean: float
@@ -57,8 +61,8 @@ class ServerClassParams:
     idle_power: float
 
     def __post_init__(self):
-        if not self.arrival_rate > 0:
-            raise ValueError("arrival_rate must be positive")
+        if not 0 < self.arrival_rate < POISSON_RATE_LIMIT:
+            raise ValueError(f"arrival_rate must be > 0 and below {POISSON_RATE_LIMIT!r}")
         if not (self.service_mean >= 1 and self.idle_mean >= 1):
             raise ValueError("phase means must be >= 1 slot")
         if int(self.jobs_low) != self.jobs_low or int(self.jobs_high) != self.jobs_high:
@@ -67,6 +71,8 @@ class ServerClassParams:
         object.__setattr__(self, "jobs_high", int(self.jobs_high))
         if not 0 < self.jobs_low <= self.jobs_high < self.jobs_low + 2**32 - 1:
             raise ValueError("need 0 < jobs_low <= jobs_high < jobs_low + 2**32 - 1")
+        if self.jobs_high > 2**53:
+            raise ValueError("jobs_high must be <= 2**53")
         if (self.jobs_low + self.jobs_high) % 2 != 0:
             raise ValueError("job-count support must have an integer midpoint")
         if self.energy < 0 or self.idle_power < 0:

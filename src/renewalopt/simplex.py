@@ -64,6 +64,14 @@ def _bland_iterate(tableau: np.ndarray, basis: list[int]) -> str:
         _pivot(tableau, basis, row, col)
 
 
+def _row_scale(a: np.ndarray) -> np.ndarray:
+    """Per row, 1, or if its largest |coefficient| is outside [2**-8, 2**9) the
+    power of two that brings it into [1, 2): exact, and the absolute
+    tolerances then hold on rows of job counts in the billions too."""
+    exp = np.frexp(np.abs(a).max(axis=1, initial=0.0))[1] - 1  # in [2**exp, 2**(exp + 1))
+    return np.ldexp(1.0, np.where(np.abs(exp) > 8, -exp, 0))
+
+
 def simplex_solve(
     c,
     a_ub=None,
@@ -83,6 +91,9 @@ def simplex_solve(
     if a_eq.shape != (m_eq, n) or b_eq.shape != (m_eq,):
         raise ValueError("equality block has inconsistent dimensions")
     m = m_ub + m_eq
+    ub_scale, eq_scale = _row_scale(a_ub), _row_scale(a_eq)
+    a_ub, b_ub = a_ub * ub_scale[:, None], b_ub * ub_scale
+    a_eq, b_eq = a_eq * eq_scale[:, None], b_eq * eq_scale
 
     # equality form: [a_ub | I][x; s] = b_ub with s >= 0, plus the eq rows
     a_full = np.zeros((m, n + m_ub))
@@ -157,5 +168,5 @@ def simplex_solve(
 
     # slack i has cost 0 and column s * e_i (s = -1 if row i was negated), so
     # its reduced cost is -s times the solved row's dual: minus the caller's
-    duals_ub = -tableau[-1, n : n + m_ub]
+    duals_ub = -tableau[-1, n : n + m_ub] * ub_scale
     return SimplexResult(status="optimal", x=x, objective=objective, duals_ub=duals_ub)

@@ -1,50 +1,35 @@
 """Slotted-time simulation of N asynchronous renewal systems.
 
 Every system starts its first frame at slot 0 and a new frame the slot after
-its previous frame ends, so the systems drift out of phase with each other.
-``run`` takes the slots in order.  In slot t the systems that start a frame
-there, in index order, each pick an action against Q[t] (the queue updated
-through slot t-1), sample the frame as a ``core.FrameOutcome`` and lay it
-down: its metric row on its slice of z or its one impulse on one entry of
-z, and its penalty rate as the system's current rate; y[t] adds the current
-rates in frame-start order (ties by index), the adds of laying each rate on
-each of its slots.  Every frame covering slot t is then laid down, and the
-queue takes one step
-
-    Q[t+1] = max{Q[t] + sum_n z^n[t] - d[t], 0}
-
-through ``controller.queue_step`` on Python floats, in the order of the
-numpy reference in ``tests/conftest.py`` (z - d, then q + delta, then the
-clamp), so trajectories replay against it bit for bit.
+its previous frame ends, so the systems drift out of phase.  ``run`` takes
+the slots in order.  In slot t the systems that start a frame there, in
+index order, each pick an action against Q[t], sample the frame as a
+``core.FrameOutcome``, lay it down (its metric row on its slice of z or its
+impulse on one entry, its penalty rate as the system's current rate) and
+record it.  y[t] adds the current rates in frame-start order (ties by
+index), the adds of laying each rate on each of its slots.  Then the queue
+takes one step, Q[t+1] = max{Q[t] + sum_n z^n[t] - d[t], 0}, through
+``controller.queue_step`` on Python floats, in the order of the numpy
+reference in ``tests/conftest.py``, so trajectories match it bit for bit.
 
 A drift-plus-penalty decision depends only on (model, Q[t], V), so it is
-solved once per (model object, slot) and reused by every system that shares
-the model and starts a frame in that slot; the stationary policy draws each
-frame's action from the system's own stream.  y, z and Q are laid down on
-``array`` buffers, so no numpy call is made per frame but for a metric row.
+solved once per (model object, slot) and shared by the systems of that model
+starting a frame in that slot; the stationary policy draws each frame's
+action from the system's own stream, SeedSequence(seed, spawn_key=(0, n)),
+and d from spawn_key=(1,), so adding systems never perturbs other streams.
+y, z, Q and the frame records grow on ``array`` buffers, so no numpy call
+is made per frame but for a metric row.
 
-``run`` returns a ``RunTrace``, the whole record of the run: its models,
-external process, policy and seed, the per-slot series y, z and d, the queue
-series Q[0..slots] and each system's frame log, 8 * (1 + 3L) bytes per slot
-plus 24 bytes per frame per system.  The averages, ``queue_trajectory``,
-``check_queue_bound``, ``frame_stats``, ``drift_diagnostic`` (given a
-reference point) and ``stationary_predictions`` are functions of it alone;
-the per-frame ones read one table of each system's completed frames,
-re-drawn once from its seed stream and log.
+``run`` returns a ``RunTrace``, the whole record of the run; every analysis
+below is a function of it alone, and the per-frame ones read one table over
+its recorded frame columns: no analysis draws a frame again.
 
-Seed derivation: system n draws from PCG64 seeded with
-SeedSequence(seed, spawn_key=(0, n)); the external process uses
-spawn_key=(1,).  Adding or removing systems therefore never perturbs the
-other streams.
-
-With ``check=True`` three exact invariants are asserted: the minimality
-certificate of each decision (``ratio_bound_holds`` against Q[t], right
-after the solve, so it covers every frame that lays the action down), the
-declared bounds of each sampled frame (``FrameOutcome.bound_violations``),
-and, after the loop, the sample-path lower bound
-Q_l[t] >= sum_{s<t}(sum_n z_l^n[s] - d_l[s]), which holds exactly in
-floating point because both sides add the same per-slot deltas and the
-queue side only ever clamps upward.
+``check=True`` asserts three exact invariants: in the loop, the minimality
+certificate of each decision (``ratio_bound_holds`` at Q[t]); after it, the
+declared bounds of every recorded frame (``core.exceeds_bounds``, naming the
+first offending slot and system) and the sample-path lower bound
+Q_l[t] >= sum_{s<t}(sum_n z_l^n[s] - d_l[s]), exact in floating point as
+both sides add the same per-slot deltas and the queue only clamps upward.
 """
 
 from __future__ import annotations
@@ -60,7 +45,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .controller import queue_step, ratio_bound_holds, solve_bisection, solve_enumerate
-from .core import PerformanceVector, RenewalSystemModel, _mean_se, sample_frame
+from .core import PerformanceVector, RenewalSystemModel, _mean_se, exceeds_bounds, sample_frame
 
 __all__ = [
     "CappedPoisson",
@@ -84,7 +69,6 @@ __all__ = [
 ]
 
 
-# ---------------------------------------------------------------------------
 # external i.i.d. slot process
 
 
@@ -149,7 +133,6 @@ class ExternalProcess:
         return np.column_stack([c.sample_array(rng, slots) for c in self.coords])
 
 
-# ---------------------------------------------------------------------------
 # policies
 
 
@@ -206,7 +189,6 @@ class CheckViolation(Exception):
     """An exact runtime invariant failed during a checked run."""
 
 
-# ---------------------------------------------------------------------------
 # the engine
 
 
@@ -217,9 +199,11 @@ class RunTrace:
     models, process, policy and seed are what ``run`` was given.  penalty[t]
     and metrics[t] are the slot-t sums over systems of y and z, external[t]
     is d[t], and queues[t] is Q[t] for t = 0..slots, zero first and the final
-    queue last.  frames[n] is system n's frame log, one (start, length,
-    action) row per frame in order; the last may extend past the horizon,
-    which then cuts its y and z short.
+    queue last: 8 * (1 + 3L) bytes per slot.  frames[n] is system n's frame
+    log, one (start, length, action) int64 row per frame in order; the last
+    may end past the horizon, which cuts its y and z short.  Row k of
+    frame_rates[n], impulse_slots[n] (-1 for a row) and frame_metrics[n] (the
+    row, or zeros but for the impulse) is that frame: 8 * (5 + L) bytes.
     """
 
     models: tuple[RenewalSystemModel, ...]
@@ -231,6 +215,9 @@ class RunTrace:
     external: np.ndarray
     queues: np.ndarray
     frames: tuple[np.ndarray, ...]
+    frame_rates: tuple[np.ndarray, ...]
+    impulse_slots: tuple[np.ndarray, ...]
+    frame_metrics: tuple[np.ndarray, ...]
 
     @property
     def slots(self) -> int:
@@ -295,10 +282,6 @@ def _running_sums(
         yield start, block
 
 
-def _system_rng(seed: int, n: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0, n))))
-
-
 def run(
     models: Sequence[RenewalSystemModel],
     external: ExternalProcess,
@@ -337,7 +320,8 @@ def run(
     else:
         raise TypeError(f"unknown policy type {type(policy).__name__}")
 
-    rngs = [_system_rng(seed, n) for n in range(n_sys)]
+    rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0, n))))
+            for n in range(n_sys)]
     ext_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(1,))))
     d_arr = external.sample_matrix(ext_rng, slots)
 
@@ -348,7 +332,9 @@ def run(
     q_buf = array("d", [0.0]) * n_metrics  # Q[0], then one row per slot stepped
     # d's rows as lists, converted _ROWS slots at a time
     d_rows = chain.from_iterable(d_arr[i : i + _ROWS].tolist() for i in range(0, slots, _ROWS))
-    logs = [array("q") for _ in range(n_sys)]
+    # per system: the (start, length, action) log, the rate, impulse and metric columns
+    records = [(array("q"), array("d"), array("q"), array("d")) for _ in range(n_sys)]
+    no_row = array("d", [0.0]) * n_metrics  # an array, which += appends without a loop
     starting = {0: list(range(n_sys))}  # frame-start slot -> systems starting there
     q = q_buf.tolist()  # Q[t] as a list, the form the ratio kernel reads
     rates = {}  # system -> current penalty rate, in frame-start order
@@ -373,18 +359,22 @@ def run(
                 end = t + frame.length
                 rates.pop(n, None)
                 rates[n] = frame.penalty_rate
+                log, rate_log, at_log, metric_log = records[n]
                 if frame.impulse is None:
                     z_arr[t:end] += frame.metric_rate
+                    at = -1
+                    metric_log.extend(frame.metric_rate)
                 else:
                     # FrameOutcome keeps the offset and sample_frame the metric in range
                     offset, l, value = frame.impulse
-                    if t + offset < slots:
-                        z_buf[(t + offset) * n_metrics + l] += value
-                if check and any(frame.bound_violations(model.y_max, model.z_max)):
-                    raise CheckViolation(
-                        f"sampled frame at slot {t}, system {n} exceeds declared bounds"
-                    )
-                logs[n].extend((t, frame.length, idx))
+                    at = t + offset
+                    if at < slots:
+                        z_buf[at * n_metrics + l] += value
+                    metric_log += no_row
+                    metric_log[l - n_metrics] = value
+                log.extend((t, frame.length, idx))
+                rate_log.append(frame.penalty_rate)
+                at_log.append(at)
                 starting.setdefault(end, []).append(n)
             y_t = 0.0
             for rate in rates.values():  # not sum(), which may compensate
@@ -403,14 +393,23 @@ def run(
         metrics=z_arr,
         external=d_arr,
         queues=np.frombuffer(q_buf).reshape(slots + 1, n_metrics),
-        frames=tuple(np.frombuffer(log, dtype=np.int64).reshape(-1, 3) for log in logs),
+        frames=tuple(np.frombuffer(r[0], dtype=np.int64).reshape(-1, 3) for r in records),
+        frame_rates=tuple(np.frombuffer(r[1]) for r in records),
+        impulse_slots=tuple(np.frombuffer(r[2], dtype=np.int64) for r in records),
+        frame_metrics=tuple(np.frombuffer(r[3]).reshape(-1, n_metrics) for r in records),
     )
     if check:
+        first = []  # (slot, system) of each system's first frame over its declared bounds
+        for n, m in enumerate(models):
+            over = exceeds_bounds(trace.frame_rates[n], trace.frame_metrics[n], m.y_max, m.z_max)
+            first += [(int(t), n) for t in trace.frames[n][over[0] | over[1], 0][:1]]
+        if first:
+            t, n = min(first)
+            raise CheckViolation(f"sampled frame at slot {t}, system {n} exceeds declared bounds")
         check_queue_bound(trace)
     return trace
 
 
-# ---------------------------------------------------------------------------
 # analyses of a trace
 
 
@@ -454,55 +453,29 @@ def check_queue_bound(trace: RunTrace) -> None:
             )
 
 
-# one system's frames that end inside the horizon, one entry per frame: y is
-# rate * length, z the row times length or the impulse value at its metric,
-# w the sum of Q over the frame's slots and qz that of <Q[t], z[t]>
+# one system's frames that end inside the horizon: y = rate * length, z the row
+# times length or the impulse value, w = sum of Q over the slots, qz of <Q, z>
 _Frames = namedtuple("_Frames", "start length y z w qz")
 
 
 def _frame_table(trace: RunTrace) -> tuple[_Frames, ...]:
-    """Each system's completed frames, re-drawn once from its stream and log.
-
-    Every logged frame, the cut-off last one included, is re-drawn with the
-    trace's own models and policy; raises ValueError where a re-drawn action
-    (stationary policy) or length differs from the log (the seed was changed
-    or a sampler is not a function of its stream), and RuntimeError naming a
-    system with no frame that ends inside the horizon.
-    """
-    stationary = isinstance(trace.policy, RandomizedStationaryPolicy)
+    """Each system's completed frames, over the trace's frame columns; raises
+    RuntimeError naming a system with no frame that ends inside the horizon."""
     prefix = np.zeros_like(trace.queues)  # prefix[t] = sum_{s<t} Q[s]
     np.cumsum(trace.queues[:-1], axis=0, out=prefix[1:])
+    columns = zip(trace.frames, trace.frame_rates, trace.impulse_slots, trace.frame_metrics)
     table = []
-    for n, (model, log) in enumerate(zip(trace.models, trace.frames)):
-        rng = _system_rng(trace.seed, n)
+    for n, (log, rate, at, metrics) in enumerate(columns):
+        # the frames are in order and only the last can end past the horizon
         done = int(np.count_nonzero(log[:, 0] + log[:, 1] <= trace.slots))
-        rate, at = np.zeros(done), np.full(done, -1)  # at: an impulse's slot, -1 for a row
-        z = np.zeros((done, model.n_metrics))  # the row, or the impulse value
-        for k, (start, length, idx) in enumerate(log.tolist()):
-            drawn = trace.policy.draw_action(n, rng) if stationary else idx
-            frame = sample_frame(model, idx, rng)
-            if drawn != idx or frame.length != length:
-                raise ValueError(
-                    f"system {n}, frame at slot {start}: re-drawn frame (action {drawn}, "
-                    f"length {frame.length}) differs from the log (action {idx}, length {length})"
-                )
-            if k == done:  # the cut-off last frame, re-drawn only to check it
-                break
-            rate[k] = frame.penalty_rate
-            if frame.impulse is None:
-                z[k] = frame.metric_rate
-            else:
-                offset, l, value = frame.impulse
-                z[k, l] = value
-                at[k] = start + offset
         if not done:
             raise RuntimeError(f"system {n}: no completed frames; increase slots")
-        start, length = log[:done, 0], log[:done, 1]
+        start, length, at, z = log[:done, 0], log[:done, 1], at[:done], metrics[:done].copy()
         row = at < 0
         w = prefix[start + length] - prefix[start]
         qz = (z * np.where(row[:, None], w, trace.queues[at])).sum(axis=1)
         z[row] *= length[row, None]
-        table.append(_Frames(start, length, rate * length, z, w, qz))
+        table.append(_Frames(start, length, rate[:done] * length, z, w, qz))
     return tuple(table)
 
 

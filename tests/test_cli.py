@@ -178,20 +178,20 @@ def test_trajectory_rows_are_fmt_of_each_value(tmp_path):
 
 
 def test_oversized_horizon_exits_1_before_any_cell(tmp_path, capsys, monkeypatch):
-    # a Table-1 trace holds 8 * (1 + 3 * 3) bytes per slot plus 24 per frame
-    # for each of 5 systems, estimated at ceil(slots / 7.5) frames (7.5 is
-    # the shortest class's t_hat); with the memory budget one byte short of
-    # that the run must stop before its first cell
+    # a Table-1 trace holds 8 * (1 + 3 * 3) bytes per slot plus 8 * (5 + 3)
+    # per frame for each of 5 systems, estimated at ceil(slots / 7.5) frames
+    # (7.5 is the shortest class's t_hat); with the memory budget one byte
+    # short of that the run must stop before its first cell
     def no_cell(*args, **kwargs):
         raise AssertionError("a cell started")
 
-    need = 80 * 200_000 + 24 * 5 * 26_667
+    need = 80 * 200_000 + 64 * 5 * 26_667
     monkeypatch.setattr(cli, "_memory_budget", lambda: need - 1)
     monkeypatch.setattr(cli, "run", no_cell)
     cfg = write_config(tmp_path, BASE + f"out = {tmp_path / 'res'}\n")
     assert main(["run", cfg, "--slots", "200000"]) == 1
     err = capsys.readouterr().err
-    assert "slots: 200000 slots need a 18.3 MiB trace per cell" in err
+    assert "slots: 200000 slots need a 23.4 MiB trace per cell" in err
     assert not (tmp_path / "res").exists()
     # with 200 servers the frame logs outweigh the series: a budget that
     # holds the series alone must stop the run too
@@ -202,31 +202,88 @@ def test_oversized_horizon_exits_1_before_any_cell(tmp_path, capsys, monkeypatch
     )
     monkeypatch.setattr(cli, "_memory_budget", lambda: 80 * 200_000)
     assert main(["run", many]) == 1
-    assert "slots: 200000 slots need a 137.3 MiB trace per cell" in capsys.readouterr().err
+    assert "slots: 200000 slots need a 340.8 MiB trace per cell" in capsys.readouterr().err
     assert not (tmp_path / "res").exists()
     # at exactly the budget the grid runs
     monkeypatch.undo()
-    monkeypatch.setattr(cli, "_memory_budget", lambda: 80 * 400 + 24 * 5 * 54)
+    monkeypatch.setattr(cli, "_memory_budget", lambda: 80 * 400 + 64 * 5 * 54)
     assert main(["run", cfg]) == 0
 
 
 def test_oversized_validate_exits_1_before_any_sample(tmp_path, capsys, monkeypatch):
-    # validate's columns take 8 * (2 + 3) bytes per Table-1 sample and action;
+    # validate's columns take 8 * (3 + 3) bytes per Table-1 sample and action;
     # with the budget one byte short of that it must stop before sampling
     def no_sample(*args, **kwargs):
         raise AssertionError("sampling started")
 
-    monkeypatch.setattr(cli, "_memory_budget", lambda: 40 * 100_000 - 1)
+    monkeypatch.setattr(cli, "_memory_budget", lambda: 48 * 100_000 - 1)
     monkeypatch.setattr(cli, "validate_model", no_sample)
     cfg = write_config(tmp_path, "instance = table1\nslots = 10\n")
     assert main(["validate", cfg, "--samples", "100000"]) == 1
     err = capsys.readouterr().err
-    assert "samples: 100000 samples need a 3.8 MiB sample table per action" in err
+    assert "samples: 100000 samples need a 4.6 MiB sample table per action" in err
     # at exactly the budget it samples
     monkeypatch.undo()
-    monkeypatch.setattr(cli, "_memory_budget", lambda: 40 * 1000)
+    monkeypatch.setattr(cli, "_memory_budget", lambda: 48 * 1000)
     assert main(["validate", cfg, "--samples", "1000"]) == 0
     assert "action 0: samples=1000 " in capsys.readouterr().out
+
+
+def test_oversized_server_count_exits_1_before_building(tmp_path, capsys, monkeypatch):
+    # 10**12 servers: the benchmark LP's dense tableau alone, (N + L + 1) rows
+    # by (L + 1) * N + 2L + 1 columns of doubles, cannot fit; run and lp stop
+    # before the instance is built, naming servers
+    def no_build(*args, **kwargs):
+        raise AssertionError("the instance was built")
+
+    monkeypatch.setattr(cli, "build_instance", no_build)
+    text = f"instance = table1\nservers = {10**12}\nslots = 1000\nout = {tmp_path / 'res'}\n"
+    cfg = write_config(tmp_path, text)
+    for command in ("run", "lp"):
+        assert main([command, cfg]) == 1
+        assert "servers: 1000000000000 servers need a " in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+    # validate samples one server's model, which is every server's
+    monkeypatch.undo()
+    assert main(["validate", cfg, "--samples", "200"]) == 0
+    assert capsys.readouterr().out.startswith("model (all servers): ok")
+
+
+def test_memory_error_says_what_ran_out(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "build_instance", exhausted)
+    assert main(["run", write_config(tmp_path, BASE)]) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
+CLASS_BLOCK = (
+    "[class]\narrival_rate = 1.0\nservice_mean = 3.0\njobs_support = 4 8\n"
+    "energy = 6.0\nidle_mean = 2.0\n"
+)
+
+
+@pytest.mark.parametrize(
+    "key, bad, largest",
+    [
+        # numpy's Generator.poisson rejects a larger mean ("lam value too large")
+        ("arrival_rate", "1e300", "9.22337200648477e+18"),
+        # z_max = float(jobs_high) would round down to 2**53, below a count drawn
+        ("jobs_support", "9007199254740991 9007199254740993", "9007199254740990 9007199254740992"),
+    ],
+)
+def test_class_values_past_the_sampler_limits_exit_1(tmp_path, capsys, key, bad, largest):
+    # the config is refused on its [class] line, and the largest value
+    # accepted runs clean under --check
+    old = next(ln for ln in CLASS_BLOCK.splitlines() if ln.startswith(key))
+    base = "instance = custom\nservers = 2\nidle_power = 1.0\nv = 5\nslots = 300\n"
+    cfg = write_config(tmp_path, base + CLASS_BLOCK.replace(old, f"{key} = {bad}"))
+    assert main(["run", cfg, "--check", "--out", str(tmp_path / "bad")]) == 1
+    assert "line 7: class 1: " in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+    cfg = write_config(tmp_path, base + CLASS_BLOCK.replace(old, f"{key} = {largest}"))
+    assert main(["run", cfg, "--check", "--out", str(tmp_path / "ok")]) == 0
 
 
 def test_memory_budget_is_physical_memory():
@@ -239,7 +296,7 @@ def test_missing_config_exit_code(tmp_path, capsys):
     assert "nope.cfg" in capsys.readouterr().err
 
 
-def test_infeasible_benchmark_leaves_gap_blank(tmp_path):
+def test_infeasible_benchmark_leaves_gap_blank(tmp_path, capsys):
     # two servers cannot cover the preset's nine jobs per slot
     out = tmp_path / "res"
     cfg = write_config(
@@ -251,14 +308,19 @@ def test_infeasible_benchmark_leaves_gap_blank(tmp_path):
     assert body[0][-2] == "" and body[0][-1] == ""
     lp_rows = read_csv(out / "lp.csv")
     assert lp_rows[1] == ["status", "", "", "infeasible"]
-    # stationary weights cannot be derived from an infeasible benchmark
+    # stationary weights cannot be derived from an infeasible benchmark: a
+    # config error on the weights key, before anything is written
     cfg2 = write_config(
         tmp_path,
         "instance = table1\nservers = 2\npolicy = stationary\nseeds = 1\n"
-        f"slots = 200\nout = {out}\n",
+        f"slots = 200\nout = {tmp_path / 'stat'}\n",
         name="stat.cfg",
     )
-    assert main(["run", cfg2]) == 2
+    assert main(["run", cfg2]) == 1
+    assert "weights: lp needs an optimal benchmark, and this instance's is infeasible" in (
+        capsys.readouterr().err
+    )
+    assert not (tmp_path / "stat").exists()
 
 
 def test_custom_instance_run(tmp_path):

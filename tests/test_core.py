@@ -9,6 +9,7 @@ from renewalopt.core import (
     PerformanceTriple,
     PerformanceVector,
     RenewalSystemModel,
+    exceeds_bounds,
     sample_frame,
     validate_model,
 )
@@ -18,7 +19,9 @@ from renewalopt.distributions import (
     constant_rate_model,
 )
 
-from conftest import DeterministicLength, FixedDrawSampler
+from renewalopt.simulation import DppRatioPolicy, ExternalProcess, run
+
+from conftest import DeterministicLength, FixedDrawSampler, FixedValue
 
 
 def performance_vectors(model: RenewalSystemModel) -> list[PerformanceVector]:
@@ -271,7 +274,13 @@ def test_compact_frame_checks_match_the_dense_arrays(frame, y_max, z_max):
             bool(np.any(np.abs(penalty) > y_max)),
             bool(np.any(np.abs(metrics) > z_max)),
         )
-        assert frame.bound_violations(y_max, z_max) == dense
+    # the engine records the frame as columns, which the bound test reads
+    triple = PerformanceTriple(0.0, np.zeros(n_metrics), 1.0)
+    model = RenewalSystemModel((triple,), (FixedDrawSampler(frame),), y_max, z_max, 1.0)
+    external = ExternalProcess((FixedValue(0.0),) * n_metrics)
+    trace = run([model], external, DppRatioPolicy(1.0), frame.length, seed=0)
+    over = exceeds_bounds(trace.frame_rates[0], trace.frame_metrics[0], y_max, z_max)
+    assert (bool(over[0][0]), bool(over[1][0])) == dense
 
 
 def test_validate_model_residual_flagging():

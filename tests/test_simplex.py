@@ -138,3 +138,22 @@ def test_random_lps_satisfy_optimality_certificates():
             assert reduced.min() >= mu - 1e-6
             assert np.abs(reduced[support] - mu).max() <= 1e-6
             solved += 1
+
+
+@pytest.mark.parametrize("exp", [-40, -12, 0, 12, 31, 52])
+def test_badly_scaled_rows_solve_like_well_scaled_ones(exp):
+    # one coupled row of coefficients near 2**exp (a frame's job count in the
+    # billions is exp = 31): 0.25 th_1 + th_2 >= 0.5 with th_1 + th_2 = 1 and
+    # cost th_1 + 2 th_2, so th = (2/3, 1/3); unscaled, tableau entries near
+    # 2**-exp fell below the pivot tolerance and phase 1 called it infeasible
+    big = 1.25 * 2.0**exp
+    res = simplex_solve([1.0, 2.0], [[-0.25 * big, -big]], [-0.5 * big], [[1.0, 1.0]], [1.0])
+    assert res.status == "optimal"
+    assert res.x == pytest.approx([2 / 3, 1 / 3], rel=1e-12)
+    # raising the row's bound by eps lowers th_2 by eps / (0.75 big)
+    assert res.duals_ub == pytest.approx([-1 / (0.75 * big)], rel=1e-12)
+    # one scheduling system with one action, serving big jobs per slot
+    # against an arrival rate of at most 0.5: -big th <= -rate, th = 1
+    res = simplex_solve([3.0], [[-big]], [-0.5 * min(big, 1.0)], [[1.0]], [1.0])
+    assert res.status == "optimal"
+    assert res.x == pytest.approx([1.0], rel=1e-12)

@@ -1,6 +1,6 @@
 import hashlib
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -232,8 +232,11 @@ def test_queue_bound_check_names_first_violation():
     external = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     queues = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.5, 0.0], [3.0, -1.0]])
     frames = (np.array([[0, 4, 0]]),)
-    # check_queue_bound reads only the series, so the run's inputs are left out
-    trace = RunTrace((), None, None, 0, np.zeros(4), metrics, external, queues, frames)
+    # check_queue_bound reads only the series, so the run's inputs and the
+    # frame columns are left out
+    trace = RunTrace(
+        (), None, None, 0, np.zeros(4), metrics, external, queues, frames, (), (), ()
+    )
     message = "queue lower bound violated at slot 2, constraint 0: Q=1.5 < cumulative net input 2.0"
     with pytest.raises(CheckViolation, match=f"^{re.escape(message)}$"):
         check_queue_bound(trace)
@@ -274,23 +277,46 @@ def test_frame_records_tile_the_horizon(table1_env):
         assert last_start < 1000 <= last_start + last_len
 
 
-def test_replay_rejects_a_foreign_trace(table1_env):
-    # the per-frame analyses re-draw frames from the trace's seed; a trace
-    # whose log came from another stream must not pass silently
+def test_analyses_read_the_record_and_draw_nothing(table1_env, monkeypatch):
+    # the per-frame analyses read the frames the run logged: with every
+    # sampler and the stationary draw raising, and another seed on the
+    # trace, they give the original trace's numbers bit for bit
     models, external, sol = table1_env["models"], table1_env["external"], table1_env["sol"]
-    dpp = DppRatioPolicy(10.0)
-    stationary = RandomizedStationaryPolicy(stationary_policy_weights(sol))
     reference = extract_reference_point(sol)
-    cases = (
-        (dpp, frame_stats),
-        (dpp, lambda trace: drift_diagnostic(trace, reference)),
-        (stationary, stationary_predictions),
-    )
-    for policy, analysis in cases:
-        trace = run(models, external, policy, slots=500, seed=2)
-        analysis(trace)  # the trace's own stream replays it
-        with pytest.raises(ValueError, match="differs from the log"):
-            analysis(replace(trace, seed=3))
+    runs = {
+        policy: run(models, external, policy, slots=3000, seed=2)
+        for policy in (
+            DppRatioPolicy(10.0),
+            RandomizedStationaryPolicy(stationary_policy_weights(sol)),
+        )
+    }
+
+    def analyses(dpp, stationary):
+        drift = drift_diagnostic(dpp, reference)
+        return [
+            frame_stats_digest(frame_stats(dpp)),
+            frame_stats_digest(frame_stats(stationary)),
+            [np.asarray(x).tobytes() for x in (drift.c0, drift.frame_counts, drift.excess_mean,
+                                                drift.excess_se)],
+            [
+                [np.asarray(getattr(system, f.name)).tobytes() for f in fields(system)]
+                for system in stationary_predictions(stationary)
+            ],
+        ]
+
+    expected = analyses(*runs.values())
+
+    class Raising:
+        def sample(self, rng):
+            raise AssertionError("a frame was drawn again")
+
+    def no_draw(self, n, rng):
+        raise AssertionError("an action was drawn again")
+
+    raising = replace(models[0], samplers=(Raising(),) * models[0].n_actions)
+    monkeypatch.setattr(RandomizedStationaryPolicy, "draw_action", no_draw)
+    stripped = [replace(trace, models=(raising,) * len(models), seed=3) for trace in runs.values()]
+    assert analyses(*stripped) == expected
 
 
 def test_checked_run_completes_clean(table1_env):
@@ -553,10 +579,12 @@ def test_drift_diagnostic_on_energy_instance(table1_env):
 
 
 def dense_replay(trace, models):
-    """Each system's per-slot y^n and z^n, its frames re-drawn and laid slot by slot."""
+    """Each system's per-slot y^n and z^n, its frames re-drawn from its stream and laid
+    slot by slot, independently of the engine's frame record."""
     series = []
     for n, model in enumerate(models):
-        rng = simulation._system_rng(trace.seed, n)
+        stream = np.random.SeedSequence(trace.seed, spawn_key=(0, n))
+        rng = np.random.Generator(np.random.PCG64(stream))
         horizon = int(trace.frames[n][-1, :2].sum())  # the end of the last frame
         y, z = np.zeros(horizon), np.zeros((horizon, model.n_metrics))
         for start, length, idx in trace.frames[n].tolist():
@@ -837,7 +865,7 @@ def test_stationary_runs_draw_one_action_per_frame(table1_env, monkeypatch):
 
 def test_readme_quickstart_runs(capsys):
     # the README's library quickstart, on a 2,000-slot horizon: it reaches
-    # frame_stats and drift_diagnostic, which replay every completed frame
+    # frame_stats and drift_diagnostic, which read every completed frame
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     code = readme.split("## Library quickstart")[1].split("```python")[1].split("```")[0]
     assert code.count("slots=200_000") == 1
