@@ -2,8 +2,7 @@
 
 Library layout:
     core          domain types, frame sampling, model validation
-    distributions geometric and phase-sum frame lengths and the job-count
-                  draw (the scheduling frame law), constant-rate samplers
+    distributions geometric and phase-sum frame lengths, constant-rate samplers
     controller    the queue step and the per-frame ratio solvers
     simulation    the slotted-time engine, its run trace and analyses of it
     simplex       dense two-phase LP solver

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from dataclasses import replace
@@ -35,6 +36,7 @@ from .config import ConfigError, ExperimentConfig, parse_config
 from .core import validate_model
 from .scheduling import SchedulingInstance, build_instance
 from .simulation import (
+    FRAME_BLOCK,
     CheckViolation,
     DppRatioPolicy,
     RandomizedStationaryPolicy,
@@ -109,12 +111,20 @@ def _build(inst: SchedulingInstance):
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
     """Execute the configured grid and write CSVs; returns the exit code."""
     models, external, lp = _build(cfg.instance)
+    # past the double range, V * y_hat breaks the decision and N * y_max * slots the sums
+    v, y_hat = max(cfg.v_list), max(float(np.abs(m.y_hats).max()) for m in models)
+    if cfg.policy == "dpp_ratio" and not v * y_hat < math.inf:
+        raise ConfigError([(0, "v", f"V * y_hat = {v!r} * {y_hat!r} overflows")])
+    if not len(models) * max(m.y_max for m in models) * cfg.slots < math.inf:
+        raise ConfigError([(0, "slots", "the largest penalty total N * y_max * slots overflows")])
     n_metrics = external.n_metrics
     # a cell's trace holds 8 * (1 + 3L) bytes per slot and 8 * (5 + L) per frame per
     # system, a frame per t_hat slots (count the shortest); it grows slot by slot,
-    # so a horizon that cannot fit would fail mid-run
+    # so a horizon that cannot fit would fail mid-run.  Each (system, action) stream
+    # also holds a pending block, 8 * (24 + L) bytes a frame as numpy columns and lists
     frames = -(-cfg.slots // min(float(m.t_hats.min()) for m in models))  # ceil
     need = 8 * (1 + 3 * n_metrics) * cfg.slots + 8 * (5 + n_metrics) * len(models) * frames
+    need += 8 * (24 + n_metrics) * FRAME_BLOCK * sum(m.n_actions for m in models)
     _check_memory("slots", cfg.slots, need, "trace per cell")
     lp_sol = solve_lp(lp)
 
@@ -215,7 +225,7 @@ def _cmd_validate(args) -> int:
     cfg = parse_config(Path(args.config).read_text())
     # servers are homogeneous: one server's model is every server's
     (model,), _, _ = build_instance(replace(cfg.instance, n_servers=1))
-    need = 8 * (3 + model.n_metrics) * args.samples  # length, rate, impulse, metric columns
+    need = 8 * (16 + model.n_metrics) * args.samples  # the block and validate's temporaries
     _check_memory("samples", args.samples, need, "sample table per action")
     report = validate_model(model, args.samples)
     print(f"model (all servers): {'ok' if report.ok else 'FLAGGED'}")

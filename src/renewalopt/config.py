@@ -21,19 +21,22 @@ Top-level keys:
 
 [class] keys:
     arrival_rate float in (0, numpy's Poisson limit 9.22e18)  (required)
-    service_mean float >= 1                            (required)
-    jobs_support integers 0 < low <= high <= 2**53, high - low < 2**32 - 1 (required)
+    service_mean float in [1, 2**53]                   (required)
+    jobs_support integers 0 < low <= high <= 2**53     (required)
     energy       float >= 0                            (required)
-    idle_mean    float >= 1                            (required)
+    idle_mean    float in [1, 2**53]                   (required)
     idle_power   float >= 0                            (default: the top-level value)
 
 jobs_support needs an integer midpoint; its 2**53 cap keeps every job count an
-exact double.  A v list may not hold two entries that print alike under
-format(v, "g"), nor a seeds list one seed twice: either would repeat a
-(v, seed) cell.  Unknown keys, duplicate keys, and malformed values (inf and
-nan included) are reported with their line numbers, each malformed value
-once; all errors in a file are collected before giving up, except that a
-[class] block is checked as a whole only once each of its values parses.
+exact double, and the phase means' cap every frame length an int64; a class's
+energy + idle_power * 2**59 must be finite, and ``run`` exits 1 naming v or
+slots when V * y_hat or N * y_max * slots (a horizon's penalty) overflows.  A
+v list may not hold two entries that print alike under format(v, "g"), nor a
+seeds list one seed twice: either would repeat a (v, seed) cell.  Unknown
+keys, duplicate keys, and malformed values (inf and nan included) are reported
+with their line numbers, each malformed value once; all errors in a file are
+collected before giving up, except that a [class] block is checked as a whole
+only once each of its values parses.
 """
 
 from __future__ import annotations

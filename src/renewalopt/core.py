@@ -15,20 +15,18 @@ declare per-slot bounds (y_max, z_max) and a residual second-moment bound B
 on frame overshoot, and ``validate_model`` checks a model's samplers against
 all of its declarations empirically.
 
-A sampler returns each frame in compact form, a ``FrameOutcome``: its
-length, one penalty rate for every slot, and either a constant metric row or
-one impulse (slot offset, metric, value).  ``sample_frame`` draws one and
-checks its impulse's metric against the model.  The engine and
-``validate_model`` record each frame once, as columns: length, penalty rate,
-impulse slot (-1 for a row) and L metric values (the row, or zeros but for
-the impulse value); ``exceeds_bounds`` checks them against the declared
-bounds, and the frame totals are Y = rate * length and Z = row * length or
-the impulse value.
+A sampler draws k frames per call as one ``FrameOutcome`` of columns:
+lengths, penalty rates, and metric rows or one impulse per frame (offset
+and value, on one metric); given the action frames are i.i.d., so a block
+has the law of k single draws.  ``sample_frame`` checks a block against the
+model.  The engine and ``validate_model`` record each frame as columns
+(length, rate, impulse slot or -1, L metric values), which
+``exceeds_bounds`` checks against the declared bounds; the frame totals are
+Y = rate * length and Z = row * length or the impulse value.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -87,44 +85,47 @@ class PerformanceVector:
 
 @dataclass(slots=True, eq=False)
 class FrameOutcome:
-    """One sampled frame in compact form: a metric row or one impulse.
+    """A block of k sampled frames as columns: metric rows or impulses.
 
-    Every slot carries penalty_rate, and the metrics are either the row
-    metric_rate on every slot or zero but for one impulse (slot offset,
-    metric, value).  Construction rejects a length below 1, a frame with
-    both a row and an impulse or with neither, and an impulse outside the
-    frame's slots, which would land on slots the queue has already stepped
-    through or on another frame's; ``sample_frame`` checks the impulse's
-    metric.  Not frozen, for cheaper construction; nothing assigns to it.
+    Every slot of frame j carries penalty_rate[j], and its metrics are the
+    row metric_rate[j] (shape (k, L)) on every slot or zero but for one
+    impulse: impulse = (offsets, metric, values) puts values[j] on metric at
+    slot offsets[j].  Construction rejects a length below 1, both rows and
+    an impulse or neither, and an impulse off its frame's slots (on slots
+    the queue has stepped through or another frame's); ``sample_frame``
+    checks the block size and the metric.  Not frozen; nothing assigns to it.
     """
 
-    length: int
-    penalty_rate: float
+    length: np.ndarray
+    penalty_rate: np.ndarray
     metric_rate: np.ndarray | None
-    impulse: tuple[int, int, float] | None = None
+    impulse: tuple[np.ndarray, int, np.ndarray] | None = None
 
     def __post_init__(self):
-        length = self.length
-        if length < 1:
-            raise ValueError(f"frame of length {length}")
-        impulse = self.impulse
+        length, impulse = self.length, self.impulse
+        if (length < 1).any():
+            raise ValueError(f"frame of length {length.min()}")
         if (impulse is None) == (self.metric_rate is None):
             raise ValueError("frame needs exactly one of a metric row and an impulse")
-        if impulse is not None and not 0 <= impulse[0] < length:
-            raise ValueError(f"impulse at offset {impulse[0]} of a frame of length {length}")
+        if impulse is not None:
+            at = impulse[0]
+            outside = (at < 0) | (at >= length)
+            if outside.any():
+                j = outside.argmax()
+                raise ValueError(f"impulse at offset {at[j]} of a frame of length {length[j]}")
 
 
 class FrameSampler(Protocol):
     """Stochastic generator of frames for one action.
 
-    Each frame is a ``FrameOutcome`` in one of its two forms: a constant
-    metric row on every slot (``ConstantRateSampler``), or one impulse on one
-    slot and no row (the scheduling sampler's job count).  Implementations
-    must be stateless apart from the supplied random source, so the same
-    generator state always yields the same frame.
+    ``sample(rng, k)`` returns k frames as one ``FrameOutcome``, with rows
+    (``ConstantRateSampler``) or impulses (the scheduling sampler's job
+    counts), drawing each random column with one size-k numpy call.  It
+    must be stateless apart from the random source, so the same generator
+    state always yields the same frames.
     """
 
-    def sample(self, rng: np.random.Generator) -> FrameOutcome: ...
+    def sample(self, rng: np.random.Generator, k: int) -> FrameOutcome: ...
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,23 +204,28 @@ class RenewalSystemModel:
         return self._t
 
 
-def sample_frame(model: RenewalSystemModel, action: int, rng: np.random.Generator) -> FrameOutcome:
-    """Sample one frame for the given action index.
+def sample_frame(
+    model: RenewalSystemModel, action: int, rng: np.random.Generator, k: int
+) -> FrameOutcome:
+    """Sample a block of k frames for the given action index.
 
-    Raises ValueError for an impulse on a metric the model does not have,
-    and for a metric row whose length is not the model's metric count.
+    Raises ValueError for a block of another size, an impulse on a metric
+    the model does not have, and a metric row whose length is not the
+    model's metric count.
     """
     if not 0 <= action < len(model.samplers):
         raise IndexError(f"action index {action} out of range for {len(model.samplers)} actions")
-    frame = model.samplers[action].sample(rng)
-    if frame.impulse is not None:
-        l, n_metrics = frame.impulse[1], model._n_metrics
+    frames = model.samplers[action].sample(rng, k)
+    n_metrics = model._n_metrics
+    if len(frames.length) != k:
+        raise ValueError(f"a block of {len(frames.length)} frames, where {k} were asked for")
+    if frames.impulse is not None:
+        l = frames.impulse[1]
         if not 0 <= l < n_metrics:
             raise ValueError(f"impulse on metric {l} of a frame with {n_metrics} metrics")
-    elif len(frame.metric_rate) != model._n_metrics:
-        n_row, n_metrics = len(frame.metric_rate), model._n_metrics
-        raise ValueError(f"metric row of length {n_row} of a frame with {n_metrics} metrics")
-    return frame
+    elif (shape := frames.metric_rate.shape)[1:] != (n_metrics,):
+        raise ValueError(f"metric row of length {shape[-1]} of a frame with {n_metrics} metrics")
+    return frames
 
 
 def exceeds_bounds(rates, metrics, y_max: float, z_max: float) -> tuple[np.ndarray, np.ndarray]:
@@ -282,10 +288,9 @@ def validate_model(
 ) -> ValidationReport:
     """Sample each action and report violations of the model's declarations.
 
-    Samples through ``sample_frame`` into ``array`` columns (length, rate,
-    impulse offset or -1, metric values) that numpy reads in place.  Checks
-    three things per action: (a) per-slot bound violations, one per frame
-    and bound crossed (``exceeds_bounds``), which must be zero;
+    Draws each action's samples as one block through ``sample_frame`` and
+    checks three things per action: (a) per-slot bound violations, one per
+    frame and bound crossed (``exceeds_bounds``), which must be zero;
     (b) estimates of E[(T - s)^2 | T >= s] for every offset s up to the
     longest observed frame, flagged when an estimate backed by at least
     RESIDUAL_MIN_FRAMES surviving frames exceeds the declared residual_bound
@@ -302,27 +307,20 @@ def validate_model(
     for idx in range(model.n_actions):
         declared = model.actions[idx]
         n, n_metrics = samples_per_action, model.n_metrics
-        t_buf, rate_buf, z_buf = (array("d", [0.0]) * k for k in (n, n, n * n_metrics))
-        at_buf = array("q", [-1]) * n
-        lengths, rates = np.frombuffer(t_buf), np.frombuffer(rate_buf)
-        metrics = np.frombuffer(z_buf).reshape(n, n_metrics)
-        for i in range(n):
-            frame = sample_frame(model, idx, rng)
-            t_buf[i] = frame.length
-            rate_buf[i] = frame.penalty_rate
-            if frame.impulse is None:
-                metrics[i] = frame.metric_rate
-            else:
-                at_buf[i], l, value = frame.impulse
-                z_buf[i * n_metrics + l] = value
+        frames = sample_frame(model, idx, rng, n)
+        lengths, rates = frames.length.astype(float), frames.penalty_rate
+        if frames.impulse is None:
+            metrics, totals = frames.metric_rate, frames.metric_rate * lengths[:, None]
+        else:
+            _, l, values = frames.impulse
+            metrics = totals = np.zeros((n, n_metrics))
+            metrics[:, l] = values
         over = exceeds_bounds(rates, metrics, model.y_max, model.z_max)
         violations = int(np.count_nonzero(over[0]) + np.count_nonzero(over[1]))
-        row = np.frombuffer(at_buf, dtype=np.int64) < 0
-        metrics[row] *= lengths[row, None]  # now the frame totals Z
 
         y_mean, y_se = _mean_se(rates * lengths)
         t_mean, t_se = _mean_se(lengths)
-        z_mean, z_se = _mean_se(metrics)
+        z_mean, z_se = _mean_se(totals)
 
         max_len = int(lengths.max())
         residual_est = np.zeros(max_len + 1)

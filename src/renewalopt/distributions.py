@@ -5,8 +5,8 @@ moments so models can declare matching triples and residual bounds; the
 scheduling instance builds each class's frame law from them.  The
 geometric distribution lives on support {1, 2, ...} and is parameterized by
 its mean m via success probability 1/m, so non-integer means are honored
-exactly.  ``bounded_integer`` is one ``Generator.integers`` draw, bit for
-bit, at about 60% of its cost; the scheduling sampler's job count is one.
+exactly.  Lengths and samplers draw k frames per call, one numpy call of
+size k per random quantity.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "LengthDistribution",
     "GeometricLength",
     "CompoundLength",
-    "bounded_integer",
     "ConstantRateSampler",
     "constant_rate_model",
 ]
@@ -33,9 +32,10 @@ class LengthDistribution(Protocol):
 
     Every length here is log-concave, hence IFR (increasing failure rate),
     so E[(T - s)^2 | T >= s] is largest at s = 0, where it is second_moment.
+    ``sample(rng, k)`` draws k independent lengths as an integer array.
     """
 
-    def sample(self, rng: np.random.Generator) -> int: ...
+    def sample(self, rng: np.random.Generator, k: int) -> np.ndarray: ...
 
     @property
     def mean(self) -> float: ...
@@ -56,8 +56,8 @@ class GeometricLength:
             raise ValueError("geometric mean must be >= 1")
         object.__setattr__(self, "_p", 1.0 / self.mean_length)
 
-    def sample(self, rng: np.random.Generator) -> int:
-        return int(rng.geometric(self._p))
+    def sample(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        return rng.geometric(self._p, k)
 
     @property
     def mean(self) -> float:
@@ -82,8 +82,8 @@ class CompoundLength:
         if not phases:
             raise ValueError("need at least one phase")
 
-    def sample(self, rng: np.random.Generator) -> int:
-        return sum(ph.sample(rng) for ph in self.phases)
+    def sample(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        return sum(ph.sample(rng, k) for ph in self.phases)
 
     @property
     def mean(self) -> float:
@@ -93,24 +93,6 @@ class CompoundLength:
     def second_moment(self) -> float:
         var = sum(ph.second_moment - ph.mean**2 for ph in self.phases)
         return var + self.mean**2
-
-
-def bounded_integer(rng: np.random.Generator, low: int, stop: int) -> int:
-    """``int(rng.integers(low, stop))`` bit for bit, for 1 <= stop - low < 2**32.
-
-    Lemire's multiply-and-reject on the bit generator's ``next_uint32``, as
-    numpy's ``buffered_bounded_lemire_uint32``, but without the argument
-    handling that makes ``integers`` cost twice a ``geometric`` draw.
-    """
-    width = stop - low
-    if width == 1:
-        return low
-    ct = rng.bit_generator.ctypes
-    m = ct.next_uint32(ct.state) * width
-    if m & 0xFFFFFFFF < width:
-        while m & 0xFFFFFFFF < (1 << 32) % width:  # the 2**32 % width biased values
-            m = ct.next_uint32(ct.state) * width
-    return low + (m >> 32)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,8 +109,9 @@ class ConstantRateSampler:
         rates.flags.writeable = False
         object.__setattr__(self, "metric_rates", rates)
 
-    def sample(self, rng: np.random.Generator) -> FrameOutcome:
-        return FrameOutcome(self.length.sample(rng), self.penalty_rate, self.metric_rates)
+    def sample(self, rng: np.random.Generator, k: int) -> FrameOutcome:
+        rows = np.broadcast_to(self.metric_rates, (k, self.metric_rates.shape[0]))
+        return FrameOutcome(self.length.sample(rng, k), np.full(k, self.penalty_rate), rows)
 
     def triple(self) -> PerformanceTriple:
         m = self.length.mean

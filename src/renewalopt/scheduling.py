@@ -26,13 +26,14 @@ residual bound E[T^2] to the builder.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .benchmark import StationaryLP
 from .core import FrameOutcome, PerformanceTriple, RenewalSystemModel
-from .distributions import CompoundLength, GeometricLength, bounded_integer
+from .distributions import CompoundLength, GeometricLength
 from .simulation import CappedPoisson, ExternalProcess
 
 __all__ = [
@@ -65,18 +66,23 @@ class ServerClassParams:
             raise ValueError(f"arrival_rate must be > 0 and below {POISSON_RATE_LIMIT!r}")
         if not (self.service_mean >= 1 and self.idle_mean >= 1):
             raise ValueError("phase means must be >= 1 slot")
+        # numpy's geometric draw of mean m is below 45 m: phases stay below 2**59, in int64
+        if not (self.service_mean <= 2**53 and self.idle_mean <= 2**53):
+            raise ValueError("phase means must be <= 2**53 slots")
         if int(self.jobs_low) != self.jobs_low or int(self.jobs_high) != self.jobs_high:
             raise ValueError("job-count support endpoints must be integers")
         object.__setattr__(self, "jobs_low", int(self.jobs_low))
         object.__setattr__(self, "jobs_high", int(self.jobs_high))
-        if not 0 < self.jobs_low <= self.jobs_high < self.jobs_low + 2**32 - 1:
-            raise ValueError("need 0 < jobs_low <= jobs_high < jobs_low + 2**32 - 1")
+        if not 0 < self.jobs_low <= self.jobs_high:
+            raise ValueError("need 0 < jobs_low <= jobs_high")
         if self.jobs_high > 2**53:
             raise ValueError("jobs_high must be <= 2**53")
         if (self.jobs_low + self.jobs_high) % 2 != 0:
             raise ValueError("job-count support must have an integer midpoint")
         if self.energy < 0 or self.idle_power < 0:
             raise ValueError("energy parameters must be nonnegative")
+        if not self.energy + self.idle_power * 2**59 < math.inf:
+            raise ValueError("the largest frame energy, energy + idle_power * 2**59, overflows")
 
 
 @dataclass(frozen=True)
@@ -110,28 +116,35 @@ TABLE1 = SchedulingInstance(
 
 @dataclass(frozen=True)
 class ServiceIdleSampler:
-    """Frame sampler for one class; draw order is service, idle, job count."""
+    """Frame sampler for one class; a block draws its service, idle and job-count columns."""
 
     params: ServerClassParams
     class_index: int
     n_classes: int
     frame: CompoundLength = field(init=False, repr=False)
+    rate_bound: float = field(init=False, repr=False)
 
     def __post_init__(self):
         p = self.params
         phases = (GeometricLength(p.service_mean), GeometricLength(p.idle_mean))
         object.__setattr__(self, "frame", CompoundLength(phases))
-        law = (phases[0].sample, phases[1].sample, p.jobs_low, p.jobs_high + 1)
-        object.__setattr__(self, "_law", law + (p.energy, p.idle_power))
+        # the rate (e + p*I)/(H + I) peaks at H = 1, moving monotonically in I from
+        # (e + p)/2 at I = 1 toward p; rounded up where (e + p)/2 underflows
+        bound = max((p.energy + p.idle_power) / 2, p.idle_power)
+        if 2 * bound < p.energy + p.idle_power:
+            bound = math.nextafter(bound, math.inf)
+        object.__setattr__(self, "rate_bound", bound)
+        law = (phases[0].sample, phases[1].sample, (p.jobs_low, p.jobs_high + 1))
+        object.__setattr__(self, "_law", law + (p.energy, p.idle_power, bound))
 
-    def sample(self, rng: np.random.Generator) -> FrameOutcome:
-        """Flat energy over the frame, -jobs on the last service slot."""
-        draw_service, draw_idle, jobs_low, jobs_stop, energy, idle_power = self._law
-        service = draw_service(rng)
-        idle = draw_idle(rng)
-        impulse = (service - 1, self.class_index, -bounded_integer(rng, jobs_low, jobs_stop))
+    def sample(self, rng: np.random.Generator, k: int) -> FrameOutcome:
+        """Flat energy over each frame (rate <= rate_bound), -jobs on the last service slot."""
+        draw_service, draw_idle, jobs, energy, idle_power, bound = self._law
+        service, idle = draw_service(rng, k), draw_idle(rng, k)
+        impulse = (service - 1, self.class_index, -rng.integers(*jobs, k).astype(float))
         length = service + idle
-        return FrameOutcome(length, (energy + idle_power * idle) / length, None, impulse)
+        rate = np.minimum((energy + idle_power * idle) / length, bound)
+        return FrameOutcome(length, rate, None, impulse)
 
     def triple(self) -> PerformanceTriple:
         p = self.params
@@ -154,10 +167,9 @@ def build_instance(
     samplers = tuple(ServiceIdleSampler(c, i, n_classes) for i, c in enumerate(inst.classes))
     triples = tuple(s.triple() for s in samplers)
 
-    # per-slot extrema: the energy rate (e + p*I)/(H + I) peaks at H = 1 and
-    # moves monotonically in I, from (e + p)/2 at I = 1 toward p as I grows;
-    # service impulses peak at the top of the job-count support
-    y_max = max(max((c.energy + c.idle_power) / 2, c.idle_power) for c in inst.classes)
+    # per-slot extrema: the classes' rate bounds, and service impulses at the
+    # top of the job-count support
+    y_max = max(s.rate_bound for s in samplers)
     z_max = float(max(c.jobs_high for c in inst.classes))
     # independent phases and memorylessness: E[T^2] bounds every residual
     # E[(T-s)^2 | T >= s]

@@ -3,10 +3,10 @@
 Every system starts its first frame at slot 0 and a new frame the slot after
 its previous frame ends, so the systems drift out of phase.  ``run`` takes
 the slots in order.  In slot t the systems that start a frame there, in
-index order, each pick an action against Q[t], sample the frame as a
-``core.FrameOutcome``, lay it down (its metric row on its slice of z or its
-impulse on one entry, its penalty rate as the system's current rate) and
-record it.  y[t] adds the current rates in frame-start order (ties by
+index order, each pick an action against Q[t], take the next frame of their
+(system, action) stream, lay it down (its metric row on its slice of z or
+its impulse on one entry, its penalty rate as the system's current rate)
+and record it.  y[t] adds the current rates in frame-start order (ties by
 index), the adds of laying each rate on each of its slots.  Then the queue
 takes one step, Q[t+1] = max{Q[t] + sum_n z^n[t] - d[t], 0}, through
 ``controller.queue_step`` on Python floats, in the order of the numpy
@@ -14,11 +14,12 @@ reference in ``tests/conftest.py``, so trajectories match it bit for bit.
 
 A drift-plus-penalty decision depends only on (model, Q[t], V), so it is
 solved once per (model object, slot) and shared by the systems of that model
-starting a frame in that slot; the stationary policy draws each frame's
-action from the system's own stream, SeedSequence(seed, spawn_key=(0, n)),
-and d from spawn_key=(1,), so adding systems never perturbs other streams.
-y, z, Q and the frame records grow on ``array`` buffers, so no numpy call
-is made per frame but for a metric row.
+starting a frame in that slot.  Given its action a frame is i.i.d., so
+system n plays action a's frames from their own stream, SeedSequence(seed,
+spawn_key=(0, n, a)), drawn FRAME_BLOCK frames per ``core.sample_frame``
+call: the j-th frame system n plays under action a is the same whatever V,
+solver or policy chose it.  Stationary actions come from spawn_key=(0, n)
+and d from (1,), so adding systems never perturbs other streams.
 
 ``run`` returns a ``RunTrace``, the whole record of the run; every analysis
 below is a function of it alone, and the per-frame ones read one table over
@@ -39,7 +40,7 @@ from array import array
 from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -189,6 +190,23 @@ class CheckViolation(Exception):
     """An exact runtime invariant failed during a checked run."""
 
 
+# frames drawn per sampler call from one (system, action) stream
+FRAME_BLOCK = 64
+
+
+def _frame_stream(model: RenewalSystemModel, action: int, rng: np.random.Generator):
+    """The action's frames, FRAME_BLOCK per draw, as (length, rate, offset, metric, z):
+    z is the impulse value, or a row frame's metric row (offset and metric -1)."""
+    while True:
+        frames = sample_frame(model, action, rng, FRAME_BLOCK)
+        if frames.impulse is None:
+            offsets, l, z = repeat(-1), -1, frames.metric_rate.tolist()
+        else:
+            offsets, l, z = frames.impulse
+            offsets, z = offsets.tolist(), z.tolist()
+        yield from zip(frames.length.tolist(), frames.penalty_rate.tolist(), offsets, repeat(l), z)
+
+
 # the engine
 
 
@@ -320,10 +338,12 @@ def run(
     else:
         raise TypeError(f"unknown policy type {type(policy).__name__}")
 
-    rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0, n))))
-            for n in range(n_sys)]
-    ext_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(1,))))
-    d_arr = external.sample_matrix(ext_rng, slots)
+    def stream(*key):
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+
+    action_rngs = [stream(0, n) for n in range(n_sys)] if stationary else None
+    d_arr = external.sample_matrix(stream(1), slots)
+    frame_streams = [[None] * m.n_actions for m in models]  # made when first played
 
     # item assignment and fromlist reach the buffers without a numpy call
     y_buf = array("d", [0.0]) * slots
@@ -345,7 +365,7 @@ def run(
             for n in sorted(starting.pop(t)):
                 model = models[n]
                 if stationary:
-                    idx = policy.draw_action(n, rngs[n])
+                    idx = policy.draw_action(n, action_rngs[n])
                 else:
                     idx = decided.get(model)
                     if idx is None:
@@ -355,25 +375,27 @@ def run(
                                 f"frame decision at slot {t}, system {n}: the ratio objective "
                                 f"of action {idx} exceeds another action's"
                             )
-                frame = sample_frame(model, idx, rngs[n])
-                end = t + frame.length
+                frames = frame_streams[n][idx]
+                if frames is None:
+                    frames = frame_streams[n][idx] = _frame_stream(model, idx, stream(0, n, idx))
+                length, rate, offset, l, z = next(frames)
+                end = t + length
                 rates.pop(n, None)
-                rates[n] = frame.penalty_rate
+                rates[n] = rate
                 log, rate_log, at_log, metric_log = records[n]
-                if frame.impulse is None:
-                    z_arr[t:end] += frame.metric_rate
+                if offset < 0:
+                    z_arr[t:end] += z
                     at = -1
-                    metric_log.extend(frame.metric_rate)
+                    metric_log.extend(z)
                 else:
                     # FrameOutcome keeps the offset and sample_frame the metric in range
-                    offset, l, value = frame.impulse
                     at = t + offset
                     if at < slots:
-                        z_buf[at * n_metrics + l] += value
+                        z_buf[at * n_metrics + l] += z
                     metric_log += no_row
-                    metric_log[l - n_metrics] = value
-                log.extend((t, frame.length, idx))
-                rate_log.append(frame.penalty_rate)
+                    metric_log[l - n_metrics] = z
+                log.extend((t, length, idx))
+                rate_log.append(rate)
                 at_log.append(at)
                 starting.setdefault(end, []).append(n)
             y_t = 0.0

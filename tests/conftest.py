@@ -3,8 +3,9 @@
 The library keeps what its command line and README quickstart use; the
 references the tests need beyond that live here: the array form of the
 queue recursion (``queue_update``, which the engine's
-``controller.queue_step`` must match bit for bit), a deterministic frame
-length and a constant external coordinate for exact fixtures, and a
+``controller.queue_step`` must match bit for bit), a one-frame block built
+from scalars and a sampler repeating it, a deterministic frame length and
+a constant external coordinate for exact fixtures, and a
 brute-force grid search over LP weights that cross-checks ``solve_lp``
 independently of the simplex.
 """
@@ -16,7 +17,7 @@ import pytest
 
 from renewalopt import TABLE1, build_instance, solve_lp
 from renewalopt.benchmark import LPSolution, StationaryLP, _achieved
-from renewalopt.core import RenewalSystemModel
+from renewalopt.core import FrameOutcome, RenewalSystemModel
 from renewalopt.distributions import GeometricLength, constant_rate_model
 
 
@@ -46,14 +47,31 @@ def model_from_vectors(f, g, t) -> RenewalSystemModel:
     )
 
 
+def one_frame(length, rate, row=None, impulse=None) -> FrameOutcome:
+    """A block of one frame: its length, rate, and a metric row or one
+    (offset, metric, value) impulse, given as scalars."""
+    if impulse is not None:
+        offset, l, value = impulse
+        impulse = (np.array([offset]), l, np.array([value], dtype=float))
+    row = None if row is None else np.array([row], dtype=float)
+    return FrameOutcome(np.array([length]), np.array([rate], dtype=float), row, impulse)
+
+
 class FixedDrawSampler:
-    """Sampler that always returns the same FrameOutcome."""
+    """Sampler whose every frame is the frame of a one-frame block."""
 
     def __init__(self, frame):
         self.fixed = frame
 
-    def sample(self, rng):
-        return self.fixed
+    def sample(self, rng, k):
+        f = self.fixed
+
+        def tile(column):
+            return np.repeat(column, k, axis=0)
+
+        row = None if f.metric_rate is None else tile(f.metric_rate)
+        impulse = f.impulse and (tile(f.impulse[0]), f.impulse[1], tile(f.impulse[2]))
+        return FrameOutcome(tile(f.length), tile(f.penalty_rate), row, impulse)
 
 
 def queue_update(q, z_slot_sum, d_slot) -> np.ndarray:
@@ -81,8 +99,8 @@ class DeterministicLength:
             raise ValueError("length must be an integer >= 1")
         object.__setattr__(self, "value", int(self.value))
 
-    def sample(self, rng: np.random.Generator) -> int:
-        return self.value
+    def sample(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        return np.full(k, self.value)
 
     @property
     def mean(self) -> float:

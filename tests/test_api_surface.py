@@ -6,6 +6,7 @@ import importlib.util
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import renewalopt
@@ -96,8 +97,9 @@ def test_trace_hooks_see_every_frame_decision(monkeypatch):
     # sampler by wrapping these names where the engine looks them up: the
     # decision once per (frame-start slot, model), the certificate once per
     # decision when checked (the frames that share a decision share its
-    # certificate), and the sampler and the frame type once per frame, or
-    # the benchmark's spans read 0
+    # certificate), and the sampler and the frame type once per block of
+    # FRAME_BLOCK frames of one (system, action) stream, or the benchmark's
+    # spans read 0
     calls = {}
 
     def counted(owner, attr):
@@ -126,7 +128,11 @@ def test_trace_hooks_see_every_frame_decision(monkeypatch):
         assert decisions < frames
         assert made[f"solve_{solver}"] == decisions
         assert made["ratio_bound_holds"] == (decisions if check else 0)
-        assert made["sample_frame"] == made["sample"] == made["__post_init__"] == frames
+        played = [np.bincount(log[:, 2], minlength=models[n].n_actions)
+                  for n, log in enumerate(trace.frames)]
+        blocks = int(sum((-(-counts // simulation.FRAME_BLOCK)).sum() for counts in played))
+        assert blocks < frames
+        assert made["sample_frame"] == made["sample"] == made["__post_init__"] == blocks
 
 
 def test_src_stays_within_its_line_budget():

@@ -180,18 +180,21 @@ def test_trajectory_rows_are_fmt_of_each_value(tmp_path):
 def test_oversized_horizon_exits_1_before_any_cell(tmp_path, capsys, monkeypatch):
     # a Table-1 trace holds 8 * (1 + 3 * 3) bytes per slot plus 8 * (5 + 3)
     # per frame for each of 5 systems, estimated at ceil(slots / 7.5) frames
-    # (7.5 is the shortest class's t_hat); with the memory budget one byte
-    # short of that the run must stop before its first cell
+    # (7.5 is the shortest class's t_hat), and each of the 5 * 3 (system,
+    # action) streams a pending block of 64 frames at 8 * (24 + 3) bytes;
+    # with the memory budget one byte short of that the run must stop
+    # before its first cell
     def no_cell(*args, **kwargs):
         raise AssertionError("a cell started")
 
-    need = 80 * 200_000 + 64 * 5 * 26_667
+    pending = 216 * 64 * 3
+    need = 80 * 200_000 + 64 * 5 * 26_667 + 5 * pending
     monkeypatch.setattr(cli, "_memory_budget", lambda: need - 1)
     monkeypatch.setattr(cli, "run", no_cell)
     cfg = write_config(tmp_path, BASE + f"out = {tmp_path / 'res'}\n")
     assert main(["run", cfg, "--slots", "200000"]) == 1
     err = capsys.readouterr().err
-    assert "slots: 200000 slots need a 23.4 MiB trace per cell" in err
+    assert "slots: 200000 slots need a 23.6 MiB trace per cell" in err
     assert not (tmp_path / "res").exists()
     # with 200 servers the frame logs outweigh the series: a budget that
     # holds the series alone must stop the run too
@@ -202,29 +205,30 @@ def test_oversized_horizon_exits_1_before_any_cell(tmp_path, capsys, monkeypatch
     )
     monkeypatch.setattr(cli, "_memory_budget", lambda: 80 * 200_000)
     assert main(["run", many]) == 1
-    assert "slots: 200000 slots need a 340.8 MiB trace per cell" in capsys.readouterr().err
+    assert "slots: 200000 slots need a 348.7 MiB trace per cell" in capsys.readouterr().err
     assert not (tmp_path / "res").exists()
     # at exactly the budget the grid runs
     monkeypatch.undo()
-    monkeypatch.setattr(cli, "_memory_budget", lambda: 80 * 400 + 64 * 5 * 54)
+    monkeypatch.setattr(cli, "_memory_budget", lambda: 80 * 400 + 64 * 5 * 54 + 5 * pending)
     assert main(["run", cfg]) == 0
 
 
 def test_oversized_validate_exits_1_before_any_sample(tmp_path, capsys, monkeypatch):
-    # validate's columns take 8 * (3 + 3) bytes per Table-1 sample and action;
-    # with the budget one byte short of that it must stop before sampling
+    # validate's block columns and temporaries take 8 * (16 + 3) bytes per
+    # Table-1 sample and action; with the budget one byte short of that it
+    # must stop before sampling
     def no_sample(*args, **kwargs):
         raise AssertionError("sampling started")
 
-    monkeypatch.setattr(cli, "_memory_budget", lambda: 48 * 100_000 - 1)
+    monkeypatch.setattr(cli, "_memory_budget", lambda: 152 * 100_000 - 1)
     monkeypatch.setattr(cli, "validate_model", no_sample)
     cfg = write_config(tmp_path, "instance = table1\nslots = 10\n")
     assert main(["validate", cfg, "--samples", "100000"]) == 1
     err = capsys.readouterr().err
-    assert "samples: 100000 samples need a 4.6 MiB sample table per action" in err
+    assert "samples: 100000 samples need a 14.5 MiB sample table per action" in err
     # at exactly the budget it samples
     monkeypatch.undo()
-    monkeypatch.setattr(cli, "_memory_budget", lambda: 48 * 1000)
+    monkeypatch.setattr(cli, "_memory_budget", lambda: 152 * 1000)
     assert main(["validate", cfg, "--samples", "1000"]) == 0
     assert "action 0: samples=1000 " in capsys.readouterr().out
 
@@ -271,6 +275,8 @@ CLASS_BLOCK = (
         ("arrival_rate", "1e300", "9.22337200648477e+18"),
         # z_max = float(jobs_high) would round down to 2**53, below a count drawn
         ("jobs_support", "9007199254740991 9007199254740993", "9007199254740990 9007199254740992"),
+        # a geometric phase of mean m stays below 45 m, so frame lengths stay int64
+        ("service_mean", "9007199254740994", "9007199254740992"),
     ],
 )
 def test_class_values_past_the_sampler_limits_exit_1(tmp_path, capsys, key, bad, largest):
@@ -284,6 +290,45 @@ def test_class_values_past_the_sampler_limits_exit_1(tmp_path, capsys, key, bad,
     assert not (tmp_path / "bad").exists()
     cfg = write_config(tmp_path, base + CLASS_BLOCK.replace(old, f"{key} = {largest}"))
     assert main(["run", cfg, "--check", "--out", str(tmp_path / "ok")]) == 0
+
+
+def test_widest_job_count_support_runs_checked_and_validates(tmp_path, capsys):
+    # the job count is one 64-bit draw: a support of 2**53 - 1 values, past
+    # the 2**32 - 1 a 32-bit draw covers, runs clean under --check and its
+    # samples agree with the declared triple
+    old = next(ln for ln in CLASS_BLOCK.splitlines() if ln.startswith("jobs_support"))
+    base = "instance = custom\nservers = 2\nidle_power = 1.0\nv = 5\nslots = 300\n"
+    widest = CLASS_BLOCK.replace(old, "jobs_support = 1 9007199254740991")
+    cfg = write_config(tmp_path, base + widest)
+    assert main(["run", cfg, "--check", "--out", str(tmp_path / "res")]) == 0
+    assert main(["validate", cfg, "--samples", "2000"]) == 0
+    assert capsys.readouterr().out.startswith("model (all servers): ok\n")
+
+
+def test_overflowing_penalties_exit_1_before_any_cell(tmp_path, capsys, monkeypatch):
+    # with energy 1e308, V * y_hat (the decision's penalty term) and
+    # N * y_max * slots (the largest horizon penalty total) overflow, so the
+    # run would decide on inf and write inf averages: it stops before its
+    # first cell, naming the key
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell started")
+
+    monkeypatch.setattr(cli, "run", no_cell)
+    base = "instance = custom\nservers = 2\nidle_power = 1.0\nslots = 300\n"
+    huge = CLASS_BLOCK.replace("energy = 6.0", "energy = 1e308")
+    for policy, message in (
+        ("v = 5\n", "v: V * y_hat = 5.0 * 1e+308 overflows"),
+        ("policy = stationary\n", "slots: the largest penalty total N * y_max * slots overflows"),
+    ):
+        cfg = write_config(tmp_path, base + policy + huge)
+        assert main(["run", cfg, "--check", "--out", str(tmp_path / "res")]) == 1
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+    # at energy 1e305 both stay finite and the run is clean
+    monkeypatch.undo()
+    cfg = write_config(tmp_path, base + "v = 5\n" + huge.replace("1e308", "1e305"))
+    assert main(["run", cfg, "--check", "--out", str(tmp_path / "res")]) == 0
+    assert all(np.isfinite(float(x)) for x in read_csv(tmp_path / "res" / "summary.csv")[1][1:])
 
 
 def test_memory_budget_is_physical_memory():
@@ -341,7 +386,7 @@ def test_custom_instance_run(tmp_path):
 # SHA-256 of summary.csv for FINGERPRINT_CONFIG; any change to the engine, a
 # solver, the sampler or the number formatting that moves a single byte of
 # the output changes it, so an edit meant to keep outputs fixed must keep it
-SUMMARY_FINGERPRINT = "df29c21084c3ff9e266926104a009544a7f5c7a574e77cf6c187bb5662796f48"
+SUMMARY_FINGERPRINT = "4a5dd5467c92cfcb32c557e9cb42ec0f8a37deb6cedce15ae8f6fe0d4c4b4565"
 # and of its lp.csv, which pins the LP's weights and duals to 9 digits
 LP_FINGERPRINT = "af74782fcf99bf23b3c42b28e3237c9979938ff69b7e79a564a25d82f4d824a0"
 FINGERPRINT_CONFIG = "instance = table1\nv = 10 100\nseeds = 1\nslots = 2000\n"
@@ -357,7 +402,7 @@ def test_summary_fingerprint(tmp_path):
 
 # SHA-256 of the stdout of `validate --samples 4000` on Table 1; pins every
 # printed estimate and declaration, and the single "model (all servers)" block
-VALIDATE_FINGERPRINT = "2107e4481917405595620af0ab938db12225efb16dc35630182c80d2827ee049"
+VALIDATE_FINGERPRINT = "0d938c555ad0961c6bbc9eea5d9c09afc82e9c7dde6b06c0da552af44f036ebf"
 
 
 def test_validate_fingerprint(tmp_path, capsys):
@@ -387,8 +432,8 @@ CHECKED_CONFIG = (
         )
     )
 )
-CHECKED_SUMMARY_FINGERPRINT = "608ce2feec641b743bbc4b572d1e46cab4670b594442b78386d30d855362b27f"
-CHECKED_TRAJECTORY_FINGERPRINT = "f964537970e78dae44266165fd41d87ac826904869f5410d921aacb0f0f6a882"
+CHECKED_SUMMARY_FINGERPRINT = "7cb6a3c65b401ac75e1c588a260ed1fa625bae6b901bf9c6141e38bd5a47b3d4"
+CHECKED_TRAJECTORY_FINGERPRINT = "da5cd4b8c5ebed32fda595ae3105bbc029d71f793c0f3d72f547c7de726136ae"
 CHECKED_LP_FINGERPRINT = "506c0549191fb8e12786784bbce82715a4282981e3105bec69e80545eaa87ed5"
 
 

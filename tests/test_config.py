@@ -177,12 +177,20 @@ def test_custom_class_validation_propagates():
     bad = CUSTOM.replace("arrival_rate = 1.5\n", "")
     errs = errors_of(bad)
     assert any(key == "arrival_rate" and "required" in reason for _, key, reason in errs)
-    # 2**32 - 1 counts is the widest support the sampler's 32-bit draw covers
+    # the job count is one 64-bit draw: any support up to 2**53 is accepted
     parse_config(CUSTOM.replace("jobs_support = 6 10", f"jobs_support = 6 {4 + 2**32}"))
-    errs = errors_of(CUSTOM.replace("jobs_support = 6 10", f"jobs_support = 6 {6 + 2**32}"))
+    parse_config(CUSTOM.replace("jobs_support = 6 10", f"jobs_support = 6 {6 + 2**32}"))
+    parse_config(CUSTOM.replace("jobs_support = 6 10", f"jobs_support = 2 {2**53}"))
     class_line = CUSTOM.splitlines().index("arrival_rate = 1.5") + 1
-    reason = "need 0 < jobs_low <= jobs_high < jobs_low + 2**32 - 1"
-    assert errs == [(class_line, "class 1", reason)]
+    for old, new, reason in (
+        ("jobs_support = 6 10", f"jobs_support = 2 {2**53 + 2}", "jobs_high must be <= 2**53"),
+        ("service_mean = 4.0", f"service_mean = {2**53 + 2}",
+         "phase means must be <= 2**53 slots"),
+        ("idle_mean = 2.0", "idle_mean = 2.0\nidle_power = 1e291", (
+            "the largest frame energy, energy + idle_power * 2**59, overflows"
+        )),
+    ):
+        assert errors_of(CUSTOM.replace(old, new)) == [(class_line, "class 1", reason)]
     for line, key in (
         ("energy = nan", "energy"),
         ("arrival_rate = inf", "arrival_rate"),

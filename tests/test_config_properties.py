@@ -2,10 +2,11 @@
 
 Custom instances are drawn with values at the edges the sampler and the
 external process can take: arrival rates at both ends of (0, numpy's Poisson
-limit), job-count supports near the 2**32 - 1 values one 32-bit draw covers
-and near 2**53, phase means at 1, and 1-50 servers under both policies and
-both solvers.  Each config either fails to parse with a ConfigError or runs
-a few hundred checked slots to exit 0; no other exit code is allowed.
+limit), job-count supports of any width up to 2**53, phase means from 1 and
+energies, idle powers and V up to the double maximum, and 1-50 servers
+under both policies and both solvers.  Each config either fails with a
+ConfigError (exit 1) or runs a few hundred checked slots to exit 0; no other
+exit code is allowed.
 """
 
 import contextlib
@@ -26,20 +27,29 @@ _rates = st.one_of(
     st.floats(0.01, 12.0).map(repr),
     st.sampled_from(["5e-324", "1e-300", "1e17", _POISSON_EDGE[0], _POISSON_EDGE[1], "1e300"]),
 )
-_means = st.one_of(st.just("1"), st.floats(1.0, 12.0).map(repr))
+# past the largest accepted value (2**53 for a phase mean, about 3e290 for an
+# idle power) a value is refused, so most draws stay below it
+_DOUBLE_MAX = 1.7976931348623157e308
+_means = st.one_of(
+    st.just(1.0), st.floats(1.0, 12.0), st.floats(1.0, 2.0**53), st.floats(1.0, _DOUBLE_MAX)
+).map(repr)
+_vs = st.floats(0.0, 1e308, exclude_min=True).map(repr)
+_energies = st.one_of(
+    st.floats(0.0, 50.0), st.floats(0.0, 1e290), st.floats(0.0, _DOUBLE_MAX)
+).map(repr)
 
 
 @st.composite
 def _supports(draw):
-    """(low, high) near the 2**32 - 1 width limit, near 2**53, or small.
+    """(low, high) of any width up to 2**53, near 2**53, or small.
 
-    Mostly with an integer midpoint, as the parser requires; high - low
-    is at most 2**32 - 2 and high at most 2**53 unless the draw steps past.
+    Mostly with an integer midpoint, as the parser requires; high is at
+    most 2**53 unless the draw steps past.
     """
     kind = draw(st.sampled_from(["wide", "huge", "small"]))
     if kind == "wide":
         low = draw(st.integers(1, 9))
-        high = low + 2**32 - 2 * draw(st.integers(0, 3))
+        high = low + 2 * draw(st.integers(0, 2**52 - 5))
     elif kind == "huge":
         high = 2**53 + 2 * draw(st.integers(-2, 1))
         low = high - 2 * draw(st.integers(0, 3))
@@ -51,12 +61,13 @@ def _supports(draw):
 
 _class_block = st.builds(
     "[class]\narrival_rate = {}\nservice_mean = {}\njobs_support = {}\n"
-    "energy = {}\nidle_mean = {}\n".format,
+    "energy = {}\nidle_mean = {}\n{}".format,
     _rates,
     _means,
     _supports(),
-    st.floats(0.0, 50.0).map(repr),
+    _energies,
     _means,
+    st.one_of(st.just(""), _energies.map("idle_power = {}\n".format)),
 )
 
 
@@ -74,7 +85,7 @@ def _custom_configs(draw):
         lines += [
             "policy = dpp_ratio",
             f"solver = {draw(st.sampled_from(['enumerate', 'bisection']))}",
-            f"v = {draw(st.sampled_from(['0.5', '10', '1000']))}",
+            f"v = {draw(st.sampled_from(['0.5', '10', '1000']) | _vs)}",
         ]
     else:
         lines.append("policy = stationary")
@@ -86,7 +97,7 @@ def _custom_configs(draw):
 
 
 @given(_custom_configs())
-@settings(max_examples=40, deadline=None, database=None)
+@settings(max_examples=80, deadline=None, database=None)
 def test_accepted_configs_run_clean_under_check(text):
     try:
         parse_config(text)

@@ -21,7 +21,7 @@ from renewalopt.distributions import (
 
 from renewalopt.simulation import DppRatioPolicy, ExternalProcess, run
 
-from conftest import DeterministicLength, FixedDrawSampler, FixedValue
+from conftest import DeterministicLength, FixedDrawSampler, FixedValue, one_frame
 
 
 def performance_vectors(model: RenewalSystemModel) -> list[PerformanceVector]:
@@ -79,10 +79,16 @@ def test_frame_outcome_shape_checks():
         ((2, 1.0, None, None), "exactly one of a metric row and an impulse"),
     ):
         with pytest.raises(ValueError, match=message):
-            FrameOutcome(*args)
+            one_frame(*args)
     # the first and last slot take the impulse; the metric index is not checked here
     for offset in (0, 1):
-        assert FrameOutcome(2, 1.0, None, (offset, 5, -1.0)).length == 2
+        assert one_frame(2, 1.0, None, (offset, 5, -1.0)).length.tolist() == [2]
+    # a block is checked frame by frame
+    lengths, rates = np.array([3, 1, 2]), np.zeros(3)
+    with pytest.raises(ValueError, match="frame of length 0"):
+        FrameOutcome(np.array([3, 0, 2]), rates, np.zeros((3, 1)))
+    with pytest.raises(ValueError, match="impulse at offset 1 of a frame of length 1"):
+        FrameOutcome(lengths, rates, None, (np.array([2, 1, 0]), 0, np.zeros(3)))
 
 
 def test_model_rejects_inconsistent_declarations():
@@ -121,10 +127,10 @@ def test_model_caches_action_arrays():
 
 def test_sample_frame_deterministic_action():
     model = constant_rate_model([3.0], [[0.0]], [DeterministicLength(1)])
-    out = sample_frame(model, 0, np.random.default_rng(0))
-    assert out.length == 1
-    assert out.penalty_rate == 3.0
-    assert np.array_equal(out.metric_rate, [0.0])
+    out = sample_frame(model, 0, np.random.default_rng(0), 3)
+    assert out.length.tolist() == [1, 1, 1]
+    assert out.penalty_rate.tolist() == [3.0, 3.0, 3.0]
+    assert np.array_equal(out.metric_rate, [[0.0]] * 3)
     assert out.impulse is None
 
 
@@ -132,29 +138,29 @@ def test_sample_frame_accepts_action_id_and_checks_range():
     model = constant_rate_model(
         [1.0, 2.0], [[0.0], [0.0]], [DeterministicLength(1), DeterministicLength(2)]
     )
-    out = sample_frame(model, 1, np.random.default_rng(0))
-    assert out.length == 2
+    out = sample_frame(model, 1, np.random.default_rng(0), 1)
+    assert out.length.tolist() == [2]
     with pytest.raises(IndexError):
-        sample_frame(model, 2, np.random.default_rng(0))
+        sample_frame(model, 2, np.random.default_rng(0), 1)
     with pytest.raises(IndexError):
-        sample_frame(model, 5, np.random.default_rng(0))
+        sample_frame(model, 5, np.random.default_rng(0), 1)
     with pytest.raises(IndexError):
-        sample_frame(model, -1, np.random.default_rng(0))
+        sample_frame(model, -1, np.random.default_rng(0), 1)
 
 
 def test_sample_frame_same_seed_same_outcome():
     model = constant_rate_model([1.0], [[2.0]], [GeometricLength(8.0)])
-    a = sample_frame(model, 0, np.random.default_rng(42))
-    b = sample_frame(model, 0, np.random.default_rng(42))
-    assert a.length == b.length
-    assert a.penalty_rate == b.penalty_rate
+    a = sample_frame(model, 0, np.random.default_rng(42), 5)
+    b = sample_frame(model, 0, np.random.default_rng(42), 5)
+    assert np.array_equal(a.length, b.length)
+    assert np.array_equal(a.penalty_rate, b.penalty_rate)
     assert np.array_equal(a.metric_rate, b.metric_rate)
 
 
 def test_sample_frame_geometric_mean():
     model = constant_rate_model([1.0], [[0.0]], [GeometricLength(8.0)])
     rng = np.random.default_rng(7)
-    lengths = [sample_frame(model, 0, rng).length for _ in range(100_000)]
+    lengths = sample_frame(model, 0, rng, 100_000).length
     assert abs(np.mean(lengths) - 8.0) < 0.1
     assert min(lengths) >= 1
 
@@ -167,8 +173,8 @@ def test_sample_frame_geometric_mean():
 @settings(max_examples=50, deadline=None)
 def test_constant_rate_frames_respect_declared_bounds(rate, mean_len, seed):
     model = constant_rate_model([rate], [[rate / 2]], [GeometricLength(mean_len)])
-    out = sample_frame(model, 0, np.random.default_rng(seed))
-    assert abs(out.penalty_rate) <= model.y_max
+    out = sample_frame(model, 0, np.random.default_rng(seed), 4)
+    assert np.all(np.abs(out.penalty_rate) <= model.y_max)
     assert np.all(np.abs(out.metric_rate) <= model.z_max)
     vec = performance_vectors(model)[0]
     assert abs(vec.f_hat) <= model.y_max + 1e-12
@@ -207,6 +213,17 @@ def test_validate_model_reads_the_compact_draw(table1_env):
     assert all(act.bound_violations == 0 for act in report.actions)
 
 
+def test_sample_frame_rejects_a_block_of_another_size():
+    class OneFrame:
+        def sample(self, rng, k):
+            return one_frame(2, 1.0, [0.0])
+
+    model = RenewalSystemModel((PerformanceTriple(2.0, [0.0], 2.0),), (OneFrame(),), 1.0, 1.0, 4.0)
+    assert sample_frame(model, 0, np.random.default_rng(0), 1).length.tolist() == [2]
+    with pytest.raises(ValueError, match="a block of 1 frames, where 3 were asked for"):
+        sample_frame(model, 0, np.random.default_rng(0), 3)
+
+
 def test_validate_model_rejects_malformed_frame_draws():
     # a frame cannot be built with a bad length or offset; the metric index
     # is checked by sample_frame, where the metric count is known
@@ -216,17 +233,17 @@ def test_validate_model_rejects_malformed_frame_draws():
         ((2, 1.0, None, (-1, 0, -1.0)), "offset -1"),
     ):
         with pytest.raises(ValueError, match=message):
-            FrameOutcome(*args)
+            one_frame(*args)
     triple = PerformanceTriple(1.0, [0.0], 2.0)
     for frame, message in (
-        (FrameOutcome(2, 1.0, None, (0, 1, -1.0)), "impulse on metric 1"),
-        (FrameOutcome(2, 1.0, np.array([0.5, 0.5])), "metric row of length 2"),
+        (one_frame(2, 1.0, None, (0, 1, -1.0)), "impulse on metric 1"),
+        (one_frame(2, 1.0, [0.5, 0.5]), "metric row of length 2"),
     ):
         model = RenewalSystemModel((triple,), (FixedDrawSampler(frame),), 1.0, 1.0, 4.0)
         with pytest.raises(ValueError, match=f"{message} of a frame with 1 metrics"):
             validate_model(model, 10)
         with pytest.raises(ValueError, match=f"{message} of a frame with 1 metrics"):
-            sample_frame(model, 0, np.random.default_rng(0))
+            sample_frame(model, 0, np.random.default_rng(0), 1)
 
 
 # per-slot values: small integers (so sums land exactly on a bound), any
@@ -245,31 +262,32 @@ def _frame_draws(draw):
     n_metrics = draw(st.integers(1, 4))
     row = impulse = None
     if draw(st.booleans()):
-        row = np.array(draw(st.lists(_slot_values, min_size=n_metrics, max_size=n_metrics)))
+        row = draw(st.lists(_slot_values, min_size=n_metrics, max_size=n_metrics))
     else:
         impulse = (
             draw(st.integers(0, length - 1)),
             draw(st.integers(0, n_metrics - 1)),
             draw(_slot_values),
         )
-    return FrameOutcome(length, draw(_slot_values), row, impulse), n_metrics
+    return one_frame(length, draw(_slot_values), row, impulse), n_metrics
 
 
 @given(frame=_frame_draws(), y_max=_bounds, z_max=_bounds)
 # a one-slot, one-metric frame: the impulse is the whole metric array
-@example(frame=(FrameOutcome(1, 0.0, None, (0, 0, -31.0)), 1), y_max=1.0, z_max=25.0)
+@example(frame=(one_frame(1, 0.0, None, (0, 0, -31.0)), 1), y_max=1.0, z_max=25.0)
 @settings(max_examples=300, deadline=None)
 def test_compact_frame_checks_match_the_dense_arrays(frame, y_max, z_max):
     frame, n_metrics = frame
+    length = int(frame.length[0])
     with np.errstate(invalid="ignore", over="ignore"):
         # the frame's per-slot arrays, the impulse added to its entry
-        penalty = np.full(frame.length, frame.penalty_rate)
+        penalty = np.full(length, frame.penalty_rate[0])
         if frame.metric_rate is None:
-            metrics = np.zeros((frame.length, n_metrics))
-            s, l, value = frame.impulse
-            metrics[s, l] += value
+            metrics = np.zeros((length, n_metrics))
+            offsets, l, values = frame.impulse
+            metrics[offsets[0], l] += values[0]
         else:
-            metrics = np.tile(frame.metric_rate, (frame.length, 1))
+            metrics = np.tile(frame.metric_rate[0], (length, 1))
         dense = (
             bool(np.any(np.abs(penalty) > y_max)),
             bool(np.any(np.abs(metrics) > z_max)),
@@ -278,7 +296,7 @@ def test_compact_frame_checks_match_the_dense_arrays(frame, y_max, z_max):
     triple = PerformanceTriple(0.0, np.zeros(n_metrics), 1.0)
     model = RenewalSystemModel((triple,), (FixedDrawSampler(frame),), y_max, z_max, 1.0)
     external = ExternalProcess((FixedValue(0.0),) * n_metrics)
-    trace = run([model], external, DppRatioPolicy(1.0), frame.length, seed=0)
+    trace = run([model], external, DppRatioPolicy(1.0), length, seed=0)
     over = exceeds_bounds(trace.frame_rates[0], trace.frame_metrics[0], y_max, z_max)
     assert (bool(over[0][0]), bool(over[1][0])) == dense
 

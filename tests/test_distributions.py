@@ -5,7 +5,6 @@ from renewalopt.distributions import (
     CompoundLength,
     ConstantRateSampler,
     GeometricLength,
-    bounded_integer,
     constant_rate_model,
 )
 
@@ -24,20 +23,21 @@ BOUNDED_SUPPORTS = [
 
 @pytest.mark.parametrize("low, stop", BOUNDED_SUPPORTS)
 def test_bounded_integer_is_generator_integers_bit_for_bit(low, stop):
-    # PCG64 serves next_uint32 from both halves of one 64-bit output: chunks
-    # of odd and even length, with a geometric draw (next_double) after each,
-    # leave that buffer full or empty across the other draw.  A size-k call
-    # of integers fills through the same bounded routine as k scalar calls.
+    # A block's job counts are one size-k integers call (ServiceIdleSampler);
+    # each element must be the scalar call's draw, so a block keeps the
+    # per-frame law.  PCG64 serves 32-bit draws from both halves of one
+    # 64-bit output: chunks of odd and even length, with a geometric draw
+    # (next_double) after each, leave that buffer full or empty across them.
     ref, rng = np.random.default_rng(20), np.random.default_rng(20)
     state = rng.bit_generator.state
-    assert bounded_integer(rng, low, stop) == int(ref.integers(low, stop))
-    # a support of one value draws nothing, as integers does
+    assert rng.integers(low, stop, 1).tolist() == [int(ref.integers(low, stop))]
+    # a support of one value draws nothing
     assert (rng.bit_generator.state == state) == (stop - low == 1)
     sizes = np.random.default_rng(21).integers(1, 20, size=11_000)
     assert sizes.sum() >= 100_000
     for k in sizes.tolist():
-        drawn = [bounded_integer(rng, low, stop) for _ in range(k)]
-        assert drawn == ref.integers(low, stop, size=k).tolist()
+        drawn = [int(ref.integers(low, stop)) for _ in range(k)]
+        assert rng.integers(low, stop, k).tolist() == drawn
         assert rng.geometric(0.3) == ref.geometric(0.3)
     assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -46,7 +46,7 @@ def test_deterministic_moments_and_samples():
     d = DeterministicLength(4)
     assert d.mean == 4.0
     assert d.second_moment == 16.0
-    assert d.sample(np.random.default_rng(0)) == 4
+    assert d.sample(np.random.default_rng(0), 3).tolist() == [4, 4, 4]
     with pytest.raises(ValueError):
         DeterministicLength(0)
 
@@ -71,7 +71,7 @@ def test_geometric_moments_match_series():
 def test_geometric_sampling_statistics():
     g = GeometricLength(5.5)
     rng = np.random.default_rng(11)
-    draws = np.array([g.sample(rng) for _ in range(100_000)])
+    draws = g.sample(rng, 100_000)
     assert draws.min() >= 1
     assert abs(draws.mean() - 5.5) < 0.07
     assert abs((draws.astype(float) ** 2).mean() - 55.0) < 1.5
@@ -84,7 +84,7 @@ def test_compound_moments_add_phases():
     assert c.mean == 8.0
     assert c.second_moment == pytest.approx(92.5, abs=1e-12)
     rng = np.random.default_rng(2)
-    draws = np.array([c.sample(rng) for _ in range(50_000)])
+    draws = c.sample(rng, 50_000)
     assert draws.min() >= 2
     assert abs(draws.mean() - 8.0) < 0.1
     assert abs((draws.astype(float) ** 2).mean() - 92.5) < 1.5
@@ -96,10 +96,10 @@ def test_constant_rate_sampler_triple_and_frames():
     assert triple.y_hat == 6.0
     assert np.array_equal(triple.z_hat, [3.0, -3.0])
     assert triple.t_hat == 3.0
-    out = s.sample(np.random.default_rng(0))
-    assert out.length == 3
-    assert out.penalty_rate == 2.0
-    assert np.array_equal(out.metric_rate, [1.0, -1.0])
+    out = s.sample(np.random.default_rng(0), 2)
+    assert out.length.tolist() == [3, 3]
+    assert out.penalty_rate.tolist() == [2.0, 2.0]
+    assert np.array_equal(out.metric_rate, [[1.0, -1.0], [1.0, -1.0]])
     assert out.impulse is None
 
 

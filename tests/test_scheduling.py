@@ -24,8 +24,10 @@ def test_class_params_validation():
         ServerClassParams(2.0, 5.5, 0, 20, 16.0, 2.5, 3.0)
     with pytest.raises(ValueError):
         ServerClassParams(2.0, 5.5, 21, 9, 16.0, 2.5, 3.0)
-    with pytest.raises(ValueError, match=r"jobs_high < jobs_low \+ 2\*\*32 - 1"):
-        ServerClassParams(2.0, 5.5, 1, 2**32 + 1, 16.0, 2.5, 3.0)  # too wide for one draw
+    with pytest.raises(ValueError, match=r"jobs_high must be <= 2\*\*53"):
+        ServerClassParams(2.0, 5.5, 1, 2**53 + 2, 16.0, 2.5, 3.0)
+    # the job count is one 64-bit draw: supports past 2**32 values are accepted
+    assert ServerClassParams(2.0, 5.5, 1, 2**32 + 1, 16.0, 2.5, 3.0).jobs_high == 2**32 + 1
     with pytest.raises(ValueError):
         SchedulingInstance(0, TABLE1.classes)
     with pytest.raises(ValueError):
@@ -33,13 +35,20 @@ def test_class_params_validation():
 
 
 def test_sampler_draws_the_widest_job_count_support():
-    # 2**32 - 1 counts, the most one 32-bit bounded draw covers
-    sampler = ServiceIdleSampler(ServerClassParams(2.0, 5.5, 1, 2**32 - 1, 16.0, 2.5, 3.0), 0, 1)
-    ref, rng = np.random.default_rng(4), np.random.default_rng(4)
-    for _ in range(200):
-        _, _, value = sampler.sample(rng).impulse
-        ref.geometric(1 / 5.5), ref.geometric(1 / 2.5)
-        assert -value == int(ref.integers(1, 2**32))
+    # a block of k frames is k service draws, k idle draws and k job counts,
+    # each one size-k call, so blocks of one stream follow on from each other;
+    # the job count is one 64-bit draw, for supports past 2**32 - 1 values too
+    for high in (21, 2**32 - 1, 2**32 + 1, 2**53 - 1):
+        sampler = ServiceIdleSampler(ServerClassParams(2.0, 5.5, 1, high, 16.0, 2.5, 3.0), 0, 1)
+        ref, rng = np.random.default_rng(4), np.random.default_rng(4)
+        for k in (1, 64, 200):
+            out = sampler.sample(rng, k)
+            service, idle = ref.geometric(1 / 5.5, k), ref.geometric(1 / 2.5, k)
+            jobs = ref.integers(1, high + 1, k)
+            assert np.array_equal(out.length, service + idle)
+            assert np.array_equal(out.impulse[0], service - 1)
+            assert out.impulse[2].tolist() == [-float(j) for j in jobs.tolist()]
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_preset_shape():
@@ -87,6 +96,26 @@ def test_declared_y_max_covers_idle_power_above_energy():
     run(models, external, DppRatioPolicy(10.0), 2000, seed=1, check=True)
 
 
+@pytest.mark.parametrize(
+    "energy, idle_power",
+    [
+        # energy = idle power: every frame's exact rate is the bound itself,
+        # and the rounded (e + p*I)/(H + I) lands an ulp above it at times
+        (3.1045261878621683e-176, 3.1045261878621683e-176),
+        (2.9982656412602863e280, 2.9982656412602863e280),
+        # (e + p)/2 underflows to 0.0, below the declared y_hat / t_hat
+        (5e-324, 0.0),
+    ],
+)
+def test_sampled_rates_stay_within_the_declared_y_max(energy, idle_power):
+    inst = SchedulingInstance(1, (ServerClassParams(0.5, 1.0, 9, 1341, energy, 4.6, idle_power),))
+    models, external, _ = build_instance(inst)
+    assert models[0].y_max >= (energy + idle_power) / 2 and models[0].y_max > 0
+    rates = models[0].samplers[0].sample(np.random.default_rng(5), 20_000).penalty_rate
+    assert rates.max() <= models[0].y_max
+    run(models, external, DppRatioPolicy(1.0), 300, seed=3, check=True)
+
+
 def test_built_external_process(table1_env):
     external = table1_env["external"]
     assert external.n_metrics == 3
@@ -109,21 +138,20 @@ def test_sampler_emits_one_service_impulse():
     rng = np.random.default_rng(14)
     params = TABLE1.classes[1]
     sampler = ServiceIdleSampler(params, 1, 3)
-    for _ in range(500):
-        out = sampler.sample(rng)
-        assert out.metric_rate is None
-        offset, metric, value = out.impulse
-        assert metric == 1
-        jobs = -value
-        assert jobs == int(jobs)
-        assert params.jobs_low <= jobs <= params.jobs_high
-        # at least one idle slot follows the service phase
-        assert offset <= out.length - 2
-        # energy is flat across the frame and sums to batch + idle draw
-        service = offset + 1
-        idle = out.length - service
-        y_total = out.penalty_rate * out.length
-        assert y_total == pytest.approx(params.energy + params.idle_power * idle, abs=1e-9)
+    out = sampler.sample(rng, 500)
+    assert out.metric_rate is None
+    offset, metric, value = out.impulse
+    assert metric == 1
+    jobs = -value
+    assert np.array_equal(jobs, np.round(jobs))
+    assert (params.jobs_low <= jobs).all() and (jobs <= params.jobs_high).all()
+    # at least one idle slot follows the service phase
+    assert (offset <= out.length - 2).all()
+    # energy is flat across the frame and sums to batch + idle draw
+    service = offset + 1
+    idle = out.length - service
+    y_total = out.penalty_rate * out.length
+    assert y_total == pytest.approx(params.energy + params.idle_power * idle, abs=1e-9)
 
 
 def test_sampled_frames_match_declared_triples(table1_env):

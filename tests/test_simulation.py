@@ -1,5 +1,6 @@
 import hashlib
 import re
+from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 from renewalopt import simulation
 from renewalopt.controller import queue_step
 from renewalopt.core import (
-    FrameOutcome,
     PerformanceTriple,
     PerformanceVector,
     RenewalSystemModel,
@@ -48,6 +48,7 @@ from conftest import (
     FixedDrawSampler,
     FixedValue,
     model_from_vectors,
+    one_frame,
     queue_update,
 )
 from test_cli import CHECKED_CONFIG
@@ -307,7 +308,7 @@ def test_analyses_read_the_record_and_draw_nothing(table1_env, monkeypatch):
     expected = analyses(*runs.values())
 
     class Raising:
-        def sample(self, rng):
+        def sample(self, rng, k):
             raise AssertionError("a frame was drawn again")
 
     def no_draw(self, n, rng):
@@ -434,7 +435,7 @@ def test_run_rejects_malformed_frame_draws():
         ((2, 1.0, None, (-1, 0, -1.0)), "offset -1"),
     ):
         with pytest.raises(ValueError, match=message):
-            FrameOutcome(*args)
+            one_frame(*args)
 
 
 def test_run_rejects_impulses_on_a_missing_metric():
@@ -445,10 +446,10 @@ def test_run_rejects_impulses_on_a_missing_metric():
     external = ExternalProcess((FixedValue(0.0), FixedValue(0.0)))
     triple = PerformanceTriple(1.0, [0.0, 0.0], 2.0)
     for frame, message in (
-        (FrameOutcome(2, 1.0, None, (1, -1, -5.0)), "impulse on metric -1"),
-        (FrameOutcome(2, 1.0, None, (1, 2, -5.0)), "impulse on metric 2"),
-        (FrameOutcome(2, 1.0, np.array([0.5])), "metric row of length 1"),
-        (FrameOutcome(2, 1.0, np.array([0.5, 0.5, 0.5])), "metric row of length 3"),
+        (one_frame(2, 1.0, None, (1, -1, -5.0)), "impulse on metric -1"),
+        (one_frame(2, 1.0, None, (1, 2, -5.0)), "impulse on metric 2"),
+        (one_frame(2, 1.0, [0.5]), "metric row of length 1"),
+        (one_frame(2, 1.0, [0.5, 0.5, 0.5]), "metric row of length 3"),
     ):
         model = RenewalSystemModel((triple,), (FixedDrawSampler(frame),), 1.0, 5.0, 4.0)
         with pytest.raises(ValueError, match=f"{message} of a frame with 2 metrics"):
@@ -579,22 +580,29 @@ def test_drift_diagnostic_on_energy_instance(table1_env):
 
 
 def dense_replay(trace, models):
-    """Each system's per-slot y^n and z^n, its frames re-drawn from its stream and laid
-    slot by slot, independently of the engine's frame record."""
+    """Each system's per-slot y^n and z^n, its frames re-drawn from its (system, action)
+    streams, FRAME_BLOCK per draw, and laid slot by slot, independently of the engine's
+    frame record."""
     series = []
     for n, model in enumerate(models):
-        stream = np.random.SeedSequence(trace.seed, spawn_key=(0, n))
-        rng = np.random.Generator(np.random.PCG64(stream))
+        rngs, blocks, played = {}, {}, Counter()
         horizon = int(trace.frames[n][-1, :2].sum())  # the end of the last frame
         y, z = np.zeros(horizon), np.zeros((horizon, model.n_metrics))
         for start, length, idx in trace.frames[n].tolist():
-            frame = sample_frame(model, idx, rng)
-            y[start : start + length] = frame.penalty_rate
+            j = played[idx] % simulation.FRAME_BLOCK
+            played[idx] += 1
+            if j == 0:
+                if idx not in rngs:
+                    stream = np.random.SeedSequence(trace.seed, spawn_key=(0, n, idx))
+                    rngs[idx] = np.random.Generator(np.random.PCG64(stream))
+                blocks[idx] = sample_frame(model, idx, rngs[idx], simulation.FRAME_BLOCK)
+            frame = blocks[idx]
+            y[start : start + length] = frame.penalty_rate[j]
             if frame.impulse is None:
-                z[start : start + length] = frame.metric_rate
+                z[start : start + length] = frame.metric_rate[j]
             else:
-                offset, l, value = frame.impulse
-                z[start + offset, l] = value
+                offsets, l, values = frame.impulse
+                z[start + offsets[j], l] = values[j]
         series.append((y, z))
     return series
 
@@ -652,6 +660,41 @@ def test_frame_table_matches_the_dense_per_slot_series(table1_env):
             assert drift.excess_se[n] == pytest.approx(se, rel=1e-12, abs=0)
 
 
+def test_one_system_and_action_plays_the_same_frames_in_every_cell(table1_env):
+    # common random numbers: the j-th frame system n plays under action a is
+    # drawn from its own stream, so cells of one seed that differ in V,
+    # solver or policy agree on each (system, action)'s common prefix of
+    # frames: length, impulse offset, penalty rate and metric values
+    models, external, sol = table1_env["models"], table1_env["external"], table1_env["sol"]
+    policies = (
+        DppRatioPolicy(10.0),
+        DppRatioPolicy(100.0),
+        DppRatioPolicy(100.0, "bisection"),
+        RandomizedStationaryPolicy(stationary_policy_weights(sol)),
+    )
+    traces = [run(models, external, policy, 3000, seed=6) for policy in policies]
+
+    def played(trace, n, a):
+        log = trace.frames[n]
+        mine = log[:, 2] == a
+        offsets = trace.impulse_slots[n][mine] - log[mine, 0]
+        return log[mine, 1], offsets, trace.frame_rates[n][mine], trace.frame_metrics[n][mine]
+
+    compared = 0
+    for n, model in enumerate(models):
+        # V moves the action choices, so the same frame index falls elsewhere
+        assert not np.array_equal(traces[0].frames[n][:, 2], traces[1].frames[n][:, 2])
+        for a in range(model.n_actions):
+            first = played(traces[0], n, a)
+            for trace in traces[1:]:
+                other = played(trace, n, a)
+                common = min(first[0].shape[0], other[0].shape[0])
+                for x, y in zip(first, other):
+                    assert np.array_equal(x[:common], y[:common]), (n, a)
+                compared += common
+    assert compared > 3000
+
+
 def test_analyses_name_a_system_without_completed_frames(table1_env):
     # in two slots most Table-1 systems end no frame, and a mean over no
     # frames is no number: each analysis raises one error naming the first
@@ -662,15 +705,16 @@ def test_analyses_name_a_system_without_completed_frames(table1_env):
     cases = (
         (dpp, 1, frame_stats),
         (dpp, 1, lambda trace: drift_diagnostic(trace, reference)),
-        (stationary, 3, frame_stats),
-        (stationary, 3, stationary_predictions),
+        (stationary, 46, frame_stats),
+        (stationary, 46, stationary_predictions),
     )
     for policy, seed, analysis in cases:
         trace = run(models, external, policy, slots=2, seed=seed)
         first = min(n for n, log in enumerate(trace.frames) if log[0, 1] > 2)
         with pytest.raises(RuntimeError, match=f"^system {first}: no completed frames"):
             analysis(trace)
-    # system 0 of the stationary run at seed 3 ends its first frame in two slots
+    # system 0 of the stationary run at seed 46, the first seed where it does,
+    # ends its first frame in two slots and system 1 does not
     assert first == 1
 
 
@@ -760,10 +804,10 @@ def fingerprint_run(table1_env, name):
 # frame logs) of four runs; summary.csv keeps only 9 significant digits, so
 # these pin the engine's arithmetic and draw order bit for bit
 TRACE_FINGERPRINTS = {
-    "table1_enumerate": "f4463617466f6b73b7652cb567d31599bfa74c92e0f992cd91dabec2403f0865",
-    "custom_bisection_checked": "f9ee22e1a5c5590bcaa15674b9d5110c9758cbd5f09b6a2340aab6dad7ee0948",
-    "table1_stationary": "af0107d5d1864c433665e50cb6d672cc384e5dee1d6f407b0065042e54f704af",
-    "constant_rate_fixture": "74529d7785f24987cc51007da154f7f426e2acece7548bc91dd5ed38c37cfc41",
+    "table1_enumerate": "a8fa48458849bbe22e0ba7f22c93840c8a5371da6f9d2f6765f183a4a69b7c7c",
+    "custom_bisection_checked": "e4f64d2243ddbae97d8aee777ca29058a255d8de5b41182da1fe55fc720714e1",
+    "table1_stationary": "b9db6e815266b0adcf6088da492b689b1d19d8a45da3a090b482508bd63191de",
+    "constant_rate_fixture": "a4a379aab0b04948302920a45524fb659cf5f81f250e565c7bc9aa77d8c429c8",
 }
 
 
@@ -786,8 +830,8 @@ def frame_stats_digest(stats):
 # SHA-256 of the FrameStats sums of two fingerprinted runs, which replay
 # every completed frame: they pin the frame totals the replay adds up
 FRAME_STATS_FINGERPRINTS = {
-    "custom_bisection_checked": "ac459bec556936f5fd0bf53a27cac2fbbcafb1927e65c9597cbf6ec773ae1718",
-    "table1_stationary": "143b904543b989d3725ace25112fa5998b80d9cd5dcd169a3e2127c8ad5bec23",
+    "custom_bisection_checked": "d910a1553f4e38cac8cecaacbd8fc3f9fc3cbe5abb75ea5dd8a3b5441c1e6f92",
+    "table1_stationary": "0e3a22ef6a74334b02ebc7fc0c2a895177ce92ad9684ca0aa13202248331eeb2",
 }
 
 
