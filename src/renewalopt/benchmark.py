@@ -142,10 +142,8 @@ def extract_reference_point(sol: LPSolution) -> list[PerformanceVector]:
     """Per-system hull point (f_bar, g_bar) realized by the LP weights."""
     if sol.status != "optimal":
         raise ValueError(f"reference point needs an optimal solution, got {sol.status}")
-    points = []
-    for f, g, w in zip(sol.lp.f_hats, sol.lp.g_hats, sol.weights):
-        points.append(PerformanceVector(float(f @ w), g.T @ w))
-    return points
+    per_system = zip(sol.lp.f_hats, sol.lp.g_hats, sol.weights)
+    return [PerformanceVector(float(f @ w), g.T @ w) for f, g, w in per_system]
 
 
 def stationary_policy_weights(sol: LPSolution) -> tuple[np.ndarray, ...]:
@@ -157,8 +155,4 @@ def stationary_policy_weights(sol: LPSolution) -> tuple[np.ndarray, ...]:
     """
     if sol.status != "optimal":
         raise ValueError(f"policy weights need an optimal solution, got {sol.status}")
-    probs = []
-    for theta, t in zip(sol.weights, sol.lp.t_hats):
-        p = theta / t
-        probs.append(p / p.sum())
-    return tuple(probs)
+    return tuple((p := theta / t) / p.sum() for theta, t in zip(sol.weights, sol.lp.t_hats))

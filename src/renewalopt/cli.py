@@ -120,10 +120,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
     n_metrics = external.n_metrics
     # a cell's trace holds 8 * (1 + 3L) bytes per slot and 8 * (5 + L) per frame per
     # system, a frame per t_hat slots (count the shortest); it grows slot by slot,
-    # so a horizon that cannot fit would fail mid-run.  Each (system, action) stream
-    # also holds a pending block, 8 * (24 + L) bytes a frame as numpy columns and lists
+    # so a horizon that cannot fit would fail mid-run.  The y fold copies each frame's
+    # start and rate (16 bytes), one system's drawn blocks and actions (8 * (4 + L)
+    # a frame) wait beside the columns built, and in the loop each (system, action)
+    # stream holds a pending block, 8 * (24 + L) bytes a frame as numpy columns and lists
     frames = -(-cfg.slots // min(float(m.t_hats.min()) for m in models))  # ceil
-    need = 8 * (1 + 3 * n_metrics) * cfg.slots + 8 * (5 + n_metrics) * len(models) * frames
+    need = 8 * (1 + 3 * n_metrics) * cfg.slots + 8 * (7 + n_metrics) * len(models) * frames
+    need += 8 * (4 + n_metrics) * frames
     need += 8 * (24 + n_metrics) * FRAME_BLOCK * sum(m.n_actions for m in models)
     _check_memory("slots", cfg.slots, need, "trace per cell")
     lp_sol = solve_lp(lp)
@@ -155,25 +158,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
     )
     rows = []
     for v, seed in grid:
-        if v is None:
-            policy = RandomizedStationaryPolicy(weights)
-        else:
-            policy = DppRatioPolicy(v, cfg.solver)
+        policy = RandomizedStationaryPolicy(weights) if v is None else DppRatioPolicy(v, cfg.solver)
         trace = run(models, external, policy, cfg.slots, seed, check=cfg.check)
-        row = [
-            cfg.policy,
-            "" if v is None else _fmt(v),
-            seed,
-            trace.slots,
-            _fmt(trace.avg_penalty),
-        ]
-        row += [_fmt(x) for x in trace.avg_metrics]
-        row += [_fmt(x) for x in trace.avg_queues]
-        row += [_fmt(x) for x in trace.final_queues]
+        row = [cfg.policy, "" if v is None else _fmt(v), seed, trace.slots]
+        row += map(_fmt, (trace.avg_penalty, *trace.avg_metrics, *trace.avg_queues))
+        row += map(_fmt, trace.final_queues)
         row.append(int(trace.frames_per_system.sum()))
         if lp_sol.status == "optimal":
-            row.append(_fmt(lp_sol.objective))
-            row.append(_fmt(trace.avg_penalty - lp_sol.objective))
+            row += [_fmt(lp_sol.objective), _fmt(trace.avg_penalty - lp_sol.objective)]
         else:
             row += ["", ""]
         rows.append(row)

@@ -286,15 +286,6 @@ def parse_config(text: str) -> ExperimentConfig:
     if errors:
         raise ConfigError(sorted(errors))
 
-    return ExperimentConfig(
-        instance=instance,
-        policy=cfg["policy"],
-        solver=cfg["solver"],
-        v_list=cfg["v"],
-        slots=cfg["slots"],
-        seeds=cfg["seeds"],
-        out=cfg["out"],
-        trajectories=cfg["trajectories"],
-        check=cfg["check"],
-        weights=weights,
-    )
+    # ExperimentConfig's fields between instance and weights, in order; v is v_list
+    keys = ("policy", "solver", "v", "slots", "seeds", "out", "trajectories", "check")
+    return ExperimentConfig(instance, *(cfg[key] for key in keys), weights)

@@ -105,19 +105,21 @@ def solve_bisection(model: RenewalSystemModel, q, v: float) -> int:
     theta would not decrease.  It returns the action it stopped on if
     that action's exact ratio is the minimum, else the lowest-index exact
     minimizer, so the returned action passes ``ratio_bound_holds`` even on
-    near ties.
+    near ties.  Theta falls strictly from ratios[0], so the iteration ends
+    unless that ratio is NaN; where one action alone attains the exact
+    minimum it ends on that action, which is returned without iterating.
     """
     num, ratios = _ratio_objectives(model, q, v)
+    best = min(ratios)  # NaN only if ratios[0] is
+    if best == best and ratios.count(best) == 1:
+        return ratios.index(best)
     den = [t_a for _, _, t_a in _model_penalty_terms(model, v)[1]]
     theta = ratios[0]
-    # theta strictly decreases across iterations and only finitely many
-    # ratios exist, so this terminates; the cap is a safety net (NaN) only
-    for _ in range(10 * len(den) + 10):
+    for _ in range(10 * len(den) + 10):  # a safety net: only NaN reaches the cap
         costs = [a - theta * b for a, b in zip(num, den)]
         low = min(costs)
         idx = costs.index(low)
         if low >= -_BISECTION_TOL or ratios[idx] >= theta:
-            best = min(ratios)
             return idx if ratios[idx] == best else ratios.index(best)
         theta = ratios[idx]
     raise RuntimeError("Dinkelbach iteration failed to terminate")

@@ -2,15 +2,16 @@
 
 Every system starts its first frame at slot 0 and a new frame the slot after
 its previous frame ends, so the systems drift out of phase.  ``run`` takes
-the slots in order.  In slot t the systems that start a frame there, in
-index order, each pick an action against Q[t], take the next frame of their
-(system, action) stream, lay it down (its metric row on its slice of z or
-its impulse on one entry, its penalty rate as the system's current rate)
-and record it.  y[t] adds the current rates in frame-start order (ties by
-index), the adds of laying each rate on each of its slots.  Then the queue
-takes one step, Q[t+1] = max{Q[t] + sum_n z^n[t] - d[t], 0}, through
+the slots in order and does in them only what Q needs.  In slot t the
+systems that start a frame there, in index order, each pick an action
+against Q[t], take the next frame of their (system, action) stream and lay
+its metrics on z (its row on its slice, its impulse on one entry).  Then the
+queue takes one step, Q[t+1] = max{Q[t] + sum_n z^n[t] - d[t], 0}, through
 ``controller.queue_step`` on Python floats, in the order of the numpy
 reference in ``tests/conftest.py``, so trajectories match it bit for bit.
+After the loop numpy builds each system's frame columns from its actions and
+its streams' blocks, and y[t] adds the rates of the frames covering t in
+frame-start order (ties by index), as laying each rate on its slots would.
 
 A drift-plus-penalty decision depends only on (model, Q[t], V), so it is
 solved once per (model object, slot) and shared by the systems of that model
@@ -194,17 +195,19 @@ class CheckViolation(Exception):
 FRAME_BLOCK = 64
 
 
-def _frame_stream(model: RenewalSystemModel, action: int, rng: np.random.Generator):
-    """The action's frames, FRAME_BLOCK per draw, as (length, rate, offset, metric, z):
-    z is the impulse value, or a row frame's metric row (offset and metric -1)."""
+def _frame_stream(model: RenewalSystemModel, action: int, rng: np.random.Generator, drawn: list):
+    """The action's frames, FRAME_BLOCK per draw, as (length, offset, metric, z): z is
+    the impulse value, or a row frame's metric row (offset and metric -1).  Each
+    block drawn is appended to ``drawn``, from which the frame columns are built."""
     while True:
         frames = sample_frame(model, action, rng, FRAME_BLOCK)
+        drawn.append(frames)
         if frames.impulse is None:
             offsets, l, z = repeat(-1), -1, frames.metric_rate.tolist()
         else:
             offsets, l, z = frames.impulse
             offsets, z = offsets.tolist(), z.tolist()
-        yield from zip(frames.length.tolist(), frames.penalty_rate.tolist(), offsets, repeat(l), z)
+        yield from zip(frames.length.tolist(), offsets, repeat(l), z)
 
 
 # the engine
@@ -300,6 +303,53 @@ def _running_sums(
         yield start, block
 
 
+def _frame_columns(actions: array, drawn: list, n_metrics: int) -> tuple[np.ndarray, ...]:
+    """One system's frame log and rate, impulse-slot and metric columns.
+
+    Its j-th frame under action a is the next unused frame of the blocks
+    stream a drew, and the frames start back to back from slot 0.
+    """
+    acts = np.frombuffer(actions, dtype=np.int64)
+    log = np.zeros((acts.shape[0], 3), dtype=np.int64)  # start, length, action
+    log[:, 2] = acts
+    rate, at = np.empty(acts.shape[0]), np.full_like(acts, -1)  # at: offset until the end
+    metrics = np.zeros((acts.shape[0], n_metrics))
+    for a, blocks in enumerate(drawn):
+        mine = np.flatnonzero(acts == a)
+        for i, frames in enumerate(blocks):
+            sel = mine[i * FRAME_BLOCK : (i + 1) * FRAME_BLOCK]
+            k = sel.shape[0]
+            log[sel, 1], rate[sel] = frames.length[:k], frames.penalty_rate[:k]
+            if frames.impulse is None:
+                metrics[sel] = frames.metric_rate[:k]
+            else:
+                offsets, l, values = frames.impulse
+                at[sel], metrics[sel, l] = offsets[:k], values[:k]
+    np.cumsum(log[:-1, 1], out=log[1:, 0])
+    np.add(at, log[:, 0], out=at, where=at >= 0)
+    return log, rate, at, metrics
+
+
+def _penalty_series(logs: Sequence[np.ndarray], rates: Sequence[np.ndarray], slots: int):
+    """y[t]: 0.0 plus the rates of the frames covering t in frame-start order, ties
+    by system index, added one at a time as laying each rate on its slots would."""
+    n_sys = len(logs)
+    shift = np.arange(n_sys) * slots  # system n's starts, moved to n * slots, sort as one
+    keys = np.concatenate([log[:, 0] + at for log, at in zip(logs, shift)])
+    rate, y = np.concatenate(rates), np.empty(slots)
+    rows = max(1, _CHUNK // n_sys)  # at most _CHUNK (slot, system) entries per chunk
+    for lo in range(0, slots, rows):
+        slot = np.arange(lo, min(lo + rows, slots))
+        # queries in increasing order search fastest; covering is slot x system
+        covering = np.searchsorted(keys, shift[:, None] + slot, "right").T - 1
+        order = np.argsort(keys[covering] - shift, axis=1, kind="stable")
+        terms = np.zeros((slot.shape[0], n_sys + 1))  # per slot 0.0, then the rates by rank
+        terms[:, 1:] = np.take_along_axis(rate[covering], order, axis=1)
+        # accumulate adds one term at a time along a row, where sum() or np.sum need not
+        y[lo : lo + slot.shape[0]] = np.cumsum(terms, axis=1)[:, -1]
+    return y
+
+
 def run(
     models: Sequence[RenewalSystemModel],
     external: ExternalProcess,
@@ -312,8 +362,8 @@ def run(
     """Simulate all systems for the given number of slots.
 
     Deterministic given (models, external, policy, slots, seed).  Each slot
-    decides and lays down the frames starting there, adds up y[t], then steps
-    Q once.  Frames past the horizon lay down only their in-horizon slots.
+    decides and lays down the frames starting there, then steps Q once.
+    Frames past the horizon lay down only their in-horizon slots.
     """
     models = tuple(models)
     n_sys = len(models)
@@ -343,21 +393,21 @@ def run(
 
     action_rngs = [stream(0, n) for n in range(n_sys)] if stationary else None
     d_arr = external.sample_matrix(stream(1), slots)
-    frame_streams = [[None] * m.n_actions for m in models]  # made when first played
+    drawn = [[[] for _ in range(m.n_actions)] for m in models]  # the blocks each stream drew
+    frame_streams = [
+        [_frame_stream(m, a, stream(0, n, a), drawn[n][a]) for a in range(m.n_actions)]
+        for n, m in enumerate(models)
+    ]
 
     # item assignment and fromlist reach the buffers without a numpy call
-    y_buf = array("d", [0.0]) * slots
     z_buf = array("d", [0.0]) * (slots * n_metrics)
     z_arr = np.frombuffer(z_buf).reshape(slots, n_metrics)
     q_buf = array("d", [0.0]) * n_metrics  # Q[0], then one row per slot stepped
     # d's rows as lists, converted _ROWS slots at a time
     d_rows = chain.from_iterable(d_arr[i : i + _ROWS].tolist() for i in range(0, slots, _ROWS))
-    # per system: the (start, length, action) log, the rate, impulse and metric columns
-    records = [(array("q"), array("d"), array("q"), array("d")) for _ in range(n_sys)]
-    no_row = array("d", [0.0]) * n_metrics  # an array, which += appends without a loop
+    actions = [array("q") for _ in range(n_sys)]  # per system, the action of each frame
     starting = {0: list(range(n_sys))}  # frame-start slot -> systems starting there
     q = q_buf.tolist()  # Q[t] as a list, the form the ratio kernel reads
-    rates = {}  # system -> current penalty rate, in frame-start order
 
     for t, d_row in zip(range(slots), d_rows):
         if t in starting:
@@ -375,51 +425,25 @@ def run(
                                 f"frame decision at slot {t}, system {n}: the ratio objective "
                                 f"of action {idx} exceeds another action's"
                             )
-                frames = frame_streams[n][idx]
-                if frames is None:
-                    frames = frame_streams[n][idx] = _frame_stream(model, idx, stream(0, n, idx))
-                length, rate, offset, l, z = next(frames)
-                end = t + length
-                rates.pop(n, None)
-                rates[n] = rate
-                log, rate_log, at_log, metric_log = records[n]
+                length, offset, l, z = next(frame_streams[n][idx])
                 if offset < 0:
-                    z_arr[t:end] += z
-                    at = -1
-                    metric_log.extend(z)
-                else:
-                    # FrameOutcome keeps the offset and sample_frame the metric in range
-                    at = t + offset
-                    if at < slots:
-                        z_buf[at * n_metrics + l] += z
-                    metric_log += no_row
-                    metric_log[l - n_metrics] = z
-                log.extend((t, length, idx))
-                rate_log.append(rate)
-                at_log.append(at)
-                starting.setdefault(end, []).append(n)
-            y_t = 0.0
-            for rate in rates.values():  # not sum(), which may compensate
-                y_t += rate
-        y_buf[t] = y_t
+                    z_arr[t : t + length] += z
+                # FrameOutcome keeps the offset and sample_frame the metric in range
+                elif t + offset < slots:
+                    z_buf[(t + offset) * n_metrics + l] += z
+                actions[n].append(idx)
+                starting.setdefault(t + length, []).append(n)
         # every frame covering slot t has started, so z[t] is final
         q = queue_step(q, z_buf[t * n_metrics : (t + 1) * n_metrics], d_row)
         q_buf.fromlist(q)
 
-    trace = RunTrace(
-        models=models,
-        process=external,
-        policy=policy,
-        seed=seed,
-        penalty=np.frombuffer(y_buf),
-        metrics=z_arr,
-        external=d_arr,
-        queues=np.frombuffer(q_buf).reshape(slots + 1, n_metrics),
-        frames=tuple(np.frombuffer(r[0], dtype=np.int64).reshape(-1, 3) for r in records),
-        frame_rates=tuple(np.frombuffer(r[1]) for r in records),
-        impulse_slots=tuple(np.frombuffer(r[2], dtype=np.int64) for r in records),
-        frame_metrics=tuple(np.frombuffer(r[3]).reshape(-1, n_metrics) for r in records),
-    )
+    del frame_streams  # the streams' pending frames
+    # pop: each system's blocks are freed once its columns are built
+    columns = [_frame_columns(actions.pop(0), drawn.pop(0), n_metrics) for _ in models]
+    logs, rates, at, metrics = zip(*columns)
+    queues = np.frombuffer(q_buf).reshape(slots + 1, n_metrics)
+    series = _penalty_series(logs, rates, slots), z_arr, d_arr, queues
+    trace = RunTrace(models, external, policy, seed, *series, logs, rates, at, metrics)
     if check:
         first = []  # (slot, system) of each system's first frame over its declared bounds
         for n, m in enumerate(models):
@@ -519,16 +543,18 @@ class FrameStats:
         self.sum_zz = np.zeros(n_metrics)
         self.sum_zt = np.zeros(n_metrics)
 
-    def add(self, y_total: float, z_total: np.ndarray, length: float) -> None:
-        self.count += 1
-        self.sum_y += y_total
-        self.sum_t += length
-        self.sum_yy += y_total * y_total
-        self.sum_yt += y_total * length
-        self.sum_tt += length * length
-        self.sum_z += z_total
-        self.sum_zz += z_total * z_total
-        self.sum_zt += z_total * length
+    def add(self, y_totals, z_totals, lengths) -> None:
+        """Add frames in order, given their totals Y, rows of totals Z and lengths T:
+        each sum goes on one add at a time (np.cumsum; np.sum adds pairwise)."""
+        y, t = np.asarray(y_totals, dtype=float), np.asarray(lengths, dtype=float)
+        z = np.asarray(z_totals, dtype=float).reshape(-1, self.sum_z.shape[0])
+        self.count += y.shape[0]
+        sums = (self.sum_y, self.sum_t, self.sum_yy, self.sum_yt, self.sum_tt)
+        terms = np.column_stack((y, t, y * y, y * t, t * t, z, z * z, z * t[:, None]))
+        rows = np.vstack((np.concatenate((sums, self.sum_z, self.sum_zz, self.sum_zt)), terms))
+        sums = np.cumsum(rows, axis=0, out=rows)[-1].copy()  # not rows' whole buffer
+        self.sum_y, self.sum_t, self.sum_yy, self.sum_yt, self.sum_tt = sums[:5].tolist()
+        self.sum_z, self.sum_zz, self.sum_zt = sums[5:].reshape(3, -1)
 
     @property
     def empirical_f(self) -> float:
@@ -552,13 +578,10 @@ class FrameStats:
 
 def frame_stats(trace: RunTrace) -> tuple[FrameStats, ...]:
     """Per-system statistics of the frames completed within the horizon."""
-    stats = []
-    for model, frames in zip(trace.models, _frame_table(trace)):
-        st = FrameStats(model.n_metrics)
-        for y_total, z_total, length in zip(frames.y.tolist(), frames.z, frames.length.tolist()):
-            st.add(y_total, z_total, float(length))
-        stats.append(st)
-    return tuple(stats)
+    stats = tuple(FrameStats(model.n_metrics) for model in trace.models)
+    for st, frames in zip(stats, _frame_table(trace)):
+        st.add(frames.y, frames.z, frames.length)
+    return stats
 
 
 @dataclass(frozen=True, eq=False)
@@ -610,13 +633,9 @@ def drift_diagnostic(trace: RunTrace, reference: Sequence[PerformanceVector]) ->
         trace.policy.v * (f.y - f.length * ref.f_hat) + f.qz - f.w @ ref.g_hat - c0
         for f, ref in zip(_frame_table(trace), reference)
     ]
-    means, ses = zip(*map(_mean_se, excesses))
-    return DriftDiagnostic(
-        c0=c0,
-        frame_counts=np.array([x.shape[0] for x in excesses]),
-        excess_mean=np.array(means),
-        excess_se=np.array(ses),
-    )
+    means, ses = map(np.array, zip(*map(_mean_se, excesses)))
+    counts = np.array([x.shape[0] for x in excesses])
+    return DriftDiagnostic(c0, frame_counts=counts, excess_mean=means, excess_se=ses)
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,7 +5,8 @@ references the tests need beyond that live here: the array form of the
 queue recursion (``queue_update``, which the engine's
 ``controller.queue_step`` must match bit for bit), a one-frame block built
 from scalars and a sampler repeating it, a deterministic frame length and
-a constant external coordinate for exact fixtures, and a
+a constant external coordinate for exact fixtures, the full Dinkelbach
+iteration that ``solve_bisection`` must agree with on every input, and a
 brute-force grid search over LP weights that cross-checks ``solve_lp``
 independently of the simplex.
 """
@@ -17,6 +18,7 @@ import pytest
 
 from renewalopt import TABLE1, build_instance, solve_lp
 from renewalopt.benchmark import LPSolution, StationaryLP, _achieved
+from renewalopt.controller import _BISECTION_TOL, _ratio_objectives
 from renewalopt.core import FrameOutcome, RenewalSystemModel
 from renewalopt.distributions import GeometricLength, constant_rate_model
 
@@ -88,6 +90,30 @@ def queue_update(q, z_slot_sum, d_slot) -> np.ndarray:
         raise ValueError(f"length mismatch: queue {qv.shape[0]}, z {z.shape[0]}, d {d.shape[0]}")
     delta = z - d
     return np.maximum(qv + delta, 0.0)
+
+
+def dinkelbach_reference(model: RenewalSystemModel, q, v: float) -> int:
+    """The Dinkelbach iteration run to its stop on every input, with no shortcut.
+
+    From theta = the first action's ratio, it minimizes num - theta * t over
+    the actions and moves theta to the minimizer's ratio, until the inner
+    minimum is within _BISECTION_TOL of zero or theta would not decrease.
+    It returns the action it stopped on if that action's ratio is the exact
+    minimum, else the first exact minimizer, and raises RuntimeError after
+    10 n + 10 steps (a NaN first ratio never stops).
+    """
+    num, ratios = _ratio_objectives(model, q, v)
+    den = model.t_hats.tolist()
+    theta = ratios[0]
+    for _ in range(10 * len(den) + 10):
+        costs = [a - theta * b for a, b in zip(num, den)]
+        low = min(costs)
+        idx = costs.index(low)
+        if low >= -_BISECTION_TOL or ratios[idx] >= theta:
+            best = min(ratios)
+            return idx if ratios[idx] == best else ratios.index(best)
+        theta = ratios[idx]
+    raise RuntimeError("Dinkelbach iteration failed to terminate")
 
 
 @dataclass(frozen=True)

@@ -180,21 +180,23 @@ def test_trajectory_rows_are_fmt_of_each_value(tmp_path):
 def test_oversized_horizon_exits_1_before_any_cell(tmp_path, capsys, monkeypatch):
     # a Table-1 trace holds 8 * (1 + 3 * 3) bytes per slot plus 8 * (5 + 3)
     # per frame for each of 5 systems, estimated at ceil(slots / 7.5) frames
-    # (7.5 is the shortest class's t_hat), and each of the 5 * 3 (system,
-    # action) streams a pending block of 64 frames at 8 * (24 + 3) bytes;
+    # (7.5 is the shortest class's t_hat), and the y fold copies each frame's
+    # start and rate, 16 bytes; one system's drawn blocks and actions, 8 * (4 + 3)
+    # bytes a frame, wait beside the columns, and each of the 5 * 3 (system,
+    # action) streams holds a pending block of 64 frames at 8 * (24 + 3) bytes;
     # with the memory budget one byte short of that the run must stop
     # before its first cell
     def no_cell(*args, **kwargs):
         raise AssertionError("a cell started")
 
     pending = 216 * 64 * 3
-    need = 80 * 200_000 + 64 * 5 * 26_667 + 5 * pending
+    need = 80 * 200_000 + 80 * 5 * 26_667 + 56 * 26_667 + 5 * pending
     monkeypatch.setattr(cli, "_memory_budget", lambda: need - 1)
     monkeypatch.setattr(cli, "run", no_cell)
     cfg = write_config(tmp_path, BASE + f"out = {tmp_path / 'res'}\n")
     assert main(["run", cfg, "--slots", "200000"]) == 1
     err = capsys.readouterr().err
-    assert "slots: 200000 slots need a 23.6 MiB trace per cell" in err
+    assert "slots: 200000 slots need a 27.1 MiB trace per cell" in err
     assert not (tmp_path / "res").exists()
     # with 200 servers the frame logs outweigh the series: a budget that
     # holds the series alone must stop the run too
@@ -205,11 +207,11 @@ def test_oversized_horizon_exits_1_before_any_cell(tmp_path, capsys, monkeypatch
     )
     monkeypatch.setattr(cli, "_memory_budget", lambda: 80 * 200_000)
     assert main(["run", many]) == 1
-    assert "slots: 200000 slots need a 348.7 MiB trace per cell" in capsys.readouterr().err
+    assert "slots: 200000 slots need a 431.5 MiB trace per cell" in capsys.readouterr().err
     assert not (tmp_path / "res").exists()
     # at exactly the budget the grid runs
     monkeypatch.undo()
-    monkeypatch.setattr(cli, "_memory_budget", lambda: 80 * 400 + 64 * 5 * 54 + 5 * pending)
+    monkeypatch.setattr(cli, "_memory_budget", lambda: 80 * 400 + 80 * 5 * 54 + 56 * 54 + 5 * pending)
     assert main(["run", cfg]) == 0
 
 

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from renewalopt.controller import (
@@ -14,7 +16,7 @@ from renewalopt.controller import (
 from renewalopt.core import PerformanceTriple, RenewalSystemModel
 from renewalopt.simulation import DppRatioPolicy
 
-from conftest import model_from_vectors, queue_update
+from conftest import dinkelbach_reference, model_from_vectors, queue_update
 
 
 def objective(model, q, v, action):
@@ -181,6 +183,60 @@ def test_solve_bisection_keeps_its_action_on_exact_ties():
     assert solve_bisection(model, [0.0], 1.0) == 2
     assert solve_enumerate(model, [0.0], 1.0) == 1
     assert objective(model, [0.0], 1.0, 2) == objective(model, [0.0], 1.0, 1)
+
+
+@st.composite
+def bisection_cases(draw):
+    """A model, queue and V: plain triples, exact ties (another action's triple
+    times a power of two has its ratio exactly), values that round to equal
+    ratios (0.9/3 and 1.2/4), queues near 2.5e5, where the inner minimum
+    rounds past the tolerance, and NaN and inf queue entries."""
+    n_metrics = draw(st.integers(1, 3))
+    value = st.sampled_from([0.0, -0.0, 0.5, 0.9, 1.2, 1.3, -13.37]) | st.floats(-100, 100)
+    length = st.sampled_from([1.0, 3.0, 4.0, 4.3]) | st.floats(1, 50)
+    triples = []
+    for _ in range(draw(st.integers(1, 6))):
+        if triples and draw(st.booleans()):
+            y, z, t = draw(st.sampled_from(triples))
+            c = 2.0 ** draw(st.integers(0, 3))
+            triples.append((c * y, [c * z_l for z_l in z], c * t))
+        else:
+            z = draw(st.lists(value, min_size=n_metrics, max_size=n_metrics))
+            triples.append((draw(value), z, draw(length)))
+    y_max = max(abs(y) / t for y, _, t in triples) + 1.0
+    z_max = max(abs(z_l) / t for _, z, t in triples for z_l in z) + 1.0
+    # the solvers read only the declared triples, so no samplers are needed
+    model = RenewalSystemModel(
+        [PerformanceTriple(*triple) for triple in triples], [None] * len(triples), y_max, z_max, 1.0
+    )
+    entry = st.sampled_from([0.0, 3.3, 249996.0, math.inf, math.nan])
+    entry |= st.floats(0, 1e6) | st.floats(2.4e5, 2.6e5)
+    q = draw(st.lists(entry, min_size=n_metrics, max_size=n_metrics))
+    return model, q, draw(st.sampled_from([0.0, 1.0, 10.0]) | st.floats(0, 1e3))
+
+
+# the exact tie of test_solve_bisection_keeps_its_action_on_exact_ties, where
+# the iteration stops on action 2 and the lowest tied index is 1
+TIE = RenewalSystemModel(
+    [PerformanceTriple(y, [0.0], t) for y, t in ((1.3, 1.0), (0.9, 3.0), (1.2, 4.0))],
+    [None] * 3, 2.0, 0.0, 1.0,
+)
+
+
+@given(bisection_cases())
+@example((TIE, [0.0], 1.0))
+@settings(max_examples=400, deadline=None)
+def test_solve_bisection_matches_the_full_dinkelbach_iteration(case):
+    # the solver iterates only on exact ties; everywhere it must return what
+    # the full iteration returns, or raise what it raises
+    model, q, v = case
+    try:
+        expected = dinkelbach_reference(model, q, v)
+    except RuntimeError:
+        with pytest.raises(RuntimeError, match="failed to terminate"):
+            solve_bisection(model, q, v)
+    else:
+        assert solve_bisection(model, q, v) == expected
 
 
 def test_hull_minimum_lower_bounds_random_mixtures():

@@ -4,10 +4,11 @@ from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from renewalopt import simulation
@@ -28,6 +29,7 @@ from renewalopt.simulation import (
     CheckViolation,
     DppRatioPolicy,
     ExternalProcess,
+    FrameStats,
     RandomizedStationaryPolicy,
     RunTrace,
     check_queue_bound,
@@ -198,6 +200,83 @@ def test_penalty_series_is_laid_down_in_frame_start_order():
     for start, n, length, action in sorted(starts, key=lambda row: row[1]):
         by_index[start : start + length] += specs[n][0][action]
     assert by_index.tobytes() != expected.tobytes()
+
+
+def covering_fold(logs, rates, slots):
+    """Per slot, 0.0 plus the rates of the frames covering it, added one at a
+    time in frame-start order, ties by system index."""
+    y = []
+    for t in range(slots):
+        covering = sorted(
+            (start, n, rate)
+            for n, (log, frame_rates) in enumerate(zip(logs, rates))
+            for (start, length, _), rate in zip(log.tolist(), frame_rates.tolist())
+            if start <= t < start + length
+        )
+        total = 0.0
+        for _, _, rate in covering:
+            total += rate
+        y.append(total)
+    return np.array(y)
+
+
+@st.composite
+def frame_logs(draw):
+    """Back-to-back frame logs and rates of 1-12 systems, the last frame of each
+    possibly past the horizon, and a chunk size for the fold."""
+    slots, n_sys = draw(st.integers(1, 40)), draw(st.integers(1, 12))
+    length = st.integers(1, 3) | st.integers(1, 2 * slots)  # unit frames often
+    rate = st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.7, 1e16 / 3]) | st.floats(-1e3, 1e3)
+    logs, rates = [], []
+    for _ in range(n_sys):
+        rows = [[0, draw(length), 0]]
+        while (start := rows[-1][0] + rows[-1][1]) < slots:
+            rows.append([start, draw(length), 0])
+        logs.append(np.array(rows, dtype=np.int64))
+        rates.append(np.array(draw(st.lists(rate, min_size=len(rows), max_size=len(rows)))))
+    # _CHUNK // n_sys slots per chunk: from 1 up to past the horizon
+    chunk = draw(st.integers(1, 2 * slots * n_sys) | st.just(simulation._CHUNK))
+    return logs, rates, slots, chunk
+
+
+# slot 1: system 2's frame started first, so y is (big + 0.7) + 0.7, where
+# system-index order adds 0.7 + 0.7 + big and rounds otherwise
+_big_last = [np.array([[0, 1, 0], [1, 2, 0]])] * 2 + [np.array([[0, 3, 0]])]
+
+
+@given(frame_logs())
+@example((_big_last, [np.array([0.7, 0.7])] * 2 + [np.array([1e16 / 3])], 3, 3))
+@settings(max_examples=200, deadline=None)
+def test_penalty_series_folds_each_slot_in_frame_start_order(case):
+    logs, rates, slots, chunk = case
+    with mock.patch.object(simulation, "_CHUNK", chunk):
+        y = simulation._penalty_series(logs, rates, slots)
+    assert y.tobytes() == covering_fold(logs, rates, slots).tobytes()
+
+
+def test_frame_stats_adds_a_block_as_its_frames_one_at_a_time():
+    # a block's sums go on from the running sums one frame at a time, as
+    # adding the frames singly does; np.sum's pairwise adds round otherwise
+    rng = np.random.default_rng(3)
+    y = rng.uniform(-1e3, 1e3, 700) * np.where(rng.random(700) < 0.1, 1e13, 1.0)
+    z, t = rng.uniform(-50, 50, (700, 2)), rng.integers(1, 40, 700)
+    sums = [0.0] * 5
+    z_sums = [np.zeros(2) for _ in range(3)]
+    for y_k, z_k, t_k in zip(y.tolist(), z, t.tolist()):
+        t_k = float(t_k)
+        for i, term in enumerate((y_k, t_k, y_k * y_k, y_k * t_k, t_k * t_k)):
+            sums[i] += term
+        for acc, term in zip(z_sums, (z_k, z_k * z_k, z_k * t_k)):
+            acc += term
+    stats = FrameStats(2)
+    stats.add(y[:250], z[:250], t[:250])
+    stats.add(y[250:], z[250:], t[250:])
+    assert stats.count == 700
+    got = [stats.sum_y, stats.sum_t, stats.sum_yy, stats.sum_yt, stats.sum_tt]
+    assert np.array(got).tobytes() == np.array(sums).tobytes()
+    for acc, got in zip(z_sums, (stats.sum_z, stats.sum_zz, stats.sum_zt)):
+        assert got.tobytes() == acc.tobytes()
+    assert np.sum(y) != sums[0]  # the fixture tells sequential from pairwise adds
 
 
 def test_trajectory_replays_queue_update_exactly(table1_env):
