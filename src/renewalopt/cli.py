@@ -36,12 +36,12 @@ from .config import ConfigError, ExperimentConfig, parse_config
 from .core import validate_model
 from .scheduling import SchedulingInstance, build_instance
 from .simulation import (
-    FRAME_BLOCK,
     CheckViolation,
     DppRatioPolicy,
     RandomizedStationaryPolicy,
     queue_trajectory,
     run,
+    trace_bytes,
 )
 
 __all__ = ["main", "run_experiment"]
@@ -118,17 +118,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
     if not len(models) * max(m.y_max for m in models) * cfg.slots < math.inf:
         raise ConfigError([(0, "slots", "the largest penalty total N * y_max * slots overflows")])
     n_metrics = external.n_metrics
-    # a cell's trace holds 8 * (1 + 3L) bytes per slot and 8 * (5 + L) per frame per
-    # system, a frame per t_hat slots (count the shortest); it grows slot by slot,
-    # so a horizon that cannot fit would fail mid-run.  The y fold copies each frame's
-    # start and rate (16 bytes), one system's drawn blocks and actions (8 * (4 + L)
-    # a frame) wait beside the columns built, and in the loop each (system, action)
-    # stream holds a pending block, 8 * (24 + L) bytes a frame as numpy columns and lists
-    frames = -(-cfg.slots // min(float(m.t_hats.min()) for m in models))  # ceil
-    need = 8 * (1 + 3 * n_metrics) * cfg.slots + 8 * (7 + n_metrics) * len(models) * frames
-    need += 8 * (4 + n_metrics) * frames
-    need += 8 * (24 + n_metrics) * FRAME_BLOCK * sum(m.n_actions for m in models)
-    _check_memory("slots", cfg.slots, need, "trace per cell")
+    # a trace grows slot by slot, so a horizon that cannot fit would fail mid-run
+    _check_memory("slots", cfg.slots, trace_bytes(models, cfg.slots), "trace per cell")
     lp_sol = solve_lp(lp)
 
     if cfg.policy == "stationary":
@@ -219,6 +210,11 @@ def _cmd_validate(args) -> int:
     (model,), _, _ = build_instance(replace(cfg.instance, n_servers=1))
     need = 8 * (16 + model.n_metrics) * args.samples  # the block and validate's temporaries
     _check_memory("samples", args.samples, need, "sample table per action")
+    # validate_model keeps 25 bytes an offset up to each action's longest frame, and
+    # a geometric phase of mean m draws below 45 m slots
+    phases = [f"{c.service_mean:g} + {c.idle_mean:g}" for c in cfg.instance.classes]
+    need = sum(25 * (45 * (c.service_mean + c.idle_mean) + 1) for c in cfg.instance.classes)
+    _check_memory("phase means", ", ".join(phases), need, "residual table")
     report = validate_model(model, args.samples)
     print(f"model (all servers): {'ok' if report.ok else 'FLAGGED'}")
     for av in report.actions:

@@ -10,8 +10,8 @@ queue takes one step, Q[t+1] = max{Q[t] + sum_n z^n[t] - d[t], 0}, through
 ``controller.queue_step`` on Python floats, in the order of the numpy
 reference in ``tests/conftest.py``, so trajectories match it bit for bit.
 After the loop numpy builds each system's frame columns from its actions and
-its streams' blocks, and y[t] adds the rates of the frames covering t in
-frame-start order (ties by index), as laying each rate on its slots would.
+its streams' blocks, and y[t] adds the rates of the frames covering t, one
+system at a time in index order, each system's rates repeated over its slots.
 
 A drift-plus-penalty decision depends only on (model, Q[t], V), so it is
 solved once per (model object, slot) and shared by the systems of that model
@@ -331,23 +331,23 @@ def _frame_columns(actions: array, drawn: list, n_metrics: int) -> tuple[np.ndar
 
 
 def _penalty_series(logs: Sequence[np.ndarray], rates: Sequence[np.ndarray], slots: int):
-    """y[t]: 0.0 plus the rates of the frames covering t in frame-start order, ties
-    by system index, added one at a time as laying each rate on its slots would."""
-    n_sys = len(logs)
-    shift = np.arange(n_sys) * slots  # system n's starts, moved to n * slots, sort as one
-    keys = np.concatenate([log[:, 0] + at for log, at in zip(logs, shift)])
-    rate, y = np.concatenate(rates), np.empty(slots)
-    rows = max(1, _CHUNK // n_sys)  # at most _CHUNK (slot, system) entries per chunk
-    for lo in range(0, slots, rows):
-        slot = np.arange(lo, min(lo + rows, slots))
-        # queries in increasing order search fastest; covering is slot x system
-        covering = np.searchsorted(keys, shift[:, None] + slot, "right").T - 1
-        order = np.argsort(keys[covering] - shift, axis=1, kind="stable")
-        terms = np.zeros((slot.shape[0], n_sys + 1))  # per slot 0.0, then the rates by rank
-        terms[:, 1:] = np.take_along_axis(rate[covering], order, axis=1)
-        # accumulate adds one term at a time along a row, where sum() or np.sum need not
-        y[lo : lo + slot.shape[0]] = np.cumsum(terms, axis=1)[:, -1]
+    """y[t]: 0.0 plus the rates of the frames covering t, one system at a time in
+    index order; a last frame past the horizon is cut at it, never laid out whole."""
+    y = np.zeros(slots)
+    for log, rate in zip(logs, rates):
+        y += np.repeat(rate, np.minimum(log[:, 1], slots - log[:, 0]))
     return y
+
+
+def trace_bytes(models: Sequence[RenewalSystemModel], slots: int) -> int:
+    """The bytes ``run`` holds at most over ``slots``, at ceil(slots / min t_hat) frames a
+    system: the ``RunTrace`` and y's repeat, 8 a slot; the columns of one more system, for
+    the drawn blocks, actions and temporaries of the one being built; and in the loop a
+    pending block per (system, action) stream, 8 * (24 + L) a frame as columns and lists."""
+    n_metrics = models[0].n_metrics
+    frames = -(-slots // min(float(m.t_hats.min()) for m in models))
+    need = 8 * (2 + 3 * n_metrics) * slots + 8 * (5 + n_metrics) * (len(models) + 1) * frames
+    return need + 8 * (24 + n_metrics) * FRAME_BLOCK * sum(m.n_actions for m in models)
 
 
 def run(

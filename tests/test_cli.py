@@ -180,38 +180,38 @@ def test_trajectory_rows_are_fmt_of_each_value(tmp_path):
 def test_oversized_horizon_exits_1_before_any_cell(tmp_path, capsys, monkeypatch):
     # a Table-1 trace holds 8 * (1 + 3 * 3) bytes per slot plus 8 * (5 + 3)
     # per frame for each of 5 systems, estimated at ceil(slots / 7.5) frames
-    # (7.5 is the shortest class's t_hat), and the y fold copies each frame's
-    # start and rate, 16 bytes; one system's drawn blocks and actions, 8 * (4 + 3)
-    # bytes a frame, wait beside the columns, and each of the 5 * 3 (system,
-    # action) streams holds a pending block of 64 frames at 8 * (24 + 3) bytes;
-    # with the memory budget one byte short of that the run must stop
-    # before its first cell
+    # (7.5 is the shortest class's t_hat); y's repeat of one system's rates
+    # adds 8 bytes a slot, the system whose columns are being built counts
+    # once more for its drawn blocks, actions and temporaries, and each of the
+    # 5 * 3 (system, action) streams holds a pending block of 64 frames at
+    # 8 * (24 + 3) bytes; with the memory budget one byte short of that the
+    # run must stop before its first cell
     def no_cell(*args, **kwargs):
         raise AssertionError("a cell started")
 
     pending = 216 * 64 * 3
-    need = 80 * 200_000 + 80 * 5 * 26_667 + 56 * 26_667 + 5 * pending
+    need = 88 * 200_000 + 64 * 6 * 26_667 + 5 * pending
     monkeypatch.setattr(cli, "_memory_budget", lambda: need - 1)
     monkeypatch.setattr(cli, "run", no_cell)
     cfg = write_config(tmp_path, BASE + f"out = {tmp_path / 'res'}\n")
     assert main(["run", cfg, "--slots", "200000"]) == 1
     err = capsys.readouterr().err
-    assert "slots: 200000 slots need a 27.1 MiB trace per cell" in err
+    assert "slots: 200000 slots need a 26.7 MiB trace per cell" in err
     assert not (tmp_path / "res").exists()
     # with 200 servers the frame logs outweigh the series: a budget that
-    # holds the series alone must stop the run too
+    # holds the per-slot terms alone must stop the run too
     many = write_config(
         tmp_path,
         f"instance = table1\nservers = 200\nslots = 200000\nout = {tmp_path / 'res'}\n",
         name="many.cfg",
     )
-    monkeypatch.setattr(cli, "_memory_budget", lambda: 80 * 200_000)
+    monkeypatch.setattr(cli, "_memory_budget", lambda: 88 * 200_000)
     assert main(["run", many]) == 1
-    assert "slots: 200000 slots need a 431.5 MiB trace per cell" in capsys.readouterr().err
+    assert "slots: 200000 slots need a 351.8 MiB trace per cell" in capsys.readouterr().err
     assert not (tmp_path / "res").exists()
     # at exactly the budget the grid runs
     monkeypatch.undo()
-    monkeypatch.setattr(cli, "_memory_budget", lambda: 80 * 400 + 80 * 5 * 54 + 56 * 54 + 5 * pending)
+    monkeypatch.setattr(cli, "_memory_budget", lambda: 88 * 400 + 64 * 6 * 54 + 5 * pending)
     assert main(["run", cfg]) == 0
 
 
@@ -233,6 +233,27 @@ def test_oversized_validate_exits_1_before_any_sample(tmp_path, capsys, monkeypa
     monkeypatch.setattr(cli, "_memory_budget", lambda: 152 * 1000)
     assert main(["validate", cfg, "--samples", "1000"]) == 0
     assert "action 0: samples=1000 " in capsys.readouterr().out
+
+
+def test_long_phases_exit_validate_1_before_any_sample(tmp_path, capsys, monkeypatch):
+    # validate_model tabulates every offset up to an action's longest frame,
+    # and a phase of mean m draws below 45 m slots: with idle_mean = 1e15 the
+    # table is bounded by 25 * 45 * (2 + 1e15) bytes, which no budget here
+    # holds, so validate stops before sampling and names the phase means
+    def no_sample(*args, **kwargs):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(cli, "_memory_budget", lambda: 2**40)
+    monkeypatch.setattr(cli, "validate_model", no_sample)
+    text = (
+        "instance = custom\nservers = 1\nidle_power = 0.0\nslots = 10\n[class]\n"
+        "arrival_rate = 1.0\nservice_mean = 2.0\njobs_support = 1 3\nenergy = 1.0\n"
+        "idle_mean = 1e15\n"
+    )
+    cfg = write_config(tmp_path, text)
+    assert main(["validate", cfg, "--samples", "1000"]) == 1
+    err = capsys.readouterr().err
+    assert "phase means: 2 + 1e+15 phase means need a 1072883605957.0 MiB residual table" in err
 
 
 def test_oversized_server_count_exits_1_before_building(tmp_path, capsys, monkeypatch):

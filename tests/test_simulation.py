@@ -4,7 +4,6 @@ from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -164,12 +163,12 @@ def test_solver_choice_does_not_change_the_run(table1_env):
     assert np.array_equal(a.final_queues, b.final_queues)
 
 
-def test_penalty_series_is_laid_down_in_frame_start_order():
-    # y[t] must be 0.0 plus each covering frame's rate in the order the
-    # frames started, ties by system index, as laying each frame's rate on
-    # its slots one frame at a time adds them: these rates round differently
-    # in another order, and long frames keep old starts covering new ones;
-    # the stationary policy mixes the actions, whatever their rates
+def test_penalty_series_is_laid_down_in_system_index_order():
+    # y[t] must be 0.0 plus each covering frame's rate one system at a time in
+    # index order, as laying each system's frames on its slots in turn adds
+    # them: these rates round differently in frame-start order, and long frames
+    # keep old starts covering new ones; the stationary policy mixes the
+    # actions, whatever their rates
     big = 1e16 / 3
     long, geo, short = DeterministicLength(36), GeometricLength(20), DeterministicLength(3)
     specs = [  # per system: each action's penalty rate and length
@@ -183,39 +182,35 @@ def test_penalty_series_is_laid_down_in_frame_start_order():
     slots = 1500
     trace = run(models, ExternalProcess((FixedValue(1.5),)), policy, slots, seed=3)
 
-    starts = sorted(
+    frames = [
         (start, n, length, action)
         for n, log in enumerate(trace.frames)
         for start, length, action in log.tolist()
-    )
-    expected = np.zeros(slots)
-    for start, n, length, action in starts:
-        expected[start : start + length] += specs[n][0][action]
-    assert trace.penalty.tobytes() == expected.tobytes()
+    ]
+    by_index = np.zeros(slots)
+    for start, n, length, action in frames:
+        by_index[start : start + length] += specs[n][0][action]
+    assert trace.penalty.tobytes() == by_index.tobytes()
 
     # the fixture tells the orders apart: every action is taken, and adding
-    # the covering rates in system-index order gives other bits
+    # the covering rates in frame-start order gives other bits
     assert all(set(log[:, 2].tolist()) == {0, 1} for log in trace.frames)
-    by_index = np.zeros(slots)
-    for start, n, length, action in sorted(starts, key=lambda row: row[1]):
-        by_index[start : start + length] += specs[n][0][action]
-    assert by_index.tobytes() != expected.tobytes()
+    by_start = np.zeros(slots)
+    for start, n, length, action in sorted(frames):
+        by_start[start : start + length] += specs[n][0][action]
+    assert by_start.tobytes() != by_index.tobytes()
 
 
 def covering_fold(logs, rates, slots):
     """Per slot, 0.0 plus the rates of the frames covering it, added one at a
-    time in frame-start order, ties by system index."""
+    time in system-index order."""
     y = []
     for t in range(slots):
-        covering = sorted(
-            (start, n, rate)
-            for n, (log, frame_rates) in enumerate(zip(logs, rates))
-            for (start, length, _), rate in zip(log.tolist(), frame_rates.tolist())
-            if start <= t < start + length
-        )
         total = 0.0
-        for _, _, rate in covering:
-            total += rate
+        for log, frame_rates in zip(logs, rates):
+            for (start, length, _), rate in zip(log.tolist(), frame_rates.tolist()):
+                if start <= t < start + length:
+                    total += rate
         y.append(total)
     return np.array(y)
 
@@ -223,7 +218,7 @@ def covering_fold(logs, rates, slots):
 @st.composite
 def frame_logs(draw):
     """Back-to-back frame logs and rates of 1-12 systems, the last frame of each
-    possibly past the horizon, and a chunk size for the fold."""
+    possibly past the horizon."""
     slots, n_sys = draw(st.integers(1, 40)), draw(st.integers(1, 12))
     length = st.integers(1, 3) | st.integers(1, 2 * slots)  # unit frames often
     rate = st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.7, 1e16 / 3]) | st.floats(-1e3, 1e3)
@@ -234,23 +229,24 @@ def frame_logs(draw):
             rows.append([start, draw(length), 0])
         logs.append(np.array(rows, dtype=np.int64))
         rates.append(np.array(draw(st.lists(rate, min_size=len(rows), max_size=len(rows)))))
-    # _CHUNK // n_sys slots per chunk: from 1 up to past the horizon
-    chunk = draw(st.integers(1, 2 * slots * n_sys) | st.just(simulation._CHUNK))
-    return logs, rates, slots, chunk
+    return logs, rates, slots
 
 
-# slot 1: system 2's frame started first, so y is (big + 0.7) + 0.7, where
-# system-index order adds 0.7 + 0.7 + big and rounds otherwise
+# slot 1: system 2's frame started first, so frame-start order adds
+# (big + 0.7) + 0.7, where system-index order adds 0.7 + 0.7 + big and
+# rounds otherwise
 _big_last = [np.array([[0, 1, 0], [1, 2, 0]])] * 2 + [np.array([[0, 3, 0]])]
+# last frames 2**59 slots long, the scale of the longest phase draws, cut at the horizon
+_longest = [np.array([[0, 2, 0], [2, 2**59, 0]]), np.array([[0, 2**59, 0]])]
 
 
 @given(frame_logs())
-@example((_big_last, [np.array([0.7, 0.7])] * 2 + [np.array([1e16 / 3])], 3, 3))
+@example((_big_last, [np.array([0.7, 0.7])] * 2 + [np.array([1e16 / 3])], 3))
+@example((_longest, [np.array([0.1, 0.2]), np.array([0.7])], 5))
 @settings(max_examples=200, deadline=None)
-def test_penalty_series_folds_each_slot_in_frame_start_order(case):
-    logs, rates, slots, chunk = case
-    with mock.patch.object(simulation, "_CHUNK", chunk):
-        y = simulation._penalty_series(logs, rates, slots)
+def test_penalty_series_folds_each_slot_in_system_index_order(case):
+    logs, rates, slots = case
+    y = simulation._penalty_series(logs, rates, slots)
     assert y.tobytes() == covering_fold(logs, rates, slots).tobytes()
 
 
@@ -883,9 +879,9 @@ def fingerprint_run(table1_env, name):
 # frame logs) of four runs; summary.csv keeps only 9 significant digits, so
 # these pin the engine's arithmetic and draw order bit for bit
 TRACE_FINGERPRINTS = {
-    "table1_enumerate": "a8fa48458849bbe22e0ba7f22c93840c8a5371da6f9d2f6765f183a4a69b7c7c",
-    "custom_bisection_checked": "e4f64d2243ddbae97d8aee777ca29058a255d8de5b41182da1fe55fc720714e1",
-    "table1_stationary": "b9db6e815266b0adcf6088da492b689b1d19d8a45da3a090b482508bd63191de",
+    "table1_enumerate": "8e721b867c24615a5c4508c2319d492f4cac4dc9d58289a8d88283e6f2ed6d26",
+    "custom_bisection_checked": "038187b8a836758f79728f621b11af409aae1739083f6f768a48bc446b1edf00",
+    "table1_stationary": "3863ef557884dd264671747c4739ffa77a3c4a7087ec4304f188972d8f92a183",
     "constant_rate_fixture": "a4a379aab0b04948302920a45524fb659cf5f81f250e565c7bc9aa77d8c429c8",
 }
 
