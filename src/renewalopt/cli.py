@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import math
 import os
 import sys
@@ -210,10 +211,10 @@ def _cmd_validate(args) -> int:
     (model,), _, _ = build_instance(replace(cfg.instance, n_servers=1))
     need = 8 * (16 + model.n_metrics) * args.samples  # the block and validate's temporaries
     _check_memory("samples", args.samples, need, "sample table per action")
-    # validate_model keeps 25 bytes an offset up to each action's longest frame, and
-    # a geometric phase of mean m draws below 45 m slots
+    # validate_model's residual table peaks at 90 bytes an offset up to each action's
+    # longest frame, and a geometric phase of mean m draws below 45 m slots
     phases = [f"{c.service_mean:g} + {c.idle_mean:g}" for c in cfg.instance.classes]
-    need = sum(25 * (45 * (c.service_mean + c.idle_mean) + 1) for c in cfg.instance.classes)
+    need = sum(90 * (45 * (c.service_mean + c.idle_mean) + 1) for c in cfg.instance.classes)
     _check_memory("phase means", ", ".join(phases), need, "residual table")
     report = validate_model(model, args.samples)
     print(f"model (all servers): {'ok' if report.ok else 'FLAGGED'}")
@@ -257,6 +258,8 @@ def main(argv=None) -> int:
     p_val.set_defaults(func=_cmd_validate)
 
     args = parser.parse_args(argv)
+    if gc.get_freeze_count() == 0:  # once: the import-time heap lives until exit,
+        gc.freeze()  # so no collection, the final ones at exit included, walks it
     try:
         if getattr(args, "out", None) == "":  # Path("") would be the working directory
             raise ConfigError([(0, "out", "empty path")])

@@ -292,10 +292,10 @@ def validate_model(
     checks three things per action: (a) per-slot bound violations, one per
     frame and bound crossed (``exceeds_bounds``), which must be zero;
     (b) estimates of E[(T - s)^2 | T >= s] for every offset s up to the
-    longest observed frame, flagged when an estimate backed by at least
-    RESIDUAL_MIN_FRAMES surviving frames exceeds the declared residual_bound
-    by more than 3 standard errors; (c) empirical frame-total means against
-    the declared triple, flagged beyond 4 standard errors.
+    longest observed frame, from reversed cumulative sums of the length
+    counts, flagged when an estimate backed by at least RESIDUAL_MIN_FRAMES
+    surviving frames exceeds the declared residual_bound by more than 3 SEs;
+    (c) frame-total means, flagged beyond 4 SEs from the declared triple.
     """
     if samples_per_action < 1:
         raise ValueError("samples_per_action must be >= 1")
@@ -322,15 +322,17 @@ def validate_model(
         t_mean, t_se = _mean_se(lengths)
         z_mean, z_se = _mean_se(totals)
 
-        max_len = int(lengths.max())
-        residual_est = np.zeros(max_len + 1)
-        residual_se = np.zeros(max_len + 1)
-        residual_count = np.zeros(max_len + 1, dtype=np.int64)
-        tail = lengths
-        for s in range(max_len + 1):
-            tail = tail[tail >= s]
-            residual_est[s], residual_se[s] = _mean_se((tail - s) ** 2)
-            residual_count[s] = tail.shape[0]
+        # m[k][s] = sum over frames with T >= s of (T - s)^k, as m[k][s] - m[k][s + 1]
+        # = sum_{j < k} C(k, j) m[j][s + 1]; exact while the sums stay below 2^53
+        m = [np.cumsum(np.bincount(frames.length)[::-1])[::-1].astype(float)]
+        for binomials in ((1,), (1, 2), (1, 3, 3), (1, 4, 6, 4)):  # C(k, j), j < k
+            step = np.zeros_like(m[0])
+            for c, m_j in zip(binomials, m):
+                step += c * m_j
+            m.append(np.append(np.cumsum(step[:0:-1])[::-1], 0.0))
+        residual_count, residual_est = m[0].astype(np.int64), m[2] / m[0]
+        var = np.maximum(m[4] - m[2] * residual_est, 0.0) / np.maximum(m[0] - 1, 1)
+        residual_se = np.where(m[0] < 2, 0.0, np.sqrt(var / m[0]))
         # a lone long frame must not count as evidence against the bound
         assessed = residual_count >= RESIDUAL_MIN_FRAMES
         residual_flag = assessed & (residual_est > model.residual_bound + 3 * residual_se)

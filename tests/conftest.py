@@ -6,9 +6,10 @@ queue recursion (``queue_update``, which the engine's
 ``controller.queue_step`` must match bit for bit), a one-frame block built
 from scalars and a sampler repeating it, a deterministic frame length and
 a constant external coordinate for exact fixtures, the full Dinkelbach
-iteration that ``solve_bisection`` must agree with on every input, and a
+iteration that ``solve_bisection`` must agree with on every input, a
 brute-force grid search over LP weights that cross-checks ``solve_lp``
-independently of the simplex.
+independently of the simplex, and the per-offset residual table that
+``validate_model``'s power sums must reproduce.
 """
 
 from dataclasses import dataclass
@@ -222,3 +223,21 @@ def brute_force_oracle(lp: StationaryLP, grid: int) -> LPSolution:
         weights=weights,
         achieved=_achieved(lp, weights),
     )
+
+
+def residual_table_reference(lengths: np.ndarray):
+    """(estimates, SEs, counts) of (T - s)^2 over frames with T >= s, offset by offset."""
+    lengths = lengths.astype(float)
+    max_len = int(lengths.max())
+    residual_est = np.zeros(max_len + 1)
+    residual_se = np.zeros(max_len + 1)
+    residual_count = np.zeros(max_len + 1, dtype=np.int64)
+    tail = lengths
+    for s in range(max_len + 1):
+        tail = tail[tail >= s]
+        squares = (tail - s) ** 2
+        residual_est[s] = squares.mean()
+        if tail.shape[0] >= 2:
+            residual_se[s] = squares.std(ddof=1) / np.sqrt(tail.shape[0])
+        residual_count[s] = tail.shape[0]
+    return residual_est, residual_se, residual_count

@@ -1,5 +1,10 @@
 import csv
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,7 +243,7 @@ def test_oversized_validate_exits_1_before_any_sample(tmp_path, capsys, monkeypa
 def test_long_phases_exit_validate_1_before_any_sample(tmp_path, capsys, monkeypatch):
     # validate_model tabulates every offset up to an action's longest frame,
     # and a phase of mean m draws below 45 m slots: with idle_mean = 1e15 the
-    # table is bounded by 25 * 45 * (2 + 1e15) bytes, which no budget here
+    # table is bounded by 90 * 45 * (2 + 1e15) bytes, which no budget here
     # holds, so validate stops before sampling and names the phase means
     def no_sample(*args, **kwargs):
         raise AssertionError("sampling started")
@@ -253,7 +258,7 @@ def test_long_phases_exit_validate_1_before_any_sample(tmp_path, capsys, monkeyp
     cfg = write_config(tmp_path, text)
     assert main(["validate", cfg, "--samples", "1000"]) == 1
     err = capsys.readouterr().err
-    assert "phase means: 2 + 1e+15 phase means need a 1072883605957.0 MiB residual table" in err
+    assert "phase means: 2 + 1e+15 phase means need a 3862380981445.3 MiB residual table" in err
 
 
 def test_oversized_server_count_exits_1_before_building(tmp_path, capsys, monkeypatch):
@@ -470,3 +475,35 @@ def test_checked_bisection_fingerprint(tmp_path):
     ):
         digest = hashlib.sha256((tmp_path / "res" / name).read_bytes()).hexdigest()
         assert digest == expected, name
+
+
+def test_main_freezes_the_import_heap_once_per_process(tmp_path):
+    # a fresh interpreter, since this one has called main before: the first
+    # main freezes what the imports left tracked, a second main adds nothing,
+    # and freezing changes no byte of what validate prints
+    cfg = write_config(tmp_path, "instance = table1\nslots = 10\n")
+    # every object the script makes before its first main is frozen with the
+    # imports, so it keeps them all alive until the counts are read
+    script = (
+        "import gc, io, json, sys\n"
+        "from renewalopt.cli import main\n"
+        "outs, stdout = [io.StringIO(), io.StringIO()], sys.stdout\n"
+        "counts, codes = [gc.get_freeze_count()], []\n"
+        "for out in outs:\n"
+        "    sys.stdout = out\n"
+        "    codes.append(main(['validate', sys.argv[1], '--samples', '2000']))\n"
+        "    sys.stdout = stdout\n"
+        "    counts.append(gc.get_freeze_count())\n"
+        "print(json.dumps([counts, codes, [out.getvalue() for out in outs]]))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", script, cfg], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    counts, codes, outs = json.loads(done.stdout)
+    assert counts[0] == 0 < counts[1] == counts[2]
+    assert codes == [0, 0]
+    assert outs[0] == outs[1] and outs[0].startswith("model (all servers): ok\n")

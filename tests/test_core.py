@@ -3,8 +3,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from renewalopt import TABLE1, SchedulingInstance, ServerClassParams, build_instance
 from renewalopt.benchmark import StationaryLP
 from renewalopt.core import (
+    RESIDUAL_MIN_FRAMES,
     FrameOutcome,
     PerformanceTriple,
     PerformanceVector,
@@ -21,7 +23,13 @@ from renewalopt.distributions import (
 
 from renewalopt.simulation import DppRatioPolicy, ExternalProcess, run
 
-from conftest import DeterministicLength, FixedDrawSampler, FixedValue, one_frame
+from conftest import (
+    DeterministicLength,
+    FixedDrawSampler,
+    FixedValue,
+    one_frame,
+    residual_table_reference,
+)
 
 
 def performance_vectors(model: RenewalSystemModel) -> list[PerformanceVector]:
@@ -321,14 +329,15 @@ def test_validate_model_residual_flagging():
     assert any("residual" in f for f in low.flags)
 
 
-def test_validate_model_ignores_thinly_sampled_offsets():
+def _geometric_mean_2_model():
     # geometric mean 2 with the true supremum declared: E[(T-s)^2 | T >= s]
     # is 6 at s=0 and 10 - 6 + 1 = 5 for s >= 1, so bound 6 is honest
-    length = GeometricLength(2.0)
-    triple = PerformanceTriple(0.0, [0.0], 2.0)
-    sampler = ConstantRateSampler(length, 0.0, np.array([0.0]))
-    model = RenewalSystemModel((triple,), (sampler,), 1.0, 1.0, 6.0)
-    report = validate_model(model, 200, np.random.default_rng(3))
+    sampler = ConstantRateSampler(GeometricLength(2.0), 0.0, np.array([0.0]))
+    return RenewalSystemModel((PerformanceTriple(0.0, [0.0], 2.0),), (sampler,), 1.0, 1.0, 6.0)
+
+
+def test_validate_model_ignores_thinly_sampled_offsets():
+    report = validate_model(_geometric_mean_2_model(), 200, np.random.default_rng(3))
     act = report.actions[0]
     # a single length-13 frame is the only one reaching offset 7, so the
     # estimate there is (13 - 7)^2 = 36 with zero SE; that lone frame is
@@ -338,6 +347,45 @@ def test_validate_model_ignores_thinly_sampled_offsets():
     assert act.residual_ses[7] == 0.0
     assert not act.residual_flags[7]
     assert report.ok, report.flags
+
+
+def _one_class_model(idle_mean):
+    params = ServerClassParams(1.0, 2.0, 1, 3, 1.0, idle_mean, 0.0)
+    (model,), _, _ = build_instance(SchedulingInstance(1, (params,)))
+    return model
+
+
+RESIDUAL_CASES = {
+    "table1": (lambda: build_instance(TABLE1)[0][0], 20_000, 0),
+    "geometric_mean_2": (_geometric_mean_2_model, 200, 3),
+    "deterministic": (
+        lambda: constant_rate_model([1.0], [[0.0]], [DeterministicLength(7)]), 500, 0
+    ),
+    "idle_mean_1e4": (lambda: _one_class_model(1e4), 20_000, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RESIDUAL_CASES))
+def test_residual_table_matches_the_per_offset_reference(case):
+    build, samples, seed = RESIDUAL_CASES[case]
+    model = build()
+    report = validate_model(model, samples, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)  # the same draws, action by action
+    for act in report.actions:
+        est, se, count = residual_table_reference(
+            sample_frame(model, act.action_index, rng, samples).length
+        )
+        assessed = count >= RESIDUAL_MIN_FRAMES
+        flags = assessed & (est > model.residual_bound + 3 * se)
+        max_residual = float(est[assessed].max() if assessed.any() else est[0])
+        assert act.residual_estimates.tobytes() == est.tobytes()
+        assert act.residual_counts.dtype == count.dtype
+        assert act.residual_counts.tobytes() == count.tobytes()
+        assert act.residual_flags.tobytes() == flags.tobytes()
+        assert act.max_assessed_residual.hex() == max_residual.hex()
+        np.testing.assert_allclose(act.residual_ses, se, rtol=1e-12, atol=0)
+    if case == "deterministic":  # every frame has length 7: no spread at any offset
+        assert not report.actions[0].residual_ses.any()
 
 
 def test_validate_model_rejects_bad_sample_count():
