@@ -53,7 +53,6 @@ from .simulation import (
     frame_stats,
     queue_trajectory,
     run,
-    stationary_predictions,
     uniform_frame_drift_bound,
 )
 

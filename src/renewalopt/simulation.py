@@ -66,8 +66,6 @@ __all__ = [
     "DriftDiagnostic",
     "uniform_frame_drift_bound",
     "drift_diagnostic",
-    "SystemSweepStats",
-    "stationary_predictions",
 ]
 
 
@@ -602,9 +600,6 @@ class DriftDiagnostic:
     excess_mean: np.ndarray
     excess_se: np.ndarray
 
-    def within_bound(self, sigmas: float = 3.0) -> np.ndarray:
-        return self.excess_mean <= sigmas * self.excess_se
-
 
 def uniform_frame_drift_bound(trace: RunTrace) -> float:
     """c0 = L * z_max * (N * z_max + d_max) * B over the trace's systems."""
@@ -636,42 +631,3 @@ def drift_diagnostic(trace: RunTrace, reference: Sequence[PerformanceVector]) ->
     means, ses = map(np.array, zip(*map(_mean_se, excesses)))
     counts = np.array([x.shape[0] for x in excesses])
     return DriftDiagnostic(c0, frame_counts=counts, excess_mean=means, excess_se=ses)
-
-
-@dataclass(frozen=True, eq=False)
-class SystemSweepStats:
-    """Predicted vs realized per-slot averages for one system."""
-
-    predicted_f: float
-    predicted_g: np.ndarray
-    empirical_f: float
-    empirical_g: np.ndarray
-    se_f: float
-    se_g: np.ndarray
-    frames: int
-
-
-def stationary_predictions(trace: RunTrace) -> tuple[SystemSweepStats, ...]:
-    """Compare a stationary run with its renewal-reward ratios, per system.
-
-    The prediction for each system is sum_a p_a y_hat_a / sum_a p_a t_hat_a
-    (and likewise per metric); the empirical value is the ratio of completed
-    frame totals, with a delta-method standard error.
-    """
-    if not isinstance(trace.policy, RandomizedStationaryPolicy):
-        raise ValueError("stationary predictions apply to the stationary policy")
-    systems = []
-    for model, w, st in zip(trace.models, trace.policy.weights, frame_stats(trace)):
-        t_mix = float(w @ model.t_hats)
-        systems.append(
-            SystemSweepStats(
-                predicted_f=float(w @ model.y_hats) / t_mix,
-                predicted_g=(model.z_hats.T @ w) / t_mix,
-                empirical_f=st.empirical_f,
-                empirical_g=st.empirical_g,
-                se_f=st.f_se(),
-                se_g=st.g_se(),
-                frames=st.count,
-            )
-        )
-    return tuple(systems)

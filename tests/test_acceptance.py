@@ -27,8 +27,8 @@ from renewalopt.simulation import (
     DppRatioPolicy,
     RandomizedStationaryPolicy,
     drift_diagnostic,
+    frame_stats,
     run,
-    stationary_predictions,
 )
 
 from conftest import brute_force_oracle
@@ -289,35 +289,37 @@ def test_criterion_08_oracle_matches_simplex():
     )
 
 
-@criterion(9, "stationary run matches predictions")
+@criterion(9, "stationary run matches the LP reference point")
 def test_criterion_09_stationary_policy_matches_predictions(env):
+    # the stationary weights realize the LP's time fractions, so each system's
+    # frame ratios estimate its LP reference point (f_bar, g_bar); measured
+    # against that point, not against the weights' own renewal-reward ratios,
+    # a wrong theta -> p inversion in stationary_policy_weights fails here
     policy = RandomizedStationaryPolicy(stationary_policy_weights(env["sol"]))
     trace = run(env["models"], env["external"], policy, SWEEP_SLOTS, seed=3)
-    systems = stationary_predictions(trace)
-    for n, s in enumerate(systems):
-        if s.se_f == 0:
-            assert s.empirical_f == s.predicted_f
+    reference = extract_reference_point(env["sol"])
+    systems = frame_stats(trace)
+    for n, (s, ref) in enumerate(zip(systems, reference)):
+        se_f, se_g = s.f_se(), s.g_se()
+        if se_f == 0:
+            assert s.empirical_f == ref.f_hat
         else:
-            assert abs(s.empirical_f - s.predicted_f) <= 4 * s.se_f, (n, s)
+            assert abs(s.empirical_f - ref.f_hat) <= 4 * se_f, (n, s.empirical_f, ref)
         for l in range(3):
-            if s.se_g[l] == 0:
+            if se_g[l] == 0:
                 # zero-weight classes are exactly zero in both views
-                assert s.empirical_g[l] == s.predicted_g[l]
+                assert s.empirical_g[l] == ref.g_hat[l]
             else:
-                assert abs(s.empirical_g[l] - s.predicted_g[l]) <= 4 * s.se_g[l]
-    # summed across systems the predictions are the benchmark point itself
-    assert sum(s.predicted_f for s in systems) == pytest.approx(
-        env["sol"].objective, abs=1e-9
-    )
-    agg_err_f = sum(s.empirical_f - s.predicted_f for s in systems)
-    agg_se_f = np.sqrt(sum(s.se_f**2 for s in systems))
+                assert abs(s.empirical_g[l] - ref.g_hat[l]) <= 4 * se_g[l], (n, l)
+    agg_err_f = sum(s.empirical_f - ref.f_hat for s, ref in zip(systems, reference))
+    agg_se_f = np.sqrt(sum(s.f_se() ** 2 for s in systems))
     assert abs(agg_err_f) <= 4 * agg_se_f
-    agg_err_g = sum(s.empirical_g - s.predicted_g for s in systems)
-    agg_se_g = np.sqrt(sum(s.se_g**2 for s in systems))
+    agg_err_g = sum(s.empirical_g - ref.g_hat for s, ref in zip(systems, reference))
+    agg_se_g = np.sqrt(sum(s.g_se() ** 2 for s in systems))
     assert np.all(np.abs(agg_err_g) <= 4 * agg_se_g)
     print(
         "[acceptance] criterion 9 (stationary policy empirical rates within "
-        "4 SE of the renewal-reward predictions, all systems): PASS"
+        "4 SE of the LP reference point, all systems): PASS"
     )
 
 
@@ -328,8 +330,7 @@ def test_criterion_10_drift_bound_holds(env):
     trace = run(env["models"], env["external"], policy, 100_000, seed=5)
     drift = drift_diagnostic(trace, reference)
     assert drift.frame_counts.min() > 5000
-    within = drift.within_bound(sigmas=3.0)
-    assert within.all(), (drift.excess_mean, drift.excess_se)
+    assert np.all(drift.excess_mean <= 3 * drift.excess_se), (drift.excess_mean, drift.excess_se)
     print(
         f"[acceptance] criterion 10 (per-frame drift sums stay below "
         f"c0={drift.c0:.4g} within 3 SE on all systems): PASS"

@@ -22,8 +22,6 @@ UNREACHED_EXPORTS = {
     # the library's builder of a general (non-scheduling) renewal system, the
     # paper's own setting; acceptance criterion 7 runs on it
     "constant_rate_model",
-    # library-only until the analyses come to the CLI
-    "stationary_predictions",
 }
 
 

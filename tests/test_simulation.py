@@ -1,7 +1,7 @@
 import hashlib
 import re
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,7 +37,6 @@ from renewalopt.simulation import (
     frame_stats,
     queue_trajectory,
     run,
-    stationary_predictions,
     uniform_frame_drift_bound,
 )
 from renewalopt.benchmark import extract_reference_point, stationary_policy_weights
@@ -374,10 +373,6 @@ def test_analyses_read_the_record_and_draw_nothing(table1_env, monkeypatch):
             frame_stats_digest(frame_stats(stationary)),
             [np.asarray(x).tobytes() for x in (drift.c0, drift.frame_counts, drift.excess_mean,
                                                 drift.excess_se)],
-            [
-                [np.asarray(getattr(system, f.name)).tobytes() for f in fields(system)]
-                for system in stationary_predictions(stationary)
-            ],
         ]
 
     expected = analyses(*runs.values())
@@ -565,12 +560,10 @@ def test_stationary_sweep_single_action_exact():
     models, external = single_action_setup(rate=2.0, z_rate=0.5, d_value=5.0)
     policy = RandomizedStationaryPolicy((np.array([1.0]),))
     trace = run(models, external, policy, 100, seed=0)
-    sys = stationary_predictions(trace)[0]
-    assert sys.predicted_f == 2.0
-    assert np.array_equal(sys.predicted_g, [0.5])
+    sys = frame_stats(trace)[0]
     assert sys.empirical_f == 2.0  # constant rates make the ratio exact
     assert np.array_equal(sys.empirical_g, [0.5])
-    assert sys.frames == 50
+    assert sys.count == 50
 
 
 def test_stationary_sweep_mixture_within_noise():
@@ -582,10 +575,9 @@ def test_stationary_sweep_mixture_within_noise():
     external = ExternalProcess((FixedValue(1.0),))
     policy = RandomizedStationaryPolicy((np.array([0.5, 0.5]),))
     trace = run([model], external, policy, 30_000, seed=13)
-    sys = stationary_predictions(trace)[0]
-    assert sys.predicted_f == 1.5
-    assert sys.se_f > 0
-    assert abs(sys.empirical_f - 1.5) <= 4 * sys.se_f
+    sys = frame_stats(trace)[0]
+    assert sys.f_se() > 0
+    assert abs(sys.empirical_f - 1.5) <= 4 * sys.f_se()
     assert trace.avg_penalty == pytest.approx(1.5, abs=0.05)
 
 
@@ -623,7 +615,7 @@ def test_drift_single_action_exact():
     assert drift.frame_counts[0] == 100
     assert np.array_equal(drift.excess_mean, [-c0])
     assert np.array_equal(drift.excess_se, [0.0])
-    assert drift.within_bound().all()
+    assert np.all(drift.excess_mean <= 3 * drift.excess_se)
 
 
 def test_drift_with_nonzero_queue():
@@ -649,7 +641,7 @@ def test_drift_diagnostic_on_energy_instance(table1_env):
     trace = run(models, external, policy, slots=20_000, seed=5)
     drift = drift_diagnostic(trace, reference)
     assert drift.frame_counts.min() > 1000
-    assert drift.within_bound().all()
+    assert np.all(drift.excess_mean <= 3 * drift.excess_se)
     # the bound is far from tight here: the mean excess is deeply negative
     assert drift.excess_mean.max() < 0
 
@@ -781,7 +773,6 @@ def test_analyses_name_a_system_without_completed_frames(table1_env):
         (dpp, 1, frame_stats),
         (dpp, 1, lambda trace: drift_diagnostic(trace, reference)),
         (stationary, 46, frame_stats),
-        (stationary, 46, stationary_predictions),
     )
     for policy, seed, analysis in cases:
         trace = run(models, external, policy, slots=2, seed=seed)
@@ -802,14 +793,6 @@ def test_drift_requires_dpp_policy(table1_env):
     trace = run(models, external, policy, 100, seed=0)
     with pytest.raises(ValueError, match="dpp_ratio policy"):
         drift_diagnostic(trace, reference)
-
-
-def test_stationary_predictions_require_the_stationary_policy(table1_env):
-    # a dpp_ratio trace has no weights to predict from
-    models, external = table1_env["models"], table1_env["external"]
-    trace = run(models, external, DppRatioPolicy(10.0), 2000, seed=1)
-    with pytest.raises(ValueError, match="^stationary predictions apply to the stationary policy$"):
-        stationary_predictions(trace)
 
 
 def test_run_argument_validation(table1_env):
