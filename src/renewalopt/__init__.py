@@ -3,7 +3,7 @@
 Library layout:
     core          domain types, frame sampling, model validation
     distributions geometric and phase-sum frame lengths, constant-rate samplers
-    controller    the queue step and the per-frame ratio solvers
+    controller    the queue step, the ratio objectives and the per-frame solvers
     simulation    the slotted-time engine, its run trace and analyses of it
     simplex       dense two-phase LP solver
     benchmark     optimal-stationary LP, its reference point and policy
@@ -19,11 +19,7 @@ from .benchmark import (
     stationary_policy_weights,
 )
 from .config import ConfigError, ExperimentConfig, parse_config
-from .controller import (
-    ratio_bound_holds,
-    solve_bisection,
-    solve_enumerate,
-)
+from .controller import ratio_bound_holds, ratio_objectives, solve_bisection, solve_enumerate
 from .core import (
     FrameOutcome,
     PerformanceTriple,

@@ -6,15 +6,15 @@ At each frame start the controller minimizes the linearized per-frame ratio
 
     (V * y_hat(a) + <q, z_hat(a)>) / t_hat(a)
 
-over the system's actions, which equals V * f_hat(a) + <q, g_hat(a)>.  Two
-solvers are provided: direct enumeration and a Dinkelbach iteration on the
-ratio parameter.  Each returns the chosen action's index, and
-``ratio_bound_holds`` checks the minimality certificate that this action's
-objective lower-bounds the objective at every action (hence, by convexity,
-at every point of the performance region).  Solvers and certificate share
-one objective kernel, so the comparison is exact.  The kernel runs on
-Python floats and adds each <q, z_hat(a)> in metric order, so a decision
-does not depend on which BLAS kernel the machine dispatches to.
+over the system's actions, which equals V * f_hat(a) + <q, g_hat(a)>.
+``ratio_objectives`` evaluates it once per decision, on Python floats,
+adding each <q, z_hat(a)> in metric order, so a decision does not depend on
+which BLAS kernel the machine dispatches to.  Two selection rules read that
+list: direct enumeration and a Dinkelbach iteration on the ratio parameter.
+Each returns the chosen action's index, and ``ratio_bound_holds`` checks,
+on the same list, the minimality certificate that this action's objective
+lower-bounds the objective at every action (hence, by convexity, at every
+point of the performance region), so the comparison is exact.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .core import RenewalSystemModel
 
 __all__ = [
     "queue_step",
+    "ratio_objectives",
     "solve_enumerate",
     "solve_bisection",
     "ratio_bound_holds",
@@ -48,26 +49,21 @@ def queue_step(q: list[float], z_slot_sum, d_slot) -> list[float]:
 
 
 @lru_cache(maxsize=256)
-def _model_penalty_terms(model: RenewalSystemModel, v: float) -> tuple[int, tuple]:
-    """The metric count and per action (V*y, the nonzero (l, z_l) of z in metric order, t).
-
-    Computed once per (model, V).  V = 0 is allowed: the queue term alone then ranks the actions.
-    """
+def _model_penalty_terms(model: RenewalSystemModel, v: float) -> tuple[int, tuple, tuple]:
+    """Once per (model, V): the metric count, per action (V*y, the nonzero (l, z_l) of z in
+    metric order, t), and t.  V = 0 is allowed: the queue term alone then ranks the actions."""
     if v < 0:
         raise ValueError("V must be nonnegative")
-    rows = (
-        tuple((l, z_l) for l, z_l in enumerate(row) if z_l != 0.0) for row in model.z_hats.tolist()
-    )
-    return model.n_metrics, tuple(zip((v * model.y_hats).tolist(), rows, model.t_hats.tolist()))
+    rows = [tuple((l, z) for l, z in enumerate(row) if z != 0.0) for row in model.z_hats.tolist()]
+    dens = tuple(model.t_hats.tolist())
+    return model.n_metrics, tuple(zip((v * model.y_hats).tolist(), rows, dens)), dens
 
 
-def _ratio_objectives(model: RenewalSystemModel, q, v: float) -> tuple[list[float], list[float]]:
-    """Per-action numerators V*y + <q, z> and ratio objectives numerator / t.
-
-    The one copy of the objective arithmetic, shared by the solvers and the certificate.
-    <q, z> adds the nonzero products to 0.0 in metric order: no BLAS, no sum().
-    """
-    n_metrics, terms = _model_penalty_terms(model, v)
+def ratio_objectives(model: RenewalSystemModel, q, v: float) -> tuple[list, list, tuple]:
+    """Per action the numerator V*y + <q, z>, the ratio objective numerator / t, and t,
+    built once per decision for the solvers and the certificate.  <q, z> adds the
+    nonzero products to 0.0 in metric order: no BLAS, no sum()."""
+    n_metrics, terms, dens = _model_penalty_terms(model, v)
     if type(q) is not list:
         q = np.asarray(q, dtype=float).reshape(-1).tolist()
     if len(q) != n_metrics:
@@ -79,41 +75,39 @@ def _ratio_objectives(model: RenewalSystemModel, q, v: float) -> tuple[list[floa
             s += z_l * q[l]
         nums.append(num := vy_a + s)
         ratios.append(num / t_a)
-    return nums, ratios
+    return nums, ratios, dens
 
 
-def solve_enumerate(model: RenewalSystemModel, q, v: float) -> int:
-    """The index of the action minimizing the frame ratio, by evaluating every action.
+def solve_enumerate(objectives) -> int:
+    """The index of the action minimizing the frame ratio, by reading every action's.
 
-    Enumeration is exact over the whole performance region, not only over
-    the actions: a mixture with weights p_a has ratio objective
-    (V * sum p_a y_a + <q, sum p_a z_a>) / sum p_a t_a, which is the average
-    of the per-action ratios weighted by p_a t_a, so the minimum over the
-    hull lies at a vertex.  Ties break toward the lowest action index so
-    runs are reproducible.
+    Enumeration is exact over the whole performance region, not only over the
+    actions: a mixture with weights p_a has ratio objective (V * sum p_a y_a +
+    <q, sum p_a z_a>) / sum p_a t_a, the average of the per-action ratios
+    weighted by p_a t_a, so the minimum over the hull lies at a vertex.  Ties
+    break toward the lowest action index so runs are reproducible.
     """
-    _, objectives = _ratio_objectives(model, q, v)
-    return objectives.index(min(objectives))  # min keeps the first of equal values
+    ratios = objectives[1]
+    return ratios.index(min(ratios))  # min keeps the first of equal values
 
 
-def solve_bisection(model: RenewalSystemModel, q, v: float) -> int:
+def solve_bisection(objectives) -> int:
     """The index of the action minimizing the frame ratio, by Dinkelbach iteration.
 
     Repeatedly minimizes V*y_hat + <q, z_hat> - theta * t_hat over actions and
     moves theta to the minimizer's ratio; stops when the inner minimum is
     within _BISECTION_TOL of zero or, as rounding of large terms allows, when
-    theta would not decrease.  It returns the action it stopped on if
-    that action's exact ratio is the minimum, else the lowest-index exact
-    minimizer, so the returned action passes ``ratio_bound_holds`` even on
-    near ties.  Theta falls strictly from ratios[0], so the iteration ends
-    unless that ratio is NaN; where one action alone attains the exact
-    minimum it ends on that action, which is returned without iterating.
+    theta would not decrease.  It returns the action it stopped on if that
+    action's exact ratio is the minimum, else the lowest-index exact minimizer,
+    so the returned action passes ``ratio_bound_holds`` even on near ties.
+    Theta falls strictly from ratios[0], so the iteration ends unless that
+    ratio is NaN; where one action alone attains the exact minimum it ends on
+    that action, which is returned without iterating.
     """
-    num, ratios = _ratio_objectives(model, q, v)
+    num, ratios, den = objectives
     best = min(ratios)  # NaN only if ratios[0] is
     if best == best and ratios.count(best) == 1:
         return ratios.index(best)
-    den = [t_a for _, _, t_a in _model_penalty_terms(model, v)[1]]
     theta = ratios[0]
     for _ in range(10 * len(den) + 10):  # a safety net: only NaN reaches the cap
         costs = [a - theta * b for a, b in zip(num, den)]
@@ -125,18 +119,16 @@ def solve_bisection(model: RenewalSystemModel, q, v: float) -> int:
     raise RuntimeError("Dinkelbach iteration failed to terminate")
 
 
-def ratio_bound_holds(model: RenewalSystemModel, action: int, q, v: float) -> bool:
+def ratio_bound_holds(objectives, action: int) -> bool:
     """True iff the action's objective lower-bounds the objective at every action.
 
     This is the minimality certificate the optimality analysis rests on: the
-    objective V*f_hat + <q, g_hat> of the action taken at a frame start must
-    not exceed that of any action, and by convexity that of any point of the
-    performance region.  The comparison is exact (no tolerance); solvers and
-    this check share the same objective arithmetic.  Raises IndexError for
-    an action outside the model's, as ``sample_frame`` does.
+    objective V*f_hat + <q, g_hat> of the action taken at a frame start must not
+    exceed that of any action, nor by convexity that of any point of the
+    performance region.  It compares exactly, on the decision's own list, and
+    raises IndexError for an action outside the model's, as ``sample_frame`` does.
     """
-    _, objectives = _ratio_objectives(model, q, v)
-    if not 0 <= action < len(objectives):
-        raise IndexError(f"action index {action} out of range for {len(objectives)} actions")
-    mine = objectives[action]
-    return all(mine <= o for o in objectives)
+    ratios = objectives[1]
+    if not 0 <= action < len(ratios):
+        raise IndexError(f"action index {action} out of range for {len(ratios)} actions")
+    return all(map(ratios[action].__le__, ratios))

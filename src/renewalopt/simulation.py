@@ -13,23 +13,24 @@ After the loop numpy builds each system's frame columns from its actions and
 its streams' blocks, and y[t] adds the rates of the frames covering t, one
 system at a time in index order, each system's rates repeated over its slots.
 
-A drift-plus-penalty decision depends only on (model, Q[t], V), so it is
-solved once per (model object, slot) and shared by the systems of that model
-starting a frame in that slot.  Given its action a frame is i.i.d., so
-system n plays action a's frames from their own stream, SeedSequence(seed,
-spawn_key=(0, n, a)), drawn FRAME_BLOCK frames per ``core.sample_frame``
-call: the j-th frame system n plays under action a is the same whatever V,
-solver or policy chose it.  Stationary actions come from spawn_key=(0, n)
-and d from (1,), so adding systems never perturbs other streams.
+A drift-plus-penalty decision depends only on (model, Q[t], V), so it is made
+once per (model object, slot): ``ratio_objectives`` builds its objective list
+at Q[t] and the solver and, when checked, the certificate read it, for every
+system of that model starting a frame then.  Given its action a frame is
+i.i.d., so system n plays action a's frames from their own stream,
+SeedSequence(seed, spawn_key=(0, n, a)), drawn FRAME_BLOCK frames per
+``core.sample_frame`` call: the j-th frame system n plays under action a is
+the same whatever V, solver or policy chose it.  Stationary actions come from
+spawn_key=(0, n) and d from (1,): adding systems never perturbs other streams.
 
 ``run`` returns a ``RunTrace``, the whole record of the run; every analysis
 below is a function of it alone, and the per-frame ones read one table over
 its recorded frame columns: no analysis draws a frame again.
 
 ``check=True`` asserts three exact invariants: in the loop, the minimality
-certificate of each decision (``ratio_bound_holds`` at Q[t]); after it, the
-declared bounds of every recorded frame (``core.exceeds_bounds``, naming the
-first offending slot and system) and the sample-path lower bound
+certificate of each decision (``ratio_bound_holds`` on its list from Q[t]);
+after it, every recorded frame's declared bounds (``core.exceeds_bounds``,
+naming the first offending slot and system) and the sample-path lower bound
 Q_l[t] >= sum_{s<t}(sum_n z_l^n[s] - d_l[s]), exact in floating point as
 both sides add the same per-slot deltas and the queue only clamps upward.
 """
@@ -46,7 +47,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .controller import queue_step, ratio_bound_holds, solve_bisection, solve_enumerate
+from .controller import queue_step, ratio_bound_holds, ratio_objectives
+from .controller import solve_bisection, solve_enumerate
 from .core import PerformanceVector, RenewalSystemModel, _mean_se, exceeds_bounds, sample_frame
 
 __all__ = [
@@ -417,8 +419,8 @@ def run(
                 else:
                     idx = decided.get(model)
                     if idx is None:
-                        idx = decided[model] = solve(model, q, v)
-                        if check and not ratio_bound_holds(model, idx, q, v):
+                        idx = decided[model] = solve(objectives := ratio_objectives(model, q, v))
+                        if check and not ratio_bound_holds(objectives, idx):
                             raise CheckViolation(
                                 f"frame decision at slot {t}, system {n}: the ratio objective "
                                 f"of action {idx} exceeds another action's"

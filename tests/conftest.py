@@ -19,7 +19,7 @@ import pytest
 
 from renewalopt import TABLE1, build_instance, solve_lp
 from renewalopt.benchmark import LPSolution, StationaryLP, _achieved
-from renewalopt.controller import _BISECTION_TOL, _ratio_objectives
+from renewalopt.controller import _BISECTION_TOL, ratio_objectives
 from renewalopt.core import FrameOutcome, RenewalSystemModel
 from renewalopt.distributions import GeometricLength, constant_rate_model
 
@@ -103,8 +103,8 @@ def dinkelbach_reference(model: RenewalSystemModel, q, v: float) -> int:
     minimum, else the first exact minimizer, and raises RuntimeError after
     10 n + 10 steps (a NaN first ratio never stops).
     """
-    num, ratios = _ratio_objectives(model, q, v)
-    den = model.t_hats.tolist()
+    num, ratios, _ = ratio_objectives(model, q, v)
+    den = model.t_hats.tolist()  # the model's own lengths, not the kernel's copy
     theta = ratios[0]
     for _ in range(10 * len(den) + 10):
         costs = [a - theta * b for a, b in zip(num, den)]

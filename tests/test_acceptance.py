@@ -21,7 +21,7 @@ from renewalopt.benchmark import (
     stationary_policy_weights,
 )
 from renewalopt.cli import main
-from renewalopt.controller import solve_bisection, solve_enumerate
+from renewalopt.controller import ratio_objectives, solve_bisection, solve_enumerate
 from renewalopt.distributions import GeometricLength, constant_rate_model
 from renewalopt.simulation import (
     DppRatioPolicy,
@@ -245,8 +245,9 @@ def test_criterion_07_solvers_agree():
         v = float(rng.uniform(0, 100))
         ratios = exact_ratios(model, q, v)
         exact = exact_ratio_minimum(model, q, v)
+        objectives = ratio_objectives(model, q, v)
         for solve in (solve_enumerate, solve_bisection):
-            worst = max(worst, float(ratios[solve(model, q, v)] - exact))
+            worst = max(worst, float(ratios[solve(objectives)] - exact))
         assert worst <= 1e-8, worst
     print(
         f"[acceptance] criterion 7 (1000 random subproblems, the exact ratio of "

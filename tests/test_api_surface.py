@@ -93,11 +93,11 @@ def test_perf_trace_hooks_install_and_restore():
 def test_trace_hooks_see_every_frame_decision(monkeypatch):
     # perf/child.py times the decision, the certificate and the frame
     # sampler by wrapping these names where the engine looks them up: the
-    # decision once per (frame-start slot, model), the certificate once per
-    # decision when checked (the frames that share a decision share its
-    # certificate), and the sampler and the frame type once per block of
-    # FRAME_BLOCK frames of one (system, action) stream, or the benchmark's
-    # spans read 0
+    # decision and its one objective list once per (frame-start slot, model),
+    # the certificate once per decision when checked (the frames that share a
+    # decision share its list and certificate), and the sampler and the frame
+    # type once per block of FRAME_BLOCK frames of one (system, action)
+    # stream, or the benchmark's spans read 0
     calls = {}
 
     def counted(owner, attr):
@@ -110,7 +110,8 @@ def test_trace_hooks_see_every_frame_decision(monkeypatch):
 
         monkeypatch.setattr(owner, attr, wrapper)
 
-    for name in ("solve_enumerate", "solve_bisection", "ratio_bound_holds", "sample_frame"):
+    names = ("ratio_objectives", "solve_enumerate", "solve_bisection", "ratio_bound_holds")
+    for name in (*names, "sample_frame"):
         counted(simulation, name)
     counted(scheduling.ServiceIdleSampler, "sample")
     counted(core.FrameOutcome, "__post_init__")
@@ -124,7 +125,7 @@ def test_trace_hooks_see_every_frame_decision(monkeypatch):
         decisions = len({(start, id(models[n])) for n, log in enumerate(trace.frames)
                          for start in log[:, 0].tolist()})
         assert decisions < frames
-        assert made[f"solve_{solver}"] == decisions
+        assert made[f"solve_{solver}"] == made["ratio_objectives"] == decisions
         assert made["ratio_bound_holds"] == (decisions if check else 0)
         played = [np.bincount(log[:, 2], minlength=models[n].n_actions)
                   for n, log in enumerate(trace.frames)]

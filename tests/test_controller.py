@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from renewalopt.controller import (
     _BISECTION_TOL,
-    _ratio_objectives,
     ratio_bound_holds,
+    ratio_objectives,
     solve_bisection,
     solve_enumerate,
 )
@@ -20,8 +20,8 @@ from conftest import dinkelbach_reference, model_from_vectors, queue_update
 
 
 def objective(model, q, v, action):
-    """The ratio objective of one action, as the solvers and certificate compute it."""
-    return _ratio_objectives(model, q, v)[1][action]
+    """The ratio objective of one action, as the solvers and certificate read it."""
+    return ratio_objectives(model, q, v)[1][action]
 
 
 def test_queue_update_examples():
@@ -47,12 +47,11 @@ def test_tradeoff_parameter_positive():
         DppRatioPolicy(0)
     with pytest.raises(ValueError):
         DppRatioPolicy(-1)
-    # The solvers accept V = 0 (queue term alone) but not V < 0.
+    # The objective kernel accepts V = 0 (queue term alone) but not V < 0.
     model = model_from_vectors([1.0, 2.0], [[0.0], [1.0]], [1.0, 2.0])
-    assert solve_enumerate(model, [0.0], 0.0) in (0, 1)
-    for solve in (solve_enumerate, solve_bisection):
-        with pytest.raises(ValueError):
-            solve(model, [0.0], -1.0)
+    assert solve_enumerate(ratio_objectives(model, [0.0], 0.0)) in (0, 1)
+    with pytest.raises(ValueError):
+        ratio_objectives(model, [0.0], -1.0)
 
 
 @given(
@@ -82,13 +81,13 @@ def test_solve_enumerate_two_action_example():
     model = model_from_vectors([1.0, 2.0], [[0.5], [0.0]], [2.0, 2.0])
     assert np.array_equal(model.y_hats, [2.0, 4.0])
     assert np.array_equal(model.z_hats, [[1.0], [0.0]])
-    assert solve_enumerate(model, [4.0], 1.0) == 1
+    assert solve_enumerate(ratio_objectives(model, [4.0], 1.0)) == 1
     assert objective(model, [4.0], 1.0, 1) == 2.0
 
 
 def test_solve_enumerate_tie_breaks_low_index():
     model = model_from_vectors([0.0, 0.0, 0.0], [[0.0]] * 3, [1.0, 2.0, 3.0])
-    assert solve_enumerate(model, [0.0], 5.0) == 0
+    assert solve_enumerate(ratio_objectives(model, [0.0], 5.0)) == 0
     assert objective(model, [0.0], 5.0, 0) == 0.0
 
 
@@ -96,19 +95,19 @@ def test_solve_enumerate_pure_queue_term(table1_env):
     # V = 0 with unit queues ranks actions by sum of metric rates; the
     # middle class moves -21 expected jobs over 8.9 expected slots
     model = table1_env["models"][0]
-    assert solve_enumerate(model, np.ones(3), 0.0) == 1
+    assert solve_enumerate(ratio_objectives(model, np.ones(3), 0.0)) == 1
     # frame mean is service mean + idle mean, accumulated in that order
     assert objective(model, np.ones(3), 0.0, 1) == -21.0 / (4.6 + 4.3)
 
 
 def test_solver_dimension_checks():
+    # the kernel, which every decision goes through, checks the queue length and V
     model = model_from_vectors([1.0], [[0.0, 0.0]], [1.0])
-    with pytest.raises(ValueError):
-        solve_enumerate(model, [0.0], 1.0)
-    with pytest.raises(ValueError):
-        solve_bisection(model, [0.0], 1.0)
-    with pytest.raises(ValueError):
-        solve_enumerate(model, [0.0, 0.0], -1.0)
+    for q in ([0.0], [0.0, 0.0, 0.0], np.zeros(1)):
+        with pytest.raises(ValueError, match=f"queue length {len(q)} does not match"):
+            ratio_objectives(model, q, 1.0)
+    with pytest.raises(ValueError, match="V must be nonnegative"):
+        ratio_objectives(model, [0.0, 0.0], -1.0)
 
 
 def test_solve_bisection_matches_enumeration_exactly():
@@ -117,7 +116,8 @@ def test_solve_bisection_matches_enumeration_exactly():
     )
     for q in ([0.0, 0.0], [4.0, 1.0], [0.1, 7.0]):
         for v in (0.0, 1.0, 25.0):
-            assert solve_bisection(model, q, v) == solve_enumerate(model, q, v)
+            objectives = ratio_objectives(model, q, v)
+            assert solve_bisection(objectives) == solve_enumerate(objectives)
 
 
 def test_solve_bisection_stops_where_rounding_holds_theta():
@@ -127,14 +127,14 @@ def test_solve_bisection_stops_where_rounding_holds_theta():
     # there instead of repeating the same step until its cap
     model = model_from_vectors([2.0, 5.0], [[0.5], [-13.37]], [1.0, 4.3])
     q, v = [249996.0], 10.0
-    num, ratios = _ratio_objectives(model, q, v)
+    objectives = num, ratios, _ = ratio_objectives(model, q, v)
     assert num[1] - ratios[1] * model.t_hats[1] < -_BISECTION_TOL
-    assert solve_bisection(model, q, v) == solve_enumerate(model, q, v) == 1
+    assert solve_bisection(objectives) == solve_enumerate(objectives) == 1
 
 
 def test_solve_bisection_single_action():
     model = model_from_vectors([3.0], [[1.0]], [2.0])
-    assert solve_bisection(model, [2.0], 1.0) == 0
+    assert solve_bisection(ratio_objectives(model, [2.0], 1.0)) == 0
     assert objective(model, [2.0], 1.0, 0) == pytest.approx(3.0 + 2.0, abs=1e-12)
 
 
@@ -147,7 +147,7 @@ def test_solve_bisection_termination_certificate():
         )
         q = rng.uniform(0, 10, 2)
         v = float(rng.uniform(0, 100))
-        sol = solve_bisection(model, q, v)
+        sol = solve_bisection(ratio_objectives(model, q, v))
         num = v * model.y_hats + model.z_hats @ q
         costs = num - objective(model, q, v, sol) * model.t_hats
         # stopping rule: the inner minimum at the returned ratio is >= -tol
@@ -167,9 +167,10 @@ def test_solve_bisection_exact_on_near_ties():
         ratio = float(rng.uniform(-5, 5))
         f = (ratio + rng.uniform(-3e-10, 3e-10, n) - g @ q) / v
         model = model_from_vectors(f, g, rng.uniform(1, 10, n))
-        sol = solve_bisection(model, q, v)
-        assert ratio_bound_holds(model, sol, q, v)
-        assert objective(model, q, v, sol) == objective(model, q, v, solve_enumerate(model, q, v))
+        objectives = ratio_objectives(model, q, v)
+        sol = solve_bisection(objectives)
+        assert ratio_bound_holds(objectives, sol)
+        assert objectives[1][sol] == objectives[1][solve_enumerate(objectives)]
 
 
 def test_solve_bisection_keeps_its_action_on_exact_ties():
@@ -180,9 +181,10 @@ def test_solve_bisection_keeps_its_action_on_exact_ties():
     # The solvers read only the declared triples, so no samplers are needed.
     triples = [PerformanceTriple(y, [0.0], t) for y, t in ((1.3, 1.0), (0.9, 3.0), (1.2, 4.0))]
     model = RenewalSystemModel(triples, [None] * 3, 2.0, 0.0, 1.0)
-    assert solve_bisection(model, [0.0], 1.0) == 2
-    assert solve_enumerate(model, [0.0], 1.0) == 1
-    assert objective(model, [0.0], 1.0, 2) == objective(model, [0.0], 1.0, 1)
+    objectives = ratio_objectives(model, [0.0], 1.0)
+    assert solve_bisection(objectives) == 2
+    assert solve_enumerate(objectives) == 1
+    assert objectives[1][2] == objectives[1][1]
 
 
 @st.composite
@@ -230,13 +232,14 @@ def test_solve_bisection_matches_the_full_dinkelbach_iteration(case):
     # the solver iterates only on exact ties; everywhere it must return what
     # the full iteration returns, or raise what it raises
     model, q, v = case
+    objectives = ratio_objectives(model, q, v)
     try:
         expected = dinkelbach_reference(model, q, v)
     except RuntimeError:
         with pytest.raises(RuntimeError, match="failed to terminate"):
-            solve_bisection(model, q, v)
+            solve_bisection(objectives)
     else:
-        assert solve_bisection(model, q, v) == expected
+        assert solve_bisection(objectives) == expected
 
 
 def test_hull_minimum_lower_bounds_random_mixtures():
@@ -251,7 +254,7 @@ def test_hull_minimum_lower_bounds_random_mixtures():
     model = model_from_vectors(ys / ts, zs / ts[:, None], ts)
     q = np.array([2.0, 0.5])
     v = 3.0
-    best = objective(model, q, v, solve_enumerate(model, q, v))
+    best = objective(model, q, v, solve_enumerate(ratio_objectives(model, q, v)))
     for _ in range(100):
         p = rng.dirichlet(np.ones(6))
         mix = (v * p @ model.y_hats + (p @ model.z_hats) @ q) / (p @ model.t_hats)
@@ -267,9 +270,9 @@ def test_ratio_bound_holds_on_solver_output():
         )
         q = rng.uniform(0, 20, 3)
         v = float(rng.uniform(0, 50))
+        objectives = ratio_objectives(model, q, v)
         for solver in (solve_enumerate, solve_bisection):
-            sol = solver(model, q, v)
-            assert ratio_bound_holds(model, sol, q, v)
+            assert ratio_bound_holds(objectives, solver(objectives))
 
 
 def test_ratio_bound_rejects_inflated_value():
@@ -277,9 +280,10 @@ def test_ratio_bound_rejects_inflated_value():
     # objective (5 against 2) is an inflated value and must be rejected
     model = model_from_vectors([1.0, 2.0], [[1.0], [0.0]], [1.0, 1.0])
     q, v = [4.0], 1.0
-    good = solve_enumerate(model, q, v)
-    assert ratio_bound_holds(model, good, q, v)
-    assert not ratio_bound_holds(model, 1 - good, q, v)
+    objectives = ratio_objectives(model, q, v)
+    good = solve_enumerate(objectives)
+    assert ratio_bound_holds(objectives, good)
+    assert not ratio_bound_holds(objectives, 1 - good)
 
 
 def test_ratio_bound_holds_across_queue_space(table1_env):
@@ -288,8 +292,8 @@ def test_ratio_bound_holds_across_queue_space(table1_env):
     for _ in range(1000):
         q = rng.uniform(0, 200, 3)
         v = float(rng.uniform(0, 200))
-        sol = solve_enumerate(model, q, v)
-        assert ratio_bound_holds(model, sol, q, v)
+        objectives = ratio_objectives(model, q, v)
+        assert ratio_bound_holds(objectives, solve_enumerate(objectives))
 
 
 def test_solvers_agree_on_random_instances():
@@ -304,8 +308,8 @@ def test_solvers_agree_on_random_instances():
         )
         q = rng.uniform(0, 10, n_metrics)
         v = float(rng.uniform(0, 100))
-        a = objective(model, q, v, solve_enumerate(model, q, v))
-        b = objective(model, q, v, solve_bisection(model, q, v))
+        objectives = ratio_objectives(model, q, v)
+        a, b = (objectives[1][solve(objectives)] for solve in (solve_enumerate, solve_bisection))
         assert abs(a - b) <= 1e-8
 
 
@@ -323,9 +327,9 @@ def test_scaling_v_and_q_together_preserves_choice():
         order = np.sort(objectives)
         if len(order) > 1 and order[1] - order[0] < 1e-6 * max(1.0, abs(order[0])):
             continue  # skip near-ties, where scaling may flip the argmin
-        base = solve_enumerate(model, q, v)
+        base = solve_enumerate(ratio_objectives(model, q, v))
         for c in (1e-3, 0.7, 13.0, 1e3):
-            assert solve_enumerate(model, c * q, c * v) == base
+            assert solve_enumerate(ratio_objectives(model, c * q, c * v)) == base
             scaled = objective(model, c * q, c * v, base)
             assert scaled == pytest.approx(c * objective(model, q, v, base), rel=1e-12)
         checked += 1
@@ -337,10 +341,36 @@ def test_ratio_bound_holds_rejects_an_action_out_of_range(table1_env):
     # as sample_frame raises for the same index
     model = table1_env["models"][0]
     q, v = [0.0, 0.0, 80.0], 10.0
-    assert ratio_bound_holds(model, model.n_actions - 1, q, v)
+    objectives = ratio_objectives(model, q, v)
+    assert ratio_bound_holds(objectives, model.n_actions - 1)
     for action in (-1, model.n_actions):
         with pytest.raises(IndexError, match=f"action index {action} out of range for 3"):
-            ratio_bound_holds(model, action, q, v)
+            ratio_bound_holds(objectives, action)
+
+
+# ratio lists with the values whose comparisons are special: NaN compares
+# false both ways, -0.0 equals 0.0, and the infinities bound everything
+special_ratio = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0])
+
+
+@given(st.lists(special_ratio | st.floats(), min_size=1, max_size=8), st.integers(-10, 10))
+@example([math.nan, 1.0], 0)
+@example([1.0, math.nan], 0)
+@example([0.0, -0.0], 0)
+@example([-math.inf, math.inf], 1)
+@example([2.0], -1)
+@settings(max_examples=500, deadline=None)
+def test_ratio_bound_holds_compares_as_the_plain_generator(ratios, action):
+    # the certificate reads only the ratio list; its comparison must agree
+    # with all(mine <= o for o in ratios), and an index outside the list is
+    # an IndexError, never a wrap-around to the end of the list
+    objectives = ([0.0] * len(ratios), ratios, (1.0,) * len(ratios))
+    if not 0 <= action < len(ratios):
+        with pytest.raises(IndexError, match=f"action index {action} out of range"):
+            ratio_bound_holds(objectives, action)
+    else:
+        mine = ratios[action]
+        assert ratio_bound_holds(objectives, action) is all(mine <= o for o in ratios)
 
 
 def test_ratio_kernel_adds_the_queue_term_in_metric_order():
@@ -350,19 +380,19 @@ def test_ratio_kernel_adds_the_queue_term_in_metric_order():
     # for the cancelling second row
     dense = model_from_vectors([1.0], [[0.1, 0.1, 0.1]], [1.0])
     q = [0.1, 0.7, 3.3]
-    assert _ratio_objectives(dense, q, 1.0) == ([1.4100000000000001], [1.4100000000000001])
+    assert ratio_objectives(dense, q, 1.0) == ([1.4100000000000001], [1.4100000000000001], (1.0,))
     cancelling = model_from_vectors([0.0], [[1.0, 1.0, -1.0]], [1.0])
-    assert _ratio_objectives(cancelling, [1e16, 1.0, 1e16], 1.0)[1] == [0.0]
+    assert ratio_objectives(cancelling, [1e16, 1.0, 1e16], 1.0)[1] == [0.0]
     # a list and an array of the same queue give the same values
     for model, q in ((dense, q), (cancelling, [1e16, 1.0, 1e16])):
-        from_list = _ratio_objectives(model, q, 1.0)
-        from_array = _ratio_objectives(model, np.array(q), 1.0)
+        from_list = ratio_objectives(model, q, 1.0)
+        from_array = ratio_objectives(model, np.array(q), 1.0)
         assert repr(from_array) == repr(from_list)  # the sign of zero included
         assert all(type(x) is float for values in from_array for x in values)
 
 
 def reference_objectives(model, q, v):
-    """Per action (V*y_a + sum_l z_al*q_l added to 0.0 in metric order) / t_a.
+    """Per action V*y_a + sum_l z_al*q_l (added to 0.0 in metric order), its ratio to t_a, and t_a.
 
     The plain form of the kernel on Python floats: every metric, zeros included.
     """
@@ -372,7 +402,8 @@ def reference_objectives(model, q, v):
         for z_l, q_l in zip(z_a, q):
             s += z_l * q_l
         nums.append(v * y_a + s)
-    return nums, [num / t_a for num, t_a in zip(nums, model.t_hats.tolist())]
+    dens = model.t_hats.tolist()
+    return nums, [num / t_a for num, t_a in zip(nums, dens)], tuple(dens)
 
 
 @st.composite
@@ -397,9 +428,11 @@ def kernel_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_ratio_kernel_and_solvers_match_a_plain_reference(case):
     model, q, v = case
-    nums, ratios = reference_objectives(model, q, v)
+    reference = reference_objectives(model, q, v)
+    ratios = reference[1]
     best = min(ratios)
     for queue in (q, np.array(q)):
-        assert repr(_ratio_objectives(model, queue, v)) == repr((nums, ratios))
-        assert solve_enumerate(model, queue, v) == ratios.index(best)
-        assert ratios[solve_bisection(model, queue, v)] == best
+        objectives = ratio_objectives(model, queue, v)
+        assert repr(objectives) == repr(reference)
+        assert solve_enumerate(objectives) == ratios.index(best)
+        assert ratios[solve_bisection(objectives)] == best

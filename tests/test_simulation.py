@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from renewalopt import simulation
-from renewalopt.controller import queue_step
+from renewalopt.controller import queue_step, ratio_objectives
 from renewalopt.core import (
     PerformanceTriple,
     PerformanceVector,
@@ -404,28 +404,28 @@ def test_checked_run_checks_bounds_on_the_compact_draw(table1_env):
 
 
 def stale_queue_solver(solve):
-    """Decides on the previous frame start's Q."""
+    """Decides on the previous decision's objective list, built at an earlier Q."""
     seen = []
 
-    def stale(model, q, v):
-        seen.append(np.array(q))
-        return solve(model, seen[-2] if len(seen) > 1 else q, v)
+    def stale(objectives):
+        seen.append(objectives)
+        return solve(seen[-2] if len(seen) > 1 else objectives)
 
     return stale
 
 
 def off_by_one_solver(solve):
     """Returns the action after the minimizer."""
-    return lambda model, q, v: (solve(model, q, v) + 1) % model.n_actions
+    return lambda objectives: (solve(objectives) + 1) % len(objectives[1])
 
 
 @pytest.mark.parametrize(
     "faulty", [stale_queue_solver, off_by_one_solver], ids=["stale_queue", "off_by_one"]
 )
 def test_checked_run_catches_a_stale_queue_decision(table1_env, monkeypatch, faulty):
-    # the certificate recomputes the objectives at the engine's current Q and
-    # reads the action the engine lays down, so a solver that decides on the
-    # previous frame start's Q, or returns another action, must be caught
+    # the certificate reads the objective list the engine built at its
+    # current Q and the action the engine lays down, so a solver that decides
+    # on the previous decision's list, or returns another action, must be caught
     monkeypatch.setattr(simulation, "solve_enumerate", faulty(simulation.solve_enumerate))
     models, external = table1_env["models"], table1_env["external"]
     run(models, external, DppRatioPolicy(10.0), slots=2000, seed=0)
@@ -435,9 +435,10 @@ def test_checked_run_catches_a_stale_queue_decision(table1_env, monkeypatch, fau
 
 @pytest.mark.parametrize("instance", ["table1", "custom12"])
 def test_checked_run_certifies_each_shared_decision_once(monkeypatch, instance):
-    # the certificate runs once per (frame-start slot, model) decision, at
-    # that slot's Q and on the action every frame sharing the decision lays
-    # down; the slot is read from the queue steps the engine has taken
+    # the certificate runs once per (frame-start slot, model) decision, on
+    # the objective list that decision built, at that slot's Q (bit for bit),
+    # and on the action every frame sharing the decision lays down; the slot
+    # is read from the queue steps the engine has taken
     if instance == "table1":
         models, external, _ = build_instance(TABLE1)
         policy = DppRatioPolicy(10.0, "bisection")
@@ -445,28 +446,38 @@ def test_checked_run_certifies_each_shared_decision_once(monkeypatch, instance):
         models, external, _ = build_instance(parse_config(CHECKED_CONFIG).instance)
         policy = DppRatioPolicy(100.0, "bisection")
     slot = 0
-    certified = {}
-    step, holds = simulation.queue_step, simulation.ratio_bound_holds
+    built, certified = [], {}
+    step, build = simulation.queue_step, simulation.ratio_objectives
+    holds = simulation.ratio_bound_holds
 
     def counted_step(*args):
         nonlocal slot
         slot += 1
         return step(*args)
 
-    def recorded(model, action, q, v):
+    def recorded_build(model, q, v):
+        built.append((model, build(model, q, v)))
+        return built[-1][1]
+
+    def recorded(objectives, action):
+        model, latest = built[-1]
+        assert objectives is latest, "the certificate read another list than the decision's"
         key = (slot, id(model))
         assert key not in certified, f"decision at {key} certified twice"
-        certified[key] = (action, list(q))
-        return holds(model, action, q, v)
+        certified[key] = (action, objectives)
+        return holds(objectives, action)
 
     monkeypatch.setattr(simulation, "queue_step", counted_step)
+    monkeypatch.setattr(simulation, "ratio_objectives", recorded_build)
     monkeypatch.setattr(simulation, "ratio_bound_holds", recorded)
     trace = run(models, external, policy, slots=2000, seed=1, check=True)
     for n, log in enumerate(trace.frames):
         for start, _, action in log.tolist():
-            got = certified.get((start, id(models[n])))
-            assert got == (action, trace.queues[start].tolist()), (n, start)
-    assert len(certified) < trace.frames_per_system.sum()
+            got_action, objectives = certified[(start, id(models[n]))]
+            assert got_action == action, (n, start)
+            at_q = ratio_objectives(models[n], trace.queues[start], policy.v)
+            assert repr(objectives) == repr(at_q), (n, start)
+    assert len(built) == len(certified) < trace.frames_per_system.sum()
 
 
 def test_checked_run_catches_lying_bounds():
@@ -924,17 +935,17 @@ def test_queue_step_matches_queue_update_bitwise(qzd):
 @pytest.mark.parametrize("solver", ["enumerate", "bisection"])
 def test_shared_model_decisions_match_per_system_copies(table1_env, monkeypatch, solver):
     # systems that share a model object and start a frame in the same slot
-    # share one solve; copies of the model share nothing, so each of their
-    # frames is solved on its own, and both runs must lay down the same bits
-    name = f"solve_{solver}"
-    solve = getattr(simulation, name)
+    # share one objective list and solve; copies of the model share nothing,
+    # so each of their frames is solved on its own, and both runs must lay
+    # down the same bits
+    build = simulation.ratio_objectives
     calls = []
 
     def counted(model, q, v):
         calls.append(model)
-        return solve(model, q, v)
+        return build(model, q, v)
 
-    monkeypatch.setattr(simulation, name, counted)
+    monkeypatch.setattr(simulation, "ratio_objectives", counted)
     models, external = table1_env["models"], table1_env["external"]
     assert all(m is models[0] for m in models)
     copies = [replace(m) for m in models]
@@ -984,7 +995,8 @@ def test_readme_quickstart_runs(capsys):
 
 def test_unit_length_frames_start_every_slot(monkeypatch):
     # every slot is a frame start of both systems, which share one model:
-    # one solve and one certificate per slot, and Q steps after both frames
+    # one objective list, one solve and one certificate per slot, and Q
+    # steps after both frames
     model = constant_rate_model(
         [1.0, 3.0], [[2.0], [0.0]], [DeterministicLength(1), DeterministicLength(1)]
     )
@@ -995,7 +1007,7 @@ def test_unit_length_frames_start_every_slot(monkeypatch):
         f = getattr(simulation, name)
         return lambda *args: calls.append(name) or f(*args)
 
-    for name in ("solve_enumerate", "ratio_bound_holds"):
+    for name in ("ratio_objectives", "solve_enumerate", "ratio_bound_holds"):
         monkeypatch.setattr(simulation, name, counted(name))
     slots = 60
     trace = run([model, model], external, DppRatioPolicy(5.0), slots, seed=2, check=True)
@@ -1004,7 +1016,7 @@ def test_unit_length_frames_start_every_slot(monkeypatch):
         assert np.array_equal(log[:, 1], np.ones(slots))
     assert np.array_equal(trace.frames[0], trace.frames[1])
     assert set(trace.frames[0][:, 2].tolist()) == {0, 1}
-    assert calls == ["solve_enumerate", "ratio_bound_holds"] * slots
+    assert calls == ["ratio_objectives", "solve_enumerate", "ratio_bound_holds"] * slots
     q = np.zeros(1)
     for t in range(slots):
         assert trace.queues[t].tobytes() == q.tobytes()
