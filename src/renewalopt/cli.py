@@ -21,7 +21,6 @@ import csv
 import gc
 import math
 import os
-import struct
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -78,21 +77,14 @@ def _write_lp_csv(path: Path, sol: LPSolution) -> None:
                 writer.writerow(["policy_weight", n, a, _fmt(value)])
 
 
-class _Text(dict):
-    """Each queue value's text in _fmt's digits, formatted on its first lookup.  Keyed by the
-    value's bits, so -0.0 and 0.0, equal as floats, keep their own text."""
-
-    def __missing__(self, bits: int) -> str:
-        return self.setdefault(bits, "%.9g" % struct.unpack("d", struct.pack("q", bits))[0])
-
-
 def _write_trajectory(path: Path, trajectory) -> None:
-    times, bits, text = trajectory.times, trajectory.queues.view(np.int64), _Text().__getitem__
-    with open(path, "w", newline="") as fh:  # csv.writer's line end
-        fh.write(",".join(["t"] + [f"q_{l + 1}" for l in range(bits.shape[1])]) + "\r\n")
+    times, queues = trajectory.times, trajectory.queues
+    line = "%d" + ",%.9g" * queues.shape[1] + "\r\n"  # _fmt's digits, csv.writer's line end
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(["t"] + [f"q_{l + 1}" for l in range(queues.shape[1])]) + "\r\n")
         for i in range(0, times.shape[0], 256):  # as Python rows, a bounded batch at a time
-            rows = zip(times[i : i + 256].tolist(), bits[i : i + 256].tolist())
-            fh.writelines(f"{t},{','.join(map(text, row))}\r\n" for t, row in rows)
+            rows = zip(times[i : i + 256].tolist(), queues[i : i + 256].tolist())
+            fh.writelines(line % (t, *row) for t, row in rows)
 
 
 def _memory_budget() -> int:
