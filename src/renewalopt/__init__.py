@@ -44,6 +44,7 @@ from .simulation import (
     ExternalProcess,
     RandomizedStationaryPolicy,
     RunTrace,
+    SamplePath,
     check_queue_bound,
     drift_diagnostic,
     frame_stats,

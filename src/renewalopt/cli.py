@@ -23,6 +23,7 @@ import math
 import os
 import sys
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,7 @@ from .simulation import (
     CheckViolation,
     DppRatioPolicy,
     RandomizedStationaryPolicy,
+    SamplePath,
     queue_trajectory,
     run,
     trace_bytes,
@@ -133,9 +135,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
         else:
             per_class = np.asarray(cfg.weights, dtype=float)
             weights = tuple(per_class for _ in models)
-        grid = [(None, seed) for seed in cfg.seeds]
+        v_list = (None,)
     else:
-        grid = [(v, seed) for v in cfg.v_list for seed in cfg.seeds]
+        v_list = cfg.v_list
 
     out = Path(out_dir if out_dir is not None else cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -148,10 +150,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
         + [f"final_queue_{l + 1}" for l in range(n_metrics)]
         + ["frames_total", "lp_objective", "gap"]
     )
-    rows = []
-    for v, seed in grid:
+    rows = {}  # (v, seed) -> the cell's summary row
+    for seed, v in product(cfg.seeds, v_list):  # seed-major: one sample path alive at a time
+        if v == v_list[0]:  # the seed's cells replay one path; a lone cell frees its blocks
+            path = SamplePath(models, external, cfg.slots, seed) if len(v_list) > 1 else None
         policy = RandomizedStationaryPolicy(weights) if v is None else DppRatioPolicy(v, cfg.solver)
-        trace = run(models, external, policy, cfg.slots, seed, check=cfg.check)
+        trace = run(models, external, policy, cfg.slots, seed, check=cfg.check, path=path)
         row = [cfg.policy, "" if v is None else _fmt(v), seed, trace.slots]
         row += map(_fmt, (trace.avg_penalty, *trace.avg_metrics, *trace.avg_queues))
         row += map(_fmt, trace.final_queues)
@@ -160,7 +164,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
             row += [_fmt(lp_sol.objective), _fmt(trace.avg_penalty - lp_sol.objective)]
         else:
             row += ["", ""]
-        rows.append(row)
+        rows[v, seed] = row
         if cfg.trajectories:
             tag = "stationary" if v is None else format(v, "g")
             _write_trajectory(out / f"trajectory_{tag}_{seed}.csv", queue_trajectory(trace))
@@ -170,7 +174,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
     with open(out / "summary.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows(rows[v, seed] for v in v_list for seed in cfg.seeds)
     return 0
 
 

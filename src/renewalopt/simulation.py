@@ -22,6 +22,9 @@ SeedSequence(seed, spawn_key=(0, n, a)), drawn FRAME_BLOCK frames per
 ``core.sample_frame`` call: the j-th frame system n plays under action a is
 the same whatever V, solver or policy chose it.  Stationary actions come from
 spawn_key=(0, n) and d from (1,): adding systems never perturbs other streams.
+A ``SamplePath`` holds one seed's d and streams, drawn on first use and
+replayed from the start by every run given it, so the cells of a V sweep
+draw them once.
 
 ``run`` returns a ``RunTrace``, the whole record of the run; every analysis
 below is a function of it alone, and the per-frame ones read one table over
@@ -42,7 +45,7 @@ from array import array
 from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -58,6 +61,7 @@ __all__ = [
     "DppRatioPolicy",
     "RandomizedStationaryPolicy",
     "CheckViolation",
+    "SamplePath",
     "RunTrace",
     "run",
     "QueueTrajectory",
@@ -195,19 +199,51 @@ class CheckViolation(Exception):
 FRAME_BLOCK = 64
 
 
-def _frame_stream(model: RenewalSystemModel, action: int, rng: np.random.Generator, drawn: list):
-    """The action's frames, FRAME_BLOCK per draw, as (length, offset, metric, z): z is
-    the impulse value, or a row frame's metric row (offset and metric -1).  Each
-    block drawn is appended to ``drawn``, from which the frame columns are built."""
-    while True:
-        frames = sample_frame(model, action, rng, FRAME_BLOCK)
-        drawn.append(frames)
-        if frames.impulse is None:
-            offsets, l, z = repeat(-1), -1, frames.metric_rate.tolist()
-        else:
-            offsets, l, z = frames.impulse
-            offsets, z = offsets.tolist(), z.tolist()
-        yield from zip(frames.length.tolist(), offsets, repeat(l), z)
+def _generator(seed: int, *key: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+
+
+class SamplePath:
+    """One seed's d and (system, action) frame streams, as read-only arrays.
+
+    Making it draws nothing and seeds no generator: d is drawn when a run first
+    reads it, and a stream's blocks, through ``sample_frame``, when a run first
+    reads past those drawn.  Every run given the path replays it from the start.
+    """
+
+    def __init__(self, models: Sequence[RenewalSystemModel], external, slots: int, seed: int):
+        self.models, self.external, self.slots, self.seed = tuple(models), external, slots, seed
+        self._d = None
+        self._generators = {}  # (system, action) -> its stream's generator
+        self.blocks = [[[] for _ in range(m.n_actions)] for m in self.models]  # drawn so far
+
+    @property
+    def d(self) -> np.ndarray:
+        if self._d is None:
+            self._d = self.external.sample_matrix(_generator(self.seed, 1), self.slots)
+            self._d.setflags(write=False)
+        return self._d
+
+    def frames(self, n: int, a: int):
+        """Stream (n, a)'s frames from its first, as (length, offset, metric, z): z is the
+        impulse value, or a row frame's metric row (offset and metric -1)."""
+        blocks = self.blocks[n][a]
+        for i in count():
+            if i == len(blocks):  # no run has read this far: draw FRAME_BLOCK more
+                if not blocks:
+                    self._generators[n, a] = _generator(self.seed, 0, n, a)
+                frames = sample_frame(self.models[n], a, self._generators[n, a], FRAME_BLOCK)
+                rows = (frames.metric_rate,) if frames.impulse is None else frames.impulse[::2]
+                for column in (frames.length, frames.penalty_rate, *rows):
+                    column.setflags(write=False)
+                blocks.append(frames)
+            frames = blocks[i]
+            if frames.impulse is None:
+                offsets, l, z = repeat(-1), -1, frames.metric_rate.tolist()
+            else:
+                offsets, l, z = frames.impulse
+                offsets, z = offsets.tolist(), z.tolist()
+            yield from zip(frames.length.tolist(), offsets, repeat(l), z)
 
 
 # the engine
@@ -219,7 +255,8 @@ class RunTrace:
 
     models, process, policy and seed are what ``run`` was given.  penalty[t]
     and metrics[t] are the slot-t sums over systems of y and z, external[t]
-    is d[t], and queues[t] is Q[t] for t = 0..slots, zero first and the final
+    is d[t] (the sample path's read-only array, shared by the runs of one
+    seed), and queues[t] is Q[t] for t = 0..slots, zero first and the final
     queue last: 8 * (1 + 3L) bytes per slot.  frames[n] is system n's frame
     log, one (start, length, action) int64 row per frame in order; the last
     may end past the horizon, which cuts its y and z short.  Row k of
@@ -303,21 +340,22 @@ def _running_sums(
         yield start, block
 
 
-def _frame_columns(actions: array, drawn: list, n_metrics: int) -> tuple[np.ndarray, ...]:
+def _frame_columns(actions: array, blocks: list, n_metrics: int) -> tuple[np.ndarray, ...]:
     """One system's frame log and rate, impulse-slot and metric columns.
 
-    Its j-th frame under action a is the next unused frame of the blocks
-    stream a drew, and the frames start back to back from slot 0.
+    Its j-th frame under action a is frame j of the blocks[a] its stream
+    drew, and the frames start back to back from slot 0.
     """
     acts = np.frombuffer(actions, dtype=np.int64)
     log = np.zeros((acts.shape[0], 3), dtype=np.int64)  # start, length, action
     log[:, 2] = acts
     rate, at = np.empty(acts.shape[0]), np.full_like(acts, -1)  # at: offset until the end
     metrics = np.zeros((acts.shape[0], n_metrics))
-    for a, blocks in enumerate(drawn):
+    for a, drawn in enumerate(blocks):
         mine = np.flatnonzero(acts == a)
-        for i, frames in enumerate(blocks):
-            sel = mine[i * FRAME_BLOCK : (i + 1) * FRAME_BLOCK]
+        # the path may hold more blocks than this run read
+        for i, frames in zip(range(0, mine.shape[0], FRAME_BLOCK), drawn):
+            sel = mine[i : i + FRAME_BLOCK]
             k = sel.shape[0]
             log[sel, 1], rate[sel] = frames.length[:k], frames.penalty_rate[:k]
             if frames.impulse is None:
@@ -340,14 +378,16 @@ def _penalty_series(logs: Sequence[np.ndarray], rates: Sequence[np.ndarray], slo
 
 
 def trace_bytes(models: Sequence[RenewalSystemModel], slots: int) -> int:
-    """The bytes ``run`` holds at most over ``slots``, at ceil(slots / min t_hat) frames a
-    system: the ``RunTrace`` and y's repeat, 8 a slot; the columns of one more system, for
-    the drawn blocks, actions and temporaries of the one being built; and in the loop a
-    pending block per (system, action) stream, 8 * (24 + L) a frame as columns and lists."""
-    n_metrics = models[0].n_metrics
+    """The bytes ``run`` holds at most over ``slots``, at f = ceil(slots / min t_hat)
+    frames a system: the ``RunTrace`` and y's repeat, 8 a slot; the columns of one more
+    system, for the actions and temporaries of the one being built; the sample path's
+    blocks, at most f frames a (system, action) stream whatever runs share it, 8 * (5 + L)
+    a frame with the blocks' objects; and in the loop a pending block a stream, 8 * (24 + L)
+    a frame as Python lists."""
+    n_metrics, streams = models[0].n_metrics, sum(m.n_actions for m in models)
     frames = -(-slots // min(float(m.t_hats.min()) for m in models))
     need = 8 * (2 + 3 * n_metrics) * slots + 8 * (5 + n_metrics) * (len(models) + 1) * frames
-    return need + 8 * (24 + n_metrics) * FRAME_BLOCK * sum(m.n_actions for m in models)
+    return need + 8 * streams * ((5 + n_metrics) * frames + (24 + n_metrics) * FRAME_BLOCK)
 
 
 def run(
@@ -358,12 +398,15 @@ def run(
     seed: int,
     *,
     check: bool = False,
+    path: SamplePath | None = None,
 ) -> RunTrace:
     """Simulate all systems for the given number of slots.
 
     Deterministic given (models, external, policy, slots, seed).  Each slot
     decides and lays down the frames starting there, then steps Q once.
-    Frames past the horizon lay down only their in-horizon slots.
+    Frames past the horizon lay down only their in-horizon slots.  d and the
+    frames come from ``path``, a ``SamplePath`` of the same models, external
+    process, slots and seed (else ValueError); without one the run makes its own.
     """
     models = tuple(models)
     n_sys = len(models)
@@ -388,16 +431,18 @@ def run(
     else:
         raise TypeError(f"unknown policy type {type(policy).__name__}")
 
-    def stream(*key):
-        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+    own = path is None  # then no other run reads its blocks
+    if own:
+        path = SamplePath(models, external, slots, seed)
+    built = path.models, path.external, path.slots, path.seed
+    for what, mine, given in zip(("models", "an external process", "slots", "a seed"), built,
+                                 (models, external, slots, seed)):
+        if mine != given:  # models and external processes compare by identity
+            raise ValueError(f"the sample path was built for {what} other than the run's")
 
-    action_rngs = [stream(0, n) for n in range(n_sys)] if stationary else None
-    d_arr = external.sample_matrix(stream(1), slots)
-    drawn = [[[] for _ in range(m.n_actions)] for m in models]  # the blocks each stream drew
-    frame_streams = [
-        [_frame_stream(m, a, stream(0, n, a), drawn[n][a]) for a in range(m.n_actions)]
-        for n, m in enumerate(models)
-    ]
+    action_rngs = [_generator(seed, 0, n) for n in range(n_sys)] if stationary else None
+    d_arr = path.d
+    frame_streams = [[path.frames(n, a) for a in range(m.n_actions)] for n, m in enumerate(models)]
 
     # item assignment and fromlist reach the buffers without a numpy call
     z_buf = array("d", [0.0]) * (slots * n_metrics)
@@ -437,9 +482,11 @@ def run(
         q = queue_step(q, z_buf[t * n_metrics : (t + 1) * n_metrics], d_row)
         q_buf.fromlist(q)
 
-    del frame_streams  # the streams' pending frames
-    # pop: each system's blocks are freed once its columns are built
-    columns = [_frame_columns(actions.pop(0), drawn.pop(0), n_metrics) for _ in models]
+    blocks = path.blocks if own else list(path.blocks)
+    del frame_streams, path  # the streams' pending frames, and a path of the run's own
+    # pop: each system's actions, and its blocks if no other run reads the path, are
+    # freed once its columns are built
+    columns = [_frame_columns(actions.pop(0), blocks.pop(0), n_metrics) for _ in models]
     logs, rates, at, metrics = zip(*columns)
     queues = np.frombuffer(q_buf).reshape(slots + 1, n_metrics)
     series = _penalty_series(logs, rates, slots), z_arr, d_arr, queues

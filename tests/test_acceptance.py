@@ -26,6 +26,7 @@ from renewalopt.distributions import GeometricLength, constant_rate_model
 from renewalopt.simulation import (
     DppRatioPolicy,
     RandomizedStationaryPolicy,
+    SamplePath,
     drift_diagnostic,
     frame_stats,
     run,
@@ -70,13 +71,16 @@ def env():
 def sweep(env):
     """One simulation per (V, seed); criteria 1-3 share it.
 
+    The cells of a seed replay one sample path, as `renewalopt run` does.
     Only the averages the criteria read are kept, not the traces.
     """
-    out = {}
-    for v in SWEEP_V:
-        out[v] = []
-        for seed in SWEEP_SEEDS:
-            trace = run(env["models"], env["external"], DppRatioPolicy(v), SWEEP_SLOTS, seed)
+    out = {v: [] for v in SWEEP_V}
+    for seed in SWEEP_SEEDS:
+        path = SamplePath(env["models"], env["external"], SWEEP_SLOTS, seed)
+        for v in SWEEP_V:
+            trace = run(
+                env["models"], env["external"], DppRatioPolicy(v), SWEEP_SLOTS, seed, path=path
+            )
             out[v].append(
                 SimpleNamespace(
                     avg_penalty=trace.avg_penalty,

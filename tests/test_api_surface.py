@@ -132,6 +132,23 @@ def test_trace_hooks_see_every_frame_decision(monkeypatch):
         blocks = int(sum((-(-counts // simulation.FRAME_BLOCK)).sum() for counts in played))
         assert blocks < frames
         assert made["sample_frame"] == made["sample"] == made["__post_init__"] == blocks
+    # two cells sharing one sample path: the second replays the blocks the
+    # first drew and draws, through the same names, only those past them
+    counted(simulation.ExternalProcess, "sample_matrix")
+    path = simulation.SamplePath(models, external, 1500, seed=3)
+    needed = []
+    for v in (10.0, 200.0):
+        before = dict(calls)
+        trace = simulation.run(models, external, simulation.DppRatioPolicy(v), 1500, 3, path=path)
+        made = {name: calls[name] - before[name] for name in calls}
+        needed.append(np.array([
+            -(-np.bincount(log[:, 2], minlength=models[n].n_actions) // simulation.FRAME_BLOCK)
+            for n, log in enumerate(trace.frames)
+        ]))
+    new_blocks = int(np.maximum(needed[1] - needed[0], 0).sum())
+    assert 0 < new_blocks < needed[1].sum()
+    assert made["sample_frame"] == made["sample"] == made["__post_init__"] == new_blocks
+    assert made["sample_matrix"] == 0 and calls["sample_matrix"] == 1
 
 
 def test_src_stays_within_its_line_budget():

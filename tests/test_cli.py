@@ -187,21 +187,22 @@ def test_oversized_horizon_exits_1_before_any_cell(tmp_path, capsys, monkeypatch
     # per frame for each of 5 systems, estimated at ceil(slots / 7.5) frames
     # (7.5 is the shortest class's t_hat); y's repeat of one system's rates
     # adds 8 bytes a slot, the system whose columns are being built counts
-    # once more for its drawn blocks, actions and temporaries, and each of the
-    # 5 * 3 (system, action) streams holds a pending block of 64 frames at
-    # 8 * (24 + 3) bytes; with the memory budget one byte short of that the
-    # run must stop before its first cell
+    # once more for its actions and temporaries, the sample path holds at most
+    # that many frames of blocks for each of the 5 * 3 (system, action)
+    # streams at 8 * (5 + 3) bytes, and each stream holds a pending block of
+    # 64 frames at 8 * (24 + 3) bytes; with the memory budget one byte short
+    # of that the run must stop before its first cell
     def no_cell(*args, **kwargs):
         raise AssertionError("a cell started")
 
     pending = 216 * 64 * 3
-    need = 88 * 200_000 + 64 * 6 * 26_667 + 5 * pending
+    need = 88 * 200_000 + 64 * 6 * 26_667 + 15 * 64 * 26_667 + 5 * pending
     monkeypatch.setattr(cli, "_memory_budget", lambda: need - 1)
     monkeypatch.setattr(cli, "run", no_cell)
     cfg = write_config(tmp_path, BASE + f"out = {tmp_path / 'res'}\n")
     assert main(["run", cfg, "--slots", "200000"]) == 1
     err = capsys.readouterr().err
-    assert "slots: 200000 slots need a 26.7 MiB trace per cell" in err
+    assert "slots: 200000 slots need a 51.2 MiB trace per cell" in err
     assert not (tmp_path / "res").exists()
     # with 200 servers the frame logs outweigh the series: a budget that
     # holds the per-slot terms alone must stop the run too
@@ -212,11 +213,13 @@ def test_oversized_horizon_exits_1_before_any_cell(tmp_path, capsys, monkeypatch
     )
     monkeypatch.setattr(cli, "_memory_budget", lambda: 88 * 200_000)
     assert main(["run", many]) == 1
-    assert "slots: 200000 slots need a 351.8 MiB trace per cell" in capsys.readouterr().err
+    assert "slots: 200000 slots need a 1328.4 MiB trace per cell" in capsys.readouterr().err
     assert not (tmp_path / "res").exists()
     # at exactly the budget the grid runs
     monkeypatch.undo()
-    monkeypatch.setattr(cli, "_memory_budget", lambda: 88 * 400 + 64 * 6 * 54 + 5 * pending)
+    monkeypatch.setattr(
+        cli, "_memory_budget", lambda: 88 * 400 + 64 * 6 * 54 + 15 * 64 * 54 + 5 * pending
+    )
     assert main(["run", cfg]) == 0
 
 

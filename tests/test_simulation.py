@@ -3,6 +3,7 @@ import re
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from renewalopt.simulation import (
     FrameStats,
     RandomizedStationaryPolicy,
     RunTrace,
+    SamplePath,
     check_queue_bound,
     default_poisson_cap,
     drift_diagnostic,
@@ -771,6 +773,112 @@ def test_one_system_and_action_plays_the_same_frames_in_every_cell(table1_env):
                     assert np.array_equal(x[:common], y[:common]), (n, a)
                 compared += common
     assert compared > 3000
+
+
+def trace_arrays(trace):
+    """Every array of a trace, frame columns included."""
+    columns = (trace.frames, trace.frame_rates, trace.impulse_slots, trace.frame_metrics)
+    return [trace.penalty, trace.metrics, trace.external, trace.queues, *chain(*columns)]
+
+
+def drawn_blocks(path):
+    return sum(len(blocks) for stream in path.blocks for blocks in stream)
+
+
+@pytest.mark.parametrize("name", ["table1_enumerate", "constant_rate_fixture"])
+def test_cells_sharing_a_sample_path_match_cells_on_their_own(table1_env, name):
+    # the cells of one seed replay one SamplePath: each run starts every
+    # stream at block 0, and a later cell draws the blocks past the earlier
+    # cells' in both V orders; every cell, checked or not and under either
+    # policy, lays down the bytes it lays down on a path of its own, and the
+    # fingerprinted cell alone matches its pinned digest (so the path keys
+    # each stream by system and action, as the fingerprints were drawn)
+    models, external, pinned, slots, seed, _ = fingerprint_cases(table1_env)[name]
+    if name == "table1_enumerate":  # Table 1: impulse frames
+        weights = stationary_policy_weights(table1_env["sol"])
+    else:  # constant rates: row frames
+        weights = [np.full(3, 1 / 3)] * 2
+    policies = [DppRatioPolicy(v) for v in sorted({1.0, pinned.v, 200.0})]
+    policies.append(RandomizedStationaryPolicy(weights))
+    alone = {policy: trace_arrays(run(models, external, policy, slots, seed)) for policy in policies}
+    assert trace_digest(run(models, external, pinned, slots, seed)) == TRACE_FINGERPRINTS[name]
+    for order, check in ((policies, False), (policies[::-1], True)):
+        path = SamplePath(models, external, slots, seed)
+        drawn = []
+        for policy in order:
+            shared = run(models, external, policy, slots, seed, check=check, path=path)
+            assert all(
+                (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+                for x, y in zip(trace_arrays(shared), alone[policy], strict=True)
+            ), (name, policy, check)
+            drawn.append(drawn_blocks(path))
+        assert drawn[0] < drawn[-1], drawn  # a later cell drew past the first one's blocks
+
+
+def test_run_rejects_a_sample_path_of_another_cell(table1_env):
+    models, external = table1_env["models"], table1_env["external"]
+    path = SamplePath(models, external, 100, 1)
+    policy = DppRatioPolicy(10.0)
+    cases = (
+        ("models", [replace(m) for m in models], external, 100, 1),
+        ("an external process", models, ExternalProcess(external.coords), 100, 1),
+        ("slots", models, external, 200, 1),
+        ("a seed", models, external, 100, 2),
+    )
+    for what, cell_models, cell_external, slots, seed in cases:
+        with pytest.raises(ValueError, match=f"^the sample path was built for {what} other "):
+            run(cell_models, cell_external, policy, slots, seed, path=path)
+    assert drawn_blocks(path) == 0
+    run(list(models), external, policy, 100, 1, path=path)  # the same models, as a list
+
+
+def test_shared_sample_path_arrays_are_read_only(table1_env):
+    # the cells of one seed share d and every block: a write to any raises
+    row_model = model_from_vectors([1.0, 2.0], [[0.5], [1.5]], [2.0, 3.0])
+    cases = (
+        (table1_env["models"], table1_env["external"]),
+        ([row_model], ExternalProcess((FixedValue(1.0),))),
+    )
+    for models, external in cases:
+        path = SamplePath(models, external, 200, 3)
+        trace = run(models, external, DppRatioPolicy(5.0), 200, 3, path=path)
+        assert trace.external is path.d
+        frames = [f for stream in path.blocks for blocks in stream for f in blocks]
+        columns = [trace.external]
+        for f in frames:
+            rows = (f.metric_rate,) if f.impulse is None else f.impulse[::2]
+            columns += [f.length, f.penalty_rate, *rows]
+        assert len(columns) > 3 * len(frames) > 0
+        for column in columns:
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[0]
+
+
+def test_building_a_sample_path_draws_nothing(table1_env, monkeypatch):
+    # building a path seeds no generator and calls no sampler: the first run
+    # given it draws d and the blocks it reads, inside run
+    calls = Counter()
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in ((simulation, "_generator"), (simulation, "sample_frame"),
+                        (ExternalProcess, "sample_matrix")):
+        counted(owner, name)
+    models, external = table1_env["models"], table1_env["external"]
+    path = SamplePath(models, external, 500, 4)
+    assert calls == Counter()
+    trace = run(models, external, DppRatioPolicy(10.0), 500, 4, path=path)
+    streams = sum(1 for stream in path.blocks for blocks in stream if blocks)
+    assert calls["sample_matrix"] == 1 and calls["_generator"] == 1 + streams
+    assert calls["sample_frame"] == drawn_blocks(path) > 0
+    assert trace.external is path.d
 
 
 def test_analyses_name_a_system_without_completed_frames(table1_env):
