@@ -50,7 +50,6 @@ from .simulation import (
     frame_stats,
     queue_trajectory,
     run,
-    uniform_frame_drift_bound,
 )
 
 __version__ = "0.1.0"

@@ -87,10 +87,6 @@ class StationaryLP:
     def n_systems(self) -> int:
         return len(self.f_hats)
 
-    @property
-    def n_metrics(self) -> int:
-        return self.d.shape[0]
-
 
 @dataclass(frozen=True, eq=False)
 class LPSolution:

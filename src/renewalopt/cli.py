@@ -122,7 +122,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
         raise ConfigError([(0, "slots", "the largest penalty total N * y_max * slots overflows")])
     n_metrics = external.n_metrics
     # a trace grows slot by slot, so a horizon that cannot fit would fail mid-run
-    _check_memory("slots", cfg.slots, trace_bytes(models, cfg.slots), "trace per cell")
+    cells = 1 if cfg.policy == "stationary" else len(cfg.v_list)  # a seed's runs on one path
+    _check_memory("slots", cfg.slots, trace_bytes(models, cfg.slots, cells), "trace per cell")
     lp_sol = solve_lp(lp)
 
     if cfg.policy == "stationary":

@@ -246,12 +246,7 @@ class ActionValidation:
     bound_violations: int
     declared: PerformanceTriple
     y_mean: float
-    y_se: float
     t_mean: float
-    residual_estimates: np.ndarray
-    residual_ses: np.ndarray
-    residual_counts: np.ndarray
-    residual_flags: np.ndarray
     # the largest residual estimate the flag rule assessed (offset 0 if none)
     max_assessed_residual: float
 
@@ -268,8 +263,8 @@ class ValidationReport:
         return not self.flags
 
 
-# fewer surviving frames than this gives no usable SE for the residual
-# second-moment check, so such offsets are estimated but never flagged
+# fewer frames than this give no usable SE: the residual second-moment check
+# estimates such offsets but never flags them, and the mean check flags nothing
 RESIDUAL_MIN_FRAMES = 30
 
 
@@ -279,6 +274,22 @@ def _mean_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if values.shape[0] < 2:
         return mean, np.zeros_like(mean)
     return mean, values.std(axis=0, ddof=1) / np.sqrt(values.shape[0])
+
+
+def _residual_table(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(counts, estimates, SEs) of (T - s)^2 over the frames with T >= s, at every offset s
+    up to the longest length, in one pass: m[k][s] = sum over frames with T >= s of (T - s)^k
+    is a reversed cumulative sum, as m[k][s] - m[k][s + 1] = sum_{j < k} C(k, j) m[j][s + 1],
+    exact while the sums stay below 2^53."""
+    m = [np.cumsum(np.bincount(lengths)[::-1])[::-1].astype(float)]
+    for binomials in ((1,), (1, 2), (1, 3, 3), (1, 4, 6, 4)):  # C(k, j), j < k
+        step = np.zeros_like(m[0])
+        for c, m_j in zip(binomials, m):
+            step += c * m_j
+        m.append(np.append(np.cumsum(step[:0:-1])[::-1], 0.0))
+    estimates = m[2] / m[0]
+    var = np.maximum(m[4] - m[2] * estimates, 0.0) / np.maximum(m[0] - 1, 1)
+    return m[0].astype(np.int64), estimates, np.where(m[0] < 2, 0.0, np.sqrt(var / m[0]))
 
 
 def validate_model(
@@ -292,10 +303,11 @@ def validate_model(
     checks three things per action: (a) per-slot bound violations, one per
     frame and bound crossed (``exceeds_bounds``), which must be zero;
     (b) estimates of E[(T - s)^2 | T >= s] for every offset s up to the
-    longest observed frame, from reversed cumulative sums of the length
-    counts, flagged when an estimate backed by at least RESIDUAL_MIN_FRAMES
-    surviving frames exceeds the declared residual_bound by more than 3 SEs;
-    (c) frame-total means, flagged beyond 4 SEs from the declared triple.
+    longest observed frame (``_residual_table``), flagged when an estimate
+    backed by at least RESIDUAL_MIN_FRAMES surviving frames exceeds the
+    declared residual_bound by more than 3 SEs; (c) frame-total means, from
+    at least RESIDUAL_MIN_FRAMES samples, flagged beyond 4 SEs from the
+    declared triple.
     """
     if samples_per_action < 1:
         raise ValueError("samples_per_action must be >= 1")
@@ -322,17 +334,7 @@ def validate_model(
         t_mean, t_se = _mean_se(lengths)
         z_mean, z_se = _mean_se(totals)
 
-        # m[k][s] = sum over frames with T >= s of (T - s)^k, as m[k][s] - m[k][s + 1]
-        # = sum_{j < k} C(k, j) m[j][s + 1]; exact while the sums stay below 2^53
-        m = [np.cumsum(np.bincount(frames.length)[::-1])[::-1].astype(float)]
-        for binomials in ((1,), (1, 2), (1, 3, 3), (1, 4, 6, 4)):  # C(k, j), j < k
-            step = np.zeros_like(m[0])
-            for c, m_j in zip(binomials, m):
-                step += c * m_j
-            m.append(np.append(np.cumsum(step[:0:-1])[::-1], 0.0))
-        residual_count, residual_est = m[0].astype(np.int64), m[2] / m[0]
-        var = np.maximum(m[4] - m[2] * residual_est, 0.0) / np.maximum(m[0] - 1, 1)
-        residual_se = np.where(m[0] < 2, 0.0, np.sqrt(var / m[0]))
+        residual_count, residual_est, residual_se = _residual_table(frames.length)
         # a lone long frame must not count as evidence against the bound
         assessed = residual_count >= RESIDUAL_MIN_FRAMES
         residual_flag = assessed & (residual_est > model.residual_bound + 3 * residual_se)
@@ -355,7 +357,7 @@ def validate_model(
             [declared.y_hat, declared.t_hat, *declared.z_hat],
         ):
             tol = 4 * se if se > 0 else 1e-9
-            if abs(emp - decl) > tol:
+            if n >= RESIDUAL_MIN_FRAMES and abs(emp - decl) > tol:
                 flags.append(f"action {idx}: empirical {name} {emp:.6g} vs declared {decl:.6g}")
 
         reports.append(
@@ -365,12 +367,7 @@ def validate_model(
                 bound_violations=violations,
                 declared=declared,
                 y_mean=float(y_mean),
-                y_se=float(y_se),
                 t_mean=float(t_mean),
-                residual_estimates=residual_est,
-                residual_ses=residual_se,
-                residual_counts=residual_count,
-                residual_flags=residual_flag,
                 max_assessed_residual=float(max_residual),
             )
         )

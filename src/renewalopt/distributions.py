@@ -48,25 +48,21 @@ class LengthDistribution(Protocol):
 class GeometricLength:
     """Geometric on {1, 2, ...} with the given mean (success prob 1/mean)."""
 
-    mean_length: float
+    mean: float
 
     def __post_init__(self):
-        object.__setattr__(self, "mean_length", float(self.mean_length))
-        if not self.mean_length >= 1.0:
+        object.__setattr__(self, "mean", float(self.mean))
+        if not self.mean >= 1.0:
             raise ValueError("geometric mean must be >= 1")
-        object.__setattr__(self, "_p", 1.0 / self.mean_length)
+        object.__setattr__(self, "_p", 1.0 / self.mean)
 
     def sample(self, rng: np.random.Generator, k: int) -> np.ndarray:
         return rng.geometric(self._p, k)
 
     @property
-    def mean(self) -> float:
-        return self.mean_length
-
-    @property
     def second_moment(self) -> float:
         # E[T^2] = (2 - p) / p^2 with p = 1/mean
-        m = self.mean_length
+        m = self.mean
         return 2 * m * m - m
 
 
@@ -122,16 +118,14 @@ def constant_rate_model(
     penalty_rates: Sequence[float],
     metric_rates: Sequence[Sequence[float]],
     lengths: Sequence[LengthDistribution],
-    y_max: float | None = None,
-    z_max: float | None = None,
-    residual_bound: float | None = None,
 ) -> RenewalSystemModel:
     """Build a model whose actions emit constant per-slot rates.
 
     The per-slot rates are the performance vectors themselves, which makes
     these models convenient exact fixtures: f_hat = penalty rate and
     g_hat = metric rates for every action, for any length distribution.
-    The default residual bound, the largest second moment, is valid only for
+    The bounds are derived: y_max and z_max the largest |penalty| and |metric|
+    rates, and the residual bound the largest second moment (at least 1), valid only for
     IFR (increasing failure rate) lengths, as all of this module's are.
     """
     if not len(penalty_rates) == len(metric_rates) == len(lengths):
@@ -141,10 +135,7 @@ def constant_rate_model(
         for length, pr, mr in zip(lengths, penalty_rates, metric_rates)
     )
     triples = tuple(s.triple() for s in samplers)
-    if y_max is None:
-        y_max = max(abs(float(r)) for r in penalty_rates)
-    if z_max is None:
-        z_max = float(np.max(np.abs(np.asarray(metric_rates, dtype=float))))
-    if residual_bound is None:
-        residual_bound = max(1.0, max(length.second_moment for length in lengths))
+    y_max = max(abs(float(r)) for r in penalty_rates)
+    z_max = float(np.max(np.abs(np.asarray(metric_rates, dtype=float))))
+    residual_bound = max(1.0, max(length.second_moment for length in lengths))
     return RenewalSystemModel(triples, samplers, y_max, z_max, residual_bound)

@@ -44,7 +44,7 @@ import math
 from array import array
 from bisect import bisect_right
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, count, repeat
 from typing import Iterator, Sequence
 
@@ -57,7 +57,6 @@ from .core import PerformanceVector, RenewalSystemModel, _mean_se, exceeds_bound
 __all__ = [
     "CappedPoisson",
     "ExternalProcess",
-    "default_poisson_cap",
     "DppRatioPolicy",
     "RandomizedStationaryPolicy",
     "CheckViolation",
@@ -70,7 +69,6 @@ __all__ = [
     "FrameStats",
     "frame_stats",
     "DriftDiagnostic",
-    "uniform_frame_drift_bound",
     "drift_diagnostic",
 ]
 
@@ -78,31 +76,22 @@ __all__ = [
 # external i.i.d. slot process
 
 
-def default_poisson_cap(rate: float) -> int:
-    """Truncation point far enough out that the clipped mass is negligible."""
-    return math.ceil(rate + 10.0 * math.sqrt(rate))
-
-
 @dataclass(frozen=True)
 class CappedPoisson:
-    """Poisson(rate) clipped at cap; scale=-1 flips the sign of every draw.
+    """Poisson(rate) clipped at cap = ceil(rate + 10 sqrt(rate)); scale=-1 flips every draw.
 
-    The clip keeps |d[t]| bounded as the analysis assumes.  With the default
-    cap of mean + 10*sqrt(mean) the clipped probability mass is below 1e-10
-    for the rates used here, so the stated mean ignores the truncation bias.
+    The clip keeps |d[t]| bounded as the analysis assumes; the clipped mass is
+    below 1e-10 for the rates used here, so the stated mean ignores the bias.
     """
 
     rate: float
-    cap: int | None = None
     scale: float = 1.0
+    cap: int = field(init=False)
 
     def __post_init__(self):
         if not self.rate > 0:
             raise ValueError("rate must be positive")
-        if self.cap is None:
-            object.__setattr__(self, "cap", default_poisson_cap(self.rate))
-        if self.cap < self.rate:
-            raise ValueError("cap below the mean would bias every sample")
+        object.__setattr__(self, "cap", math.ceil(self.rate + 10.0 * math.sqrt(self.rate)))
 
     @property
     def mean(self) -> float:
@@ -282,21 +271,6 @@ class RunTrace:
         return self.penalty.shape[0]
 
     @property
-    def total_penalty(self) -> float:
-        return float(self.penalty.sum())
-
-    @property
-    def total_metrics(self) -> np.ndarray:
-        return self.metrics.sum(axis=0)
-
-    @property
-    def queue_slot_sum(self) -> np.ndarray:
-        """sum_{t<slots} Q[t], added in slot order."""
-        for _, sums in _running_sums(self.queues[:-1]):
-            pass
-        return sums[-1]
-
-    @property
     def final_queues(self) -> np.ndarray:
         return self.queues[-1]
 
@@ -306,15 +280,18 @@ class RunTrace:
 
     @property
     def avg_penalty(self) -> float:
-        return self.total_penalty / self.slots
+        return float(self.penalty.sum()) / self.slots
 
     @property
     def avg_metrics(self) -> np.ndarray:
-        return self.total_metrics / self.slots
+        return self.metrics.sum(axis=0) / self.slots
 
     @property
     def avg_queues(self) -> np.ndarray:
-        return self.queue_slot_sum / self.slots
+        """sum_{t<slots} Q[t], added in slot order, over slots."""
+        for _, sums in _running_sums(self.queues[:-1]):
+            pass
+        return sums[-1] / self.slots
 
 
 _CHUNK = 8192
@@ -377,17 +354,18 @@ def _penalty_series(logs: Sequence[np.ndarray], rates: Sequence[np.ndarray], slo
     return y
 
 
-def trace_bytes(models: Sequence[RenewalSystemModel], slots: int) -> int:
-    """The bytes ``run`` holds at most over ``slots``, at f = ceil(slots / min t_hat)
-    frames a system: the ``RunTrace`` and y's repeat, 8 a slot; the columns of one more
-    system, for the actions and temporaries of the one being built; the sample path's
-    blocks, at most f frames a (system, action) stream whatever runs share it, 8 * (5 + L)
-    a frame with the blocks' objects; and in the loop a pending block a stream, 8 * (24 + L)
-    a frame as Python lists."""
+def trace_bytes(models: Sequence[RenewalSystemModel], slots: int, cells: int) -> int:
+    """The bytes ``run`` holds at most over ``slots``, one of ``cells`` runs sharing a path,
+    at f = ceil(slots / min t_hat) frames a system a run: the ``RunTrace`` and y's repeat,
+    8 a slot; the columns of one more system, for the actions and temporaries of the one
+    being built; the path's blocks, 8 * (5 + L) a frame with their objects: a run reads f
+    frames of system n, so the cells read at most min(A_n, cells) * f, plus a partly read
+    block a stream; and in the loop a pending block a stream, 8 * (24 + L) a frame as lists."""
     n_metrics, streams = models[0].n_metrics, sum(m.n_actions for m in models)
     frames = -(-slots // min(float(m.t_hats.min()) for m in models))
+    blocks = sum(min(m.n_actions, cells) for m in models) * frames + streams * FRAME_BLOCK
     need = 8 * (2 + 3 * n_metrics) * slots + 8 * (5 + n_metrics) * (len(models) + 1) * frames
-    return need + 8 * streams * ((5 + n_metrics) * frames + (24 + n_metrics) * FRAME_BLOCK)
+    return need + 8 * (5 + n_metrics) * blocks + 8 * streams * (24 + n_metrics) * FRAME_BLOCK
 
 
 def run(
@@ -650,14 +628,6 @@ class DriftDiagnostic:
     excess_se: np.ndarray
 
 
-def uniform_frame_drift_bound(trace: RunTrace) -> float:
-    """c0 = L * z_max * (N * z_max + d_max) * B over the trace's systems."""
-    models, process = trace.models, trace.process
-    z_max = max(m.z_max for m in models)
-    b = max(m.residual_bound for m in models)
-    return process.n_metrics * z_max * (len(models) * z_max + process.max_abs()) * b
-
-
 def drift_diagnostic(trace: RunTrace, reference: Sequence[PerformanceVector]) -> DriftDiagnostic:
     """Drift sums of the completed frames of a dpp_ratio run against c0.
 
@@ -672,7 +642,9 @@ def drift_diagnostic(trace: RunTrace, reference: Sequence[PerformanceVector]) ->
         raise ValueError("one reference point per system required")
     if any(r.g_hat.shape[0] != trace.process.n_metrics for r in reference):
         raise ValueError("reference metric dimension mismatch")
-    c0 = uniform_frame_drift_bound(trace)
+    models, process = trace.models, trace.process
+    z_max, b = max(m.z_max for m in models), max(m.residual_bound for m in models)
+    c0 = process.n_metrics * z_max * (len(models) * z_max + process.max_abs()) * b
     excesses = [
         trace.policy.v * (f.y - f.length * ref.f_hat) + f.qz - f.w @ ref.g_hat - c0
         for f, ref in zip(_frame_table(trace), reference)

@@ -212,7 +212,7 @@ def brute_force_oracle(lp: StationaryLP, grid: int) -> LPSolution:
                 chosen + [grids[sys_idx][j]],
             )
 
-    rec(0, 0.0, np.zeros(lp.n_metrics), [])
+    rec(0, 0.0, np.zeros(lp.d.shape[0]), [])
     if best_weights is None:
         return LPSolution(lp=lp, status="infeasible")
     weights = tuple(np.asarray(w) for w in best_weights)

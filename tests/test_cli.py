@@ -186,26 +186,33 @@ def test_oversized_horizon_exits_1_before_any_cell(tmp_path, capsys, monkeypatch
     # a Table-1 trace holds 8 * (1 + 3 * 3) bytes per slot plus 8 * (5 + 3)
     # per frame for each of 5 systems, estimated at ceil(slots / 7.5) frames
     # (7.5 is the shortest class's t_hat); y's repeat of one system's rates
-    # adds 8 bytes a slot, the system whose columns are being built counts
-    # once more for its actions and temporaries, the sample path holds at most
-    # that many frames of blocks for each of the 5 * 3 (system, action)
-    # streams at 8 * (5 + 3) bytes, and each stream holds a pending block of
-    # 64 frames at 8 * (24 + 3) bytes; with the memory budget one byte short
-    # of that the run must stop before its first cell
+    # adds 8 bytes a slot, and the system whose columns are being built counts
+    # once more for its actions and temporaries.  The seed's cells share its
+    # sample path, and each reads at most that many frames of a system, so
+    # with c cells the path holds at most min(3, c) times that many frames of
+    # blocks per system at 8 * (5 + 3) bytes, plus a partly read block of 64
+    # frames for each of the 5 * 3 (system, action) streams; each stream also
+    # holds a pending block of 64 frames at 8 * (24 + 3) bytes.  With the
+    # memory budget one byte short of that the run must stop before its first
+    # cell: BASE's two V values make two cells, and one V value one
     def no_cell(*args, **kwargs):
         raise AssertionError("a cell started")
 
-    pending = 216 * 64 * 3
-    need = 88 * 200_000 + 64 * 6 * 26_667 + 15 * 64 * 26_667 + 5 * pending
-    monkeypatch.setattr(cli, "_memory_budget", lambda: need - 1)
+    pending, partial = 216 * 64 * 3, 64 * 15 * 64
+    series = 88 * 200_000 + 64 * 6 * 26_667
     monkeypatch.setattr(cli, "run", no_cell)
-    cfg = write_config(tmp_path, BASE + f"out = {tmp_path / 'res'}\n")
-    assert main(["run", cfg, "--slots", "200000"]) == 1
-    err = capsys.readouterr().err
-    assert "slots: 200000 slots need a 51.2 MiB trace per cell" in err
-    assert not (tmp_path / "res").exists()
+    for v, cells, mib in (("1 10", 2, "43.1"), ("10", 1, "34.9")):
+        need = series + 64 * 5 * cells * 26_667 + partial + 5 * pending
+        monkeypatch.setattr(cli, "_memory_budget", lambda: need - 1)
+        text = BASE.replace("v = 1 10", f"v = {v}") + f"out = {tmp_path / 'res'}\n"
+        cfg = write_config(tmp_path, text)
+        assert main(["run", cfg, "--slots", "200000"]) == 1
+        err = capsys.readouterr().err
+        assert f"slots: 200000 slots need a {mib} MiB trace per cell" in err
+        assert not (tmp_path / "res").exists()
     # with 200 servers the frame logs outweigh the series: a budget that
-    # holds the per-slot terms alone must stop the run too
+    # holds the per-slot terms alone must stop the run too; the default 8 V
+    # values read all three actions' blocks of every system
     many = write_config(
         tmp_path,
         f"instance = table1\nservers = 200\nslots = 200000\nout = {tmp_path / 'res'}\n",
@@ -213,14 +220,14 @@ def test_oversized_horizon_exits_1_before_any_cell(tmp_path, capsys, monkeypatch
     )
     monkeypatch.setattr(cli, "_memory_budget", lambda: 88 * 200_000)
     assert main(["run", many]) == 1
-    assert "slots: 200000 slots need a 1328.4 MiB trace per cell" in capsys.readouterr().err
+    assert "slots: 200000 slots need a 1330.8 MiB trace per cell" in capsys.readouterr().err
     assert not (tmp_path / "res").exists()
     # at exactly the budget the grid runs
     monkeypatch.undo()
     monkeypatch.setattr(
-        cli, "_memory_budget", lambda: 88 * 400 + 64 * 6 * 54 + 15 * 64 * 54 + 5 * pending
+        cli, "_memory_budget", lambda: 88 * 400 + 64 * 6 * 54 + 64 * 10 * 54 + partial + 5 * pending
     )
-    assert main(["run", cfg]) == 0
+    assert main(["run", write_config(tmp_path, BASE + f"out = {tmp_path / 'res'}\n")]) == 0
 
 
 def test_oversized_validate_exits_1_before_any_sample(tmp_path, capsys, monkeypatch):

@@ -122,7 +122,7 @@ def exact_pmf(length, cutoff=2000):
     if isinstance(length, DeterministicLength):
         pmf[length.value] = 1.0
     elif isinstance(length, GeometricLength):
-        p = 1.0 / length.mean_length
+        p = 1.0 / length.mean
         k = np.arange(1, cutoff + 1)
         pmf[1:] = p * (1 - p) ** (k - 1)
     else:

@@ -10,7 +10,7 @@ from renewalopt.scheduling import (
     ServiceIdleSampler,
     build_instance,
 )
-from renewalopt.simulation import DppRatioPolicy, default_poisson_cap, run
+from renewalopt.simulation import DppRatioPolicy, run
 
 
 def test_class_params_validation():
@@ -120,8 +120,7 @@ def test_built_external_process(table1_env):
     external = table1_env["external"]
     assert external.n_metrics == 3
     assert [c.mean for c in external.coords] == [-2.0, -3.0, -4.0]
-    caps = [default_poisson_cap(c.arrival_rate) for c in TABLE1.classes]
-    assert caps == [17, 21, 24]
+    assert [c.cap for c in external.coords] == [17, 21, 24]
     assert external.max_abs() == 24.0
     mat = external.sample_matrix(np.random.default_rng(0), 5000)
     assert mat.max() <= 0.0

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -34,12 +35,10 @@ from renewalopt.simulation import (
     RunTrace,
     SamplePath,
     check_queue_bound,
-    default_poisson_cap,
     drift_diagnostic,
     frame_stats,
     queue_trajectory,
     run,
-    uniform_frame_drift_bound,
 )
 from renewalopt.benchmark import extract_reference_point, stationary_policy_weights
 from renewalopt.config import parse_config
@@ -57,9 +56,7 @@ from test_cli import CHECKED_CONFIG
 
 
 def single_action_setup(rate=3.0, z_rate=0.0, d_value=1.0, length=2):
-    model = constant_rate_model(
-        [rate], [[z_rate]], [DeterministicLength(length)], y_max=abs(rate) or 1.0
-    )
+    model = constant_rate_model([rate], [[z_rate]], [DeterministicLength(length)])
     return [model], ExternalProcess((FixedValue(d_value),))
 
 
@@ -71,7 +68,6 @@ def test_fixed_value_coordinate():
 
 
 def test_capped_poisson_coordinate():
-    assert default_poisson_cap(4.0) == 24
     c = CappedPoisson(4.0)
     assert c.cap == 24
     assert c.mean == 4.0
@@ -86,9 +82,9 @@ def test_capped_poisson_coordinate():
     draws = flipped.sample_array(np.random.default_rng(1), 1000)
     assert draws.max() <= 0 and draws.min() >= -24
     with pytest.raises(ValueError):
-        CappedPoisson(10.0, cap=5)
-    with pytest.raises(ValueError):
         CappedPoisson(0.0)
+    with pytest.raises(TypeError):  # the cap is derived from the rate, not set
+        CappedPoisson(10.0, cap=5)
 
 
 def test_external_process_matrix():
@@ -127,7 +123,7 @@ def test_run_single_action_exact_averages():
     assert trace.frames_per_system[0] == 100
     # z - d = -1 every slot, so the queue never leaves zero
     assert np.array_equal(trace.final_queues, [0.0])
-    assert np.array_equal(trace.queue_slot_sum, [0.0])
+    assert np.array_equal(trace.avg_queues, [0.0])
     stats = frame_stats(trace)[0]
     assert stats.count == 100
     assert stats.empirical_f == 3.0
@@ -147,20 +143,20 @@ def test_run_is_deterministic_per_seed(table1_env):
     models, external = table1_env["models"], table1_env["external"]
     a = run(models, external, DppRatioPolicy(5.0), slots=2000, seed=9)
     b = run(models, external, DppRatioPolicy(5.0), slots=2000, seed=9)
-    assert a.total_penalty == b.total_penalty
-    assert np.array_equal(a.total_metrics, b.total_metrics)
+    assert a.avg_penalty == b.avg_penalty
+    assert np.array_equal(a.avg_metrics, b.avg_metrics)
     assert np.array_equal(a.final_queues, b.final_queues)
-    assert np.array_equal(a.queue_slot_sum, b.queue_slot_sum)
+    assert np.array_equal(a.avg_queues, b.avg_queues)
     assert np.array_equal(a.frames_per_system, b.frames_per_system)
     c = run(models, external, DppRatioPolicy(5.0), slots=2000, seed=10)
-    assert c.total_penalty != a.total_penalty
+    assert c.avg_penalty != a.avg_penalty
 
 
 def test_solver_choice_does_not_change_the_run(table1_env):
     models, external = table1_env["models"], table1_env["external"]
     a = run(models, external, DppRatioPolicy(20.0, solver="enumerate"), 2000, seed=3)
     b = run(models, external, DppRatioPolicy(20.0, solver="bisection"), 2000, seed=3)
-    assert a.total_penalty == b.total_penalty
+    assert a.avg_penalty == b.avg_penalty
     assert np.array_equal(a.final_queues, b.final_queues)
 
 
@@ -288,9 +284,6 @@ def test_trajectory_replays_queue_update_exactly(table1_env):
         q = queue_update(q, trace.metrics[t], trace.external[t])
     assert np.array_equal(traj.queues[1500], q)
     assert np.array_equal(trace.final_queues, q)
-    # averages are consistent with the recorded series
-    assert trace.total_penalty == pytest.approx(trace.penalty.sum(), abs=1e-9)
-    assert np.allclose(trace.total_metrics, trace.metrics.sum(axis=0), atol=1e-9)
 
 
 def test_queue_dominates_cumulative_net_input(table1_env):
@@ -609,8 +602,9 @@ def test_drift_bound_formula(table1_env):
     d_max = external.max_abs()
     b = max(m.residual_bound for m in models)
     expected = 3 * z_max * (5 * z_max + d_max) * b
-    trace = run(models, external, DppRatioPolicy(1.0), slots=1, seed=0)
-    assert uniform_frame_drift_bound(trace) == expected
+    trace = run(models, external, DppRatioPolicy(1.0), slots=200, seed=0)
+    reference = extract_reference_point(table1_env["sol"])
+    assert drift_diagnostic(trace, reference).c0 == expected
     assert z_max == 27.0 and d_max == 24.0
     assert b == pytest.approx(109.96, abs=1e-9)
 
@@ -623,7 +617,7 @@ def test_drift_single_action_exact():
     policy = DppRatioPolicy(7.0)
     trace = run(models, external, policy, slots=200, seed=0)
     drift = drift_diagnostic(trace, reference)
-    c0 = uniform_frame_drift_bound(trace)
+    c0 = drift.c0
     assert c0 == 1.0 * 1.0 * (1.0 * 1.0 + 1.0) * 4.0
     assert drift.frame_counts[0] == 100
     assert np.array_equal(drift.excess_mean, [-c0])
@@ -715,8 +709,8 @@ def test_frame_table_matches_the_dense_per_slot_series(table1_env):
     for models, external, policy, reference, slots, seed in cases:
         trace = run(models, external, policy, slots, seed)
         queues, v = trace.queues, policy.v
-        c0 = uniform_frame_drift_bound(trace)
         drift = drift_diagnostic(trace, reference)
+        c0 = drift.c0
         table = simulation._frame_table(trace)
         dense = dense_replay(trace, models)
         for n, (log, (y, z), frames, ref) in enumerate(zip(trace.frames, dense, table, reference)):
@@ -879,6 +873,35 @@ def test_building_a_sample_path_draws_nothing(table1_env, monkeypatch):
     assert calls["sample_matrix"] == 1 and calls["_generator"] == 1 + streams
     assert calls["sample_frame"] == drawn_blocks(path) > 0
     assert trace.external is path.d
+
+
+def test_trace_bytes_bounds_the_traced_peak_of_a_warm_run(table1_env):
+    # the `slots` preflight's estimate holds what the cells of one seed
+    # allocate: tracemalloc's peak over a lone cell on its own sample path and
+    # over a 3-cell V sweep on one shared path, as `renewalopt run` lays them
+    # out, stays within trace_bytes on Table 1 and on the 12-server 6-class
+    # instance.  The runs are warm: an untraced 50-slot sweep of the same
+    # models and V values first makes the one-time allocations (the objective
+    # cache per (model, V), numpy's first calls), which are no part of a cell
+    # and once took a cold first call past the estimate
+    checked = build_instance(parse_config(CHECKED_CONFIG).instance)
+    table1 = table1_env["models"], table1_env["external"]
+    for (models, external), slots in ((table1, 2000), (checked[:2], 1000)):
+        for vs in ((100.0,), (1.0, 10.0, 100.0)):
+
+            def cells(slots):
+                path = SamplePath(models, external, slots, 1) if len(vs) > 1 else None
+                for v in vs:  # each cell's trace is freed before the next starts
+                    run(models, external, DppRatioPolicy(v), slots, 1, path=path)
+
+            cells(50)
+            tracemalloc.start()
+            try:
+                cells(slots)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= simulation.trace_bytes(models, slots, len(vs)), (len(models), vs)
 
 
 def test_analyses_name_a_system_without_completed_frames(table1_env):
