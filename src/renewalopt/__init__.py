@@ -2,7 +2,7 @@
 
 Library layout:
     core          domain types, frame sampling, model validation
-    distributions geometric and phase-sum frame lengths, constant-rate samplers
+    distributions geometric frame lengths, constant-rate samplers
     controller    the queue step, the ratio objectives and the per-frame solvers
     simulation    the slotted-time engine, its run trace and analyses of it
     simplex       dense two-phase LP solver

@@ -79,8 +79,7 @@ def _write_lp_csv(path: Path, sol: LPSolution) -> None:
                 writer.writerow(["policy_weight", n, a, _fmt(value)])
 
 
-def _write_trajectory(path: Path, trajectory) -> None:
-    times, queues = trajectory.times, trajectory.queues
+def _write_trajectory(path: Path, times: np.ndarray, queues: np.ndarray) -> None:
     line = "%d" + ",%.9g" * queues.shape[1] + "\r\n"  # _fmt's digits, csv.writer's line end
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["t"] + [f"q_{l + 1}" for l in range(queues.shape[1])]) + "\r\n")
@@ -159,7 +158,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
         trace = run(models, external, policy, cfg.slots, seed, check=cfg.check, path=path)
         row = [cfg.policy, "" if v is None else _fmt(v), seed, trace.slots]
         row += map(_fmt, (trace.avg_penalty, *trace.avg_metrics, *trace.avg_queues))
-        row += map(_fmt, trace.final_queues)
+        row += map(_fmt, trace.queues[-1])
         row.append(int(trace.frames_per_system.sum()))
         if lp_sol.status == "optimal":
             row += [_fmt(lp_sol.objective), _fmt(trace.avg_penalty - lp_sol.objective)]
@@ -168,7 +167,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
         rows[v, seed] = row
         if cfg.trajectories:
             tag = "stationary" if v is None else format(v, "g")
-            _write_trajectory(out / f"trajectory_{tag}_{seed}.csv", queue_trajectory(trace))
+            _write_trajectory(out / f"trajectory_{tag}_{seed}.csv", *queue_trajectory(trace))
         # free this cell's series before the next cell allocates its own
         del trace
 

@@ -27,7 +27,7 @@ Y = rate * length and Z = row * length or the impulse value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Protocol
 
 import numpy as np
@@ -143,6 +143,13 @@ class RenewalSystemModel:
     y_max: float
     z_max: float
     residual_bound: float
+    n_actions: int = field(init=False, repr=False)
+    n_metrics: int = field(init=False, repr=False)
+    # per action, read-only: expected frame penalty totals, metric totals of
+    # shape (n_actions, n_metrics), and lengths, as the subproblem solvers read them
+    y_hats: np.ndarray = field(init=False, repr=False)
+    z_hats: np.ndarray = field(init=False, repr=False)
+    t_hats: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         actions = tuple(self.actions)
@@ -159,7 +166,8 @@ class RenewalSystemModel:
         n_metrics = actions[0].z_hat.shape[0]
         if any(a.z_hat.shape[0] != n_metrics for a in actions):
             raise ValueError("all actions must share the same metric dimension")
-        object.__setattr__(self, "_n_metrics", n_metrics)
+        object.__setattr__(self, "n_actions", len(actions))
+        object.__setattr__(self, "n_metrics", n_metrics)
         if self.y_max < 0 or self.z_max < 0:
             raise ValueError("bounds must be nonnegative")
         if not self.residual_bound >= 1.0:
@@ -170,38 +178,12 @@ class RenewalSystemModel:
                 raise ValueError(f"action {i}: |y_hat| exceeds y_max * t_hat")
             if np.any(np.abs(a.z_hat) > self.z_max * a.t_hat * (1 + slack)):
                 raise ValueError(f"action {i}: |z_hat| exceeds z_max * t_hat")
-        # cache per-action arrays used by the subproblem solvers
         y = np.array([a.y_hat for a in actions])
         z = np.array([a.z_hat for a in actions])
         t = np.array([a.t_hat for a in actions])
-        for arr in (y, z, t):
+        for name, arr in (("y_hats", y), ("z_hats", z), ("t_hats", t)):
             arr.flags.writeable = False
-        object.__setattr__(self, "_y", y)
-        object.__setattr__(self, "_z", z)
-        object.__setattr__(self, "_t", t)
-
-    @property
-    def n_actions(self) -> int:
-        return len(self.actions)
-
-    @property
-    def n_metrics(self) -> int:
-        return self._n_metrics
-
-    @property
-    def y_hats(self) -> np.ndarray:
-        """Expected frame penalty totals, one entry per action."""
-        return self._y
-
-    @property
-    def z_hats(self) -> np.ndarray:
-        """Expected frame metric totals, shape (n_actions, n_metrics)."""
-        return self._z
-
-    @property
-    def t_hats(self) -> np.ndarray:
-        """Expected frame lengths, one entry per action."""
-        return self._t
+            object.__setattr__(self, name, arr)
 
 
 def sample_frame(
@@ -213,10 +195,10 @@ def sample_frame(
     the model does not have, and a metric row whose length is not the
     model's metric count.
     """
-    if not 0 <= action < len(model.samplers):
-        raise IndexError(f"action index {action} out of range for {len(model.samplers)} actions")
+    if not 0 <= action < model.n_actions:
+        raise IndexError(f"action index {action} out of range for {model.n_actions} actions")
     frames = model.samplers[action].sample(rng, k)
-    n_metrics = model._n_metrics
+    n_metrics = model.n_metrics
     if len(frames.length) != k:
         raise ValueError(f"a block of {len(frames.length)} frames, where {k} were asked for")
     if frames.impulse is not None:
@@ -307,7 +289,7 @@ def validate_model(
     backed by at least RESIDUAL_MIN_FRAMES surviving frames exceeds the
     declared residual_bound by more than 3 SEs; (c) frame-total means, from
     at least RESIDUAL_MIN_FRAMES samples, flagged beyond 4 SEs from the
-    declared triple.
+    declared triple, or beyond 1e-9 of its magnitude (at least 1) where that is more.
     """
     if samples_per_action < 1:
         raise ValueError("samples_per_action must be >= 1")
@@ -356,7 +338,8 @@ def validate_model(
             [y_se, t_se, *z_se],
             [declared.y_hat, declared.t_hat, *declared.z_hat],
         ):
-            tol = 4 * se if se > 0 else 1e-9
+            # floored at a rounding allowance: identical frames give an SE of a few ulps
+            tol = max(4 * se, 1e-9 * max(1.0, abs(decl)))
             if n >= RESIDUAL_MIN_FRAMES and abs(emp - decl) > tol:
                 flags.append(f"action {idx}: empirical {name} {emp:.6g} vs declared {decl:.6g}")
 

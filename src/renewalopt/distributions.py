@@ -2,7 +2,7 @@
 
 Length distributions produce integer frame lengths >= 1 and expose exact
 moments so models can declare matching triples and residual bounds; the
-scheduling instance builds each class's frame law from them.  The
+scheduling instance builds each class's frame from two geometric phases.  The
 geometric distribution lives on support {1, 2, ...} and is parameterized by
 its mean m via success probability 1/m, so non-integer means are honored
 exactly.  Lengths and samplers draw k frames per call, one numpy call of
@@ -21,7 +21,6 @@ from .core import FrameOutcome, PerformanceTriple, RenewalSystemModel
 __all__ = [
     "LengthDistribution",
     "GeometricLength",
-    "CompoundLength",
     "ConstantRateSampler",
     "constant_rate_model",
 ]
@@ -64,31 +63,6 @@ class GeometricLength:
         # E[T^2] = (2 - p) / p^2 with p = 1/mean
         m = self.mean
         return 2 * m * m - m
-
-
-@dataclass(frozen=True)
-class CompoundLength:
-    """Sum of independent phase lengths (e.g. service phase + idle phase)."""
-
-    phases: tuple[LengthDistribution, ...]
-
-    def __post_init__(self):
-        phases = tuple(self.phases)
-        object.__setattr__(self, "phases", phases)
-        if not phases:
-            raise ValueError("need at least one phase")
-
-    def sample(self, rng: np.random.Generator, k: int) -> np.ndarray:
-        return sum(ph.sample(rng, k) for ph in self.phases)
-
-    @property
-    def mean(self) -> float:
-        return sum(ph.mean for ph in self.phases)
-
-    @property
-    def second_moment(self) -> float:
-        var = sum(ph.second_moment - ph.mean**2 for ph in self.phases)
-        return var + self.mean**2
 
 
 @dataclass(frozen=True, eq=False)

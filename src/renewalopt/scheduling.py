@@ -19,9 +19,9 @@ Per-frame quantities of class c (frame length T = H + I):
     service total  -draw from Uniform{low..high} on the last service slot
     triple         (e_hat + p * idle_mean, -(low + high)/2 * e_c, E[T])
 
-H and I are two ``GeometricLength`` phases, which the sampler draws
-directly; their ``distributions.CompoundLength`` only supplies E[T] and the
-residual bound E[T^2] to the builder.
+H and I are two independent ``GeometricLength`` phases, which the sampler
+draws directly; it states E[T] = E[H] + E[I] for the triple and E[T^2] =
+var(H) + var(I) + E[T]^2, the residual bound, for the builder.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .benchmark import StationaryLP
 from .core import FrameOutcome, PerformanceTriple, RenewalSystemModel
-from .distributions import CompoundLength, GeometricLength
+from .distributions import GeometricLength
 from .simulation import CappedPoisson, ExternalProcess
 
 __all__ = [
@@ -121,20 +121,24 @@ class ServiceIdleSampler:
     params: ServerClassParams
     class_index: int
     n_classes: int
-    frame: CompoundLength = field(init=False, repr=False)
+    t_hat: float = field(init=False, repr=False)  # E[T] of the frame T = H + I
+    second_moment: float = field(init=False, repr=False)  # E[T^2]
     rate_bound: float = field(init=False, repr=False)
 
     def __post_init__(self):
         p = self.params
-        phases = (GeometricLength(p.service_mean), GeometricLength(p.idle_mean))
-        object.__setattr__(self, "frame", CompoundLength(phases))
+        service, idle = GeometricLength(p.service_mean), GeometricLength(p.idle_mean)
+        t_hat = service.mean + idle.mean
+        var = (service.second_moment - service.mean**2) + (idle.second_moment - idle.mean**2)
+        object.__setattr__(self, "t_hat", t_hat)
+        object.__setattr__(self, "second_moment", var + t_hat**2)
         # the rate (e + p*I)/(H + I) peaks at H = 1, moving monotonically in I from
         # (e + p)/2 at I = 1 toward p; rounded up where (e + p)/2 underflows
         bound = max((p.energy + p.idle_power) / 2, p.idle_power)
         if 2 * bound < p.energy + p.idle_power:
             bound = math.nextafter(bound, math.inf)
         object.__setattr__(self, "rate_bound", bound)
-        law = (phases[0].sample, phases[1].sample, (p.jobs_low, p.jobs_high + 1))
+        law = (service.sample, idle.sample, (p.jobs_low, p.jobs_high + 1))
         object.__setattr__(self, "_law", law + (p.energy, p.idle_power, bound))
 
     def sample(self, rng: np.random.Generator, k: int) -> FrameOutcome:
@@ -150,7 +154,7 @@ class ServiceIdleSampler:
         p = self.params
         z_hat = np.zeros(self.n_classes)
         z_hat[self.class_index] = -(p.jobs_low + p.jobs_high) / 2
-        return PerformanceTriple(p.energy + p.idle_power * p.idle_mean, z_hat, self.frame.mean)
+        return PerformanceTriple(p.energy + p.idle_power * p.idle_mean, z_hat, self.t_hat)
 
 
 def build_instance(
@@ -161,7 +165,7 @@ def build_instance(
     Servers are homogeneous, so the returned model list repeats one immutable
     model object n_servers times.  The external process emits negated capped
     Poisson arrivals (see the module docstring for the sign convention); the
-    LP carries d = -lambda with "<=" rows, matching the internal convention.
+    LP's d is that process's mean, -lambda, with "<=" rows, as the queues read it.
     """
     n_classes = inst.n_classes
     samplers = tuple(ServiceIdleSampler(c, i, n_classes) for i, c in enumerate(inst.classes))
@@ -173,13 +177,13 @@ def build_instance(
     z_max = float(max(c.jobs_high for c in inst.classes))
     # independent phases and memorylessness: E[T^2] bounds every residual
     # E[(T-s)^2 | T >= s]
-    residual_bound = max(s.frame.second_moment for s in samplers)
+    residual_bound = max(s.second_moment for s in samplers)
     model = RenewalSystemModel(triples, samplers, y_max, z_max, residual_bound)
     models = [model] * inst.n_servers
 
     external = ExternalProcess(
         tuple(CappedPoisson(rate=c.arrival_rate, scale=-1.0) for c in inst.classes)
     )
-    d = np.array([-c.arrival_rate for c in inst.classes])
+    d = np.array([c.mean for c in external.coords])
     lp = StationaryLP.from_models(models, d)
     return models, external, lp

@@ -63,7 +63,6 @@ __all__ = [
     "SamplePath",
     "RunTrace",
     "run",
-    "QueueTrajectory",
     "queue_trajectory",
     "check_queue_bound",
     "FrameStats",
@@ -121,6 +120,7 @@ class ExternalProcess:
     def n_metrics(self) -> int:
         return len(self.coords)
 
+    @property
     def max_abs(self) -> float:
         return max(c.max_abs for c in self.coords)
 
@@ -271,10 +271,6 @@ class RunTrace:
         return self.penalty.shape[0]
 
     @property
-    def final_queues(self) -> np.ndarray:
-        return self.queues[-1]
-
-    @property
     def frames_per_system(self) -> np.ndarray:
         return np.array([log.shape[0] for log in self.frames])
 
@@ -409,8 +405,7 @@ def run(
     else:
         raise TypeError(f"unknown policy type {type(policy).__name__}")
 
-    own = path is None  # then no other run reads its blocks
-    if own:
+    if path is None:
         path = SamplePath(models, external, slots, seed)
     built = path.models, path.external, path.slots, path.seed
     for what, mine, given in zip(("models", "an external process", "slots", "a seed"), built,
@@ -460,9 +455,9 @@ def run(
         q = queue_step(q, z_buf[t * n_metrics : (t + 1) * n_metrics], d_row)
         q_buf.fromlist(q)
 
-    blocks = path.blocks if own else list(path.blocks)
+    blocks = list(path.blocks)
     del frame_streams, path  # the streams' pending frames, and a path of the run's own
-    # pop: each system's actions, and its blocks if no other run reads the path, are
+    # pop: each system's actions, and its blocks if no other run holds the path, are
     # freed once its columns are built
     columns = [_frame_columns(actions.pop(0), blocks.pop(0), n_metrics) for _ in models]
     logs, rates, at, metrics = zip(*columns)
@@ -484,16 +479,8 @@ def run(
 # analyses of a trace
 
 
-@dataclass(frozen=True, eq=False)
-class QueueTrajectory:
-    """Downsampled queue series; the last row is the final queue Q[slots]."""
-
-    times: np.ndarray
-    queues: np.ndarray
-
-
-def queue_trajectory(trace: RunTrace, stride: int | None = None) -> QueueTrajectory:
-    """Q at every stride-th slot from 0, then Q[slots].
+def queue_trajectory(trace: RunTrace, stride: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(times, queues): Q at every stride-th slot from 0, then Q[slots], the last row.
 
     The default stride keeps the row count near ten thousand.
     """
@@ -503,7 +490,7 @@ def queue_trajectory(trace: RunTrace, stride: int | None = None) -> QueueTraject
     elif stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     times = np.append(np.arange(0, slots, stride), slots)
-    return QueueTrajectory(times, trace.queues[times])
+    return times, trace.queues[times]
 
 
 def check_queue_bound(trace: RunTrace) -> None:
@@ -644,7 +631,7 @@ def drift_diagnostic(trace: RunTrace, reference: Sequence[PerformanceVector]) ->
         raise ValueError("reference metric dimension mismatch")
     models, process = trace.models, trace.process
     z_max, b = max(m.z_max for m in models), max(m.residual_bound for m in models)
-    c0 = process.n_metrics * z_max * (len(models) * z_max + process.max_abs()) * b
+    c0 = process.n_metrics * z_max * (len(models) * z_max + process.max_abs) * b
     excesses = [
         trace.policy.v * (f.y - f.length * ref.f_hat) + f.qz - f.w @ ref.g_hat - c0
         for f, ref in zip(_frame_table(trace), reference)

@@ -12,7 +12,6 @@ import pytest
 from renewalopt import cli
 from renewalopt.cli import main, run_experiment
 from renewalopt.config import parse_config
-from renewalopt.simulation import QueueTrajectory
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -127,6 +126,16 @@ def test_validate_subcommand(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert "action" in captured
     assert "ok" in captured
+    # phase means of 1 make every frame two slots at the same energy: the
+    # declared y_hat is exact, and the samples' few-ulp SE must not flag it
+    for energy in ("0.1", "0.7"):
+        text = (
+            "instance = custom\nservers = 1\nidle_power = 0.2\nslots = 10\n[class]\n"
+            f"arrival_rate = 1.0\nservice_mean = 1\njobs_support = 1 3\nenergy = {energy}\n"
+            "idle_mean = 1\n"
+        )
+        assert main(["validate", write_config(tmp_path, text, name="unit.cfg")]) == 0
+        assert capsys.readouterr().out.startswith("model (all servers): ok\n")
 
 
 def test_config_error_exit_code(tmp_path, capsys):
@@ -171,9 +180,8 @@ def test_trajectory_rows_are_fmt_of_each_value(tmp_path):
     # one value per %g notation and sign case, written as _fmt writes a float
     values = [0.0, 1e-5, 123456789012.0, 1.5, 1e300, -0.0, -1e-5, -1.5]
     queues = np.array([values[:4], values[4:]])
-    trajectory = QueueTrajectory(np.array([0, 7]), queues)
     path = tmp_path / "trajectory.csv"
-    cli._write_trajectory(path, trajectory)
+    cli._write_trajectory(path, np.array([0, 7]), queues)
     expected = "t,q_1,q_2,q_3,q_4\r\n" + "".join(
         ",".join([str(t)] + [format(float(x), ".9g") for x in row]) + "\r\n"
         for t, row in ((0, values[:4]), (7, values[4:]))

@@ -200,6 +200,11 @@ def test_validate_model_deterministic_unit_frames():
     assert act.t_mean == 1.0
     # with T = 1 always, the residual is exactly 1 at offset 0 and 0 at offset 1
     assert act.max_assessed_residual == 1.0
+    # identical frames whose totals round, 0.1 * 7 to 0.7000000000000001: the mean
+    # and the SE of a few ulps are rounding noise, not evidence against the triple
+    model = constant_rate_model([0.1], [[0.1]], [DeterministicLength(7)])
+    report = validate_model(model, 50)
+    assert report.ok, report.flags
 
 
 def test_validate_model_catches_lying_declaration():

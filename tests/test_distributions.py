@@ -1,12 +1,8 @@
 import numpy as np
 import pytest
 
-from renewalopt.distributions import (
-    CompoundLength,
-    ConstantRateSampler,
-    GeometricLength,
-    constant_rate_model,
-)
+from renewalopt.distributions import ConstantRateSampler, GeometricLength, constant_rate_model
+from renewalopt.scheduling import TABLE1, ServerClassParams, ServiceIdleSampler
 
 from conftest import DeterministicLength
 
@@ -78,13 +74,14 @@ def test_geometric_sampling_statistics():
 
 
 def test_compound_moments_add_phases():
-    # service geometric mean 5.5 plus idle geometric mean 2.5:
-    # var(H) + var(I) + (mean sum)^2 = (55 - 30.25) + (10 - 6.25) + 64 = 92.5
-    c = CompoundLength((GeometricLength(5.5), GeometricLength(2.5)))
-    assert c.mean == 8.0
-    assert c.second_moment == pytest.approx(92.5, abs=1e-12)
+    # the scheduling frame T = H + I, service geometric mean 5.5 plus idle
+    # geometric mean 2.5: var(H) + var(I) + (mean sum)^2
+    # = (55 - 30.25) + (10 - 6.25) + 64 = 92.5
+    sampler = ServiceIdleSampler(ServerClassParams(2.0, 5.5, 9, 21, 16.0, 2.5, 3.0), 0, 1)
+    assert sampler.t_hat == 8.0
+    assert sampler.second_moment == pytest.approx(92.5, abs=1e-12)
     rng = np.random.default_rng(2)
-    draws = c.sample(rng, 50_000)
+    draws = sampler.sample(rng, 50_000).length
     assert draws.min() >= 2
     assert abs(draws.mean() - 8.0) < 0.1
     assert abs((draws.astype(float) ** 2).mean() - 92.5) < 1.5
@@ -117,7 +114,8 @@ def test_constant_rate_model_defaults():
 
 
 def exact_pmf(length, cutoff=2000):
-    """P(T = k) for k = 0..cutoff, from the length's definition, not its sampler."""
+    """P(T = k) for k = 0..cutoff, from the length's definition, not its sampler;
+    a scheduling frame's is its geometric (service, idle) phase pair's convolution."""
     pmf = np.zeros(cutoff + 1)
     if isinstance(length, DeterministicLength):
         pmf[length.value] = 1.0
@@ -127,8 +125,8 @@ def exact_pmf(length, cutoff=2000):
         pmf[1:] = p * (1 - p) ** (k - 1)
     else:
         pmf[0] = 1.0
-        for phase in length.phases:
-            pmf = np.convolve(pmf, exact_pmf(phase, cutoff))[: cutoff + 1]
+        for mean in (length.params.service_mean, length.params.idle_mean):
+            pmf = np.convolve(pmf, exact_pmf(GeometricLength(mean), cutoff))[: cutoff + 1]
     return pmf
 
 
@@ -139,16 +137,21 @@ def exact_pmf(length, cutoff=2000):
         DeterministicLength(7),
         GeometricLength(1.0),
         GeometricLength(5.5),
-        CompoundLength((DeterministicLength(2), DeterministicLength(3))),
-        CompoundLength((GeometricLength(5.5), GeometricLength(2.5))),
-        CompoundLength((DeterministicLength(3), GeometricLength(4.3), GeometricLength(1.7))),
+        *(
+            pytest.param(
+                ServiceIdleSampler(c, i, 3), id=f"service {c.service_mean:g} + idle {c.idle_mean:g}"
+            )
+            for i, c in enumerate(TABLE1.classes)
+        ),
     ],
     ids=repr,
 )
 def test_residual_second_moment_peaks_at_offset_zero(length):
-    # every library length is log-concave, hence has an increasing failure
-    # rate, so E[(T - s)^2 | T >= s] is largest at s = 0, where it is E[T^2]:
-    # the second moment is a valid residual bound (constant_rate_model's default)
+    # every library length is log-concave, and so is a sum of independent
+    # geometric phases, hence has an increasing failure rate, so
+    # E[(T - s)^2 | T >= s] is largest at s = 0, where it is E[T^2]: the
+    # second moment is a valid residual bound (constant_rate_model's default,
+    # and build_instance's from the scheduling frame's phase pair)
     pmf = exact_pmf(length)
     k = np.arange(pmf.shape[0])
     residuals = [

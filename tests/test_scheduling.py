@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from renewalopt.core import validate_model
-from renewalopt.distributions import CompoundLength, GeometricLength
 from renewalopt.scheduling import (
     TABLE1,
     SchedulingInstance,
@@ -74,12 +73,11 @@ def test_built_bounds(table1_env):
     model = table1_env["models"][0]
     assert model.y_max == (20.0 + 3.0) / 2  # class 2 all-minimum frame
     assert model.z_max == 27.0
-    # largest frame second moment, assembled from geometric phase moments
+    # largest frame second moment, in closed form: E[T^2] = var(H) + var(I) + E[T]^2
+    # with a geometric phase of mean m having variance m^2 - m
     moments = [
-        CompoundLength(
-            (GeometricLength(c.service_mean), GeometricLength(c.idle_mean))
-        ).second_moment
-        for c in TABLE1.classes
+        (h * h - h) + (i * i - i) + (h + i) ** 2
+        for h, i in ((c.service_mean, c.idle_mean) for c in TABLE1.classes)
     ]
     assert model.residual_bound == max(moments)
     assert model.residual_bound == pytest.approx(109.96, abs=1e-9)
@@ -121,7 +119,7 @@ def test_built_external_process(table1_env):
     assert external.n_metrics == 3
     assert [c.mean for c in external.coords] == [-2.0, -3.0, -4.0]
     assert [c.cap for c in external.coords] == [17, 21, 24]
-    assert external.max_abs() == 24.0
+    assert external.max_abs == 24.0
     mat = external.sample_matrix(np.random.default_rng(0), 5000)
     assert mat.max() <= 0.0
     assert mat.min() >= -24.0

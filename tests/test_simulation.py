@@ -90,7 +90,7 @@ def test_capped_poisson_coordinate():
 def test_external_process_matrix():
     ext = ExternalProcess((FixedValue(1.0), FixedValue(-2.0)))
     assert ext.n_metrics == 2
-    assert ext.max_abs() == 2.0
+    assert ext.max_abs == 2.0
     mat = ext.sample_matrix(np.random.default_rng(0), 4)
     assert mat.shape == (4, 2)
     assert np.array_equal(mat[:, 0], [1.0] * 4)
@@ -122,7 +122,7 @@ def test_run_single_action_exact_averages():
     assert np.array_equal(trace.avg_metrics, [0.0])
     assert trace.frames_per_system[0] == 100
     # z - d = -1 every slot, so the queue never leaves zero
-    assert np.array_equal(trace.final_queues, [0.0])
+    assert np.array_equal(trace.queues[-1], [0.0])
     assert np.array_equal(trace.avg_queues, [0.0])
     stats = frame_stats(trace)[0]
     assert stats.count == 100
@@ -145,7 +145,7 @@ def test_run_is_deterministic_per_seed(table1_env):
     b = run(models, external, DppRatioPolicy(5.0), slots=2000, seed=9)
     assert a.avg_penalty == b.avg_penalty
     assert np.array_equal(a.avg_metrics, b.avg_metrics)
-    assert np.array_equal(a.final_queues, b.final_queues)
+    assert np.array_equal(a.queues[-1], b.queues[-1])
     assert np.array_equal(a.avg_queues, b.avg_queues)
     assert np.array_equal(a.frames_per_system, b.frames_per_system)
     c = run(models, external, DppRatioPolicy(5.0), slots=2000, seed=10)
@@ -157,7 +157,7 @@ def test_solver_choice_does_not_change_the_run(table1_env):
     a = run(models, external, DppRatioPolicy(20.0, solver="enumerate"), 2000, seed=3)
     b = run(models, external, DppRatioPolicy(20.0, solver="bisection"), 2000, seed=3)
     assert a.avg_penalty == b.avg_penalty
-    assert np.array_equal(a.final_queues, b.final_queues)
+    assert np.array_equal(a.queues[-1], b.queues[-1])
 
 
 def test_penalty_series_is_laid_down_in_system_index_order():
@@ -275,15 +275,15 @@ def test_frame_stats_adds_a_block_as_its_frames_one_at_a_time():
 def test_trajectory_replays_queue_update_exactly(table1_env):
     models, external = table1_env["models"], table1_env["external"]
     trace = run(models, external, DppRatioPolicy(20.0), slots=1500, seed=4)
-    traj = queue_trajectory(trace, stride=1)
-    assert traj.queues.shape == (1501, 3)
-    assert np.array_equal(traj.times, np.arange(1501))
+    times, queues = queue_trajectory(trace, stride=1)
+    assert queues.shape == (1501, 3)
+    assert np.array_equal(times, np.arange(1501))
     q = np.zeros(3)
     for t in range(1500):
-        assert np.array_equal(traj.queues[t], q)
+        assert np.array_equal(queues[t], q)
         q = queue_update(q, trace.metrics[t], trace.external[t])
-    assert np.array_equal(traj.queues[1500], q)
-    assert np.array_equal(trace.final_queues, q)
+    assert np.array_equal(queues[1500], q)
+    assert np.array_equal(trace.queues[-1], q)
 
 
 def test_queue_dominates_cumulative_net_input(table1_env):
@@ -321,17 +321,18 @@ def test_queue_bound_check_names_first_violation():
 def test_trajectory_stride_and_final_row(table1_env):
     models, external = table1_env["models"], table1_env["external"]
     trace = run(models, external, DppRatioPolicy(1.0), slots=2500, seed=1)
-    traj = queue_trajectory(trace, stride=500)
-    assert np.array_equal(traj.times, [0, 500, 1000, 1500, 2000, 2500])
-    assert np.array_equal(traj.queues[-1], trace.final_queues)
+    times, queues = queue_trajectory(trace, stride=500)
+    assert np.array_equal(times, [0, 500, 1000, 1500, 2000, 2500])
+    assert np.array_equal(queues, trace.queues[times])
     for bad in (0, -5):
         with pytest.raises(ValueError, match="stride must be >= 1"):
             queue_trajectory(trace, stride=bad)
     # default stride keeps the row count near ten thousand
-    big = queue_trajectory(run(models, external, DppRatioPolicy(1.0), slots=25_000, seed=1))
-    assert big.times[0] == 0
-    assert big.times[-1] == 25_000
-    assert len(big.times) <= 10_002
+    big = run(models, external, DppRatioPolicy(1.0), slots=25_000, seed=1)
+    times, _ = queue_trajectory(big)
+    assert times[0] == 0
+    assert times[-1] == 25_000
+    assert len(times) <= 10_002
 
 
 def test_frame_records_tile_the_horizon(table1_env):
@@ -599,7 +600,7 @@ def test_drift_bound_formula(table1_env):
     models, external = table1_env["models"], table1_env["external"]
     # L * z_max * (N * z_max + d_max) * B assembled from the declared pieces
     z_max = max(m.z_max for m in models)
-    d_max = external.max_abs()
+    d_max = external.max_abs
     b = max(m.residual_bound for m in models)
     expected = 3 * z_max * (5 * z_max + d_max) * b
     trace = run(models, external, DppRatioPolicy(1.0), slots=200, seed=0)
