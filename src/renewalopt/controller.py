@@ -11,10 +11,10 @@ over the system's actions, which equals V * f_hat(a) + <q, g_hat(a)>.
 adding each <q, z_hat(a)> in metric order, so a decision does not depend on
 which BLAS kernel the machine dispatches to.  Two selection rules read that
 list: direct enumeration and a Dinkelbach iteration on the ratio parameter.
-Each returns the chosen action's index, and ``ratio_bound_holds`` checks,
-on the same list, the minimality certificate that this action's objective
-lower-bounds the objective at every action (hence, by convexity, at every
-point of the performance region), so the comparison is exact.
+Each returns the chosen action's index.  ``ratio_bound_holds`` is the minimality
+certificate, that its objective lower-bounds every action's (hence, by convexity,
+every point's of the performance region); a checked run applies it after the loop
+on the kernel given the recorded Q[t_k] as columns, each the decision's own bits.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ def _model_penalty_terms(model: RenewalSystemModel, v: float) -> tuple[int, tupl
 
 def ratio_objectives(model: RenewalSystemModel, q, v: float) -> tuple[list, list, tuple]:
     """Per action the numerator V*y + <q, z>, the ratio objective numerator / t, and t,
-    built once per decision for the solvers and the certificate.  <q, z> adds the
-    nonzero products to 0.0 in metric order: no BLAS, no sum()."""
+    built once per decision for the solvers; q may be L numpy columns, one decision each,
+    for the certificate.  <q, z> adds the nonzero products to 0.0 in metric order."""
     n_metrics, terms, dens = _model_penalty_terms(model, v)
     if type(q) is not list:
         q = np.asarray(q, dtype=float).reshape(-1).tolist()
@@ -99,7 +99,7 @@ def solve_bisection(objectives) -> int:
     within _BISECTION_TOL of zero or, as rounding of large terms allows, when
     theta would not decrease.  It returns the action it stopped on if that
     action's exact ratio is the minimum, else the lowest-index exact minimizer,
-    so the returned action passes ``ratio_bound_holds`` even on near ties.
+    so it passes a checked run's post-loop ``ratio_bound_holds`` even on near ties.
     Theta falls strictly from ratios[0], so the iteration ends unless that
     ratio is NaN; where one action alone attains the exact minimum it ends on
     that action, which is returned without iterating.
@@ -119,16 +119,19 @@ def solve_bisection(objectives) -> int:
     raise RuntimeError("Dinkelbach iteration failed to terminate")
 
 
-def ratio_bound_holds(objectives, action: int) -> bool:
-    """True iff the action's objective lower-bounds the objective at every action.
+def ratio_bound_holds(objectives, actions):
+    """Whether the action's objective lower-bounds the objective at every action.
 
     This is the minimality certificate the optimality analysis rests on: the
     objective V*f_hat + <q, g_hat> of the action taken at a frame start must not
     exceed that of any action, nor by convexity that of any point of the
-    performance region.  It compares exactly, on the decision's own list, and
+    performance region.  Given ``ratio_objectives`` on L queue columns and one
+    action per column, it gives one bool per column.  It compares exactly and
     raises IndexError for an action outside the model's, as ``sample_frame`` does.
     """
-    ratios = objectives[1]
-    if not 0 <= action < len(ratios):
-        raise IndexError(f"action index {action} out of range for {len(ratios)} actions")
-    return all(map(ratios[action].__le__, ratios))
+    actions = np.asarray(actions)
+    ratios = np.array([np.broadcast_to(r, actions.shape) for r in objectives[1]])
+    if (outside := actions[(actions < 0) | (actions >= len(ratios))]).size:
+        raise IndexError(f"action index {outside.flat[0]} out of range for {len(ratios)} actions")
+    holds = (np.take_along_axis(ratios, actions[None], axis=0) <= ratios).all(axis=0)
+    return holds if holds.ndim else bool(holds)

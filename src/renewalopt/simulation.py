@@ -15,7 +15,7 @@ system at a time in index order, each system's rates repeated over its slots.
 
 A drift-plus-penalty decision depends only on (model, Q[t], V), so it is made
 once per (model object, slot): ``ratio_objectives`` builds its objective list
-at Q[t] and the solver and, when checked, the certificate read it, for every
+at Q[t] and the solver reads it, whether the run is checked or not, for every
 system of that model starting a frame then.  Given its action a frame is
 i.i.d., so system n plays action a's frames from their own stream,
 SeedSequence(seed, spawn_key=(0, n, a)), drawn FRAME_BLOCK frames per
@@ -30,10 +30,11 @@ draw them once.
 below is a function of it alone, and the per-frame ones read one table over
 its recorded frame columns: no analysis draws a frame again.
 
-``check=True`` asserts three exact invariants: in the loop, the minimality
-certificate of each decision (``ratio_bound_holds`` on its list from Q[t]);
-after it, every recorded frame's declared bounds (``core.exceeds_bounds``,
-naming the first offending slot and system) and the sample-path lower bound
+``check=True`` leaves the loop as it is and, on the built trace, asserts three
+exact invariants, naming the first offending slot and system: the minimality
+certificate of every decision (``ratio_bound_holds`` on ``ratio_objectives``
+given the recorded Q[t_k] as columns, each the loop's list bit for bit), every
+frame's declared bounds (``core.exceeds_bounds``), and the sample-path lower bound
 Q_l[t] >= sum_{s<t}(sum_n z_l^n[s] - d_l[s]), exact in floating point as
 both sides add the same per-slot deltas and the queue only clamps upward.
 """
@@ -437,12 +438,7 @@ def run(
                 else:
                     idx = decided.get(model)
                     if idx is None:
-                        idx = decided[model] = solve(objectives := ratio_objectives(model, q, v))
-                        if check and not ratio_bound_holds(objectives, idx):
-                            raise CheckViolation(
-                                f"frame decision at slot {t}, system {n}: the ratio objective "
-                                f"of action {idx} exceeds another action's"
-                            )
+                        idx = decided[model] = solve(ratio_objectives(model, q, v))
                 length, offset, l, z = next(frame_streams[n][idx])
                 if offset < 0:
                     z_arr[t : t + length] += z
@@ -464,14 +460,19 @@ def run(
     queues = np.frombuffer(q_buf).reshape(slots + 1, n_metrics)
     series = _penalty_series(logs, rates, slots), z_arr, d_arr, queues
     trace = RunTrace(models, external, policy, seed, *series, logs, rates, at, metrics)
-    if check:
-        first = []  # (slot, system) of each system's first frame over its declared bounds
-        for n, m in enumerate(models):
-            over = exceeds_bounds(trace.frame_rates[n], trace.frame_metrics[n], m.y_max, m.z_max)
-            first += [(int(t), n) for t in trace.frames[n][over[0] | over[1], 0][:1]]
+    if check:  # the trace is built: verify it, decisions first, as made at Q[t_k]
+        first = []  # (0 decision | 1 bounds, slot, system, fault) of each system's first faults
+        for n, (m, log) in enumerate(zip(models, logs)):
+            if not stationary:  # every decision at once, the kernel given Q[starts] as columns
+                at_q = ratio_objectives(m, [queues[log[:, 0], l] for l in range(n_metrics)], v)
+                first += [(0, t, n, f"frame decision at slot {t}, system {n}: the ratio objective "
+                           f"of action {a} exceeds another action's")
+                          for t, _, a in log[~ratio_bound_holds(at_q, log[:, 2])][:1].tolist()]
+            over = exceeds_bounds(rates[n], metrics[n], m.y_max, m.z_max)
+            first += [(1, t, n, f"sampled frame at slot {t}, system {n} exceeds declared bounds")
+                      for t in log[over[0] | over[1], 0][:1].tolist()]
         if first:
-            t, n = min(first)
-            raise CheckViolation(f"sampled frame at slot {t}, system {n} exceeds declared bounds")
+            raise CheckViolation(min(first)[3])
         check_queue_bound(trace)
     return trace
 

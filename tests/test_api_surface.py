@@ -94,10 +94,10 @@ def test_trace_hooks_see_every_frame_decision(monkeypatch):
     # perf/child.py times the decision, the certificate and the frame
     # sampler by wrapping these names where the engine looks them up: the
     # decision and its one objective list once per (frame-start slot, model),
-    # the certificate once per decision when checked (the frames that share a
-    # decision share its list and certificate), and the sampler and the frame
-    # type once per block of FRAME_BLOCK frames of one (system, action)
-    # stream, or the benchmark's spans read 0
+    # when checked the certificate, and its objectives, once per system over
+    # all its frames after the loop, and the sampler and the frame type once
+    # per block of FRAME_BLOCK frames of one (system, action) stream, or the
+    # benchmark's spans read 0
     calls = {}
 
     def counted(owner, attr):
@@ -125,8 +125,9 @@ def test_trace_hooks_see_every_frame_decision(monkeypatch):
         decisions = len({(start, id(models[n])) for n, log in enumerate(trace.frames)
                          for start in log[:, 0].tolist()})
         assert decisions < frames
-        assert made[f"solve_{solver}"] == made["ratio_objectives"] == decisions
-        assert made["ratio_bound_holds"] == (decisions if check else 0)
+        certificates = len(models) if check else 0
+        assert made[f"solve_{solver}"] == made["ratio_objectives"] - certificates == decisions
+        assert made["ratio_bound_holds"] == certificates
         played = [np.bincount(log[:, 2], minlength=models[n].n_actions)
                   for n, log in enumerate(trace.frames)]
         blocks = int(sum((-(-counts // simulation.FRAME_BLOCK)).sum() for counts in played))

@@ -405,15 +405,19 @@ def kernel_cases(draw):
     f = draw(vector(st.floats(-100, 100), n_actions))
     g = draw(vector(vector(rate, n_metrics), n_actions))
     t = draw(vector(st.floats(1, 50), n_actions))
-    q = draw(vector(st.sampled_from([0.0, 0.1, 3.3, 1e6 / 3]) | st.floats(0, 1e6), n_metrics))
+    # finite, as the engine's Q is: a checked run hands the kernel one column
+    # per metric, one decision's queue per entry
+    queue = st.sampled_from([0.0, 0.1, 3.3, 1e6 / 3]) | st.floats(0, 1e6)
+    queues = draw(st.lists(vector(queue, n_metrics), min_size=1, max_size=4))
     v = draw(st.just(0.0) | st.floats(0, 1e3))
-    return model_from_vectors(f, g, t), q, v
+    return model_from_vectors(f, g, t), queues, v
 
 
 @given(kernel_cases())
 @settings(max_examples=300, deadline=None)
 def test_ratio_kernel_and_solvers_match_a_plain_reference(case):
-    model, q, v = case
+    model, queues, v = case
+    q = queues[0]
     reference = reference_objectives(model, q, v)
     ratios = reference[1]
     best = min(ratios)
@@ -422,3 +426,15 @@ def test_ratio_kernel_and_solvers_match_a_plain_reference(case):
         assert repr(objectives) == repr(reference)
         assert solve_enumerate(objectives) == ratios.index(best)
         assert ratios[solve_bisection(objectives)] == best
+    # the batch form: each column has the scalar call's bits, an action with
+    # no queue term one value for the whole batch, and the certificate one
+    # verdict per column
+    nums, batch_ratios, dens = ratio_objectives(model, [np.array(c) for c in zip(*queues)], v)
+    assert dens == reference[2]
+    columns = [np.broadcast_to(x, len(queues)).tolist() for x in (*nums, *batch_ratios)]
+    actions = np.arange(len(queues)) % model.n_actions
+    verdicts = ratio_bound_holds((nums, batch_ratios, dens), actions)
+    for k, queue in enumerate(queues):
+        plain = reference_objectives(model, queue, v)
+        assert repr([c[k] for c in columns]) == repr(plain[0] + plain[1])
+        assert verdicts[k] == ratio_bound_holds(plain, int(actions[k]))

@@ -4,7 +4,7 @@ import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from renewalopt import simulation
-from renewalopt.controller import queue_step, ratio_objectives
+from renewalopt.controller import queue_step, ratio_objectives, solve_enumerate
 from renewalopt.core import (
     PerformanceTriple,
     PerformanceVector,
@@ -387,9 +387,17 @@ def test_analyses_read_the_record_and_draw_nothing(table1_env, monkeypatch):
 
 
 def test_checked_run_completes_clean(table1_env):
-    models, external = table1_env["models"], table1_env["external"]
-    trace = run(models, external, DppRatioPolicy(20.0), slots=2000, seed=8, check=True)
-    assert trace.slots == 2000
+    # check only verifies the finished trace: a checked run lays down the
+    # bits of an unchecked one, on Table 1 and on the 12-server instance,
+    # with either solver
+    custom12 = build_instance(parse_config(CHECKED_CONFIG).instance)[:2]
+    table1 = table1_env["models"], table1_env["external"]
+    for (models, external), v, slots in ((table1, 20.0, 2000), (custom12, 100.0, 1000)):
+        for solver in ("enumerate", "bisection"):
+            policy = DppRatioPolicy(v, solver)
+            trace = run(models, external, policy, slots=slots, seed=8, check=True)
+            assert trace.slots == slots
+            assert trace_digest(trace) == trace_digest(run(models, external, policy, slots, 8))
 
 
 def test_checked_run_checks_bounds_on_the_compact_draw(table1_env):
@@ -399,81 +407,107 @@ def test_checked_run_checks_bounds_on_the_compact_draw(table1_env):
     assert trace.frames_per_system.sum() > 0
 
 
-def stale_queue_solver(solve):
-    """Decides on the previous decision's objective list, built at an earlier Q."""
+def stale_queue_solver(monkeypatch):
+    """The solver decides on the previous decision's objective list, built at an earlier Q."""
     seen = []
 
     def stale(objectives):
         seen.append(objectives)
-        return solve(seen[-2] if len(seen) > 1 else objectives)
+        return solve_enumerate(seen[-2] if len(seen) > 1 else objectives)
 
-    return stale
+    monkeypatch.setattr(simulation, "solve_enumerate", stale)
 
 
-def off_by_one_solver(solve):
-    """Returns the action after the minimizer."""
-    return lambda objectives: (solve(objectives) + 1) % len(objectives[1])
+def off_by_one_solver(monkeypatch):
+    """The solver returns the action after the minimizer."""
+
+    def off_by_one(objectives):
+        return (solve_enumerate(objectives) + 1) % len(objectives[1])
+
+    monkeypatch.setattr(simulation, "solve_enumerate", off_by_one)
+
+
+def previous_slot_queue(monkeypatch):
+    """The loop's objective lists are built at Q[t-1], the last queue step's input."""
+    previous = []
+
+    def remembered(q, *args):
+        previous[:] = [q]
+        return queue_step(q, *args)
+
+    def at_previous(model, q, v):  # the loop's lists only: the certificate passes columns
+        return ratio_objectives(model, previous[0] if previous and type(q[0]) is float else q, v)
+
+    monkeypatch.setattr(simulation, "queue_step", remembered)
+    monkeypatch.setattr(simulation, "ratio_objectives", at_previous)
+
+
+def decision_outlives_its_slot(monkeypatch):
+    """The loop's objective list is memoized per model across slots."""
+    lists = {}
+
+    def memoized(model, q, v):
+        if type(q[0]) is not float:  # the certificate's columns
+            return ratio_objectives(model, q, v)
+        return lists.setdefault(model, ratio_objectives(model, q, v))
+
+    monkeypatch.setattr(simulation, "ratio_objectives", memoized)
 
 
 @pytest.mark.parametrize(
-    "faulty", [stale_queue_solver, off_by_one_solver], ids=["stale_queue", "off_by_one"]
+    "faulty",
+    [stale_queue_solver, off_by_one_solver, previous_slot_queue, decision_outlives_its_slot],
+    ids=["stale_queue", "off_by_one", "previous_slot_queue", "decision_outlives_its_slot"],
 )
 def test_checked_run_catches_a_stale_queue_decision(table1_env, monkeypatch, faulty):
-    # the certificate reads the objective list the engine built at its
-    # current Q and the action the engine lays down, so a solver that decides
-    # on the previous decision's list, or returns another action, must be caught
-    monkeypatch.setattr(simulation, "solve_enumerate", faulty(simulation.solve_enumerate))
+    # the certificate reads the objectives at the trace's own Q[t_k] and the
+    # action each frame laid down, so an engine that decides on an earlier
+    # decision's list, at the previous slot's Q, on a list kept past its slot,
+    # or returns another action, must be caught at its first wrong decision;
+    # each run gets a fresh fault, so both runs make the same decisions
+    faulty(monkeypatch)
     models, external = table1_env["models"], table1_env["external"]
-    run(models, external, DppRatioPolicy(10.0), slots=2000, seed=0)
-    with pytest.raises(CheckViolation, match="frame decision"):
+    trace = run(models, external, DppRatioPolicy(10.0), slots=2000, seed=0)
+    faulty(monkeypatch)
+    wrong = [
+        (start, n)
+        for n, log in enumerate(trace.frames)
+        for start, _, action in log.tolist()
+        if min(r := ratio_objectives(models[n], trace.queues[start], 10.0)[1]) < r[action]
+    ]
+    t, n = min(wrong)
+    with pytest.raises(CheckViolation, match=f"^frame decision at slot {t}, system {n}: "):
         run(models, external, DppRatioPolicy(10.0), slots=2000, seed=0, check=True)
 
 
 @pytest.mark.parametrize("instance", ["table1", "custom12"])
-def test_checked_run_certifies_each_shared_decision_once(monkeypatch, instance):
-    # the certificate runs once per (frame-start slot, model) decision, on
-    # the objective list that decision built, at that slot's Q (bit for bit),
-    # and on the action every frame sharing the decision lays down; the slot
-    # is read from the queue steps the engine has taken
+def test_checked_run_certifies_every_frame_at_its_own_queue(monkeypatch, instance):
+    # after the loop, one certificate per system reads, for every frame, the
+    # objectives at trace.queues[start] (bit for bit, as the scalar kernel
+    # builds them there) and the action that frame laid down
     if instance == "table1":
         models, external, _ = build_instance(TABLE1)
         policy = DppRatioPolicy(10.0, "bisection")
     else:
         models, external, _ = build_instance(parse_config(CHECKED_CONFIG).instance)
         policy = DppRatioPolicy(100.0, "bisection")
-    slot = 0
-    built, certified = [], {}
-    step, build = simulation.queue_step, simulation.ratio_objectives
-    holds = simulation.ratio_bound_holds
+    holds, certified = simulation.ratio_bound_holds, []
 
-    def counted_step(*args):
-        nonlocal slot
-        slot += 1
-        return step(*args)
+    def recorded(objectives, actions):
+        certified.append((objectives, actions))
+        return holds(objectives, actions)
 
-    def recorded_build(model, q, v):
-        built.append((model, build(model, q, v)))
-        return built[-1][1]
-
-    def recorded(objectives, action):
-        model, latest = built[-1]
-        assert objectives is latest, "the certificate read another list than the decision's"
-        key = (slot, id(model))
-        assert key not in certified, f"decision at {key} certified twice"
-        certified[key] = (action, objectives)
-        return holds(objectives, action)
-
-    monkeypatch.setattr(simulation, "queue_step", counted_step)
-    monkeypatch.setattr(simulation, "ratio_objectives", recorded_build)
     monkeypatch.setattr(simulation, "ratio_bound_holds", recorded)
     trace = run(models, external, policy, slots=2000, seed=1, check=True)
-    for n, log in enumerate(trace.frames):
-        for start, _, action in log.tolist():
-            got_action, objectives = certified[(start, id(models[n]))]
-            assert got_action == action, (n, start)
+    assert len(certified) == len(models)
+    for n, ((nums, ratios, dens), actions) in enumerate(certified):
+        log = trace.frames[n]
+        assert actions.tolist() == log[:, 2].tolist(), n
+        columns = [np.broadcast_to(x, log.shape[:1]).tolist() for x in (*nums, *ratios)]
+        for k, start in enumerate(log[:, 0].tolist()):
             at_q = ratio_objectives(models[n], trace.queues[start], policy.v)
-            assert repr(objectives) == repr(at_q), (n, start)
-    assert len(built) == len(certified) < trace.frames_per_system.sum()
+            assert repr([c[k] for c in columns]) == repr(at_q[0] + at_q[1]), (n, start)
+            assert dens == at_q[2]
 
 
 def test_checked_run_catches_lying_bounds():
@@ -881,19 +915,19 @@ def test_trace_bytes_bounds_the_traced_peak_of_a_warm_run(table1_env):
     # allocate: tracemalloc's peak over a lone cell on its own sample path and
     # over a 3-cell V sweep on one shared path, as `renewalopt run` lays them
     # out, stays within trace_bytes on Table 1 and on the 12-server 6-class
-    # instance.  The runs are warm: an untraced 50-slot sweep of the same
-    # models and V values first makes the one-time allocations (the objective
-    # cache per (model, V), numpy's first calls), which are no part of a cell
-    # and once took a cold first call past the estimate
+    # instance, checked or not.  The runs are warm: an untraced 50-slot sweep
+    # of the same models and V values first makes the one-time allocations
+    # (the objective cache per (model, V), numpy's first calls), which are no
+    # part of a cell and once took a cold first call past the estimate
     checked = build_instance(parse_config(CHECKED_CONFIG).instance)
     table1 = table1_env["models"], table1_env["external"]
     for (models, external), slots in ((table1, 2000), (checked[:2], 1000)):
-        for vs in ((100.0,), (1.0, 10.0, 100.0)):
+        for vs, check in product(((100.0,), (1.0, 10.0, 100.0)), (False, True)):
 
             def cells(slots):
                 path = SamplePath(models, external, slots, 1) if len(vs) > 1 else None
                 for v in vs:  # each cell's trace is freed before the next starts
-                    run(models, external, DppRatioPolicy(v), slots, 1, path=path)
+                    run(models, external, DppRatioPolicy(v), slots, 1, check=check, path=path)
 
             cells(50)
             tracemalloc.start()
@@ -902,7 +936,7 @@ def test_trace_bytes_bounds_the_traced_peak_of_a_warm_run(table1_env):
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= simulation.trace_bytes(models, slots, len(vs)), (len(models), vs)
+            assert peak <= simulation.trace_bytes(models, slots, len(vs)), (len(models), vs, check)
 
 
 def test_analyses_name_a_system_without_completed_frames(table1_env):
@@ -1087,8 +1121,9 @@ def test_shared_model_decisions_match_per_system_copies(table1_env, monkeypatch,
     calls.clear()
     separate = run(copies, external, policy, 3000, seed=4, check=True)
     frames = int(separate.frames_per_system.sum())
-    assert len(calls) == frames
-    assert shared_calls < frames
+    # and, after the loop, one call per system for the certificate
+    assert len(calls) == frames + len(copies)
+    assert shared_calls - len(models) < frames
     assert trace_digest(shared) == trace_digest(separate)
     if solver == "enumerate":
         assert trace_digest(shared) == TRACE_FINGERPRINTS["table1_enumerate"]
@@ -1127,8 +1162,8 @@ def test_readme_quickstart_runs(capsys):
 
 def test_unit_length_frames_start_every_slot(monkeypatch):
     # every slot is a frame start of both systems, which share one model:
-    # one objective list, one solve and one certificate per slot, and Q
-    # steps after both frames
+    # one objective list and one solve per slot, Q steps after both frames,
+    # and after the loop one certificate per system over all its frames
     model = constant_rate_model(
         [1.0, 3.0], [[2.0], [0.0]], [DeterministicLength(1), DeterministicLength(1)]
     )
@@ -1148,7 +1183,8 @@ def test_unit_length_frames_start_every_slot(monkeypatch):
         assert np.array_equal(log[:, 1], np.ones(slots))
     assert np.array_equal(trace.frames[0], trace.frames[1])
     assert set(trace.frames[0][:, 2].tolist()) == {0, 1}
-    assert calls == ["ratio_objectives", "solve_enumerate", "ratio_bound_holds"] * slots
+    certificate = ["ratio_objectives", "ratio_bound_holds"] * 2
+    assert calls == ["ratio_objectives", "solve_enumerate"] * slots + certificate
     q = np.zeros(1)
     for t in range(slots):
         assert trace.queues[t].tobytes() == q.tobytes()
