@@ -45,7 +45,7 @@ from .simulation import (
     RandomizedStationaryPolicy,
     RunTrace,
     SamplePath,
-    check_queue_bound,
+    check_trace,
     drift_diagnostic,
     frame_stats,
     queue_trajectory,

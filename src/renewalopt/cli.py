@@ -42,6 +42,7 @@ from .simulation import (
     DppRatioPolicy,
     RandomizedStationaryPolicy,
     SamplePath,
+    check_trace,
     queue_trajectory,
     run,
     trace_bytes,
@@ -155,7 +156,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> int:
         if v == v_list[0]:  # the seed's cells replay one path; a lone cell frees its blocks
             path = SamplePath(models, external, cfg.slots, seed) if len(v_list) > 1 else None
         policy = RandomizedStationaryPolicy(weights) if v is None else DppRatioPolicy(v, cfg.solver)
-        trace = run(models, external, policy, cfg.slots, seed, check=cfg.check, path=path)
+        trace = run(models, external, policy, cfg.slots, seed, path=path)
+        if cfg.check:
+            check_trace(trace)
         row = [cfg.policy, "" if v is None else _fmt(v), seed, trace.slots]
         row += map(_fmt, (trace.avg_penalty, *trace.avg_metrics, *trace.avg_queues))
         row += map(_fmt, trace.queues[-1])

@@ -13,8 +13,8 @@ which BLAS kernel the machine dispatches to.  Two selection rules read that
 list: direct enumeration and a Dinkelbach iteration on the ratio parameter.
 Each returns the chosen action's index.  ``ratio_bound_holds`` is the minimality
 certificate, that its objective lower-bounds every action's (hence, by convexity,
-every point's of the performance region); a checked run applies it after the loop
-on the kernel given the recorded Q[t_k] as columns, each the decision's own bits.
+every point's of the performance region); ``check_trace`` applies it to a finished
+trace, on the kernel given the recorded Q[t_k] as columns, each the decision's own bits.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ def solve_bisection(objectives) -> int:
     within _BISECTION_TOL of zero or, as rounding of large terms allows, when
     theta would not decrease.  It returns the action it stopped on if that
     action's exact ratio is the minimum, else the lowest-index exact minimizer,
-    so it passes a checked run's post-loop ``ratio_bound_holds`` even on near ties.
+    so it passes the ``ratio_bound_holds`` of ``check_trace`` even on near ties.
     Theta falls strictly from ratios[0], so the iteration ends unless that
     ratio is NaN; where one action alone attains the exact minimum it ends on
     that action, which is returned without iterating.

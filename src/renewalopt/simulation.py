@@ -15,8 +15,8 @@ system at a time in index order, each system's rates repeated over its slots.
 
 A drift-plus-penalty decision depends only on (model, Q[t], V), so it is made
 once per (model object, slot): ``ratio_objectives`` builds its objective list
-at Q[t] and the solver reads it, whether the run is checked or not, for every
-system of that model starting a frame then.  Given its action a frame is
+at Q[t] and the solver reads it for every system of that model starting a
+frame then.  Given its action a frame is
 i.i.d., so system n plays action a's frames from their own stream,
 SeedSequence(seed, spawn_key=(0, n, a)), drawn FRAME_BLOCK frames per
 ``core.sample_frame`` call: the j-th frame system n plays under action a is
@@ -30,13 +30,8 @@ draw them once.
 below is a function of it alone, and the per-frame ones read one table over
 its recorded frame columns: no analysis draws a frame again.
 
-``check=True`` leaves the loop as it is and, on the built trace, asserts three
-exact invariants, naming the first offending slot and system: the minimality
-certificate of every decision (``ratio_bound_holds`` on ``ratio_objectives``
-given the recorded Q[t_k] as columns, each the loop's list bit for bit), every
-frame's declared bounds (``core.exceeds_bounds``), and the sample-path lower bound
-Q_l[t] >= sum_{s<t}(sum_n z_l^n[s] - d_l[s]), exact in floating point as
-both sides add the same per-slot deltas and the queue only clamps upward.
+``check_trace`` is one such analysis: it verifies a finished trace, asserting
+the exact invariants of ``--check`` and naming the first offending slot and system.
 """
 
 from __future__ import annotations
@@ -65,7 +60,7 @@ __all__ = [
     "RunTrace",
     "run",
     "queue_trajectory",
-    "check_queue_bound",
+    "check_trace",
     "FrameStats",
     "frame_stats",
     "DriftDiagnostic",
@@ -182,7 +177,7 @@ class RandomizedStationaryPolicy:
 
 
 class CheckViolation(Exception):
-    """An exact runtime invariant failed during a checked run."""
+    """An exact invariant failed on a finished trace, as ``check_trace`` found it."""
 
 
 # frames drawn per sampler call from one (system, action) stream
@@ -372,7 +367,6 @@ def run(
     slots: int,
     seed: int,
     *,
-    check: bool = False,
     path: SamplePath | None = None,
 ) -> RunTrace:
     """Simulate all systems for the given number of slots.
@@ -459,22 +453,7 @@ def run(
     logs, rates, at, metrics = zip(*columns)
     queues = np.frombuffer(q_buf).reshape(slots + 1, n_metrics)
     series = _penalty_series(logs, rates, slots), z_arr, d_arr, queues
-    trace = RunTrace(models, external, policy, seed, *series, logs, rates, at, metrics)
-    if check:  # the trace is built: verify it, decisions first, as made at Q[t_k]
-        first = []  # (0 decision | 1 bounds, slot, system, fault) of each system's first faults
-        for n, (m, log) in enumerate(zip(models, logs)):
-            if not stationary:  # every decision at once, the kernel given Q[starts] as columns
-                at_q = ratio_objectives(m, [queues[log[:, 0], l] for l in range(n_metrics)], v)
-                first += [(0, t, n, f"frame decision at slot {t}, system {n}: the ratio objective "
-                           f"of action {a} exceeds another action's")
-                          for t, _, a in log[~ratio_bound_holds(at_q, log[:, 2])][:1].tolist()]
-            over = exceeds_bounds(rates[n], metrics[n], m.y_max, m.z_max)
-            first += [(1, t, n, f"sampled frame at slot {t}, system {n} exceeds declared bounds")
-                      for t in log[over[0] | over[1], 0][:1].tolist()]
-        if first:
-            raise CheckViolation(min(first)[3])
-        check_queue_bound(trace)
-    return trace
+    return RunTrace(models, external, policy, seed, *series, logs, rates, at, metrics)
 
 
 # analyses of a trace
@@ -494,12 +473,29 @@ def queue_trajectory(trace: RunTrace, stride: int | None = None) -> tuple[np.nda
     return times, trace.queues[times]
 
 
-def check_queue_bound(trace: RunTrace) -> None:
-    """Raise CheckViolation at the first slot t where Q[t+1] < sum_{s<=t}(z[s] - d[s]).
+def check_trace(trace: RunTrace) -> None:
+    """Raise CheckViolation at the first exact invariant a finished trace breaks.
 
-    Both sides add the same per-slot deltas in slot order, so the comparison
-    is exact.
+    First, by (slot, system), a decision of a dpp_ratio trace that fails its
+    certificate (``ratio_bound_holds`` on ``ratio_objectives`` at the recorded Q[t_k],
+    each the loop's list bit for bit), else a frame over its declared bounds
+    (``core.exceeds_bounds``); then Q[t+1] >= sum_{s<=t}(z[s] - d[s]), exact as both
+    sides add the same per-slot deltas in slot order and the queue only clamps upward.
     """
+    first = []  # (0 decision | 1 bounds, slot, system, fault) of each system's first faults
+    columns = zip(trace.models, trace.frames, trace.frame_rates, trace.frame_metrics)
+    for n, (m, log, rate, metrics) in enumerate(columns):
+        if isinstance(trace.policy, DppRatioPolicy):  # every decision at once, at Q[starts]
+            at_starts = [trace.queues[log[:, 0], l] for l in range(trace.queues.shape[1])]
+            at_q = ratio_objectives(m, at_starts, trace.policy.v)
+            first += [(0, t, n, f"frame decision at slot {t}, system {n}: the ratio objective "
+                       f"of action {a} exceeds another action's")
+                      for t, _, a in log[~ratio_bound_holds(at_q, log[:, 2])][:1].tolist()]
+        over = exceeds_bounds(rate, metrics, m.y_max, m.z_max)
+        first += [(1, t, n, f"sampled frame at slot {t}, system {n} exceeds declared bounds")
+                  for t in log[over[0] | over[1], 0][:1].tolist()]
+    if first:
+        raise CheckViolation(min(first)[3])
     for start, net in _running_sums(trace.metrics, trace.external):
         queues = trace.queues[start + 1 : start + 1 + net.shape[0]]
         rows = np.flatnonzero(~(queues >= net).all(axis=1))

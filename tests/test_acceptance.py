@@ -27,6 +27,7 @@ from renewalopt.simulation import (
     DppRatioPolicy,
     RandomizedStationaryPolicy,
     SamplePath,
+    check_trace,
     drift_diagnostic,
     frame_stats,
     run,
@@ -206,7 +207,8 @@ def test_criterion_05_checked_cli_run(tmp_path):
 
 @criterion(6, "exact queue lower bound")
 def test_criterion_06_queue_lower_bound_exact(env):
-    trace = run(env["models"], env["external"], DppRatioPolicy(20.0), 10_000, seed=12, check=True)
+    trace = run(env["models"], env["external"], DppRatioPolicy(20.0), 10_000, seed=12)
+    check_trace(trace)
     cum = np.cumsum(trace.metrics - trace.external, axis=0)
     held = trace.queues[1:] >= cum
     assert held.all()

@@ -94,8 +94,8 @@ def test_trace_hooks_see_every_frame_decision(monkeypatch):
     # perf/child.py times the decision, the certificate and the frame
     # sampler by wrapping these names where the engine looks them up: the
     # decision and its one objective list once per (frame-start slot, model),
-    # when checked the certificate, and its objectives, once per system over
-    # all its frames after the loop, and the sampler and the frame type once
+    # under check_trace the certificate, and its objectives, once per system
+    # over all its frames, and the sampler and the frame type once
     # per block of FRAME_BLOCK frames of one (system, action) stream, or the
     # benchmark's spans read 0
     calls = {}
@@ -119,7 +119,9 @@ def test_trace_hooks_see_every_frame_decision(monkeypatch):
     for solver, check in (("enumerate", False), ("bisection", True)):
         before = dict(calls)
         policy = simulation.DppRatioPolicy(10.0, solver)
-        trace = simulation.run(models, external, policy, 400, seed=3, check=check)
+        trace = simulation.run(models, external, policy, 400, seed=3)
+        if check:
+            simulation.check_trace(trace)
         made = {name: calls[name] - before[name] for name in calls}
         frames = int(trace.frames_per_system.sum())
         decisions = len({(start, id(models[n])) for n, log in enumerate(trace.frames)

@@ -96,17 +96,43 @@ def test_check_flag_clean_run(tmp_path):
     assert main(["run", cfg, "--check"]) == 0
 
 
+def test_check_flag_exits_3_on_a_wrong_decision(tmp_path, monkeypatch, capsys):
+    # an engine whose solver decides on an earlier decision's objective list
+    # lays down a trace that check_trace refuses: exit 3 with the first fault,
+    # after lp.csv and before the cell's trajectory and summary.csv
+    from test_simulation import stale_queue_solver
+
+    stale_queue_solver(monkeypatch)
+    out = tmp_path / "res"
+    cfg = write_config(
+        tmp_path,
+        f"instance = table1\nv = 10\nseeds = 0\nslots = 2000\ntrajectories = on\nout = {out}\n",
+    )
+    assert main(["run", cfg, "--check"]) == 3
+    assert capsys.readouterr().err.startswith("invariant violation: frame decision at slot")
+    assert (out / "lp.csv").exists()
+    assert not (out / "summary.csv").exists() and not (out / "trajectory_10_0.csv").exists()
+    assert main(["run", cfg]) == 0
+    assert (out / "summary.csv").exists() and (out / "trajectory_10_0.csv").exists()
+
+
 def test_stationary_policy_run(tmp_path):
+    # with --check, the stationary cells skip the decision certificate and
+    # still pass the bounds and queue checks, writing the same summary
     out = tmp_path / "res"
     cfg = write_config(
         tmp_path,
         "instance = table1\npolicy = stationary\nseeds = 1 2\nslots = 400\n"
         f"out = {out}\n",
     )
-    assert main(["run", cfg]) == 0
-    body = read_csv(out / "summary.csv")[1:]
-    assert len(body) == 2
-    assert all(r[0] == "stationary" and r[1] == "" for r in body)
+    summaries = []
+    for flags in ([], ["--check"]):
+        assert main(["run", cfg, *flags]) == 0
+        summaries.append((out / "summary.csv").read_bytes())
+        body = read_csv(out / "summary.csv")[1:]
+        assert len(body) == 2
+        assert all(r[0] == "stationary" and r[1] == "" for r in body)
+    assert summaries[0] == summaries[1]
 
 
 def test_lp_subcommand(tmp_path, capsys):

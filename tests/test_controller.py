@@ -405,7 +405,7 @@ def kernel_cases(draw):
     f = draw(vector(st.floats(-100, 100), n_actions))
     g = draw(vector(vector(rate, n_metrics), n_actions))
     t = draw(vector(st.floats(1, 50), n_actions))
-    # finite, as the engine's Q is: a checked run hands the kernel one column
+    # finite, as the engine's Q is: check_trace hands the kernel one column
     # per metric, one decision's queue per entry
     queue = st.sampled_from([0.0, 0.1, 3.3, 1e6 / 3]) | st.floats(0, 1e6)
     queues = draw(st.lists(vector(queue, n_metrics), min_size=1, max_size=4))

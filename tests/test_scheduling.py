@@ -9,7 +9,7 @@ from renewalopt.scheduling import (
     ServiceIdleSampler,
     build_instance,
 )
-from renewalopt.simulation import DppRatioPolicy, run
+from renewalopt.simulation import DppRatioPolicy, check_trace, run
 
 
 def test_class_params_validation():
@@ -91,7 +91,7 @@ def test_declared_y_max_covers_idle_power_above_energy():
     assert models[0].y_max == 12.0
     report = validate_model(models[0], 5000)
     assert [act.bound_violations for act in report.actions] == [0]
-    run(models, external, DppRatioPolicy(10.0), 2000, seed=1, check=True)
+    check_trace(run(models, external, DppRatioPolicy(10.0), 2000, seed=1))
 
 
 @pytest.mark.parametrize(
@@ -111,7 +111,7 @@ def test_sampled_rates_stay_within_the_declared_y_max(energy, idle_power):
     assert models[0].y_max >= (energy + idle_power) / 2 and models[0].y_max > 0
     rates = models[0].samplers[0].sample(np.random.default_rng(5), 20_000).penalty_rate
     assert rates.max() <= models[0].y_max
-    run(models, external, DppRatioPolicy(1.0), 300, seed=3, check=True)
+    check_trace(run(models, external, DppRatioPolicy(1.0), 300, seed=3))
 
 
 def test_built_external_process(table1_env):

@@ -34,7 +34,7 @@ from renewalopt.simulation import (
     RandomizedStationaryPolicy,
     RunTrace,
     SamplePath,
-    check_queue_bound,
+    check_trace,
     drift_diagnostic,
     frame_stats,
     queue_trajectory,
@@ -292,7 +292,7 @@ def test_queue_dominates_cumulative_net_input(table1_env):
     # same summation order as the engine, so the comparison is exact
     cum = np.cumsum(trace.metrics - trace.external, axis=0)
     assert np.all(trace.queues[1:] >= cum)
-    check_queue_bound(trace)
+    check_trace(trace)
 
 
 def test_queue_bound_check_names_first_violation():
@@ -302,20 +302,21 @@ def test_queue_bound_check_names_first_violation():
     external = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     queues = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.5, 0.0], [3.0, -1.0]])
     frames = (np.array([[0, 4, 0]]),)
-    # check_queue_bound reads only the series, so the run's inputs and the
-    # frame columns are left out
+    # with no systems check_trace has no decision or frame to certify and
+    # goes straight to the queue bound, so the run's inputs and the frame
+    # columns are left out
     trace = RunTrace(
         (), None, None, 0, np.zeros(4), metrics, external, queues, frames, (), (), ()
     )
     message = "queue lower bound violated at slot 2, constraint 0: Q=1.5 < cumulative net input 2.0"
     with pytest.raises(CheckViolation, match=f"^{re.escape(message)}$"):
-        check_queue_bound(trace)
+        check_trace(trace)
     # the recursion itself never breaks the bound
     q = np.zeros(2)
     for t in range(4):
         q = queue_update(q, metrics[t], external[t])
         queues[t + 1] = q
-    check_queue_bound(trace)
+    check_trace(trace)
 
 
 def test_trajectory_stride_and_final_row(table1_env):
@@ -387,24 +388,92 @@ def test_analyses_read_the_record_and_draw_nothing(table1_env, monkeypatch):
 
 
 def test_checked_run_completes_clean(table1_env):
-    # check only verifies the finished trace: a checked run lays down the
-    # bits of an unchecked one, on Table 1 and on the 12-server instance,
-    # with either solver
+    # check_trace passes a clean trace, on Table 1 and on the 12-server
+    # instance with either solver, and only reads it: every array keeps its bytes
     custom12 = build_instance(parse_config(CHECKED_CONFIG).instance)[:2]
     table1 = table1_env["models"], table1_env["external"]
     for (models, external), v, slots in ((table1, 20.0, 2000), (custom12, 100.0, 1000)):
         for solver in ("enumerate", "bisection"):
-            policy = DppRatioPolicy(v, solver)
-            trace = run(models, external, policy, slots=slots, seed=8, check=True)
-            assert trace.slots == slots
-            assert trace_digest(trace) == trace_digest(run(models, external, policy, slots, 8))
+            trace = run(models, external, DppRatioPolicy(v, solver), slots=slots, seed=8)
+            before = [(x.dtype, x.shape, x.tobytes()) for x in trace_arrays(trace)]
+            check_trace(trace)
+            assert [(x.dtype, x.shape, x.tobytes()) for x in trace_arrays(trace)] == before
 
 
-def test_checked_run_checks_bounds_on_the_compact_draw(table1_env):
-    # the bound check reads each compact FrameOutcome
+def swap_action(trace, n, k):
+    """A copy of the trace, its frame logs copied, whose frame k of system n took the action
+    of the largest ratio objective at its own Q[t_k], above the taken one's; and the fault's
+    message."""
+    frames = [log.copy() for log in trace.frames]
+    start, _, taken = frames[n][k].tolist()
+    ratios = ratio_objectives(trace.models[n], trace.queues[start], trace.policy.v)[1]
+    worst = ratios.index(max(ratios))
+    assert ratios[worst] > ratios[taken]
+    frames[n][k, 2] = worst
+    message = (f"frame decision at slot {start}, system {n}: the ratio objective of action "
+               f"{worst} exceeds another action's")
+    return replace(trace, frames=tuple(frames)), message
+
+
+def raise_rate(trace, n, k):
+    """A copy of the trace, its rate columns copied, whose frame k of system n has a rate
+    above y_max; and the fault's message."""
+    rates = [rate.copy() for rate in trace.frame_rates]
+    rates[n][k] = 2 * trace.models[n].y_max
+    start = int(trace.frames[n][k, 0])
+    message = f"sampled frame at slot {start}, system {n} exceeds declared bounds"
+    return replace(trace, frame_rates=tuple(rates)), message
+
+
+@pytest.fixture(scope="module")
+def clean_trace(table1_env):
     models, external = table1_env["models"], table1_env["external"]
-    trace = run(models, external, DppRatioPolicy(100.0), slots=2000, seed=3, check=True)
-    assert trace.frames_per_system.sum() > 0
+    trace = run(models, external, DppRatioPolicy(10.0), slots=2000, seed=0)
+    check_trace(trace)
+    return trace
+
+
+def test_check_trace_names_a_tampered_decision_or_frame(clean_trace):
+    # each fault is laid on a copy of a clean trace: an action swapped for one
+    # of a larger ratio objective at the recorded Q[t_k], or a rate raised
+    # above y_max, raises the fault's message naming the tampered (slot, system)
+    for n, k in ((2, 0), (4, 37)):
+        for tamper in (swap_action, raise_rate):
+            trace, message = tamper(clean_trace, n, k)
+            with pytest.raises(CheckViolation, match=f"^{re.escape(message)}$"):
+                check_trace(trace)
+
+
+def test_check_trace_names_a_tampered_queue(clean_trace):
+    # Q_l[t + 1] lowered below sum_{s<=t}(z_l[s] - d_l[s]) at a slot no frame
+    # starts at, so every decision still stands on its own Q[t_k]
+    starts = set(chain.from_iterable(log[:, 0].tolist() for log in clean_trace.frames))
+    t, l = min(set(range(999, clean_trace.slots)) - {s - 1 for s in starts}), 1
+    cum = np.cumsum(clean_trace.metrics - clean_trace.external, axis=0)[t, l]
+    queues = clean_trace.queues.copy()
+    queues[t + 1, l] = cum - 1.0
+    message = (f"queue lower bound violated at slot {t}, constraint {l}: "
+               f"Q={float(cum - 1.0)!r} < cumulative net input {float(cum)!r}")
+    with pytest.raises(CheckViolation, match=f"^{re.escape(message)}$"):
+        check_trace(replace(clean_trace, queues=queues))
+
+
+def test_check_trace_names_the_first_fault(clean_trace):
+    # any decision fault comes before any bounds fault; of two decision faults
+    # the earlier slot comes first, then the lower system index (every Table-1
+    # system starts a frame at slot 0)
+    late = {n: int(np.searchsorted(log[:, 0], 1000)) for n, log in enumerate(clean_trace.frames)}
+    assert 0 < clean_trace.frames[3][2, 0] < clean_trace.frames[4][5, 0] < 1000
+    cases = (
+        ((raise_rate, 3, 2), (swap_action, 1, late[1])),  # the decision, at a later slot
+        ((swap_action, 0, late[0]), (swap_action, 4, 5)),  # the earlier slot, system 4
+        ((swap_action, 3, 0), (swap_action, 1, 0)),  # slot 0: the lower index, system 1
+    )
+    for (tamper, n, k), (named, m, j) in cases:
+        trace, _ = tamper(clean_trace, n, k)
+        trace, message = named(trace, m, j)
+        with pytest.raises(CheckViolation, match=f"^{re.escape(message)}$"):
+            check_trace(trace)
 
 
 def stale_queue_solver(monkeypatch):
@@ -477,12 +546,12 @@ def test_checked_run_catches_a_stale_queue_decision(table1_env, monkeypatch, fau
     ]
     t, n = min(wrong)
     with pytest.raises(CheckViolation, match=f"^frame decision at slot {t}, system {n}: "):
-        run(models, external, DppRatioPolicy(10.0), slots=2000, seed=0, check=True)
+        check_trace(run(models, external, DppRatioPolicy(10.0), slots=2000, seed=0))
 
 
 @pytest.mark.parametrize("instance", ["table1", "custom12"])
 def test_checked_run_certifies_every_frame_at_its_own_queue(monkeypatch, instance):
-    # after the loop, one certificate per system reads, for every frame, the
+    # in check_trace, one certificate per system reads, for every frame, the
     # objectives at trace.queues[start] (bit for bit, as the scalar kernel
     # builds them there) and the action that frame laid down
     if instance == "table1":
@@ -498,7 +567,8 @@ def test_checked_run_certifies_every_frame_at_its_own_queue(monkeypatch, instanc
         return holds(objectives, actions)
 
     monkeypatch.setattr(simulation, "ratio_bound_holds", recorded)
-    trace = run(models, external, policy, slots=2000, seed=1, check=True)
+    trace = run(models, external, policy, slots=2000, seed=1)
+    check_trace(trace)
     assert len(certified) == len(models)
     for n, ((nums, ratios, dens), actions) in enumerate(certified):
         log = trace.frames[n]
@@ -512,29 +582,28 @@ def test_checked_run_certifies_every_frame_at_its_own_queue(monkeypatch, instanc
 
 def test_checked_run_catches_lying_bounds():
     # the declared triple is consistent with y_max = 5 but the sampler
-    # actually emits 7 per slot; the unchecked run tolerates it, the
-    # checked run must refuse
+    # actually emits 7 per slot; run tolerates it, check_trace must refuse
     triple = PerformanceTriple(4.0, [0.0], 1.0)
     sampler = ConstantRateSampler(DeterministicLength(1), 7.0, np.array([0.0]))
     model = RenewalSystemModel((triple,), (sampler,), 5.0, 1.0, 1.0)
     external = ExternalProcess((FixedValue(0.0),))
-    run([model], external, DppRatioPolicy(1.0), slots=50, seed=0)
+    trace = run([model], external, DppRatioPolicy(1.0), slots=50, seed=0)
     with pytest.raises(CheckViolation, match="exceeds declared bounds"):
-        run([model], external, DppRatioPolicy(1.0), slots=50, seed=0, check=True)
+        check_trace(trace)
 
 
 def test_checked_run_catches_lying_impulse_bounds(table1_env):
     # the scheduling sampler lays its job count as one impulse; a model that
-    # declares z_max below jobs_high must fail the checked run there
+    # declares z_max below jobs_high must fail check_trace there
     model = table1_env["models"][0]
     assert max(c.jobs_high for c in TABLE1.classes) > 20
     lying = RenewalSystemModel(
         model.actions, model.samplers, model.y_max, 20.0, model.residual_bound
     )
     external = table1_env["external"]
-    run([lying] * 5, external, DppRatioPolicy(10.0), slots=300, seed=0)
+    trace = run([lying] * 5, external, DppRatioPolicy(10.0), slots=300, seed=0)
     with pytest.raises(CheckViolation, match="exceeds declared bounds"):
-        run([lying] * 5, external, DppRatioPolicy(10.0), slots=300, seed=0, check=True)
+        check_trace(trace)
 
 
 def test_run_rejects_malformed_frame_draws():
@@ -550,7 +619,7 @@ def test_run_rejects_malformed_frame_draws():
 
 
 def test_run_rejects_impulses_on_a_missing_metric():
-    # the unchecked engine samples through sample_frame, which checks the
+    # the engine samples through sample_frame, which checks the
     # impulse's metric index (-1 would land on the last metric and 2 past the
     # array) and a row's length (numpy would broadcast 1 entry onto both
     # metrics and fail on 3)
@@ -570,14 +639,14 @@ def test_run_rejects_impulses_on_a_missing_metric():
 def test_checked_bisection_run_on_near_ties():
     # action ratios within 3e-10 of each other: Dinkelbach's stopping rule
     # alone can return a value up to tol above the exact minimum, which the
-    # exact certificate of a checked run rejects
+    # exact certificate of check_trace rejects
     rng = np.random.default_rng(0)
     external = ExternalProcess((FixedValue(1.0),))
     for _ in range(60):
         model = model_from_vectors(
             1.0 + rng.uniform(-3e-10, 3e-10, 4), np.zeros((4, 1)), rng.uniform(1, 10, 4)
         )
-        run([model], external, DppRatioPolicy(1.0, solver="bisection"), 20, seed=0, check=True)
+        check_trace(run([model], external, DppRatioPolicy(1.0, solver="bisection"), 20, seed=0))
 
 
 def test_per_system_streams_are_isolated():
@@ -818,11 +887,11 @@ def drawn_blocks(path):
 def test_cells_sharing_a_sample_path_match_cells_on_their_own(table1_env, name):
     # the cells of one seed replay one SamplePath: each run starts every
     # stream at block 0, and a later cell draws the blocks past the earlier
-    # cells' in both V orders; every cell, checked or not and under either
-    # policy, lays down the bytes it lays down on a path of its own, and the
+    # cells' in both V orders; every cell, under either policy, lays down the
+    # bytes it lays down on a path of its own and passes check_trace, and the
     # fingerprinted cell alone matches its pinned digest (so the path keys
     # each stream by system and action, as the fingerprints were drawn)
-    models, external, pinned, slots, seed, _ = fingerprint_cases(table1_env)[name]
+    models, external, pinned, slots, seed = fingerprint_cases(table1_env)[name]
     if name == "table1_enumerate":  # Table 1: impulse frames
         weights = stationary_policy_weights(table1_env["sol"])
     else:  # constant rates: row frames
@@ -831,15 +900,16 @@ def test_cells_sharing_a_sample_path_match_cells_on_their_own(table1_env, name):
     policies.append(RandomizedStationaryPolicy(weights))
     alone = {policy: trace_arrays(run(models, external, policy, slots, seed)) for policy in policies}
     assert trace_digest(run(models, external, pinned, slots, seed)) == TRACE_FINGERPRINTS[name]
-    for order, check in ((policies, False), (policies[::-1], True)):
+    for order in (policies, policies[::-1]):
         path = SamplePath(models, external, slots, seed)
         drawn = []
         for policy in order:
-            shared = run(models, external, policy, slots, seed, check=check, path=path)
+            shared = run(models, external, policy, slots, seed, path=path)
+            check_trace(shared)
             assert all(
                 (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
                 for x, y in zip(trace_arrays(shared), alone[policy], strict=True)
-            ), (name, policy, check)
+            ), (name, policy)
             drawn.append(drawn_blocks(path))
         assert drawn[0] < drawn[-1], drawn  # a later cell drew past the first one's blocks
 
@@ -915,10 +985,11 @@ def test_trace_bytes_bounds_the_traced_peak_of_a_warm_run(table1_env):
     # allocate: tracemalloc's peak over a lone cell on its own sample path and
     # over a 3-cell V sweep on one shared path, as `renewalopt run` lays them
     # out, stays within trace_bytes on Table 1 and on the 12-server 6-class
-    # instance, checked or not.  The runs are warm: an untraced 50-slot sweep
-    # of the same models and V values first makes the one-time allocations
-    # (the objective cache per (model, V), numpy's first calls), which are no
-    # part of a cell and once took a cold first call past the estimate
+    # instance, with check_trace on each finished cell or not.  The runs are
+    # warm: an untraced 50-slot sweep of the same models and V values first
+    # makes the one-time allocations (the objective cache per (model, V),
+    # numpy's first calls), which are no part of a cell and once took a cold
+    # first call past the estimate
     checked = build_instance(parse_config(CHECKED_CONFIG).instance)
     table1 = table1_env["models"], table1_env["external"]
     for (models, external), slots in ((table1, 2000), (checked[:2], 1000)):
@@ -927,7 +998,10 @@ def test_trace_bytes_bounds_the_traced_peak_of_a_warm_run(table1_env):
             def cells(slots):
                 path = SamplePath(models, external, slots, 1) if len(vs) > 1 else None
                 for v in vs:  # each cell's trace is freed before the next starts
-                    run(models, external, DppRatioPolicy(v), slots, 1, check=check, path=path)
+                    trace = run(models, external, DppRatioPolicy(v), slots, 1, path=path)
+                    if check:
+                        check_trace(trace)
+                    del trace
 
             cells(50)
             tracemalloc.start()
@@ -1000,7 +1074,7 @@ def trace_digest(trace):
 
 
 def fingerprint_cases(table1_env):
-    """(models, external, policy, slots, seed, check) of each fingerprinted run."""
+    """(models, external, policy, slots, seed) of each fingerprinted run."""
     models, external = table1_env["models"], table1_env["external"]
     custom_models, custom_external, _ = build_instance(
         SchedulingInstance(
@@ -1017,22 +1091,23 @@ def fingerprint_cases(table1_env):
     fixture_external = ExternalProcess((FixedValue(0.0), CappedPoisson(0.3, scale=-1.0)))
     weights = stationary_policy_weights(table1_env["sol"])
     return {
-        "table1_enumerate": (models, external, DppRatioPolicy(20.0), 3000, 4, False),
+        "table1_enumerate": (models, external, DppRatioPolicy(20.0), 3000, 4),
         "custom_bisection_checked": (
-            custom_models, custom_external, DppRatioPolicy(50.0, "bisection"), 3000, 7, True
+            custom_models, custom_external, DppRatioPolicy(50.0, "bisection"), 3000, 7
         ),
-        "table1_stationary": (
-            models, external, RandomizedStationaryPolicy(weights), 3000, 2, False
-        ),
+        "table1_stationary": (models, external, RandomizedStationaryPolicy(weights), 3000, 2),
         "constant_rate_fixture": (
-            [fixture, fixture], fixture_external, DppRatioPolicy(5.0), 2000, 11, False
+            [fixture, fixture], fixture_external, DppRatioPolicy(5.0), 2000, 11
         ),
     }
 
 
 def fingerprint_run(table1_env, name):
-    models, external, policy, slots, seed, check = fingerprint_cases(table1_env)[name]
-    return run(models, external, policy, slots, seed=seed, check=check)
+    models, external, policy, slots, seed = fingerprint_cases(table1_env)[name]
+    trace = run(models, external, policy, slots, seed=seed)
+    if name == "custom_bisection_checked":
+        check_trace(trace)
+    return trace
 
 
 # SHA-256 of the raw trace bytes (penalty, metrics, external, queues and the
@@ -1116,12 +1191,14 @@ def test_shared_model_decisions_match_per_system_copies(table1_env, monkeypatch,
     assert all(m is models[0] for m in models)
     copies = [replace(m) for m in models]
     policy = DppRatioPolicy(20.0, solver)
-    shared = run(models, external, policy, 3000, seed=4, check=True)
+    shared = run(models, external, policy, 3000, seed=4)
+    check_trace(shared)
     shared_calls = len(calls)
     calls.clear()
-    separate = run(copies, external, policy, 3000, seed=4, check=True)
+    separate = run(copies, external, policy, 3000, seed=4)
+    check_trace(separate)
     frames = int(separate.frames_per_system.sum())
-    # and, after the loop, one call per system for the certificate
+    # and, in check_trace, one call per system for the certificate
     assert len(calls) == frames + len(copies)
     assert shared_calls - len(models) < frames
     assert trace_digest(shared) == trace_digest(separate)
@@ -1163,7 +1240,7 @@ def test_readme_quickstart_runs(capsys):
 def test_unit_length_frames_start_every_slot(monkeypatch):
     # every slot is a frame start of both systems, which share one model:
     # one objective list and one solve per slot, Q steps after both frames,
-    # and after the loop one certificate per system over all its frames
+    # and check_trace gives one certificate per system over all its frames
     model = constant_rate_model(
         [1.0, 3.0], [[2.0], [0.0]], [DeterministicLength(1), DeterministicLength(1)]
     )
@@ -1177,7 +1254,8 @@ def test_unit_length_frames_start_every_slot(monkeypatch):
     for name in ("ratio_objectives", "solve_enumerate", "ratio_bound_holds"):
         monkeypatch.setattr(simulation, name, counted(name))
     slots = 60
-    trace = run([model, model], external, DppRatioPolicy(5.0), slots, seed=2, check=True)
+    trace = run([model, model], external, DppRatioPolicy(5.0), slots, seed=2)
+    check_trace(trace)
     for log in trace.frames:
         assert np.array_equal(log[:, 0], np.arange(slots))
         assert np.array_equal(log[:, 1], np.ones(slots))
