@@ -40,7 +40,6 @@ from .simulation import (
     CappedPoisson,
     CheckViolation,
     DppRatioPolicy,
-    DriftDiagnostic,
     ExternalProcess,
     RandomizedStationaryPolicy,
     RunTrace,

@@ -5,13 +5,13 @@
     renewalopt validate <config> [--samples N]
 
 `run` executes the configured (V, seed) grid and writes summary.csv, lp.csv,
-and optional trajectory_<V>_<seed>.csv files.  `lp` writes only the benchmark
-solution.  `validate` samples every action of the instance's model and prints
-a declaration-vs-empirical report.
+optional trajectory_<V>_<seed>.csv files (trajectory_stationary_<seed>.csv for
+a stationary policy).  `lp` writes only the benchmark solution.  `validate`
+samples every action's frames and prints a declaration-vs-empirical report.
 
-Exit codes: 0 success, 1 config error, 2 runtime error, 3 invariant violation
-under --check.  Identical config and seed produce byte-identical CSVs; all
-floats are written with 9 significant digits.
+Exit codes: 0 success, 1 config error, 2 runtime error or a FLAGGED validate
+report, 3 invariant violation under --check.  Identical config and seed
+produce byte-identical CSVs; all floats are written with 9 significant digits.
 """
 
 from __future__ import annotations

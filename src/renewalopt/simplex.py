@@ -28,7 +28,6 @@ _PIVOT_TOL = 1e-9
 class SimplexResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None = None
-    objective: float | None = None
     duals_ub: np.ndarray | None = None
 
 
@@ -164,9 +163,8 @@ def simplex_solve(
     for i, col in enumerate(basis):
         x_work[col] = tableau[i, -1]
     x = np.maximum(x_work[:n], 0.0)
-    objective = float(c @ x)
 
     # slack i has cost 0 and column s * e_i (s = -1 if row i was negated), so
     # its reduced cost is -s times the solved row's dual: minus the caller's
     duals_ub = -tableau[-1, n : n + m_ub] * ub_scale
-    return SimplexResult(status="optimal", x=x, objective=objective, duals_ub=duals_ub)
+    return SimplexResult(status="optimal", x=x, duals_ub=duals_ub)

@@ -37,6 +37,7 @@ the exact invariants of ``--check`` and naming the first offending slot and syst
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from bisect import bisect_right
 from collections import namedtuple
@@ -48,7 +49,7 @@ import numpy as np
 
 from .controller import queue_step, ratio_bound_holds, ratio_objectives
 from .controller import solve_bisection, solve_enumerate
-from .core import PerformanceVector, RenewalSystemModel, _mean_se, exceeds_bounds, sample_frame
+from .core import PerformanceVector, RenewalSystemModel, exceeds_bounds, sample_frame
 
 __all__ = [
     "CappedPoisson",
@@ -63,7 +64,6 @@ __all__ = [
     "check_trace",
     "FrameStats",
     "frame_stats",
-    "DriftDiagnostic",
     "drift_diagnostic",
 ]
 
@@ -92,10 +92,6 @@ class CappedPoisson:
     def mean(self) -> float:
         return self.scale * self.rate
 
-    @property
-    def max_abs(self) -> float:
-        return abs(self.scale) * self.cap
-
     def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.scale * np.minimum(rng.poisson(self.rate, size=n), self.cap).astype(float)
 
@@ -115,10 +111,6 @@ class ExternalProcess:
     @property
     def n_metrics(self) -> int:
         return len(self.coords)
-
-    @property
-    def max_abs(self) -> float:
-        return max(c.max_abs for c in self.coords)
 
     def sample_matrix(self, rng: np.random.Generator, slots: int) -> np.ndarray:
         return np.column_stack([c.sample_array(rng, slots) for c in self.coords])
@@ -184,6 +176,14 @@ class CheckViolation(Exception):
 FRAME_BLOCK = 64
 
 
+def _count(name: str, value) -> int:
+    """value as an int if it is an integer >= 1 (numpy integers pass), else ValueError."""
+    n = operator.index(value) if hasattr(type(value), "__index__") else 0
+    if n < 1:
+        raise ValueError(f"{name} must be >= 1 and an integer, got {value!r}")
+    return n
+
+
 def _generator(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
@@ -197,6 +197,7 @@ class SamplePath:
     """
 
     def __init__(self, models: Sequence[RenewalSystemModel], external, slots: int, seed: int):
+        slots = _count("slots", slots)
         self.models, self.external, self.slots, self.seed = tuple(models), external, slots, seed
         self._d = None
         self._generators = {}  # (system, action) -> its stream's generator
@@ -384,8 +385,7 @@ def run(
     n_metrics = external.n_metrics
     if any(m.n_metrics != n_metrics for m in models):
         raise ValueError("all systems must share the external process dimension")
-    if slots < 1:
-        raise ValueError("slots must be >= 1")
+    slots = _count("slots", slots)
 
     stationary = isinstance(policy, RandomizedStationaryPolicy)
     if isinstance(policy, DppRatioPolicy):
@@ -465,10 +465,7 @@ def queue_trajectory(trace: RunTrace, stride: int | None = None) -> tuple[np.nda
     The default stride keeps the row count near ten thousand.
     """
     slots = trace.slots
-    if stride is None:
-        stride = max(1, -(-slots // 10_000))
-    elif stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
+    stride = max(1, -(-slots // 10_000)) if stride is None else _count("stride", stride)
     times = np.append(np.arange(0, slots, stride), slots)
     return times, trace.queues[times]
 
@@ -593,30 +590,12 @@ def frame_stats(trace: RunTrace) -> tuple[FrameStats, ...]:
     return stats
 
 
-@dataclass(frozen=True, eq=False)
-class DriftDiagnostic:
-    """Per-system statistics of frame drift sums against their uniform bound.
+def drift_diagnostic(trace: RunTrace, reference: Sequence[PerformanceVector]) -> list[np.ndarray]:
+    """Per system, the drift sum of each completed frame of a dpp_ratio run.
 
-    For a reference point (f_bar, g_bar) per system, each completed frame
-    contributes sum over its slots of X[t] = V*(y[t] - f_bar) +
-    <Q[t], z[t] - g_bar>, and the analysis guarantees the conditional mean of
-    that sum never exceeds c0 = L * z_max * (N * z_max + d_max) * B.  The
-    diagnostic reports the mean of (frame sum - c0) per system, which
-    must stay <= 0 within noise whenever the reference point is feasible for
-    the system.
-    """
-
-    c0: float
-    frame_counts: np.ndarray
-    excess_mean: np.ndarray
-    excess_se: np.ndarray
-
-
-def drift_diagnostic(trace: RunTrace, reference: Sequence[PerformanceVector]) -> DriftDiagnostic:
-    """Drift sums of the completed frames of a dpp_ratio run against c0.
-
-    Each frame's sum is V * (Y - T * f_bar) + QZ - W . g_bar, read off the
-    frame table: QZ is row . W for a metric row and value * Q[start +
+    For a reference point (f_bar, g_bar) a frame's sum over its slots of
+    V * (y[t] - f_bar) + <Q[t], z[t] - g_bar> is V * (Y - T * f_bar) + QZ - W . g_bar,
+    read off the frame table: QZ is row . W for a metric row and value * Q[start +
     offset, l] for an impulse, and W is a difference of one prefix sum of Q.
     """
     reference = tuple(reference)
@@ -626,13 +605,7 @@ def drift_diagnostic(trace: RunTrace, reference: Sequence[PerformanceVector]) ->
         raise ValueError("one reference point per system required")
     if any(r.g_hat.shape[0] != trace.process.n_metrics for r in reference):
         raise ValueError("reference metric dimension mismatch")
-    models, process = trace.models, trace.process
-    z_max, b = max(m.z_max for m in models), max(m.residual_bound for m in models)
-    c0 = process.n_metrics * z_max * (len(models) * z_max + process.max_abs) * b
-    excesses = [
-        trace.policy.v * (f.y - f.length * ref.f_hat) + f.qz - f.w @ ref.g_hat - c0
+    return [
+        trace.policy.v * (f.y - f.length * ref.f_hat) + f.qz - f.w @ ref.g_hat
         for f, ref in zip(_frame_table(trace), reference)
     ]
-    means, ses = map(np.array, zip(*map(_mean_se, excesses)))
-    counts = np.array([x.shape[0] for x in excesses])
-    return DriftDiagnostic(c0, frame_counts=counts, excess_mean=means, excess_se=ses)

@@ -8,8 +8,9 @@ from scalars and a sampler repeating it, a deterministic frame length and
 a constant external coordinate for exact fixtures, the full Dinkelbach
 iteration that ``solve_bisection`` must agree with on every input, a
 brute-force grid search over LP weights that cross-checks ``solve_lp``
-independently of the simplex, and the per-offset residual table that
-``validate_model``'s power sums must reproduce.
+independently of the simplex, the per-offset residual table that
+``validate_model``'s power sums must reproduce, and the analysis' drift
+bound c0 that ``drift_diagnostic``'s frame sums are held against.
 """
 
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ import pytest
 from renewalopt import TABLE1, build_instance, solve_lp
 from renewalopt.benchmark import LPSolution, StationaryLP, _achieved
 from renewalopt.controller import _BISECTION_TOL, ratio_objectives
-from renewalopt.core import FrameOutcome, RenewalSystemModel
+from renewalopt.core import FrameOutcome, RenewalSystemModel, _mean_se
 from renewalopt.distributions import GeometricLength, constant_rate_model
 
 
@@ -146,12 +147,21 @@ class FixedValue:
     def mean(self) -> float:
         return float(self.value)
 
-    @property
-    def max_abs(self) -> float:
-        return abs(float(self.value))
-
     def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.full(n, float(self.value))
+
+
+def drift_bound(models, d_max: float) -> float:
+    """The analysis' bound on a frame's conditional mean drift sum, with d_max
+    bounding |d[t]|: c0 = L * z_max * (N * z_max + d_max) * B."""
+    z_max, b = max(m.z_max for m in models), max(m.residual_bound for m in models)
+    return models[0].n_metrics * z_max * (len(models) * z_max + d_max) * b
+
+
+def drift_excess(sums, c0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per system, the mean and SE of (frame drift sum - c0) over its frames."""
+    means, ses = zip(*(_mean_se(s - c0) for s in sums))
+    return np.array(means), np.array(ses)
 
 
 def _simplex_grid(n_actions: int, grid: int) -> np.ndarray:

@@ -46,6 +46,12 @@ def test_every_import_is_used(name):
     assert imported <= used, sorted(imported - used)
 
 
+def _quickstart_tree():
+    readme = (ROOT / "README.md").read_text()
+    code = readme.split("## Library quickstart")[1].split("```python")[1].split("```")[0]
+    return ast.parse(code)
+
+
 def _loaded_names(tree):
     return {
         node.id if isinstance(node, ast.Name) else node.attr
@@ -59,9 +65,7 @@ def test_every_exported_name_is_reached():
     # src code or shown in the README quickstart, or it belongs in tests/
     trees = [ast.parse(Path(importlib.import_module(m).__file__).read_text()) for m in MODULES]
     loaded = set().union(*map(_loaded_names, trees))
-    readme = (ROOT / "README.md").read_text()
-    quickstart = readme.split("## Library quickstart")[1].split("```python")[1].split("```")[0]
-    quickstart_tree = ast.parse(quickstart)
+    quickstart_tree = _quickstart_tree()
     shown = _loaded_names(quickstart_tree) | {
         alias.name
         for node in ast.walk(quickstart_tree)
@@ -70,6 +74,42 @@ def test_every_exported_name_is_reached():
     }
     exported = {name for m in MODULES for name in importlib.import_module(m).__all__}
     assert exported - loaded - shown == UNREACHED_EXPORTS
+
+
+# public class members no src code reads and the README quickstart does not use
+UNREAD_MEMBERS = {
+    # acceptance criterion 9 reads the per-system ratio SEs; FrameStats itself
+    # leaves the library once its benchmark span is retired
+    "FrameStats.f_se",
+    "FrameStats.g_se",
+}
+
+
+def _read_names(tree):
+    return {
+        node.attr if isinstance(node, ast.Attribute) else node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+
+
+def test_every_class_member_is_read():
+    # a public method, property or annotated field of a src class is read, as
+    # an attribute or a string (getattr, namedtuple fields), by src code or the
+    # README quickstart, or it is a test-only member.  Members match by name,
+    # so a name another class shares can hide an unread one: this is a floor
+    trees = [ast.parse(Path(importlib.import_module(m).__file__).read_text()) for m in MODULES]
+    read = set().union(*map(_read_names, [*trees, _quickstart_tree()]))
+    members = set()
+    for cls in (node for tree in trees for node in tree.body if isinstance(node, ast.ClassDef)):
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef):
+                members.add((cls.name, node.name))
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                members.add((cls.name, node.target.id))
+    public = {(c, name) for c, name in members if not name.startswith("_")}
+    assert {f"{c}.{name}" for c, name in public if name not in read} == UNREAD_MEMBERS
 
 
 def test_perf_trace_hooks_install_and_restore():

@@ -12,6 +12,7 @@ import pytest
 from renewalopt import cli
 from renewalopt.cli import main, run_experiment
 from renewalopt.config import parse_config
+from renewalopt.core import ValidationReport
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -162,6 +163,17 @@ def test_validate_subcommand(tmp_path, capsys):
         )
         assert main(["validate", write_config(tmp_path, text, name="unit.cfg")]) == 0
         assert capsys.readouterr().out.startswith("model (all servers): ok\n")
+
+
+def test_flagged_validate_exits_2(tmp_path, capsys, monkeypatch):
+    # a report with a flag prints FLAGGED on its first line and the flag last
+    flag = "action 0: empirical y_hat 1 vs declared 2"
+    report = ValidationReport(actions=(), flags=(flag,))
+    monkeypatch.setattr(cli, "validate_model", lambda model, samples: report)
+    cfg = write_config(tmp_path, "instance = table1\nslots = 10\n")
+    assert main(["validate", cfg, "--samples", "100"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["model (all servers): FLAGGED", f"  flag: {flag}"]
 
 
 def test_config_error_exit_code(tmp_path, capsys):

@@ -119,7 +119,6 @@ def test_built_external_process(table1_env):
     assert external.n_metrics == 3
     assert [c.mean for c in external.coords] == [-2.0, -3.0, -4.0]
     assert [c.cap for c in external.coords] == [17, 21, 24]
-    assert external.max_abs == 24.0
     mat = external.sample_matrix(np.random.default_rng(0), 5000)
     assert mat.max() <= 0.0
     assert mat.min() >= -24.0

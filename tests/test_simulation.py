@@ -48,6 +48,8 @@ from conftest import (
     DeterministicLength,
     FixedDrawSampler,
     FixedValue,
+    drift_bound,
+    drift_excess,
     model_from_vectors,
     one_frame,
     queue_update,
@@ -63,7 +65,6 @@ def single_action_setup(rate=3.0, z_rate=0.0, d_value=1.0, length=2):
 def test_fixed_value_coordinate():
     f = FixedValue(-2.5)
     assert f.mean == -2.5
-    assert f.max_abs == 2.5
     assert np.array_equal(f.sample_array(np.random.default_rng(0), 3), [-2.5] * 3)
 
 
@@ -71,14 +72,12 @@ def test_capped_poisson_coordinate():
     c = CappedPoisson(4.0)
     assert c.cap == 24
     assert c.mean == 4.0
-    assert c.max_abs == 24.0
     draws = c.sample_array(np.random.default_rng(1), 100_000)
     assert draws.max() <= 24
     assert draws.min() >= 0
     assert abs(draws.mean() - 4.0) < 0.03
     flipped = CappedPoisson(4.0, scale=-1.0)
     assert flipped.mean == -4.0
-    assert flipped.max_abs == 24.0
     draws = flipped.sample_array(np.random.default_rng(1), 1000)
     assert draws.max() <= 0 and draws.min() >= -24
     with pytest.raises(ValueError):
@@ -90,7 +89,6 @@ def test_capped_poisson_coordinate():
 def test_external_process_matrix():
     ext = ExternalProcess((FixedValue(1.0), FixedValue(-2.0)))
     assert ext.n_metrics == 2
-    assert ext.max_abs == 2.0
     mat = ext.sample_matrix(np.random.default_rng(0), 4)
     assert mat.shape == (4, 2)
     assert np.array_equal(mat[:, 0], [1.0] * 4)
@@ -325,7 +323,7 @@ def test_trajectory_stride_and_final_row(table1_env):
     times, queues = queue_trajectory(trace, stride=500)
     assert np.array_equal(times, [0, 500, 1000, 1500, 2000, 2500])
     assert np.array_equal(queues, trace.queues[times])
-    for bad in (0, -5):
+    for bad in (0, -5, 2.5):
         with pytest.raises(ValueError, match="stride must be >= 1"):
             queue_trajectory(trace, stride=bad)
     # default stride keeps the row count near ten thousand
@@ -364,12 +362,10 @@ def test_analyses_read_the_record_and_draw_nothing(table1_env, monkeypatch):
     }
 
     def analyses(dpp, stationary):
-        drift = drift_diagnostic(dpp, reference)
         return [
             frame_stats_digest(frame_stats(dpp)),
             frame_stats_digest(frame_stats(stationary)),
-            [np.asarray(x).tobytes() for x in (drift.c0, drift.frame_counts, drift.excess_mean,
-                                                drift.excess_se)],
+            [sums.tobytes() for sums in drift_diagnostic(dpp, reference)],
         ]
 
     expected = analyses(*runs.values())
@@ -701,32 +697,33 @@ def test_stationary_sweep_weight_validation(table1_env):
 
 def test_drift_bound_formula(table1_env):
     models, external = table1_env["models"], table1_env["external"]
-    # L * z_max * (N * z_max + d_max) * B assembled from the declared pieces
+    # L * z_max * (N * z_max + d_max) * B assembled from the declared pieces,
+    # d_max the largest cap of the external process
     z_max = max(m.z_max for m in models)
-    d_max = external.max_abs
+    d_max = max(c.cap for c in external.coords)
     b = max(m.residual_bound for m in models)
     expected = 3 * z_max * (5 * z_max + d_max) * b
-    trace = run(models, external, DppRatioPolicy(1.0), slots=200, seed=0)
-    reference = extract_reference_point(table1_env["sol"])
-    assert drift_diagnostic(trace, reference).c0 == expected
+    assert drift_bound(models, d_max) == expected
     assert z_max == 27.0 and d_max == 24.0
     assert b == pytest.approx(109.96, abs=1e-9)
 
 
 def test_drift_single_action_exact():
     # f_bar equals the only achievable rate, so each frame's drift sum is 0
-    # and the recorded excess is exactly -c0
+    # and the excess over c0 is exactly -c0
     models, external = single_action_setup(rate=3.0, z_rate=1.0, d_value=1.0)
     reference = [PerformanceVector(3.0, [1.0])]
     policy = DppRatioPolicy(7.0)
     trace = run(models, external, policy, slots=200, seed=0)
     drift = drift_diagnostic(trace, reference)
-    c0 = drift.c0
+    c0 = drift_bound(models, 1.0)
     assert c0 == 1.0 * 1.0 * (1.0 * 1.0 + 1.0) * 4.0
-    assert drift.frame_counts[0] == 100
-    assert np.array_equal(drift.excess_mean, [-c0])
-    assert np.array_equal(drift.excess_se, [0.0])
-    assert np.all(drift.excess_mean <= 3 * drift.excess_se)
+    assert drift[0].shape == (100,)
+    assert np.array_equal(drift[0], np.zeros(100))
+    excess_mean, excess_se = drift_excess(drift, c0)
+    assert np.array_equal(excess_mean, [-c0])
+    assert np.array_equal(excess_se, [0.0])
+    assert np.all(excess_mean <= 3 * excess_se)
 
 
 def test_drift_with_nonzero_queue():
@@ -738,11 +735,14 @@ def test_drift_with_nonzero_queue():
     trace = run(models, external, policy, slots=200, seed=0)
     assert np.array_equal(trace.queues[:, 0], np.arange(201))
     drift = drift_diagnostic(trace, reference)
-    assert drift.c0 == 24.0
+    c0 = drift_bound(models, 1.0)
+    assert c0 == 24.0
     sums = 2 * np.arange(100) + 0.5
-    assert drift.frame_counts[0] == 100
-    assert drift.excess_mean[0] == pytest.approx(sums.mean() - 24.0, abs=1e-9)
-    assert drift.excess_se[0] == pytest.approx(sums.std(ddof=1) / 10, abs=1e-9)
+    assert drift[0].shape == (100,)
+    assert np.array_equal(drift[0], sums)
+    excess_mean, excess_se = drift_excess(drift, c0)
+    assert excess_mean[0] == pytest.approx(sums.mean() - 24.0, abs=1e-9)
+    assert excess_se[0] == pytest.approx(sums.std(ddof=1) / 10, abs=1e-9)
 
 
 def test_drift_diagnostic_on_energy_instance(table1_env):
@@ -751,10 +751,12 @@ def test_drift_diagnostic_on_energy_instance(table1_env):
     policy = DppRatioPolicy(10.0)
     trace = run(models, external, policy, slots=20_000, seed=5)
     drift = drift_diagnostic(trace, reference)
-    assert drift.frame_counts.min() > 1000
-    assert np.all(drift.excess_mean <= 3 * drift.excess_se)
+    assert min(sums.shape[0] for sums in drift) > 1000
+    c0 = drift_bound(models, max(c.cap for c in external.coords))
+    excess_mean, excess_se = drift_excess(drift, c0)
+    assert np.all(excess_mean <= 3 * excess_se)
     # the bound is far from tight here: the mean excess is deeply negative
-    assert drift.excess_mean.max() < 0
+    assert excess_mean.max() < 0
 
 
 def dense_replay(trace, models):
@@ -814,7 +816,8 @@ def test_frame_table_matches_the_dense_per_slot_series(table1_env):
         trace = run(models, external, policy, slots, seed)
         queues, v = trace.queues, policy.v
         drift = drift_diagnostic(trace, reference)
-        c0 = drift.c0
+        c0 = drift_bound(models, max(c.cap for c in external.coords))
+        excess_mean, excess_se = drift_excess(drift, c0)
         table = simulation._frame_table(trace)
         dense = dense_replay(trace, models)
         for n, (log, (y, z), frames, ref) in enumerate(zip(trace.frames, dense, table, reference)):
@@ -822,7 +825,7 @@ def test_frame_table_matches_the_dense_per_slot_series(table1_env):
             completed = log[log[:, 0] + log[:, 1] <= slots]
             assert np.array_equal(frames.start, completed[:, 0])
             assert np.array_equal(frames.length, completed[:, 1])
-            assert frames.length.shape[0] == drift.frame_counts[n] > 100
+            assert frames.length.shape[0] == drift[n].shape[0] > 100
             sums = []
             for start, length, y_total, z_total in zip(
                 frames.start.tolist(), frames.length.tolist(), frames.y.tolist(), frames.z
@@ -833,9 +836,9 @@ def test_frame_table_matches_the_dense_per_slot_series(table1_env):
                 queue_terms = ((z[window] - ref.g_hat) * queues[window]).sum(axis=1)
                 sums.append((v * (y[window] - ref.f_hat) + queue_terms).sum() - c0)
             sums = np.array(sums)
-            assert drift.excess_mean[n] == pytest.approx(sums.mean(), rel=1e-12, abs=0)
+            assert excess_mean[n] == pytest.approx(sums.mean(), rel=1e-12, abs=0)
             se = sums.std(ddof=1) / np.sqrt(sums.shape[0])
-            assert drift.excess_se[n] == pytest.approx(se, rel=1e-12, abs=0)
+            assert excess_se[n] == pytest.approx(se, rel=1e-12, abs=0)
 
 
 def test_one_system_and_action_plays_the_same_frames_in_every_cell(table1_env):
@@ -929,6 +932,8 @@ def test_run_rejects_a_sample_path_of_another_cell(table1_env):
             run(cell_models, cell_external, policy, slots, seed, path=path)
     assert drawn_blocks(path) == 0
     run(list(models), external, policy, 100, 1, path=path)  # the same models, as a list
+    with pytest.raises(ValueError, match="^slots must be >= 1"):  # a float compares equal
+        SamplePath(models, external, 100.0, 1)
 
 
 def test_shared_sample_path_arrays_are_read_only(table1_env):
@@ -1063,6 +1068,28 @@ def test_run_argument_validation(table1_env):
     with pytest.raises(ValueError):
         # 5 reference points for 1 system
         drift_diagnostic(trace, reference)
+
+
+@pytest.mark.parametrize(
+    "error, message, bad",
+    [
+        (ValueError, "need at least one system", {"models": []}),
+        (ValueError, "all systems must share the external process dimension",
+         {"external": ExternalProcess((FixedValue(1.0),))}),
+        (ValueError, "slots must be >= 1", {"slots": 0}),
+        (ValueError, "slots must be >= 1", {"slots": 100.0}),
+        (ValueError, "one weight vector per system required",
+         {"policy": RandomizedStationaryPolicy((np.array([1.0, 0.0, 0.0]),))}),
+        (ValueError, "weight length must match the system's action count",
+         {"policy": RandomizedStationaryPolicy((np.array([0.5, 0.5]),) * 5)}),
+        (TypeError, "unknown policy type object", {"policy": object()}),
+    ],
+)
+def test_run_names_each_bad_argument(table1_env, error, message, bad):
+    args = {"models": table1_env["models"], "external": table1_env["external"],
+            "policy": DppRatioPolicy(10.0), "slots": 100, "seed": 1}
+    with pytest.raises(error, match=f"^{re.escape(message)}"):
+        run(**(args | bad))
 
 
 def trace_digest(trace):
@@ -1233,8 +1260,8 @@ def test_readme_quickstart_runs(capsys):
     stats, drift = namespace["stats"], namespace["drift"]
     assert namespace["trace"].slots == 2_000
     assert len(stats) == len(namespace["models"]) and all(s.count > 0 for s in stats)
-    assert np.array_equal(drift.frame_counts, [s.count for s in stats])
-    assert np.isfinite(drift.excess_mean).all()
+    assert [sums.shape[0] for sums in drift] == [s.count for s in stats]
+    assert all(np.isfinite(sums).all() for sums in drift)
 
 
 def test_unit_length_frames_start_every_slot(monkeypatch):
